@@ -6,9 +6,9 @@ hopeless beyond tiny k. Each row here is instead certified by a
 sandwich: an explicit witness sequence gives the lower bound, and a
 chain of bound rules (searches over squarefree cores, sum-set caps,
 recursion over short-zero-sum thresholds) gives the matching upper
-bound. The partition sweeps behind the upper bounds are cached on disk
-under ~/.cache/zerosum, so the first run pays a few seconds and later
-runs are instant.
+bound. The partition sweeps behind the upper bounds search one table of
+circuit bitmasks and finish in well under a second, even with an empty
+cache.
 
 Run with: python3 demos/03_rank_five_certificates.py
 """
@@ -25,9 +25,9 @@ for k in (1, 2, 8, 9, 10):
           % (k, cert.value, cert.witness_check["rule"],
              " -> ".join(step.rule_id for step in cert.upper_chain)))
 
-# Rows 3 and 4 stay brackets at desk scale: the missing piece is an
-# upper bound on squarefree sequences with at most 3 (resp. 4) disjoint
-# blocks, and the sweep that would settle it is astronomically large.
+# Rows 3 and 4 stay brackets: the missing piece is an upper bound on
+# squarefree sequences with at most 3 (resp. 4) disjoint blocks, which
+# needs sweeps over smaller sets than the ones run here.
 for k in (3, 4):
     cert = certify_dk(G, k)
     print("k=%-2d bracket [%d, %d]" % (k, cert.lower, cert.upper))

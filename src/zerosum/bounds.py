@@ -126,6 +126,16 @@ def lower_max_length(
     return total
 
 
+def _recursion_scan(ell: Seq[int], s_values: Seq[ExtInt], D: int, k: int) -> int:
+    """Largest m whose forced block count lower_max_length stays within k."""
+    m = 0
+    while lower_max_length(ell, s_values, D, m + 1) <= k:
+        m += 1
+        if m > k * D:
+            raise BoundError("scan escaped its ceiling; inputs inconsistent")
+    return m
+
+
 def ub_recursion(
     G: Group,
     ell: Seq[int],
@@ -152,11 +162,7 @@ def ub_recursion(
             )
         if list(ell) != sorted(set(ell)):
             raise BoundError("ell must be strictly increasing")
-    m = 0
-    while lower_max_length(ell, s_values, D, m + 1) <= k:
-        m += 1
-        if m > k * D:
-            raise BoundError("scan escaped its ceiling; inputs inconsistent")
+    m = _recursion_scan(ell, s_values, D, k)
     return BoundReport(
         rule_id="ub.recursion",
         direction="upper",
@@ -547,16 +553,9 @@ def _listed(raw):
 
 
 def _eval_recursion(inp: Dict[str, object]) -> int:
-    ell = list(_listed(inp["ell"]))
-    s_values = list(_listed(inp["s_values"]))
-    D = inp["D"]
-    k = inp["k"]
-    m = 0
-    while lower_max_length(ell, s_values, D, m + 1) <= k:
-        m += 1
-        if m > k * D:
-            raise BoundError("scan escaped its ceiling; inputs inconsistent")
-    return m
+    return _recursion_scan(
+        list(_listed(inp["ell"])), list(_listed(inp["s_values"])), inp["D"], inp["k"]
+    )
 
 
 RULE_EVALUATORS: Dict[str, Callable[[Dict[str, object]], object]] = {

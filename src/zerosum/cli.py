@@ -119,8 +119,6 @@ _BUDGET = click.option("--budget", type=int, default=None,
                        help="Search node budget override.")
 _VERIFY = click.option("--verify", "do_verify", is_flag=True,
                        help="Re-check the certificate before printing it.")
-_WORKERS = click.option("--workers", type=int, default=1, show_default=True,
-                        help="Reserved; computations currently run serially.")
 
 
 @click.group()
@@ -178,9 +176,8 @@ def _run_certificate(fn, fmt: str, timing: bool, do_verify: bool) -> int:
 @_FMT
 @_TIMING
 @_VERIFY
-@_WORKERS
 def compute_davenport(group_text: str, budget: Optional[int], fmt: str,
-                      timing: bool, do_verify: bool, workers: int) -> int:
+                      timing: bool, do_verify: bool) -> int:
     """Longest zero-sum sequence with no proper zero-sum prefix removed."""
     G = _parse_group_arg(group_text)
     return _run_certificate(lambda: davenport(G, budget=budget), fmt, timing, do_verify)
@@ -194,9 +191,8 @@ def compute_davenport(group_text: str, budget: Optional[int], fmt: str,
 @_FMT
 @_TIMING
 @_VERIFY
-@_WORKERS
 def compute_dk(group_text: str, k: int, budget: Optional[int], fmt: str,
-               timing: bool, do_verify: bool, workers: int) -> int:
+               timing: bool, do_verify: bool) -> int:
     """Longest sequence splittable into at most k disjoint zero-sum blocks."""
     if k < 1:
         raise _CliError("k must be at least 1")
@@ -212,9 +208,8 @@ def compute_dk(group_text: str, k: int, budget: Optional[int], fmt: str,
 @_FMT
 @_TIMING
 @_VERIFY
-@_WORKERS
 def compute_sle(group_text: str, k: int, budget: Optional[int], fmt: str,
-                timing: bool, do_verify: bool, workers: int) -> int:
+                timing: bool, do_verify: bool) -> int:
     """Threshold length forcing a zero-sum subsequence of length <= k."""
     if k < 1:
         raise _CliError("k must be at least 1")
@@ -228,9 +223,8 @@ def compute_sle(group_text: str, k: int, budget: Optional[int], fmt: str,
 @_FMT
 @_TIMING
 @_VERIFY
-@_WORKERS
 def compute_eta(group_text: str, budget: Optional[int], fmt: str,
-                timing: bool, do_verify: bool, workers: int) -> int:
+                timing: bool, do_verify: bool) -> int:
     """Threshold length forcing a zero-sum subsequence of length <= exponent."""
     G = _parse_group_arg(group_text)
     return _run_certificate(lambda: eta(G, budget=budget), fmt, timing, do_verify)
@@ -245,10 +239,8 @@ def compute_eta(group_text: str, budget: Optional[int], fmt: str,
 @_BUDGET
 @_FMT
 @_TIMING
-@_WORKERS
 def compute_stabilize(group_text: str, kmax: int, inputs_path: Optional[str],
-                      budget: Optional[int], fmt: str, timing: bool,
-                      workers: int) -> int:
+                      budget: Optional[int], fmt: str, timing: bool) -> int:
     """Detect the onset of linear growth across a table of block constants."""
     if kmax < 1:
         raise _CliError("kmax must be at least 1")
@@ -466,9 +458,8 @@ def table_group() -> None:
               default="text", show_default=True)
 @_BUDGET
 @_TIMING
-@_WORKERS
 def table_dk(group_text: str, kmax: int, fmt: str, budget: Optional[int],
-             timing: bool, workers: int) -> int:
+             timing: bool) -> int:
     """Block constants for k = 1..kmax with growth steps."""
     if kmax < 1:
         raise _CliError("kmax must be at least 1")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 
@@ -40,29 +41,45 @@ def xor_all(ids) -> int:
 # Circuit enumeration
 
 
-def circuits(r: int, max_len: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """All circuits of C_2^r as ascending id tuples, each exactly once.
+def _circuit_dfs(pool, cap: int) -> List[Tuple[int, ...]]:
+    """Circuits of length <= cap inside the id set `pool`, each exactly once.
 
     A circuit minus its largest element is independent, so ascending
     independent prefixes closed by their XOR (when the XOR exceeds the
-    prefix maximum) generate every circuit once.
+    prefix maximum and lies in the pool) generate every circuit once.
+    The span of a prefix is kept as a bitmask over element values.
     """
-    n = 1 << r
-    cap = (r + 1) if max_len is None else min(max_len, r + 1)
+    pool = sorted(set(pool))
+    members = 0
+    for v in pool:
+        members |= 1 << v
     out: List[Tuple[int, ...]] = []
 
-    def dfs(prefix: List[int], basis: List[int], xr: int, last: int) -> None:
-        if len(prefix) >= 2 and xr > last:
-            out.append(tuple(prefix) + (xr,))
-        if len(prefix) >= cap - 1:
-            return
-        for x in range(last + 1, n):
-            red = reduce_mod_basis(x, basis)
-            if red:
-                dfs(prefix + [x], basis + [red], xr ^ x, x)
+    def dfs(start: int, prefix: List[int], span: int, elems: List[int], xr: int) -> None:
+        extend = len(prefix) + 2 < cap
+        for i in range(start, len(pool)):
+            x = pool[i]
+            if (span >> x) & 1:
+                continue
+            y = xr ^ x
+            if prefix and y > x and (members >> y) & 1:
+                out.append(tuple(prefix) + (x, y))
+            if extend:
+                shifted = [e ^ x for e in elems]
+                grown = span
+                for e in shifted:
+                    grown |= 1 << e
+                dfs(i + 1, prefix + [x], grown, elems + shifted, y)
 
-    dfs([], [], 0, 0)
+    if cap >= 3:
+        dfs(0, [], 1, [0], 0)
     return out
+
+
+def circuits(r: int, max_len: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """All circuits of C_2^r as ascending id tuples, each exactly once."""
+    cap = (r + 1) if max_len is None else min(max_len, r + 1)
+    return _circuit_dfs(range(1, 1 << r), cap)
 
 
 def is_circuit(ids) -> bool:
@@ -70,6 +87,77 @@ def is_circuit(ids) -> bool:
     if len(ids) < 3 or len(set(ids)) != len(ids) or 0 in ids:
         return False
     return xor_all(ids) == 0 and mask_rank(ids) == len(ids) - 1
+
+
+def ids_to_mask(ids) -> int:
+    """Bitmask over bit (id - 1) of a set of nonzero ids."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << (v - 1)
+    return mask
+
+
+class CircuitTable:
+    """The circuits of C_2^r lying inside an id set, as bitmasks.
+
+    Bit (id - 1) stands for an id. by_low[v][size] lists the masks of
+    the circuits of that size whose lowest id is v. Any circuit inside a
+    subset that contains the subset's lowest id v has v as its lowest
+    id, so one bucket is all a search pinned at v needs to scan.
+    Circuits longer than max_len, when given, are left out.
+    """
+
+    def __init__(self, ids, r: int, max_len: Optional[int] = None):
+        ids = sorted(set(ids))
+        if ids and not (0 < ids[0] and ids[-1] < 1 << r):
+            raise ValueError("ids must lie in 1..%d" % ((1 << r) - 1))
+        self.r = r
+        self.mask = ids_to_mask(ids)
+        self.by_low: List[List[List[int]]] = [
+            [[] for _ in range(r + 2)] for _ in range(1 << r)
+        ]
+        cap = r + 1 if max_len is None else min(max_len, r + 1)
+        for circ in _circuit_dfs(ids, cap):
+            self.by_low[circ[0]][len(circ)].append(ids_to_mask(circ))
+
+    def partition(self, avail: int, pieces: int) -> Optional[List[int]]:
+        """Split the subset mask `avail` into exactly `pieces` circuits.
+
+        Returns the circuit masks, or None when no such partition exists.
+        Pinning the lowest remaining id plus memoizing failed residuals
+        keeps the search exact.
+        """
+        by_low = self.by_low
+        top = self.r + 1
+        fail: set = set()
+
+        def solve(avail: int, n: int, pieces: int) -> Optional[List[int]]:
+            if pieces == 0:
+                return None if avail else []
+            if not (3 * pieces <= n <= top * pieces):
+                return None
+            key = (avail, pieces)
+            if key in fail:
+                return None
+            buckets = by_low[(avail & -avail).bit_length()]
+            for size in range(3, min(top, n - 3 * (pieces - 1)) + 1):
+                for circ in buckets[size]:
+                    if circ & avail == circ:
+                        sub = solve(avail ^ circ, n - size, pieces - 1)
+                        if sub is not None:
+                            sub.append(circ)
+                            return sub
+            fail.add(key)
+            return None
+
+        parts = solve(avail, bin(avail).count("1"), pieces)
+        return None if parts is None else parts[::-1]
+
+
+@lru_cache(maxsize=None)
+def universe_table(r: int) -> CircuitTable:
+    """Every circuit of C_2^r, built once per process."""
+    return CircuitTable(range(1, 1 << r), r)
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +178,7 @@ class SmallRankEngine:
             raise ValueError("full subset enumeration is meant for rank <= 4")
         self.r = r
         self.n_ids = (1 << r) - 1
-        by_low: Dict[int, List[Tuple[int, int]]] = {}
-        for circ in circuits(r):
-            mask = 0
-            for v in circ:
-                mask |= 1 << (v - 1)
-            by_low.setdefault(circ[0], []).append((mask, len(circ)))
-        self._by_low = by_low
+        self._by_low = universe_table(r).by_low
         self._maxl: Dict[int, int] = {0: 0}
         self.f_caps, self.f_examples = self._build_tables()
         self.jmax = max(self.f_caps)
@@ -109,11 +191,12 @@ class SmallRankEngine:
             return hit
         low = (subset_mask & -subset_mask).bit_length()  # id of lowest element
         best = -1
-        for circ_mask, _ in self._by_low.get(low, ()):
-            if circ_mask & subset_mask == circ_mask:
-                sub = self.maxl(subset_mask ^ circ_mask)
-                if sub + 1 > best:
-                    best = sub + 1
+        for bucket in self._by_low[low]:
+            for circ_mask in bucket:
+                if circ_mask & subset_mask == circ_mask:
+                    sub = self.maxl(subset_mask ^ circ_mask)
+                    if sub + 1 > best:
+                        best = sub + 1
         if best < 0:
             raise ValueError("subset %x is not zero-sum" % subset_mask)
         memo[subset_mask] = best
@@ -279,62 +362,21 @@ def max_set_without_short_zero_sums(
 # Circuit partitions
 
 
-def _circuits_containing(
-    v: int, avail: FrozenSet[int], max_len: int
-) -> List[FrozenSet[int]]:
-    av = sorted(avail - {v})
-    out: List[FrozenSet[int]] = []
-
-    def build(start: int, basis: List[int], cur: List[int], xr: int) -> None:
-        if len(cur) >= 2 and xr == v:
-            out.append(frozenset(cur + [v]))
-            return  # extensions would contain this zero-sum
-        if len(cur) >= max_len - 1:
-            return
-        for i in range(start, len(av)):
-            x = av[i]
-            red = reduce_mod_basis(x, basis)
-            if red == 0:
-                continue
-            build(i + 1, basis + [red], cur + [x], xr ^ x)
-
-    build(0, [], [], 0)
-    return out
-
-
 def find_circuit_partition(
     ids, pieces: int, r: int
 ) -> Optional[List[FrozenSet[int]]]:
     """Partition the id set into exactly `pieces` disjoint circuits.
 
-    Returns the parts, or None when no such partition exists. Pinning
-    the smallest remaining id plus memoizing failed residuals keeps the
-    search exact.
+    Returns the parts, or None when no such partition exists. Only the
+    circuits inside the id set that leave room for the other parts are
+    enumerated.
     """
-    elems = frozenset(ids)
-    fail: set = set()
-
-    def solve(avail: FrozenSet[int], pieces: int):
-        if pieces == 0:
-            return [] if not avail else None
-        if not avail:
-            return None
-        n = len(avail)
-        if not (3 * pieces <= n <= (r + 1) * pieces):
-            return None
-        key = (avail, pieces)
-        if key in fail:
-            return None
-        v = min(avail)
-        max_piece = min(r + 1, n - 3 * (pieces - 1))
-        for circ in sorted(_circuits_containing(v, avail, max_piece), key=len):
-            sub = solve(avail - circ, pieces - 1)
-            if sub is not None:
-                return [circ] + sub
-        fail.add(key)
+    ids = set(ids)
+    table = CircuitTable(ids, r, max_len=len(ids) - 3 * (pieces - 1))
+    parts = table.partition(table.mask, pieces)
+    if parts is None:
         return None
-
-    return solve(elems, pieces)
+    return [frozenset(i + 1 for i in range(1 << r) if (circ >> i) & 1) for circ in parts]
 
 
 def squarefree_max_length_at_most(ids, bound: int, r: int) -> bool:
@@ -349,8 +391,13 @@ def squarefree_max_length_at_most(ids, bound: int, r: int) -> bool:
         raise ValueError("input must be a 0-free set of distinct ids")
     if xor_all(ids) != 0:
         raise ValueError("input set is not zero-sum")
-    for k in range(bound + 1, len(ids) // 3 + 1):
-        if find_circuit_partition(ids, k, r) is not None:
+    counts = range(bound + 1, len(ids) // 3 + 1)
+    if not counts:
+        return True
+    # the fewest parts leave room for the longest one
+    table = CircuitTable(ids, r, max_len=len(ids) - 3 * (counts[0] - 1))
+    for k in counts:
+        if table.partition(table.mask, k) is not None:
             return False
     return True
 
@@ -397,13 +444,12 @@ RANK5_SWEEP_PIECES = {3: 9, 4: 9, 5: 8, 6: 8, 7: 8, 8: 7, 9: 7, 10: 6, 11: 6}
 
 
 def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
-    universe = frozenset(range(1, 1 << r))
     started = time.monotonic()
+    table = universe_table(r)
     instances = canonical_zero_sum_subsets(r, complement_size)
     failures = 0
     for inst in instances:
-        comp = universe - set(inst)
-        if find_circuit_partition(comp, pieces, r) is None:
+        if table.partition(table.mask ^ ids_to_mask(inst), pieces) is None:
             failures += 1
     elapsed = int((time.monotonic() - started) * 1000)
     return SweepRecord(

@@ -568,9 +568,7 @@ def _check_witness(
                     fail("mask-maxl rule only covers rank <= 4")
                     return problems
                 engine = _engine(prof.rank)
-                mask = 0
-                for v in core:
-                    mask |= 1 << (v - 1)
+                mask = gf2.ids_to_mask(core)
                 if engine.maxl(mask) > slack:
                     fail("core needs %d blocks, only %d allowed" % (engine.maxl(mask), slack))
                 return problems

@@ -265,6 +265,24 @@ class TestEvaluateRule:
             plain = {name: iv.value for name, iv in rep.inputs}
             assert evaluate_rule(rep.rule_id, plain) == rep.value, rep.rule_id
 
+    def test_recursion_evaluator_matches_rule_on_grid(self):
+        # the verifier's re-evaluation and the rule share one scan
+        grid = [
+            (C23, (), (), 4),
+            (C23, (2,), (8,), 4),
+            (C24, (2,), (16,), 5),
+            (C24, (2, 3), (16, 9), 5),
+            (C25, (2, 3, 4), (32, 17, 9), 6),
+        ]
+        checked = 0
+        for G, ell, s_values, D in grid:
+            for k in range(1, 7):
+                rep = ub_recursion(G, ell, s_values, D, k)
+                plain = {name: iv.value for name, iv in rep.inputs}
+                assert evaluate_rule("ub.recursion", plain) == rep.value
+                checked += 1
+        assert checked == 30
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(BoundError):
             evaluate_rule("search.sweep", {})

@@ -301,3 +301,9 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "compute" in out
+
+    def test_compute_dk_help_has_no_workers_option(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "dk", "--help")
+        assert code == 0
+        assert "--k" in out
+        assert "--workers" not in out

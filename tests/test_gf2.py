@@ -10,6 +10,7 @@ from zerosum.gf2 import (
     RANK5_CORE_MAXL4,
     RANK5_CORE_MAXL5,
     RANK5_SWEEP_PIECES,
+    CircuitTable,
     SmallRankEngine,
     canonical_zero_sum_subsets,
     circuits,
@@ -23,9 +24,11 @@ from zerosum.gf2 import (
     run_sweep,
     squarefree_max_length_at_most,
     top_coset_ids,
+    universe_table,
     xor_all,
 )
 from zerosum.groups import element_at, make_group
+from zerosum.invariants import davenport_k
 from zerosum.sequences import Sequence
 
 
@@ -86,6 +89,43 @@ class TestCircuits:
         assert not is_circuit((1, 2))
         assert not is_circuit((0, 1, 2, 3))
         assert is_circuit((1, 2, 4, 7))
+
+
+def mask_of(ids):
+    return sum(1 << (v - 1) for v in ids)
+
+
+def table_masks(table):
+    return sorted(m for buckets in table.by_low for bucket in buckets for m in bucket)
+
+
+class TestCircuitTable:
+    def test_universe_table_matches_circuits(self):
+        for r in (2, 3, 4, 5):
+            expected = sorted(mask_of(c) for c in circuits(r))
+            assert table_masks(universe_table(r)) == expected
+
+    def test_buckets_hold_lowest_id_and_size(self):
+        table = universe_table(4)
+        for low, buckets in enumerate(table.by_low):
+            for size, bucket in enumerate(buckets):
+                for circ in bucket:
+                    assert (circ & -circ).bit_length() == low
+                    assert bin(circ).count("1") == size
+
+    def test_restricted_table_keeps_circuits_inside(self):
+        ids = (3, 5, 6, 9, 10, 12, 15)
+        expected = sorted(
+            mask_of(c) for c in circuits(4) if set(c) <= set(ids)
+        )
+        assert table_masks(CircuitTable(ids, 4)) == expected
+
+    def test_ids_outside_the_group_rejected(self):
+        for ids in ((0, 1, 2, 3), (1, 2, 3, 8), (-1, 1)):
+            with pytest.raises(ValueError):
+                CircuitTable(ids, 3)
+            with pytest.raises(ValueError):
+                find_circuit_partition(ids, 1, 3)
 
 
 class TestSmallRankEngine:
@@ -221,6 +261,25 @@ class TestCircuitPartitions:
         with pytest.raises(ValueError):
             squarefree_max_length_at_most((0, 1, 2, 3), 2, 3)
 
+    def test_partition_depth_matches_engine_maxl(self):
+        # every nonempty zero-sum subset of C_2^3 and C_2^4 splits into
+        # exactly maxl circuits and never into maxl + 1
+        checked = 0
+        for r in (3, 4):
+            eng = SmallRankEngine(r)
+            for mask in range(1, 1 << eng.n_ids):
+                ids = eng.ids_of_mask(mask)
+                if xor_all(ids) != 0:
+                    continue
+                maxl = eng.maxl(mask)
+                parts = find_circuit_partition(ids, maxl, r)
+                assert parts is not None and len(parts) == maxl
+                assert all(is_circuit(p) for p in parts)
+                assert set().union(*parts) == set(ids)
+                assert find_circuit_partition(ids, maxl + 1, r) is None
+                checked += 1
+        assert checked == 2062
+
     def test_refutation_full_rank3(self):
         assert squarefree_max_length_at_most(range(1, 8), 2, 3)
         assert not squarefree_max_length_at_most(range(1, 8), 1, 3)
@@ -283,3 +342,32 @@ class TestSweeps:
         # size-12 sets of rank 4 never split into 5 circuits (needs 15 ids)
         rec = run_sweep(4, 3, 5)
         assert rec.failures == rec.instances == 1
+
+    def test_rank5_sweep_counts_pinned(self):
+        expected = {3: 1, 4: 1, 5: 1, 6: 4, 7: 21, 8: 103, 9: 497, 10: 2082, 11: 7208}
+        for c, instances in expected.items():
+            rec = run_sweep(5, c, RANK5_SWEEP_PIECES[c])
+            assert (rec.instances, rec.failures) == (instances, 0), c
+
+
+# digests of the C_2^5 certificates for k = 1..10, unchanged since the
+# sweeps ran on frozenset circuits
+RANK5_CERT_DIGESTS = {
+    1: "deecc2044395696a",
+    2: "91ef9de0477f2dfc",
+    3: "37dd2cb702e15e37",
+    4: "821846df7f99e9e4",
+    5: "2682d432a2ef322e",
+    6: "25edcbf3044062ea",
+    7: "08cfc25b1b18d28b",
+    8: "e8a0a39ee36fc138",
+    9: "83926d5788501b3a",
+    10: "573340c497b6eb41",
+}
+
+
+class TestRank5Certificates:
+    def test_certificate_digests_pinned(self):
+        G = make_group((2,) * 5)
+        got = {k: davenport_k(G, k).digest() for k in RANK5_CERT_DIGESTS}
+        assert got == RANK5_CERT_DIGESTS
