@@ -61,8 +61,12 @@ def _emit_json(payload) -> None:
 
 
 def _cert_lines(cert: Certificate) -> list:
-    label = {"D": "D", "D_k": "D_%d" % cert.k, "s_le": "s_le(%d)" % cert.k, "eta": "eta"}
-    name = "%s(%s)" % (label[cert.constant], format_group(cert.group))
+    label = cert.constant
+    if cert.constant == "D_k":
+        label = "D_%d" % cert.k
+    elif cert.constant == "s_le":
+        label = "s_le(%d)" % cert.k
+    name = "%s(%s)" % (label, format_group(cert.group))
     lines = []
     if cert.value is not None:
         lines.append("%s = %s" % (name, cert.value))
@@ -115,7 +119,7 @@ _FMT = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="text",
     show_default=True, help="Output format.")
 _TIMING = click.option("--timing", is_flag=True, help="Include wall-clock time.")
-_BUDGET = click.option("--budget", type=int, default=None,
+_BUDGET = click.option("--budget", type=click.IntRange(min=1), default=None,
                        help="Search node budget override.")
 _VERIFY = click.option("--verify", "do_verify", is_flag=True,
                        help="Re-check the certificate before printing it.")

@@ -75,8 +75,7 @@ class CertificateError(ValueError):
 
 
 GENERIC_ORDER_GUARD = 256
-DEFAULT_ZSF_BUDGET = 8_000_000
-DEFAULT_SLE_BUDGET = 8_000_000
+DEFAULT_SEARCH_BUDGET = 8_000_000
 DEFAULT_VERIFY_BUDGET = 4_000_000
 
 
@@ -189,6 +188,18 @@ def _sealed(step: ChainStep) -> ChainStep:
         raise CertificateError("cannot digest step %s" % step.rule_id)
     digest = text if step.rule_id == "search.sweep" else _digest16(text)
     return replace(step, digest=digest)
+
+
+def _dedupe_steps(steps) -> Tuple[ChainStep, ...]:
+    """Steps in order, each (rule, inputs, value) kept at its first use."""
+    seen = set()
+    chain: List[ChainStep] = []
+    for step in steps:
+        key = (step.rule_id, step.inputs, serialize_value(step.value))
+        if key not in seen:
+            seen.add(key)
+            chain.append(step)
+    return tuple(chain)
 
 
 def _zsf_step(G: Group, max_free: int) -> ChainStep:
@@ -461,7 +472,7 @@ def _maxl_from_atoms(S: Sequence, atoms: List[Sequence], budget: Optional[int]) 
             vec[index[e]] = m
         if ok:
             atom_vecs.append(vec)
-    remaining = max(1, budget or DEFAULT_VERIFY_BUDGET)
+    remaining = max(1, DEFAULT_VERIFY_BUDGET if budget is None else budget)
     memo: Dict[Tuple[int, ...], int] = {}
 
     def rec(counts: Tuple[int, ...]) -> int:
@@ -701,117 +712,82 @@ def _coordinate_perms(G: Group) -> List[Tuple[int, ...]]:
     return out
 
 
-def _generic_max_zsf(G: Group, budget: Optional[int]) -> Tuple[int, Tuple, int]:
-    """Longest zero-sum-free sequence by DFS on nondecreasing element index."""
+def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tuple, int]:
+    """Longest sequence with no nonempty zero-sum of length <= cap.
+
+    Returns (length, sequence, nodes). With cap >= |G| this is a longest
+    zero-sum-free sequence, since a zero-sum longer than |G| >= D(G)
+    contains a shorter one. Needs cap >= exp(G); then every searched
+    sequence is shorter than |G|, as eta(G) <= |G| and D(G) <= |G|.
+
+    DFS on nondecreasing element index. Elements are their
+    enumerate_elements positions. Level j is the set of sums of
+    subsequences of length <= j, the empty sum included; the top level
+    is j = min(cap - 1, depth), and a candidate e is refused iff -e lies
+    in it. Levels below cap - |G| + depth can feed no later check and
+    are dropped, so the zero-sum-free case keeps only the set of all
+    subsequence sums.
+    """
     if G.order > GENERIC_ORDER_GUARD:
         raise SearchError(
             "order %d exceeds the exhaustive-search guard (%d)"
             % (G.order, GENERIC_ORDER_GUARD)
         )
+    n = G.order
     elements = list(enumerate_elements(G))
-    z = zero(G)
-    nonzero = [e for e in elements if e != z]
-    perms = _coordinate_perms(G)
-    add_row = {e: {f: add(G, e, f) for f in elements} for e in elements}
-    neg_of = {e: neg(G, e) for e in elements}
-    limit = budget or DEFAULT_ZSF_BUDGET
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[add(G, a, b)] for b in elements] for a in elements]
+    neg_of = [index[neg(G, a)] for a in elements]
+    perm_maps = [
+        [index[tuple(a[i] for i in p)] for a in elements] for p in _coordinate_perms(G)
+    ]
+    zero_sum_free = cap >= n
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     nodes = 0
     best_len = 0
-    best_seq: Tuple = ()
+    best_seq: List[int] = []
 
-    def canonical(seq: List) -> bool:
-        base = sorted(seq)
-        for p in perms:
-            mapped = sorted(tuple(e[p[i]] for i in range(len(p))) for e in seq)
-            if mapped < base:
-                return False
-        return True
+    def canonical(seq: List[int]) -> bool:
+        # seq is nondecreasing, so it is its own sorted form
+        return all(sorted(m[e] for e in seq) >= seq for m in perm_maps)
 
-    def rec(seq: List, sums: frozenset, lo: int):
+    def rec(seq: List[int], levels: List[set], lo: int):
         nonlocal nodes, best_len, best_seq
         nodes += 1
         if nodes > limit:
-            raise SearchError("zero-sum-free search budget exhausted")
-        if len(seq) > best_len:
-            best_len = len(seq)
-            best_seq = tuple(seq)
-        if len(seq) + (G.order - len(sums)) <= best_len:
+            raise SearchError(
+                "%s search (cap %d) on %s exhausted its budget after %d nodes"
+                % (
+                    "zero-sum-free" if zero_sum_free else "short-zero-sum",
+                    cap,
+                    format_group(G),
+                    limit,
+                )
+            )
+        depth = len(seq)
+        if depth > best_len:
+            best_len = depth
+            best_seq = list(seq)
+        top = levels[-1]
+        if zero_sum_free and depth + n - len(top) <= best_len:
             return
-        for i in range(lo, len(nonzero)):
-            e = nonzero[i]
-            if neg_of[e] in sums:
+        # a new top while depth < cap - 1; the bottom goes once depth >= |G| - cap
+        src = levels + [top] if depth < cap - 1 else levels
+        keep = [] if depth >= n - cap else [src[0]]
+        for e in range(lo, n):
+            if neg_of[e] in top:
                 continue
             seq.append(e)
-            if perms and len(seq) <= 4 and not canonical(seq):
+            if perm_maps and len(seq) <= 4 and not canonical(seq):
                 seq.pop()
                 continue
-            row = add_row[e]
-            rec(seq, sums | {row[s] for s in sums}, i)
+            row = table[e]
+            grown = [src[j] | {row[s] for s in src[j - 1]} for j in range(1, len(src))]
+            rec(seq, keep + grown, e)
             seq.pop()
 
-    rec([], frozenset([z]), 0)
-    return best_len, best_seq, nodes
-
-
-def _generic_sle_search(
-    G: Group, cap: int, budget: Optional[int]
-) -> Tuple[int, Tuple, int]:
-    """Longest sequence with no nonempty zero-sum of length <= cap."""
-    if G.order > GENERIC_ORDER_GUARD:
-        raise SearchError(
-            "order %d exceeds the exhaustive-search guard (%d)"
-            % (G.order, GENERIC_ORDER_GUARD)
-        )
-    elements = list(enumerate_elements(G))
-    z = zero(G)
-    nonzero = [e for e in elements if e != z]
-    perms = _coordinate_perms(G)
-    add_row = {e: {f: add(G, e, f) for f in elements} for e in elements}
-    neg_of = {e: neg(G, e) for e in elements}
-    orders = {e: element_order(G, e) for e in nonzero}
-    limit = budget or DEFAULT_SLE_BUDGET
-    nodes = 0
-    best_len = 0
-    best_seq: Tuple = ()
-
-    def canonical(seq: List) -> bool:
-        base = sorted(seq)
-        for p in perms:
-            mapped = sorted(tuple(e[p[i]] for i in range(len(p))) for e in seq)
-            if mapped < base:
-                return False
-        return True
-
-    def rec(seq: List, sums_by_size: List[frozenset], lo: int, counts: Dict):
-        nonlocal nodes, best_len, best_seq
-        nodes += 1
-        if nodes > limit:
-            raise SearchError("short-zero-sum search budget exhausted")
-        if len(seq) > best_len:
-            best_len = len(seq)
-            best_seq = tuple(seq)
-        for i in range(lo, len(nonzero)):
-            e = nonzero[i]
-            if orders[e] <= cap and counts.get(e, 0) + 1 >= orders[e]:
-                continue
-            ne = neg_of[e]
-            if any(ne in sums_by_size[j] for j in range(cap)):
-                continue
-            seq.append(e)
-            if perms and len(seq) <= 4 and not canonical(seq):
-                seq.pop()
-                continue
-            counts[e] = counts.get(e, 0) + 1
-            row = add_row[e]
-            new_sbs = [sums_by_size[0]]
-            for j in range(1, cap):
-                new_sbs.append(sums_by_size[j] | {row[s] for s in sums_by_size[j - 1]})
-            rec(seq, new_sbs, i, counts)
-            counts[e] -= 1
-            seq.pop()
-
-    rec([], [frozenset([z])] + [frozenset()] * (cap - 1), 0, {})
-    return best_len, best_seq, nodes
+    rec([], [{0}], 1)
+    return best_len, tuple(elements[e] for e in best_seq), nodes
 
 
 @lru_cache(maxsize=16)
@@ -828,6 +804,11 @@ def _ids_to_sequence(G: Group, ids, extra_pairs: int = 0, pair_id: int = 1) -> S
         e = element_at(G, pair_id)
         counts[e] = counts.get(e, 0) + 2 * extra_pairs
     return Sequence.from_counts(G, counts)
+
+
+def _with_closing(S: Sequence) -> Sequence:
+    """S followed by the one element that makes the whole sequence zero-sum."""
+    return Sequence.from_elements(S.group, S.as_list() + [neg(S.group, S.sum())])
 
 
 # ---------------------------------------------------------------------------
@@ -868,12 +849,8 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
             upper_chain=(_zsf_step(G, size),),
             exhaustive=True,
         )
-    size, seq, _nodes = _generic_max_zsf(G, budget)
-    sigma = zero(G)
-    for e in seq:
-        sigma = add(G, e, sigma)
-    closing = neg(G, sigma)  # nonzero: a maximal zero-sum-free sum cannot vanish
-    witness = Sequence.from_elements(G, list(seq) + [closing])
+    size, seq, _nodes = _generic_search(G, G.order, budget)
+    witness = _with_closing(Sequence.from_elements(G, seq))
     return Certificate(
         constant="D",
         group=G,
@@ -1025,8 +1002,8 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         raise SearchError(
             "no exact method for s_le(%s, %d); rank too large" % (format_group(G), k)
         )
-    size, seq, _nodes = _generic_sle_search(G, k, budget)
-    witness = Sequence.from_elements(G, list(seq))
+    size, seq, _nodes = _generic_search(G, k, budget)
+    witness = Sequence.from_elements(G, seq)
     return Certificate(
         constant="s_le",
         group=G,
@@ -1239,13 +1216,6 @@ class _Rank5Pipeline:
         hi, steps = self.upper(k)
         witness, check = self.witness(k)
         lo = witness.length
-        seen = set()
-        chain: List[ChainStep] = []
-        for step in steps:
-            key = (step.rule_id, step.inputs, serialize_value(step.value))
-            if key not in seen:
-                seen.add(key)
-                chain.append(step)
         return Certificate(
             constant="D_k",
             group=self.G,
@@ -1254,7 +1224,7 @@ class _Rank5Pipeline:
             interval=None if lo == hi else (lo, hi),
             witness=witness,
             witness_check=check,
-            upper_chain=tuple(chain),
+            upper_chain=_dedupe_steps(steps),
             exhaustive=False,
         )
 
@@ -1269,7 +1239,7 @@ def _rank5() -> _Rank5Pipeline:
     return _rank5_pipeline
 
 
-def _dstar_witness(G: Group, k: int, budget: Optional[int]) -> Optional[Sequence]:
+def _dstar_witness(G: Group, k: int) -> Sequence:
     """Independent layers over the lower coordinates plus top-order powers."""
     prof = profile(G)
     factors = G.invariant_factors
@@ -1286,20 +1256,11 @@ def _dstar_witness(G: Group, k: int, budget: Optional[int]) -> Optional[Sequence
     for coords, m in counts.items():
         if m > 0:
             items.extend([coords] * m)
-    S = Sequence.from_elements(G, items)
-    sigma = S.sum()
-    if sigma == zero(G):
-        closing = zero(G)
-    else:
-        closing = neg(G, sigma)
-    return Sequence.from_elements(G, S.as_list() + [closing])
+    return _with_closing(Sequence.from_elements(G, items))
 
 
 def _elb_closure(G: Group, s: int, t: int, k: int) -> Sequence:
-    S = elb_witness(G, s, t, k)
-    sigma = S.sum()
-    closing = zero(G) if sigma == zero(G) else neg(G, sigma)
-    return Sequence.from_elements(G, S.as_list() + [closing])
+    return _with_closing(elb_witness(G, s, t, k))
 
 
 def _verified_lower(
@@ -1387,7 +1348,7 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
         hi, hi_steps = min(candidates, key=lambda c: (c[0], len(c[1])))
 
         lower_candidates: List[Tuple[Sequence, dict]] = []
-        lower_candidates.append((_dstar_witness(G, kk, budget), {"rule": "max-disjoint", "params": {}}))
+        lower_candidates.append((_dstar_witness(G, kk), {"rule": "max-disjoint", "params": {}}))
         for t in range(1, prof.rank + 1):
             for s in range(2, prof.rank + 2):
                 if s * (s - 1) // 2 > prof.rank - t + 1:
@@ -1412,13 +1373,6 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
 
     lo, hi, steps = rows[k]
     witness, check = witnesses[k]
-    seen = set()
-    chain: List[ChainStep] = []
-    for step in steps:
-        key = (step.rule_id, step.inputs, serialize_value(step.value))
-        if key not in seen:
-            seen.add(key)
-            chain.append(step)
     return Certificate(
         constant="D_k",
         group=G,
@@ -1427,7 +1381,7 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
         interval=None if lo == hi else (lo, hi),
         witness=witness,
         witness_check=check,
-        upper_chain=tuple(chain),
+        upper_chain=_dedupe_steps(steps),
         exhaustive=False,
     )
 

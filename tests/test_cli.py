@@ -79,6 +79,26 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["value"] == 8
 
+    def test_davenport_text_output(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "davenport", "--group", "3^2", "--verify")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "D(3^2) = 5"
+        assert "verified: yes" in lines
+
+    def test_zero_budget_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "davenport", "--group", "3^2",
+                               "--budget", "0")
+        assert code == 1
+        assert "--budget" in err
+
+    def test_exhausted_budget_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "davenport", "--group", "3^3",
+                               "--budget", "50")
+        assert code == 1
+        assert "zero-sum-free search (cap 27) on 3^3" in err
+        assert "after 50 nodes" in err
+
     def test_missing_k_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "dk", "--group", "2^3")
         assert code == 1

@@ -207,7 +207,7 @@ class TestCanonicalEnumeration:
                 assert hit, sub
 
     def test_dedupes_orbits_substantially(self):
-        # 2082 instances stand in for all C(31,10) zero-sum 10-subsets
+        # 4 orbit representatives stand in for all 22,568 zero-sum 6-subsets
         assert len(canonical_zero_sum_subsets(5, 6)) == 4
 
     def test_max_independent_matches_rank(self):

@@ -6,11 +6,13 @@ import pytest
 
 from zerosum.arith import INFINITE
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
-from zerosum.groups import make_group
+from zerosum.groups import make_group, profile
 from zerosum.invariants import (
     Certificate,
     CertificateError,
     ChainStep,
+    SearchError,
+    _generic_search,
     certify_dk,
     davenport,
     davenport_k,
@@ -19,7 +21,7 @@ from zerosum.invariants import (
     stabilization,
     verify_certificate,
 )
-from zerosum.sequences import Sequence
+from zerosum.sequences import Sequence, shortest_zero_sum_length
 
 C22 = make_group((2, 2))
 C23 = make_group((2, 2, 2))
@@ -183,6 +185,86 @@ class TestDkGeneric:
         cert = davenport_k(make_group(()), 4)
         assert cert.value == 4
         assert_verifies(cert)
+
+
+# digests of D and s_le(ell) certificates, exp <= ell < D and ell <= exp + 2,
+# computed when zero-sum-free and short-zero-sum searches were separate
+GENERIC_CERT_DIGESTS = {
+    (3, 3): {"D": "ffcfc3cd4fb958b0", 3: "2e1df3978a81ded3", 4: "50675cc279b2ff9d"},
+    (2, 4): {"D": "ba57541139d420fc", 4: "d1baa20a50ed706a"},
+    (2, 6): {"D": "c16c6876dcb40509", 6: "02983ee68bd020a3"},
+    (4, 4): {"D": "7eb47ecab6c07761", 4: "7b5eb502b24ddcef", 5: "860cf9a839a54cfa",
+             6: "a1a84884a3bf5396"},
+    (3, 6): {"D": "48603e174ac6b781", 6: "cd40ce2b88397076", 7: "3e23c9615526568f"},
+    (2, 2, 4): {"D": "3bc74eedd8bb942b", 4: "64bcbd1a51f9e36e", 5: "e5d5eaaac8792a09"},
+    (2, 8): {"D": "d4fbb53d546ab93e", 8: "dbf6fe11190b231b"},
+    (3, 3, 3): {"D": "8903b2a217027fe2", 3: "f74acdf10307998a", 4: "ce8cbf96ca403430",
+                5: "1a9da101de1305ce"},
+}
+
+
+class TestGenericSearch:
+    @pytest.mark.parametrize("factors", sorted(GENERIC_CERT_DIGESTS))
+    def test_certificate_digests_pinned(self, factors):
+        G = make_group(factors)
+        pinned = GENERIC_CERT_DIGESTS[factors]
+        # budget passed positionally, as davenport_k passes it, so these
+        # certificates share lru_cache entries with the D_k tests
+        got = {
+            key: (davenport(G, None) if key == "D" else s_le(G, key, None)).digest()
+            for key in pinned
+        }
+        assert got == pinned
+
+    def test_dk_rank_three_of_threes_digest_pinned(self):
+        assert davenport_k(C33, 2).digest() == "d8023cca7ca3af01"
+
+    @pytest.mark.parametrize("factors,cap,size,nodes", [
+        ((3, 3), 9, 4, 98), ((3, 3), 3, 6, 168), ((3, 3), 4, 5, 113),
+        ((2, 4), 8, 4, 95), ((2, 4), 4, 5, 103),
+        ((4, 4), 16, 6, 2165), ((4, 4), 4, 9, 4279), ((4, 4), 6, 7, 2274),
+        ((2, 2, 4), 16, 5, 1532), ((2, 2, 4), 5, 6, 1686),
+    ])
+    def test_search_size_and_nodes_pinned(self, factors, cap, size, nodes):
+        # cap = |G| is the zero-sum-free search; node counts pin the DFS order
+        G = make_group(factors)
+        got_size, seq, got_nodes = _generic_search(G, cap, None)
+        assert (got_size, got_nodes) == (size, nodes)
+        assert len(seq) == size
+        assert shortest_zero_sum_length(Sequence.from_elements(G, seq), cap) is None
+
+    def test_budget_exhaustion_names_the_search(self):
+        # enough for D (28,772 nodes), not for s_le(3) (1,874,852)
+        with pytest.raises(SearchError) as excinfo:
+            s_le(C33, 3, 100_000)
+        assert str(excinfo.value) == (
+            "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 100000 nodes"
+        )
+
+    def test_zero_budget_searches_nothing(self):
+        with pytest.raises(SearchError, match="zero-sum-free search .* after 0 nodes"):
+            davenport(C32, 0)
+
+    def test_order_guard(self):
+        with pytest.raises(SearchError, match="exceeds the exhaustive-search guard"):
+            davenport(make_group((3,) * 6))
+
+
+class TestLiteratureValues:
+    """Known values (Gao and Geroldinger, Expo. Math. 24, 2006)."""
+
+    def test_eta_rank_three_of_threes(self):
+        assert eta(C33).value == 17
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (2, 4), (2, 6), (4, 4), (3, 6), (2, 8)])
+    def test_eta_rank_two(self, m, n):
+        assert eta(make_group((m, n))).value == 2 * m + n - 2
+
+    @pytest.mark.parametrize("factors", sorted(GENERIC_CERT_DIGESTS))
+    def test_davenport_equals_dstar(self, factors):
+        # each group is a p-group or has rank 2, where D = D* is a theorem
+        G = make_group(factors)
+        assert davenport(G, None).value == profile(G).d_star
 
 
 RANK5_TABLE = {1: (6, 6), 2: (10, 10), 3: (13, 14), 4: (16, 17),
