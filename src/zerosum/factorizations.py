@@ -1,20 +1,38 @@
 """Factorizations of zero-sum sequences into minimal zero-sum parts.
 
-The atom searches all share one branching scheme: pin the
-lexicographically least remaining element and branch over the minimal
-zero-sum divisors containing it. Pinning breaks the symmetry between
-orderings of the same decomposition, so every decomposition is visited
-once.
+The searches work on a count vector over the positions of S's support.
+Group elements are ``enumerate_elements`` positions, and adding a
+support element is a lookup in its translation row: one row of |G|
+positions per group and element, cached, so no Cayley table is built
+and groups far larger than the exhaustive-search guard are fine.
+Element tuples appear only at the API boundary.
+
+There is one atom enumerator, ``_atoms``, a DFS over nondecreasing
+positions, and one memoised search, ``_lengths``. The search pins the
+first nonzero position and branches over the atoms through the pin;
+pinning breaks the symmetry between orderings of the same
+decomposition, so every decomposition is visited once. It returns the
+set of reachable part counts: ``length_set`` sorts it, ``max_length``
+and ``max_disjoint_zero_sums`` take its maximum.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .groups import Element, Group, add, zero
-from .sequences import Sequence, SequenceError, format_sequence, parse_sequence
+from .gf2 import mask_rank
+from .groups import Element, Group, add, element_index, enumerate_elements, zero
+from .sequences import (
+    Sequence,
+    SequenceError,
+    _support_masks,
+    format_sequence,
+    parse_sequence,
+    shortest_zero_sum_length,
+)
 
 MEMO_LIMIT = 1 << 18
 
@@ -70,8 +88,6 @@ class _Memo:
 
 def is_minimal_zero_sum(S: Sequence) -> bool:
     """Nonempty, zero-sum, and no proper nonempty zero-sum subsequence."""
-    from .sequences import gf2_rank, shortest_zero_sum_length, _support_masks
-
     G = S.group
     n = S.length
     if n == 0:
@@ -91,67 +107,109 @@ def is_minimal_zero_sum(S: Sequence) -> bool:
         if not S.is_squarefree():
             return False
         masks = _support_masks(S)
-        return gf2_rank(masks) == n - 1
+        return mask_rank(masks) == n - 1
     # a proper zero-sum part and its complement are both zero-sum; one of
     # them has length at most half, so a capped search settles minimality
     return shortest_zero_sum_length(S, n // 2) is None
 
 
 # ---------------------------------------------------------------------------
-# Atom enumeration
+# Atom enumeration on support positions
+
+
+@lru_cache(maxsize=1024)
+def _row(G: Group, e: Element) -> Tuple[int, ...]:
+    """Position of x + e for each x, in enumerate_elements order."""
+    return tuple(element_index(G, add(G, x, e)) for x in enumerate_elements(G))
+
+
+def _rows(S: Sequence) -> List[Tuple[int, ...]]:
+    return [_row(S.group, e) for e in S.support]
 
 
 def _atom_dfs(
-    G: Group,
-    elements: List[Element],
+    rows: List[Tuple[int, ...]],
     counts: List[int],
     start: int,
-    prefix: List[Element],
-    s: Element,
-    proper_sums: frozenset,
+    prefix: List[int],
+    s: int,
+    proper: set,
     max_len: Optional[int],
     budget: _Budget,
-) -> Iterator[Tuple[Element, ...]]:
-    """Extend prefix with nondecreasing element indices.
+) -> Iterator[List[int]]:
+    """Extend prefix with nondecreasing positions.
 
-    proper_sums is the set of sums of nonempty proper subsequences of
-    the prefix; hitting zero there means no extension can be minimal.
+    s is the prefix sum and proper the set of sums of its nonempty
+    proper subsequences; a zero among the new proper sums means no
+    extension can be minimal. Position 0 of a group is its zero.
     """
-    z = zero(G)
-    for i in range(start, len(elements)):
+    for i in range(start, len(counts)):
         if counts[i] == 0:
             continue
         budget.spend()
-        e = elements[i]
-        s2 = add(G, s, e)
+        row = rows[i]
+        e = row[0]
         if prefix:
-            ps2 = proper_sums | frozenset(add(G, x, e) for x in proper_sums) | {s, e}
+            if e == 0:
+                continue
+            shifted = {row[x] for x in proper}
+            if 0 in shifted:
+                continue
+            proper2 = proper | shifted
+            proper2.add(s)
+            proper2.add(e)
         else:
-            ps2 = frozenset()
-        if z in ps2:
-            continue
-        prefix.append(e)
-        if s2 == z:
-            yield tuple(prefix)
+            proper2 = set()
+        s2 = row[s]
+        prefix.append(i)
+        if s2 == 0:
+            yield list(prefix)
         elif max_len is None or len(prefix) < max_len:
             counts[i] -= 1
-            yield from _atom_dfs(
-                G, elements, counts, i, prefix, s2, ps2, max_len, budget
-            )
+            yield from _atom_dfs(rows, counts, i, prefix, s2, proper2, max_len, budget)
             counts[i] += 1
         prefix.pop()
+
+
+def _atoms(
+    rows: List[Tuple[int, ...]],
+    counts: List[int],
+    pin: Optional[int],
+    max_len: Optional[int],
+    budget: _Budget,
+) -> Iterator[List[int]]:
+    """Each minimal zero-sum sub-multiset of counts once, as positions.
+
+    Without a pin: every atom, in lexicographic order. With a pin: the
+    atoms containing that position, pin first. counts is restored when
+    the iterator is exhausted.
+    """
+    if pin is None:
+        yield from _atom_dfs(rows, counts, 0, [], 0, set(), max_len, budget)
+        return
+    e = rows[pin][0]
+    if e == 0:
+        yield [pin]
+        return
+    if max_len is not None and max_len < 2:
+        return
+    counts[pin] -= 1
+    yield from _atom_dfs(rows, counts, 0, [pin], e, set(), max_len, budget)
+    counts[pin] += 1
+
+
+def _items(support: tuple, atom: List[int]) -> tuple:
+    """Canonical Sequence items of an atom given as positions."""
+    return tuple((support[j], atom.count(j)) for j in sorted(set(atom)))
 
 
 def minimal_divisors(
     S: Sequence, max_len: Optional[int] = None, budget: Optional[int] = None
 ) -> Iterator[Sequence]:
     """All minimal zero-sum T dividing S, each once, in lexicographic order."""
-    G = S.group
-    elements = [e for e, _ in S.items]
     counts = [m for _, m in S.items]
-    b = _Budget(budget)
-    for atom in _atom_dfs(G, elements, counts, 0, [], zero(G), frozenset(), max_len, b):
-        yield Sequence.from_elements(G, atom)
+    for atom in _atoms(_rows(S), counts, None, max_len, _Budget(budget)):
+        yield Sequence(S.group, _items(S.support, atom))
 
 
 def atoms_through(
@@ -161,29 +219,17 @@ def atoms_through(
     budget: Optional[_Budget] = None,
 ) -> Iterator[Tuple[Element, ...]]:
     """Minimal zero-sum divisors of S containing g, as element tuples."""
-    G = S.group
-    z = zero(G)
-    if S.multiplicity(g) == 0:
+    support = S.support
+    if g not in support:
         return
-    if budget is None:
-        budget = _Budget(None)
-    if g == z:
-        yield (z,)
-        return
-    elements = [e for e, _ in S.items]
     counts = [m for _, m in S.items]
-    gi = elements.index(g)
-    counts[gi] -= 1
-    if max_len is None or max_len >= 2:
-        for atom in _atom_dfs(
-            G, elements, counts, 0, [g], g, frozenset(), max_len, budget
-        ):
-            yield tuple(sorted(atom))
-    counts[gi] += 1
+    b = _Budget(None) if budget is None else budget
+    for atom in _atoms(_rows(S), counts, support.index(g), max_len, b):
+        yield tuple(support[j] for j in sorted(atom))
 
 
 # ---------------------------------------------------------------------------
-# Disjoint zero-sum counting
+# The one search: reachable numbers of disjoint atoms
 
 
 def _first_nonzero(counts: List[int]) -> int:
@@ -193,82 +239,68 @@ def _first_nonzero(counts: List[int]) -> int:
     return -1
 
 
-def max_disjoint_zero_sums(S: Sequence, budget: Optional[int] = None) -> int:
-    """Largest k with a product of k nonempty zero-sum sequences dividing S."""
-    G = S.group
-    elements = [e for e, _ in S.items]
-    counts = [m for _, m in S.items]
-    index = {e: i for i, e in enumerate(elements)}
+def _lengths(
+    S: Sequence, atom_cap: Optional[int], discard: bool, budget: Optional[int]
+) -> frozenset:
+    """Numbers of disjoint atoms (of length <= atom_cap) in S.
+
+    Without discard the atoms must exhaust S, so these are the
+    factorization lengths. With discard the pinned element may also be
+    left out, so the maximum is the largest number of disjoint
+    nonempty zero-sum subsequences: each of them contains an atom.
+    """
+    rows = _rows(S)
     b = _Budget(budget)
     memo = _Memo()
+    done = frozenset([0])
 
-    def search(counts: List[int]) -> int:
+    def search(counts: List[int]) -> frozenset:
         i = _first_nonzero(counts)
         if i < 0:
-            return 0
+            return done
         key = tuple(counts)
         hit = memo.get(key)
         if hit is not None:
             return hit
         b.spend()
-        p = elements[i]
-        counts[i] -= 1
-        best = search(counts)  # discard the pinned element
-        counts[i] += 1
-        base = Sequence.from_counts(G, {e: counts[j] for j, e in enumerate(elements)})
-        for atom in list(atoms_through(base, p, budget=b)):
-            for e in atom:
-                counts[index[e]] -= 1
-            candidate = 1 + search(counts)
-            for e in atom:
-                counts[index[e]] += 1
-            if candidate > best:
-                best = candidate
-        memo.put(key, best)
-        return best
+        out = set()
+        if discard:
+            counts[i] -= 1
+            out |= search(counts)
+            counts[i] += 1
+        for atom in list(_atoms(rows, counts, i, atom_cap, b)):
+            for j in atom:
+                counts[j] -= 1
+            out.update(1 + n for n in search(counts))
+            for j in atom:
+                counts[j] += 1
+        result = frozenset(out)
+        memo.put(key, result)
+        return result
 
-    return search(counts)
+    return search([m for _, m in S.items])
+
+
+def _require_zero_sum(B: Sequence, caller: str) -> None:
+    if B.sum() != zero(B.group):
+        raise SequenceError("%s requires a zero-sum sequence" % caller)
+
+
+def max_disjoint_zero_sums(S: Sequence, budget: Optional[int] = None) -> int:
+    """Largest k with a product of k nonempty zero-sum sequences dividing S.
+
+    For zero-sum S this is max_length: merging the zero-sum remainder of
+    a largest disjoint family into one of its blocks leaves k zero-sum
+    blocks that exhaust S, and they refine into at least k atoms. So the
+    discard branch runs only when S is not zero-sum.
+    """
+    return max(_lengths(S, None, S.sum() != zero(S.group), budget))
 
 
 def max_length(B: Sequence, budget: Optional[int] = None) -> int:
-    """Largest factorization length of a zero-sum sequence.
-
-    Same search as max_disjoint_zero_sums but the parts must exhaust B,
-    so there is no discard branch.
-    """
-    G = B.group
-    if B.sum() != zero(G):
-        raise SequenceError("max_length requires a zero-sum sequence")
-    elements = [e for e, _ in B.items]
-    counts = [m for _, m in B.items]
-    index = {e: i for i, e in enumerate(elements)}
-    b = _Budget(budget)
-    memo = _Memo()
-
-    def search(counts: List[int]) -> int:
-        i = _first_nonzero(counts)
-        if i < 0:
-            return 0
-        key = tuple(counts)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        b.spend()
-        p = elements[i]
-        base = Sequence.from_counts(G, {e: counts[j] for j, e in enumerate(elements)})
-        best = 0
-        for atom in list(atoms_through(base, p, budget=b)):
-            for e in atom:
-                counts[index[e]] -= 1
-            candidate = 1 + search(counts)
-            for e in atom:
-                counts[index[e]] += 1
-            if candidate > best:
-                best = candidate
-        memo.put(key, best)
-        return best
-
-    return search(counts)
+    """Largest factorization length of a zero-sum sequence."""
+    _require_zero_sum(B, "max_length")
+    return max(_lengths(B, None, False, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -313,39 +345,9 @@ def length_set(
     B: Sequence, atom_cap: Optional[int] = None, budget: Optional[int] = None
 ) -> LengthSet:
     """Exact set of factorization lengths of a zero-sum sequence."""
-    G = B.group
-    if B.sum() != zero(G):
-        raise SequenceError("length_set requires a zero-sum sequence")
-    elements = [e for e, _ in B.items]
-    counts = [m for _, m in B.items]
-    index = {e: i for i, e in enumerate(elements)}
-    b = _Budget(budget)
-    memo = _Memo()
-
-    def search(counts: List[int]) -> frozenset:
-        i = _first_nonzero(counts)
-        if i < 0:
-            return frozenset([0])
-        key = tuple(counts)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        b.spend()
-        p = elements[i]
-        base = Sequence.from_counts(G, {e: counts[j] for j, e in enumerate(elements)})
-        out = set()
-        for atom in list(atoms_through(base, p, max_len=atom_cap, budget=b)):
-            for e in atom:
-                counts[index[e]] -= 1
-            out |= {1 + n for n in search(counts)}
-            for e in atom:
-                counts[index[e]] += 1
-        result = frozenset(out)
-        memo.put(key, result)
-        return result
-
-    lengths = search(counts)
-    if not lengths and B.length > 0:
+    _require_zero_sum(B, "length_set")
+    lengths = _lengths(B, atom_cap, False, budget)
+    if not lengths:
         raise SequenceError(
             "no factorization within atom length cap %r" % (atom_cap,)
         )
@@ -416,35 +418,31 @@ def enumerate_factorizations(
     element is always the current pin, so the ordering constraint is a
     single global threshold.
     """
+    _require_zero_sum(B, "enumerate_factorizations")
     G = B.group
-    if B.sum() != zero(G):
-        raise SequenceError("enumerate_factorizations requires a zero-sum sequence")
-    elements = [e for e, _ in B.items]
-    counts = [m for _, m in B.items]
-    index = {e: i for i, e in enumerate(elements)}
+    rows = _rows(B)
     b = _Budget(budget)
 
-    def search(counts: List[int], last_atom) -> Iterator[List[Tuple[Element, ...]]]:
+    def search(counts: List[int], last) -> Iterator[List[List[int]]]:
         i = _first_nonzero(counts)
         if i < 0:
             yield []
             return
         b.spend()
-        p = elements[i]
-        base = Sequence.from_counts(G, {e: counts[j] for j, e in enumerate(elements)})
-        for atom in list(atoms_through(base, p, budget=b)):
-            if last_atom is not None and atom < last_atom:
+        for atom in list(_atoms(rows, counts, i, None, b)):
+            atom.sort()
+            if last is not None and atom < last:
                 continue
-            for e in atom:
-                counts[index[e]] -= 1
+            for j in atom:
+                counts[j] -= 1
             for rest in search(counts, atom):
                 yield [atom] + rest
-            for e in atom:
-                counts[index[e]] += 1
+            for j in atom:
+                counts[j] += 1
 
-    for chain in search(counts, None):
+    for chain in search([m for _, m in B.items], None):
         yield Factorization.from_atoms(
-            G, [Sequence.from_elements(G, a) for a in chain]
+            G, [Sequence(G, _items(B.support, atom)) for atom in chain]
         )
 
 

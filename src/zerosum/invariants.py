@@ -11,9 +11,10 @@ recomputes digests and formulas but never repeats a search.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, permutations
 from typing import Dict, List, Optional, Tuple
 
@@ -38,6 +39,8 @@ from .bounds import (
     ub_recursion,
 )
 from .constructions import elb_witness
+# max_length and minimal_divisors are unused here but stay importable from
+# this module: perfbench/tracer.py wraps them in this namespace by name
 from .factorizations import (
     BudgetExhausted,
     is_minimal_zero_sum,
@@ -77,6 +80,30 @@ class CertificateError(ValueError):
 GENERIC_ORDER_GUARD = 256
 DEFAULT_SEARCH_BUDGET = 8_000_000
 DEFAULT_VERIFY_BUDGET = 4_000_000
+
+
+def _memoized(maxsize: int):
+    """lru_cache keyed on the bound arguments with defaults applied.
+
+    f(G, 3), f(G, 3, None) and f(G, 3, budget=None) share one entry.
+    The wrapper keeps cache_info() and cache_clear().
+    """
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+        signature = inspect.signature(fn)
+
+        @wraps(fn)
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.args)
+
+        wrapper.cache_info = cached.cache_info
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+
+    return decorate
 
 
 def _digest16(text: str) -> str:
@@ -456,53 +483,6 @@ def _decompose_2group(S: Sequence) -> Tuple[Tuple[int, ...], int, int]:
     return tuple(sorted(core)), pairs, zeros
 
 
-def _maxl_from_atoms(S: Sequence, atoms: List[Sequence], budget: Optional[int]) -> int:
-    """Largest number of disjoint atoms that fit in S simultaneously."""
-    elements = [e for e, _ in S.items]
-    index = {e: i for i, e in enumerate(elements)}
-    avail = [m for _, m in S.items]
-    atom_vecs = []
-    for atom in atoms:
-        vec = [0] * len(elements)
-        ok = True
-        for e, m in atom.items:
-            if e not in index:
-                ok = False
-                break
-            vec[index[e]] = m
-        if ok:
-            atom_vecs.append(vec)
-    remaining = max(1, DEFAULT_VERIFY_BUDGET if budget is None else budget)
-    memo: Dict[Tuple[int, ...], int] = {}
-
-    def rec(counts: Tuple[int, ...]) -> int:
-        nonlocal remaining
-        remaining -= 1
-        if remaining <= 0:
-            raise BudgetExhausted("atom packing budget exhausted")
-        hit = memo.get(counts)
-        if hit is not None:
-            return hit
-        best = 0
-        for vec in atom_vecs:
-            if all(c >= v for c, v in zip(counts, vec)):
-                best = max(best, 1 + rec(tuple(c - v for c, v in zip(counts, vec))))
-        memo[counts] = best
-        return best
-
-    return rec(tuple(avail))
-
-
-def _cached_atoms(S: Sequence, budget: Optional[int]) -> List[Sequence]:
-    G = S.group
-    stored = cache.load_atoms(G, S, None)
-    if stored is not None:
-        return stored
-    atoms = list(minimal_divisors(S, budget=budget))
-    cache.store_atoms(G, S, None, atoms)
-    return atoms
-
-
 def _check_witness(
     G: Group, S: Sequence, k: int, check: dict, budget: Optional[int]
 ) -> List[str]:
@@ -591,8 +571,9 @@ def _check_witness(
             fail("rule %r needs an elementary 2-group" % rule)
             return problems
         try:
-            atoms = _cached_atoms(S, budget)
-            value = _maxl_from_atoms(S, atoms, budget)
+            value = max_disjoint_zero_sums(
+                S, DEFAULT_VERIFY_BUDGET if budget is None else budget
+            )
         except BudgetExhausted:
             fail("verification budget exhausted")
             return problems
@@ -815,7 +796,7 @@ def _with_closing(S: Sequence) -> Sequence:
 # Davenport constant
 
 
-@lru_cache(maxsize=128)
+@_memoized(maxsize=128)
 def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
     """Exact longest-minimal-zero-sum constant, by exhaustive search."""
     prof = profile(G)
@@ -875,7 +856,7 @@ def _sle_search_feasible(G: Group, cap: int) -> bool:
     return G.order <= GENERIC_ORDER_GUARD
 
 
-@lru_cache(maxsize=128)
+@_memoized(maxsize=128)
 def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     """Threshold forcing a nonempty zero-sum of length at most k."""
     if k < 1:
@@ -1397,7 +1378,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)
+@_memoized(maxsize=256)
 def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     """Largest zero-sum length factorizable into at most k blocks."""
     if k < 1:

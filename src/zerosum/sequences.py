@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from .gf2 import mask_rank
 from .groups import (
     Element,
     Group,
@@ -213,19 +214,7 @@ def sequence_from_json(G: Group, data: list) -> Sequence:
 
 
 # ---------------------------------------------------------------------------
-# GF(2) helpers shared by the fast paths
-
-
-def gf2_rank(masks: Iterable) -> int:
-    basis: List[int] = []
-    rank = 0
-    for v in masks:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            rank += 1
-    return rank
+# Element masks for the GF(2) fast paths
 
 
 def _support_masks(S: Sequence) -> List[int]:
@@ -278,7 +267,7 @@ def is_zero_sum_free(S: Sequence) -> bool:
         masks = _support_masks(S)
         if 0 in masks:
             return False
-        return gf2_rank(masks) == len(masks)
+        return mask_rank(masks) == len(masks)
     return is_zero_sum_free_brute(S)
 
 
@@ -573,7 +562,7 @@ def davydov_tombak_check(G: Group, A: Iterable, r: Optional[int] = None) -> Davy
             if 0 in classes:
                 continue  # some element falls into the subgroup itself
             reps = sorted(classes)
-            rk = gf2_rank(reps)
+            rk = mask_rank(reps)
             if len(reps) == 5:
                 total = 0
                 for v in reps:

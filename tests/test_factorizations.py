@@ -1,11 +1,12 @@
 """Tests for atom enumeration, disjoint zero-sum search, and length sets."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from zerosum.groups import add, element_at, make_group, zero
+from zerosum.groups import add, element_at, make_group, neg, zero
 from zerosum.factorizations import (
     BudgetExhausted,
     Factorization,
@@ -20,7 +21,7 @@ from zerosum.factorizations import (
     minimal_divisors,
     successive_distance_of,
 )
-from zerosum.sequences import Sequence, parse_sequence
+from zerosum.sequences import Sequence, format_sequence, parse_sequence
 
 C2_2 = make_group([2, 2])
 C2_3 = make_group([2, 2, 2])
@@ -29,6 +30,7 @@ C3 = make_group([3])
 C3_2 = make_group([3, 3])
 C4 = make_group([4])
 C6 = make_group([6])
+C2_C4 = make_group([2, 4])
 
 
 def mask_el(G, m):
@@ -90,6 +92,35 @@ def oracle_atoms(S):
     return found
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_length_set(S, cap=None):
+    """Factorization lengths into atoms of length <= cap, removing every
+    atom in turn (no pinning).
+
+    Empty when S is not zero-sum, since no product of atoms is S.
+    """
+    if S.length == 0:
+        return frozenset([0])
+    return frozenset(
+        1 + n
+        for atom_items in oracle_atoms(S)
+        if cap is None or sum(m for _, m in atom_items) <= cap
+        for n in oracle_length_set(S.divide(Sequence(S.group, atom_items)), cap)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_max_disjoint(S):
+    """Most disjoint atoms in S; every nonempty zero-sum holds an atom."""
+    return max(
+        [0]
+        + [
+            1 + oracle_max_disjoint(S.divide(Sequence(S.group, atom_items)))
+            for atom_items in oracle_atoms(S)
+        ]
+    )
+
+
 def oracle_factorization_count(S):
     """Count factorizations by recursing on the least remaining element."""
     if S.length == 0:
@@ -120,6 +151,78 @@ def _oracle_count_above(S, floor_items):
             continue
         total += _oracle_count_above(S.divide(atom), atom_items)
     return total
+
+
+class TestAgainstOracles:
+    GROUPS = (C2_3, C4, C6, C3_2, C2_C4)
+
+    def test_lengths_and_packings_match_oracle(self):
+        rng = random.Random(6011)
+        zero_sum = 0
+        for G in self.GROUPS:
+            for _ in range(40):
+                S = random_sequence(G, rng, 7)
+                assert max_disjoint_zero_sums(S) == oracle_max_disjoint(S), S
+                lengths = oracle_length_set(S)
+                if S.sum() != zero(G):
+                    assert not lengths
+                    continue
+                zero_sum += 1
+                assert length_set(S).lengths == tuple(sorted(lengths)), S
+                assert max_length(S) == max(lengths), S
+                assert max_disjoint_zero_sums(S) == max(lengths), S
+        assert zero_sum >= 20
+
+    def test_zero_sum_closures_match_oracle(self):
+        # random sequences are seldom zero-sum; close each one with the
+        # negative of its sum to test the length sets, capped too, on more
+        # inputs
+        rng = random.Random(6012)
+        for G in self.GROUPS:
+            for _ in range(25):
+                S = random_sequence(G, rng, 6)
+                B = S.times(Sequence.from_elements(G, [neg(G, S.sum())]))
+                lengths = tuple(sorted(oracle_length_set(B)))
+                assert length_set(B).lengths == lengths, B
+                assert max_length(B) == lengths[-1], B
+                assert max_disjoint_zero_sums(B) == lengths[-1], B
+                for cap in (2, 3):
+                    capped = tuple(sorted(oracle_length_set(B, cap)))
+                    if capped:
+                        assert length_set(B, atom_cap=cap).lengths == capped, B
+                    else:
+                        with pytest.raises(ValueError):
+                            length_set(B, atom_cap=cap)
+
+    # Orders pinned from the per-function recursions this search replaced.
+    PINNED_ORDER = [
+        (
+            C2_3,
+            "1,0,0^2; 0,1,0; 0,1,1^2; 0,0,1; 1,1,0; 1,0,1",
+            ["0,0,1; 0,1,0; 0,1,1", "0,0,1; 0,1,0; 1,0,1; 1,1,0",
+             "0,0,1; 0,1,1; 1,0,0; 1,1,0", "0,0,1; 1,0,0; 1,0,1",
+             "0,1,0; 0,1,1; 1,0,0; 1,0,1", "0,1,0; 1,0,0; 1,1,0", "0,1,1^2",
+             "0,1,1; 1,0,1; 1,1,0", "1,0,0^2"],
+            ["Factorization[(0,0,1; 0,1,0; 0,1,1) (0,1,1; 1,0,1; 1,1,0) (1,0,0^2)]",
+             "Factorization[(0,0,1; 0,1,0; 1,0,1; 1,1,0) (0,1,1^2) (1,0,0^2)]",
+             "Factorization[(0,0,1; 0,1,1; 1,0,0; 1,1,0) (0,1,0; 0,1,1; 1,0,0; 1,0,1)]",
+             "Factorization[(0,0,1; 1,0,0; 1,0,1) (0,1,0; 1,0,0; 1,1,0) (0,1,1^2)]"],
+        ),
+        (
+            C6,
+            "1^2; 2; 3^2; 4; 5^2",
+            ["1^2; 4", "1; 2; 3", "1; 5", "2; 4", "2; 5^2", "3^2", "3; 4; 5"],
+            ["Factorization[(1^2; 4) (2; 5^2) (3^2)]",
+             "Factorization[(1; 2; 3) (1; 5) (3; 4; 5)]",
+             "Factorization[(1; 5)^2 (2; 4) (3^2)]"],
+        ),
+    ]
+
+    @pytest.mark.parametrize("G,text,atoms,factorizations", PINNED_ORDER)
+    def test_enumeration_order_pinned(self, G, text, atoms, factorizations):
+        S = parse_sequence(G, text)
+        assert [format_sequence(a) for a in minimal_divisors(S)] == atoms
+        assert [repr(f) for f in enumerate_factorizations(S)] == factorizations
 
 
 class TestMinimality:

@@ -427,11 +427,35 @@ class TestWitnessRules:
         result = verify_certificate(Certificate.from_json(data))
         assert not result.ok  # that sequence is zero-sum but not minimal
 
+    def test_max_disjoint_rule_reports_exhausted_budget(self):
+        cert = davenport_k(C32, 2)
+        assert cert.witness_check["rule"] == "max-disjoint"
+        assert verify_certificate(cert).ok
+        result = verify_certificate(cert, budget=1)
+        assert result.problems == ("witness: verification budget exhausted",)
+
     def test_unknown_rule_is_flagged(self):
         data = davenport(C22).to_json()
         data["witness_check"] = {"rule": "mystery"}
         result = verify_certificate(Certificate.from_json(data))
         assert not result.ok
+
+
+class TestMemoKeys:
+    """The memoised constants key on bound arguments with defaults applied."""
+
+    @pytest.mark.parametrize("fn,args", [
+        (davenport, (C32,)),
+        (s_le, (C32, 3)),
+        (davenport_k, (C32, 2)),
+    ], ids=["davenport", "s_le", "davenport_k"])
+    def test_three_spellings_share_one_entry(self, fn, args):
+        fn.cache_clear()
+        first = fn(*args)
+        assert fn(*args, None) is first
+        assert fn(*args, budget=None) is first
+        info = fn.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestTableShape:
