@@ -630,6 +630,36 @@ def _ell_vectors(candidates: Seq[int]) -> List[Tuple[int, ...]]:
     return out
 
 
+def _usable_levels(G: Group, s_values: Dict[int, ExtInt], D: int) -> List[int]:
+    """Levels with a finite threshold inside [exponent, D], ascending."""
+    exp = profile(G).exponent
+    return sorted(l for l, s in s_values.items() if is_finite(s) and exp <= l <= D)
+
+
+def best_recursion(
+    G: Group,
+    s_values: Dict[int, ExtInt],
+    D: int,
+    k: int,
+    s_prov: str = SUPPLIED,
+    d_prov: str = SUPPLIED,
+) -> BoundReport:
+    """The least ub_recursion over up to three usable levels.
+
+    s_values maps a level to its threshold s_le. The empty level list
+    comes first, then the lists in combinations order; the first
+    minimum wins.
+    """
+    best: Optional[BoundReport] = None
+    for vec in _ell_vectors(_usable_levels(G, s_values, D)):
+        rep = ub_recursion(
+            G, vec, [s_values[l] for l in vec], D, k, s_prov=s_prov, d_prov=d_prov
+        )
+        if best is None or rep.value < best.value:
+            best = rep
+    return best
+
+
 def collect_bounds(G: Group, k: int, known: KnownValues) -> List[BoundReport]:
     """Every applicable bound on the k-block constant, best settings first.
 
@@ -655,25 +685,10 @@ def collect_bounds(G: Group, k: int, known: KnownValues) -> List[BoundReport]:
     if known.D is not None:
         D = known.D
         out.append(k_times_d(k, D, d_prov=known.d_prov))
-        usable = sorted(
-            l for l, s in known.s_le.items() if is_finite(s) and prof.exponent <= l <= D
-        )
-        best_rec: Optional[BoundReport] = None
-        for vec in _ell_vectors(usable):
-            rep = ub_recursion(
-                G,
-                list(vec),
-                [known.s_le[l] for l in vec],
-                D,
-                k,
-                s_prov=known.s_prov,
-                d_prov=known.d_prov,
-            )
-            if best_rec is None or rep.value < best_rec.value:
-                best_rec = rep
-        if best_rec is not None and best_rec.input_value("ell"):
+        best_rec = best_recursion(G, known.s_le, D, k, known.s_prov, known.d_prov)
+        if best_rec.input_value("ell"):
             out.append(best_rec)
-        for ell_1 in usable:
+        for ell_1 in _usable_levels(G, known.s_le, D):
             if ell_1 <= max(prof.exponent, D - 1):
                 out.append(
                     remark_ub(

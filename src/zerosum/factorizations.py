@@ -363,12 +363,19 @@ class Factorization:
 
     @staticmethod
     def from_atoms(G: Group, atoms) -> "Factorization":
-        counts: Dict[Sequence, int] = {}
+        atoms = list(atoms)
         for a in atoms:
             if a.group != G:
                 raise SequenceError("atom belongs to a different group")
             if not is_minimal_zero_sum(a):
                 raise SequenceError("part %r is not a minimal zero-sum sequence" % (a,))
+        return Factorization._grouped(G, atoms)
+
+    @staticmethod
+    def _grouped(G: Group, atoms) -> "Factorization":
+        """Atoms already known to be minimal zero-sums of G, with multiplicities."""
+        counts: Dict[Sequence, int] = {}
+        for a in atoms:
             counts[a] = counts.get(a, 0) + 1
         ordered = tuple(sorted(counts.items(), key=lambda kv: kv[0].items))
         return Factorization(G, ordered)
@@ -440,8 +447,9 @@ def enumerate_factorizations(
             for j in atom:
                 counts[j] += 1
 
+    # _atoms yields only minimal zero-sums, so from_atoms' check is skipped
     for chain in search([m for _, m in B.items], None):
-        yield Factorization.from_atoms(
+        yield Factorization._grouped(
             G, [Sequence(G, _items(B.support, atom)) for atom in chain]
         )
 

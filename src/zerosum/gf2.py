@@ -267,7 +267,7 @@ class SmallRankEngine:
 # or exactly the next fresh basis vector 2^rank. Any subset can be
 # mapped by a linear automorphism to one of these tuples, so the family
 # covers all GL(r,2) orbits; it is a covering, not a transversal, which
-# is all the sweeps and maximum searches need.
+# is all the sweeps and the short-zero-sum search need.
 
 
 def canonical_zero_sum_subsets(r: int, size: int) -> List[Tuple[int, ...]]:
@@ -294,24 +294,8 @@ def canonical_zero_sum_subsets(r: int, size: int) -> List[Tuple[int, ...]]:
 
 
 def max_independent_size(r: int) -> Tuple[int, Tuple[int, ...]]:
-    """Largest subset with no zero-sum subset at all, by exhaustive DFS."""
-    best = [0]
-    best_set: List[Tuple[int, ...]] = [()]
-
-    def dfs(chosen: List[int], last: int, rank: int, basis: List[int]) -> None:
-        if len(chosen) > best[0]:
-            best[0] = len(chosen)
-            best_set[0] = tuple(chosen)
-        limit = 1 << rank
-        for x in range(last + 1, limit):
-            if reduce_mod_basis(x, basis) == 0:
-                continue
-            dfs(chosen + [x], x, rank, basis + [reduce_mod_basis(x, basis)])
-        if rank < r:
-            dfs(chosen + [limit], limit, rank + 1, basis + [limit])
-
-    dfs([], 0, 0, [])
-    return best[0], best_set[0]
+    """Largest subset with no zero-sum subset at all, and one such subset."""
+    return max_set_without_short_zero_sums(r, r + 1)
 
 
 def max_set_without_short_zero_sums(
@@ -319,10 +303,17 @@ def max_set_without_short_zero_sums(
 ) -> Tuple[int, Tuple[int, ...]]:
     """Largest subset with no zero-sum subset of size <= length_cap.
 
-    sums_by_size[j] holds the XORs of all j-element subsets of the
-    chosen prefix; candidate x closes a (j+1)-term zero-sum iff x
-    appears in sums_by_size[j].
+    This is the one exhaustive C_2^r search behind D and s_le. A cap
+    above r + 1 is clipped to r + 1: every zero-sum set of nonzero ids
+    contains a circuit, and a circuit has at most r + 1 ids, so with the
+    cap at r + 1 the result is a largest zero-sum-free (independent) set.
+
+    The DFS runs over ascending ids in greedy basis form, as in
+    canonical_zero_sum_subsets. sums_by_size[j] holds the XORs of all
+    j-element subsets of the chosen prefix; candidate x closes a
+    (j+1)-term zero-sum iff x appears in sums_by_size[j].
     """
+    length_cap = min(length_cap, r + 1)
     n_total = (1 << r) - 1
     best = [0]
     best_set: List[Tuple[int, ...]] = [()]

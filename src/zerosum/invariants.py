@@ -15,10 +15,10 @@ import inspect
 import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, wraps
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
-from . import bounds, cache, gf2
+from . import bounds, gf2
 from .arith import INFINITE, ExtInt, ceil_div, is_finite, parse_value, serialize_value
 from .bounds import (
     COMPUTED,
@@ -27,6 +27,7 @@ from .bounds import (
     BoundError,
     BoundReport,
     InputValue,
+    best_recursion,
     cpr_upper,
     e2g_d2_upper,
     e2g_s2m_upper,
@@ -36,7 +37,7 @@ from .bounds import (
     lower_dstar,
     remark_ub,
     step_ub,
-    ub_recursion,
+    ub_recursion,  # unused here; perfbench/tracer.py wraps it in this namespace
 )
 from .constructions import elb_witness
 # max_length and minimal_divisors are unused here but stay importable from
@@ -186,15 +187,13 @@ class ChainStep:
         )
 
 
-def _search_digest_text(step: ChainStep) -> Optional[str]:
-    """Canonical digest payload for a search step, from its inputs alone."""
+def _expected_digest(step: ChainStep) -> Optional[str]:
+    """Canonical digest of a search step, from its inputs alone.
+
+    A sweep's digest is its SweepRecord digest; other searches hash a
+    canonical text. None when the step cannot be digested.
+    """
     inp = step.plain_inputs()
-    if step.rule_id == "search.zsf":
-        return "zsf:g=%s:max_free=%d" % (inp["group"], inp["max_free"])
-    if step.rule_id == "search.sle":
-        return "sle:g=%s:cap=%d:max_free=%d" % (inp["group"], inp["cap"], inp["max_free"])
-    if step.rule_id == "search.full_enum":
-        return "full-enum:g=%s:k=%d:value=%d" % (inp["group"], inp["k"], step.value)
     if step.rule_id == "search.sweep":
         rec = gf2.SweepRecord(
             r=inp["r"],
@@ -205,15 +204,22 @@ def _search_digest_text(step: ChainStep) -> Optional[str]:
             elapsed_ms=0,
         )
         return None if rec.failures else rec.digest
-    return None
+    if step.rule_id == "search.zsf":
+        text = "zsf:g=%s:max_free=%d" % (inp["group"], inp["max_free"])
+    elif step.rule_id == "search.sle":
+        text = "sle:g=%s:cap=%d:max_free=%d" % (inp["group"], inp["cap"], inp["max_free"])
+    elif step.rule_id == "search.full_enum":
+        text = "full-enum:g=%s:k=%d:value=%d" % (inp["group"], inp["k"], step.value)
+    else:
+        return None
+    return _digest16(text)
 
 
 def _sealed(step: ChainStep) -> ChainStep:
     """Stamp a search step with its canonical digest."""
-    text = _search_digest_text(step)
-    if text is None:
+    digest = _expected_digest(step)
+    if digest is None:
         raise CertificateError("cannot digest step %s" % step.rule_id)
-    digest = text if step.rule_id == "search.sweep" else _digest16(text)
     return replace(step, digest=digest)
 
 
@@ -326,12 +332,7 @@ def _eval_sle_trivial(inp: Dict[str, object]):
 
 def _eval_squarefree_caps(inp: Dict[str, object]):
     k = inp["k"]
-    caps = inp["caps"]
-    pairs = []
-    for entry in caps:
-        j, cap = entry
-        pairs.append((j, cap))
-    usable = [cap + 2 * (k - j) for j, cap in pairs if j <= k]
+    usable = [cap + 2 * (k - j) for j, cap in inp["caps"] if j <= k]
     if not usable:
         raise BoundError("no cap with index at most k")
     return max(usable)
@@ -593,10 +594,7 @@ def _check_chain(steps: Tuple[ChainStep, ...]) -> List[str]:
             if step.rule_id == "search.sweep" and step.plain_inputs().get("failures"):
                 problems.append(label + ": sweep recorded failures")
                 continue
-            text = _search_digest_text(step)
-            expect = text if step.rule_id == "search.sweep" else (
-                None if text is None else _digest16(text)
-            )
+            expect = _expected_digest(step)
             if expect is None:
                 problems.append(label + ": undigestable search step")
             elif step.digest != expect:
@@ -776,13 +774,13 @@ def _engine(r: int) -> gf2.SmallRankEngine:
     return gf2.SmallRankEngine(r)
 
 
-def _ids_to_sequence(G: Group, ids, extra_pairs: int = 0, pair_id: int = 1) -> Sequence:
+def _ids_to_sequence(G: Group, ids, extra_pairs: int = 0) -> Sequence:
     counts: Dict = {}
     for v in ids:
         e = element_at(G, v)
         counts[e] = counts.get(e, 0) + 1
     if extra_pairs:
-        e = element_at(G, pair_id)
+        e = element_at(G, 1)
         counts[e] = counts.get(e, 0) + 2 * extra_pairs
     return Sequence.from_counts(G, counts)
 
@@ -792,6 +790,20 @@ def _with_closing(S: Sequence) -> Sequence:
     return Sequence.from_elements(S.group, S.as_list() + [neg(S.group, S.sum())])
 
 
+def _short_free(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Sequence]:
+    """A longest sequence with no nonempty zero-sum of length <= cap, with its length.
+
+    The one search behind D and s_le: the bitmask search on C_2^r, the
+    generic element-index search everywhere else. With cap >= |G| the
+    sequence is a longest zero-sum-free one.
+    """
+    if G.is_elementary_2:
+        size, ids = gf2.max_set_without_short_zero_sums(profile(G).rank, cap)
+        return size, _ids_to_sequence(G, ids)
+    size, seq, _nodes = _generic_search(G, cap, budget)
+    return size, Sequence.from_elements(G, seq)
+
+
 # ---------------------------------------------------------------------------
 # Davenport constant
 
@@ -799,7 +811,6 @@ def _with_closing(S: Sequence) -> Sequence:
 @_memoized(maxsize=128)
 def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
     """Exact longest-minimal-zero-sum constant, by exhaustive search."""
-    prof = profile(G)
     if G.order == 1:
         witness = Sequence.from_counts(G, {zero(G): 1})
         return Certificate(
@@ -814,31 +825,14 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
             exhaustive=True,
             notes=("the identity element is the only minimal zero-sum",),
         )
-    if G.is_elementary_2:
-        r = prof.rank
-        size, ids = gf2.max_independent_size(r)
-        witness_ids = tuple(ids) + (gf2.xor_all(ids),)
-        witness = _ids_to_sequence(G, witness_ids)
-        return Certificate(
-            constant="D",
-            group=G,
-            k=None,
-            value=size + 1,
-            interval=None,
-            witness=witness,
-            witness_check={"rule": "atom", "params": {}},
-            upper_chain=(_zsf_step(G, size),),
-            exhaustive=True,
-        )
-    size, seq, _nodes = _generic_search(G, G.order, budget)
-    witness = _with_closing(Sequence.from_elements(G, seq))
+    size, free = _short_free(G, G.order, budget)
     return Certificate(
         constant="D",
         group=G,
         k=None,
         value=size + 1,
         interval=None,
-        witness=witness,
+        witness=_with_closing(free),
         witness_check={"rule": "atom", "params": {}},
         upper_chain=(_zsf_step(G, size),),
         exhaustive=True,
@@ -850,10 +844,9 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
 
 
 def _sle_search_feasible(G: Group, cap: int) -> bool:
-    prof = profile(G)
-    if G.is_elementary_2:
-        return cap <= 2 or prof.rank <= 5
-    return G.order <= GENERIC_ORDER_GUARD
+    """Whether s_le(G, cap) is searched. C_2^r past rank 5 with cap >= 3
+    falls back to formulas; elsewhere the search applies its own guard."""
+    return not G.is_elementary_2 or cap <= 2 or profile(G).rank <= 5
 
 
 @_memoized(maxsize=128)
@@ -931,70 +924,53 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             exhaustive=d_cert.exhaustive,
         )
     # exponent <= k < D
-    if G.is_elementary_2:
-        r = prof.rank
-        if _sle_search_feasible(G, k):
-            size, ids = gf2.max_set_without_short_zero_sums(r, k)
-            witness = _ids_to_sequence(G, ids)
-            chain: List[ChainStep] = [_sle_step(G, k, size)]
-            if k == 3:
-                chain.append(_sle3_step(r))
-            return Certificate(
-                constant="s_le",
-                group=G,
-                k=k,
-                value=size + 1,
-                interval=None,
-                witness=witness,
-                witness_check={"rule": "short-free", "params": {}},
-                upper_chain=(chain[0],),
-                exhaustive=True,
-                notes=("matches e2g.sle3 formula",) if k == 3 else (),
-            )
-        if k == 3:
-            ids = gf2.top_coset_ids(r)
-            return Certificate(
-                constant="s_le",
-                group=G,
-                k=k,
-                value=1 + (1 << (r - 1)),
-                interval=None,
-                witness=_ids_to_sequence(G, ids),
-                witness_check={"rule": "short-free", "params": {}},
-                upper_chain=(_sle3_step(r),),
-                exhaustive=False,
-            )
-        if k % 2 == 0 and k >= 4:
-            report = e2g_s2m_upper(r, k // 2)
-            lo = D  # a longest zero-sum-free sequence has no zero-sum at all
-            hi = report.value
-            witness = _strip_closing(d_cert.witness)
-            return Certificate(
-                constant="s_le",
-                group=G,
-                k=k,
-                value=lo if lo == hi else None,
-                interval=None if lo == hi else (lo, hi),
-                witness=witness,
-                witness_check={"rule": "short-free", "params": {}},
-                upper_chain=(ChainStep.from_report(report),),
-                exhaustive=False,
-            )
-        raise SearchError(
-            "no exact method for s_le(%s, %d); rank too large" % (format_group(G), k)
+    if _sle_search_feasible(G, k):
+        size, witness = _short_free(G, k, budget)
+        return Certificate(
+            constant="s_le",
+            group=G,
+            k=k,
+            value=size + 1,
+            interval=None,
+            witness=witness,
+            witness_check={"rule": "short-free", "params": {}},
+            upper_chain=(_sle_step(G, k, size),),
+            exhaustive=True,
+            notes=("matches e2g.sle3 formula",) if G.is_elementary_2 and k == 3 else (),
         )
-    size, seq, _nodes = _generic_search(G, k, budget)
-    witness = Sequence.from_elements(G, seq)
-    return Certificate(
-        constant="s_le",
-        group=G,
-        k=k,
-        value=size + 1,
-        interval=None,
-        witness=witness,
-        witness_check={"rule": "short-free", "params": {}},
-        upper_chain=(_sle_step(G, k, size),),
-        exhaustive=True,
+    # only C_2^r past rank 5 gets here: formulas stand in for the search
+    r = prof.rank
+    if k == 3:
+        ids = gf2.top_coset_ids(r)
+        return Certificate(
+            constant="s_le",
+            group=G,
+            k=k,
+            value=1 + (1 << (r - 1)),
+            interval=None,
+            witness=_ids_to_sequence(G, ids),
+            witness_check={"rule": "short-free", "params": {}},
+            upper_chain=(_sle3_step(r),),
+            exhaustive=False,
+        )
+    if k % 2 == 0 and k >= 4:
+        report = e2g_s2m_upper(r, k // 2)
+        lo = D  # a longest zero-sum-free sequence has no zero-sum at all
+        hi = report.value
+        witness = _strip_closing(d_cert.witness)
+        return Certificate(
+            constant="s_le",
+            group=G,
+            k=k,
+            value=lo if lo == hi else None,
+            interval=None if lo == hi else (lo, hi),
+            witness=witness,
+            witness_check={"rule": "short-free", "params": {}},
+            upper_chain=(ChainStep.from_report(report),),
+            exhaustive=False,
+        )
+    raise SearchError(
+        "no exact method for s_le(%s, %d); rank too large" % (format_group(G), k)
     )
 
 
@@ -1039,9 +1015,6 @@ def _rank5_sweeps_for(k: int) -> Tuple[int, ...]:
     return (3, 4, 5, 6, 7)
 
 
-_RANK5_WITNESS_BUILDERS = {}
-
-
 class _Rank5Pipeline:
     """Shared state for C_2^5 rows: thresholds, caps, and sweep records."""
 
@@ -1055,8 +1028,7 @@ class _Rank5Pipeline:
         d_cert = davenport(self.G)
         self.D1 = d_cert.value
         self.zsf_step = d_cert.upper_chain[0]
-        size2, _ = gf2.max_set_without_short_zero_sums(5, 2)
-        self.s2_step = _sle_step(self.G, 2, size2)
+        self.s2_step = s_le(self.G, 2).upper_chain[0]
         self.s3_step = _sle3_step(5)
         self.s4_step = ChainStep.from_report(e2g_s2m_upper(5, 2))
         self.s_values = {2: self.s2_step.value, 3: self.s3_step.value, 4: self.s4_step.value}
@@ -1065,11 +1037,7 @@ class _Rank5Pipeline:
         rec = self._sweeps.get(c)
         if rec is not None:
             return rec
-        pieces = gf2.RANK5_SWEEP_PIECES[c]
-        rec = cache.load_sweep(5, c, pieces)
-        if rec is None or rec.failures:
-            rec = gf2.run_sweep(5, c, pieces)
-            cache.store_sweep(rec)
+        rec = gf2.run_sweep(5, c, gf2.RANK5_SWEEP_PIECES[c])
         if rec.failures:
             raise SearchError("partition sweep c=%d reported failures" % c)
         self._sweeps[c] = rec
@@ -1079,21 +1047,7 @@ class _Rank5Pipeline:
         """Best one-row recursion cap on zero-sum sizes with maxl <= j."""
         if j in self._m_values:
             return self._m_values[j], self._m_steps[j]
-        ells = sorted(self.s_values)
-        best: Optional[BoundReport] = None
-        for count in range(0, len(ells) + 1):
-            for combo in combinations(ells, count):
-                report = ub_recursion(
-                    self.G,
-                    combo,
-                    tuple(self.s_values[l] for l in combo),
-                    self.D1,
-                    j,
-                    s_prov=SEARCH,
-                    d_prov=SEARCH,
-                )
-                if best is None or report.value < best.value:
-                    best = report
+        best = best_recursion(self.G, self.s_values, self.D1, j, SEARCH, SEARCH)
         self._m_values[j] = best.value
         self._m_steps[j] = ChainStep.from_report(best)
         return best.value, self._m_steps[j]
@@ -1296,22 +1250,9 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
             candidates.append((report.value, deps + [ChainStep.from_report(report)]))
 
         add_candidate(k_times_d(kk, D, d_prov=SEARCH), list(base_steps))
-        ells = sorted(s_map)
-        for count in range(1, min(3, len(ells)) + 1):
-            for combo in combinations(ells, count):
-                if combo[-1] > D:
-                    continue
-                report = ub_recursion(
-                    G,
-                    combo,
-                    tuple(s_map[l] for l in combo),
-                    D,
-                    kk,
-                    s_prov=SEARCH,
-                    d_prov=SEARCH,
-                )
-                add_candidate(report, list(base_steps) + [s_steps[l] for l in combo])
-        for ell in ells:
+        rec = best_recursion(G, s_map, D, kk, SEARCH, SEARCH)
+        add_candidate(rec, list(base_steps) + [s_steps[l] for l in rec.input_value("ell")])
+        for ell in sorted(s_map):
             if prof.exponent <= ell <= max(prof.exponent, D - 1):
                 report = remark_ub(G, kk, ell, s_map[ell], D, s_prov=SEARCH, d_prov=SEARCH)
                 add_candidate(report, list(base_steps) + [s_steps[ell]])

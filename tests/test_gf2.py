@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from zerosum import cache, invariants
 from zerosum.factorizations import max_length
 from zerosum.gf2 import (
     RANK5_CORE_MAXL3,
@@ -21,6 +22,7 @@ from zerosum.gf2 import (
     mask_rank,
     max_independent_size,
     max_set_without_short_zero_sums,
+    SweepRecord,
     run_sweep,
     squarefree_max_length_at_most,
     top_coset_ids,
@@ -216,6 +218,13 @@ class TestCanonicalEnumeration:
             assert size == r
             assert mask_rank(witness) == r
 
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_max_independent_is_the_capped_search(self, r):
+        # a zero-sum set of nonzero ids contains a circuit of <= r + 1 ids
+        expected = max_independent_size(r)
+        for cap in (r + 1, 1 << r):
+            assert max_set_without_short_zero_sums(r, cap) == expected
+
 
 class TestShortZeroSumFreeSearch:
     def test_rank3_thresholds(self):
@@ -371,3 +380,15 @@ class TestRank5Certificates:
         G = make_group((2,) * 5)
         got = {k: davenport_k(G, k).digest() for k in RANK5_CERT_DIGESTS}
         assert got == RANK5_CERT_DIGESTS
+
+    def test_stored_sweep_records_are_not_read(self, monkeypatch, tmp_path):
+        # a forged c = 3 record: its digest is an unkeyed hash of its own
+        # fields, so no check on load could tell it from a real one
+        monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(invariants, "_rank5_pipeline", None)
+        davenport_k.cache_clear()
+        cache.store_sweep(
+            SweepRecord(r=5, complement_size=3, pieces=9, instances=7, failures=0, elapsed_ms=0)
+        )
+        cert = davenport_k(make_group((2,) * 5), 10)
+        assert cert.digest() == RANK5_CERT_DIGESTS[10]

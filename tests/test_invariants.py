@@ -127,6 +127,44 @@ class TestSle:
         assert cert.witness.length == cert.value - 1
 
 
+class TestElementaryTwoSearchDigests:
+    """Certificates of the C_2^r search, pinned bit for bit."""
+
+    D_DIGESTS = {
+        1: "c40eb8fb131e6342", 2: "660d09f6a7660ca5", 3: "4ca15b7e149aecb7",
+        4: "148c9441c91ab35d", 5: "6349811e1cf0ea62", 6: "af4e175ac04204f0",
+        7: "3e147bde02b38cd8", 8: "32d7e94de7a5f0dc", 9: "c896cb66bbc2aed3",
+        10: "2f21f7c99b5f831e", 11: "ddfc4a02a76bd564", 12: "cad1f407218a11b4",
+    }
+    # every cap exponent <= cap < D that the search serves at rank <= 5
+    SLE_DIGESTS = {
+        (2, 2): "5cce7129fc675dab",
+        (3, 2): "4473727973963ac8", (3, 3): "4bb2988fedcb51fa",
+        (4, 2): "2db24b97eb1b2132", (4, 3): "d91c17f929c021aa",
+        (4, 4): "2f039f15477cb44d",
+        (5, 2): "90b6b733b5b57caa", (5, 3): "173f037a9fbfc5dd",
+        (5, 4): "00c05a6d8e7364d2", (5, 5): "b43edc2c909b38d7",
+    }
+
+    def test_davenport_digests_pinned(self):
+        got = {r: davenport(make_group((2,) * r)).digest() for r in self.D_DIGESTS}
+        assert got == self.D_DIGESTS
+
+    def test_sle_digests_pinned(self):
+        got = {
+            (r, cap): s_le(make_group((2,) * r), cap).digest()
+            for r, cap in self.SLE_DIGESTS
+        }
+        assert got == self.SLE_DIGESTS
+
+    def test_sle_steps_are_searches(self):
+        for r, cap in self.SLE_DIGESTS:
+            cert = s_le(make_group((2,) * r), cap)
+            assert [s.rule_id for s in cert.upper_chain] == ["search.sle"]
+            assert cert.exhaustive
+            assert_verifies(cert)
+
+
 class TestDkSmallRank:
     @pytest.mark.parametrize("k,value", [(1, 4), (2, 7), (3, 9), (4, 11), (5, 13)])
     def test_rank_three_table(self, k, value):
