@@ -77,10 +77,6 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def clamp_nonneg(a: int) -> int:
-    return a if a > 0 else 0
-
-
 def least_root_at_least(x: int, m: int) -> int:
     """Smallest integer u >= 0 with u**m >= x.
 

@@ -1,8 +1,13 @@
-"""Closed-form and recursive bound calculators for k-wise zero-sum constants.
+"""Bound rules for k-wise zero-sum constants, each defined once.
 
-Every rule is a pure function from named integer inputs to a value,
-packaged as a BoundReport that records the inputs with their provenance
-so the value can be re-derived later without repeating any search.
+A bound rule is a function of named inputs, registered in RULES under
+its rule id. It returns the rule's value, and raises BoundError when the
+inputs break the rule's precondition. report() builds a BoundReport from
+(name, value, provenance) triples and takes its value from the rule, so
+a calculator below checks only what needs the group and is not recorded
+in the step, then returns report(...). verify_certificate re-evaluates a
+recorded step through the same rule with evaluate_rule, preconditions
+included, and never repeats a search.
 """
 
 from __future__ import annotations
@@ -12,7 +17,15 @@ from itertools import combinations
 from math import factorial, isqrt
 from typing import Callable, Dict, List, Optional, Sequence as Seq, Tuple
 
-from .arith import INFINITE, ExtInt, ceil_div, is_finite, least_root_at_least, serialize_value
+from .arith import (
+    INFINITE,
+    ExtInt,
+    ceil_div,
+    is_finite,
+    least_root_at_least,
+    parse_value,
+    serialize_value,
+)
 from .groups import Group, profile
 
 
@@ -51,12 +64,16 @@ class InputValue:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """One bound step: a rule applied to recorded inputs, or a search
+    record, which carries a digest of its inputs instead of a rule."""
+
     rule_id: str
     direction: str  # "lower" | "upper"
     value: ExtInt
     inputs: Tuple[Tuple[str, InputValue], ...]
     constant: str = "D_k"  # which quantity the bound constrains
     note: str = ""
+    digest: Optional[str] = None
 
     def __post_init__(self):
         if self.direction not in ("lower", "upper"):
@@ -68,6 +85,9 @@ class BoundReport:
                 return iv.value
         raise KeyError(name)
 
+    def plain_inputs(self) -> Dict[str, object]:
+        return {name: iv.value for name, iv in self.inputs}
+
     def to_json(self) -> dict:
         out = {
             "rule": self.rule_id,
@@ -78,27 +98,92 @@ class BoundReport:
         }
         if self.note:
             out["note"] = self.note
+        if self.digest is not None:
+            out["digest"] = self.digest
         return out
 
+    @classmethod
+    def from_json(cls, data: dict) -> "BoundReport":
+        def revive(raw):
+            if isinstance(raw, list):
+                return tuple(revive(x) for x in raw)
+            if raw == "inf":
+                return INFINITE
+            return raw
 
-def _inputs(pairs: Seq[Tuple[str, object, str]]) -> Tuple[Tuple[str, InputValue], ...]:
-    return tuple((name, InputValue(value, prov)) for name, value, prov in pairs)
+        inputs = []
+        for name in sorted(data.get("inputs", {})):
+            entry = data["inputs"][name]
+            inputs.append(
+                (name, InputValue(revive(entry["value"]), entry.get("provenance", SUPPLIED)))
+            )
+        return cls(
+            rule_id=data["rule"],
+            direction=data["direction"],
+            constant=data.get("constant", "D_k"),
+            value=parse_value(data["value"]),
+            inputs=tuple(inputs),
+            note=data.get("note", ""),
+            digest=data.get("digest"),
+        )
 
 
 # ---------------------------------------------------------------------------
-# Upper bounds
+# The rule registry
 
 
-def k_times_d(k: int, D: int, d_prov: str = SUPPLIED) -> BoundReport:
-    """Each of the k blocks is at most a longest minimal zero-sum."""
-    if k < 1 or D < 1:
-        raise BoundError("k and D must be positive")
-    return BoundReport(
-        rule_id="ub.k_times_d",
-        direction="upper",
-        value=k * D,
-        inputs=_inputs([("k", k, SUPPLIED), ("D", D, d_prov)]),
-    )
+RULES: Dict[str, Callable[[Dict[str, object]], ExtInt]] = {}
+
+
+def _rule(rule_id: str):
+    """Register the decorated function as the one definition of rule_id."""
+
+    def register(fn):
+        RULES[rule_id] = fn
+        return fn
+
+    return register
+
+
+def evaluate_rule(rule_id: str, inputs: Dict[str, object]) -> ExtInt:
+    """A rule's value on plain named inputs.
+
+    Raises BoundError when the inputs break the rule's precondition.
+    Search steps (rule ids starting with "search.") have no closed form
+    and are not rules.
+    """
+    fn = RULES.get(rule_id)
+    if fn is None:
+        raise BoundError("no evaluator for rule %r" % rule_id)
+    return fn(inputs)
+
+
+def report(
+    rule_id: str,
+    direction: str,
+    pairs: Seq[Tuple[str, object, str]],
+    constant: str = "D_k",
+    note: str = "",
+) -> BoundReport:
+    """The step applying rule_id to (name, value, provenance) triples."""
+    value = evaluate_rule(rule_id, {name: v for name, v, _prov in pairs})
+    inputs = tuple((name, InputValue(v, prov)) for name, v, prov in pairs)
+    return BoundReport(rule_id, direction, value, inputs, constant, note)
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise BoundError(message)
+
+
+def _finite(s: ExtInt) -> ExtInt:
+    _require(is_finite(s), "threshold value must be finite")
+    return s
+
+
+def _rank(i: Dict[str, object]) -> int:
+    _require(i["r"] >= 1, "rank must be positive")
+    return i["r"]
 
 
 def lower_max_length(
@@ -126,14 +211,187 @@ def lower_max_length(
     return total
 
 
-def _recursion_scan(ell: Seq[int], s_values: Seq[ExtInt], D: int, k: int) -> int:
-    """Largest m whose forced block count lower_max_length stays within k."""
+def _extension_m(n: int, D_ext: int, D_G: int) -> int:
+    """Block length the cyclic-extension bound covers."""
+    _require(n >= 1, "n must be positive")
+    return max((D_ext // n) * n // 2, (D_G // n) * n)
+
+
+def _s2m_root(r: int, m: int) -> int:
+    """Least u with u^m >= m! 2^r, for the counting bound on blocks <= 2m."""
+    _require(m >= 2, "need m >= 2")
+    return least_root_at_least(factorial(m) * 2**r, m)
+
+
+# Upper bounds on D_k
+
+
+@_rule("ub.k_times_d")
+def _k_times_d(i):
+    _require(i["k"] >= 1 and i["D"] >= 1, "k and D must be positive")
+    return i["k"] * i["D"]
+
+
+@_rule("ub.recursion")
+def _recursion(i):
+    ell, s_values, D, k = list(i["ell"]), list(i["s_values"]), i["D"], i["k"]
     m = 0
     while lower_max_length(ell, s_values, D, m + 1) <= k:
         m += 1
         if m > k * D:
             raise BoundError("scan escaped its ceiling; inputs inconsistent")
     return m
+
+
+@_rule("ub.remark")
+def _remark(i):
+    s = _finite(i["s_value"])
+    return (i["k"] - 1) * i["ell_1"] + max(i["D"], s - i["ell_1"])
+
+
+@_rule("ub.step")
+def _step(i):
+    return max(i["dk"] + i["ell"], _finite(i["s_value"]) - 1)
+
+
+@_rule("ub.cpr")
+def _cpr(i):
+    p, r, k, m = i["p"], i["r"], i["k"], i["m"]
+    _require(r >= 2 and k >= 1 and m >= 1, "need r >= 2, k >= 1, m >= 1")
+    _require(r * (p - 1) + 1 < 2 * p**m, "need r(p-1)+1 < 2 p^m")
+    return min((k * (r - 1) + 1) * p - r + 1, (k - 1) * p**m + r * (p - 1) + 1)
+
+
+@_rule("ub.inductive")
+def _inductive(i):
+    if "quotient_dk" in i:
+        return i["quotient_dk"]
+    s = _finite(i["s_quot"])
+    return (i["sub_dk"] - 1) * i["ell"] + max(i["D_quot"], s - i["ell"])
+
+
+@_rule("ub.squarefree_caps")
+def _squarefree_caps(i):
+    k = i["k"]
+    usable = [cap + 2 * (k - j) for j, cap in i["caps"] if j <= k]
+    _require(bool(usable), "no cap with index at most k")
+    return max(usable)
+
+
+@_rule("ub.delta")
+def _delta(i):
+    return (2 * i["order"]) ** (3 * i["order"] + 1)
+
+
+@_rule("ub.kd")
+def _kd(i):
+    if "delta" in i:
+        return i["delta"] * i["exponent"] * i["atoms"] + i["eta"] - i["d_minus"]
+    return (2 * i["order"]) ** (4 * i["order"] + 2)
+
+
+# Lower bounds on D_k
+
+
+@_rule("lb.direct_sum")
+def _direct_sum(i):
+    return i["dk1"] + i["dk2"] - 1
+
+
+@_rule("lb.dstar")
+def _dstar(i):
+    return i["d_star"] + (i["k"] - 1) * i["exponent"]
+
+
+@_rule("lb.elb")
+def _elb(i):
+    _require(i["s"] >= 2 and i["k"] >= 2 and i["t"] >= 1, "need s >= 2, k >= 2, t >= 1")
+    _require(i["delta"] == i["n_t"] % 2, "delta must be n_t mod 2")
+    return i["d_star"] + i["s"] * (i["n_t"] // 2) + i["delta"] + (i["k"] - 2) * i["n_r"]
+
+
+@_rule("lb.step_append")
+def _step_append(i):
+    return i["dk"] + 2
+
+
+# Thresholds s_le
+
+
+@_rule("ub.extension")
+def _extension(i):
+    m = _extension_m(i["n"], i["D_ext"], i["D_G"])
+    _require(i["m"] == m, "recorded m differs from the derived %d" % m)
+    return i["D_ext"]
+
+
+@_rule("sle.trivial_group")
+def _sle_trivial(i):
+    _require(i["order"] == 1, "the group is not trivial")
+    return 1
+
+
+@_rule("sle.infinite")
+def _sle_infinite(i):
+    _require(i["k"] < i["exponent"], "threshold is finite at or above the exponent")
+    return INFINITE
+
+
+@_rule("sle.equals_davenport")
+def _sle_equals_davenport(i):
+    _require(i["k"] >= i["D"], "threshold equals D only from k = D on")
+    return i["D"]
+
+
+# Elementary 2-groups
+
+
+@_rule("ub.e2g_d2")
+def _e2g_d2(i):
+    return (3 * _rank(i) + 5) // 2
+
+
+@_rule("ub.e2g_s2m")
+def _e2g_s2m(i):
+    root = _s2m_root(_rank(i), i["m"])
+    _require(i["root"] == root, "recorded root differs from the least root %d" % root)
+    return (i["m"] - 1) + root
+
+
+@_rule("e2g.sle3")
+def _e2g_sle3(i):
+    _require(i["r"] >= 2, "rank must be at least 2")
+    return 1 + (1 << (i["r"] - 1))
+
+
+@_rule("ub.e2g_split")
+def _e2g_split(i):
+    _require(i["s"] >= 0, "s must be nonnegative")
+    return i["rest"] + i["s"]
+
+
+@_rule("lb.e2g_d0")
+def _e2g_d0_lower(i):
+    return ceil_div((1 << _rank(i)) - 1, 3)
+
+
+@_rule("ub.e2g_d0")
+def _e2g_d0_upper(i):
+    return _e2g_d0_lower(i) + isqrt(1 << i["r"])
+
+
+@_rule("ub.e2g_kd")
+def _e2g_kd(i):
+    return ((1 << _rank(i)) - 1) // 3
+
+
+# ---------------------------------------------------------------------------
+# Calculators: upper bounds
+
+
+def k_times_d(k: int, D: int, d_prov: str = SUPPLIED) -> BoundReport:
+    """Each of the k blocks is at most a longest minimal zero-sum."""
+    return report("ub.k_times_d", "upper", [("k", k, SUPPLIED), ("D", D, d_prov)])
 
 
 def ub_recursion(
@@ -152,29 +410,17 @@ def ub_recursion(
     blocks where the cap keeps the rest whole. The two agree exactly when
     D >= s - ell_1, and the recursion is strictly smaller otherwise.
     """
-    prof = profile(G)
-    if any(not is_finite(s) for s in s_values):
-        raise BoundError("threshold values must be finite")
-    if ell:
-        if ell[0] < prof.exponent or ell[-1] > D:
-            raise BoundError(
-                "ell must stay within [exponent, D]"
-            )
-        if list(ell) != sorted(set(ell)):
-            raise BoundError("ell must be strictly increasing")
-    m = _recursion_scan(ell, s_values, D, k)
-    return BoundReport(
-        rule_id="ub.recursion",
-        direction="upper",
-        value=m,
-        inputs=_inputs(
-            [
-                ("k", k, SUPPLIED),
-                ("ell", tuple(ell), SUPPLIED),
-                ("s_values", tuple(s_values), s_prov),
-                ("D", D, d_prov),
-            ]
-        ),
+    if ell and (ell[0] < profile(G).exponent or ell[-1] > D):
+        raise BoundError("ell must stay within [exponent, D]")
+    return report(
+        "ub.recursion",
+        "upper",
+        [
+            ("k", k, SUPPLIED),
+            ("ell", tuple(ell), SUPPLIED),
+            ("s_values", tuple(s_values), s_prov),
+            ("D", D, d_prov),
+        ],
     )
 
 
@@ -192,24 +438,18 @@ def remark_ub(
     Never below ub_recursion with the single level [ell_1]; the two agree
     exactly when D >= s - ell_1.
     """
-    prof = profile(G)
-    if not is_finite(s_value):
-        raise BoundError("threshold value must be finite")
-    if not prof.exponent <= ell_1 <= max(prof.exponent, D - 1):
+    exponent = profile(G).exponent
+    if not exponent <= ell_1 <= max(exponent, D - 1):
         raise BoundError("ell_1 must lie in [exponent, D-1]")
-    value = (k - 1) * ell_1 + max(D, s_value - ell_1)
-    return BoundReport(
-        rule_id="ub.remark",
-        direction="upper",
-        value=value,
-        inputs=_inputs(
-            [
-                ("k", k, SUPPLIED),
-                ("ell_1", ell_1, SUPPLIED),
-                ("s_value", s_value, s_prov),
-                ("D", D, d_prov),
-            ]
-        ),
+    return report(
+        "ub.remark",
+        "upper",
+        [
+            ("k", k, SUPPLIED),
+            ("ell_1", ell_1, SUPPLIED),
+            ("s_value", s_value, s_prov),
+            ("D", D, d_prov),
+        ],
     )
 
 
@@ -217,15 +457,10 @@ def step_ub(
     dk: int, ell: int, s_value: ExtInt, dk_prov: str = SUPPLIED, s_prov: str = SUPPLIED
 ) -> BoundReport:
     """One more block: either it fits in ell, or few elements remain."""
-    if not is_finite(s_value):
-        raise BoundError("threshold value must be finite")
-    return BoundReport(
-        rule_id="ub.step",
-        direction="upper",
-        value=max(dk + ell, s_value - 1),
-        inputs=_inputs(
-            [("dk", dk, dk_prov), ("ell", ell, SUPPLIED), ("s_value", s_value, s_prov)]
-        ),
+    return report(
+        "ub.step",
+        "upper",
+        [("dk", dk, dk_prov), ("ell", ell, SUPPLIED), ("s_value", s_value, s_prov)],
     )
 
 
@@ -233,40 +468,26 @@ def s_le_from_extension(
     n: int, D_ext: int, D_G: int, ext_prov: str = SUPPLIED, d_prov: str = SUPPLIED
 ) -> BoundReport:
     """Short-block threshold bounded through a cyclic extension."""
-    if n < 1:
-        raise BoundError("n must be positive")
-    m = max((D_ext // n) * n // 2, (D_G // n) * n)
-    return BoundReport(
-        rule_id="ub.extension",
-        direction="upper",
-        value=D_ext,
+    return report(
+        "ub.extension",
+        "upper",
+        [
+            ("n", n, SUPPLIED),
+            ("D_ext", D_ext, ext_prov),
+            ("D_G", D_G, d_prov),
+            ("m", _extension_m(n, D_ext, D_G), COMPUTED),
+        ],
         constant="s_le",
-        inputs=_inputs(
-            [
-                ("n", n, SUPPLIED),
-                ("D_ext", D_ext, ext_prov),
-                ("D_G", D_G, d_prov),
-                ("m", m, COMPUTED),
-            ]
-        ),
         note="bounds the threshold for blocks of length at most m",
     )
 
 
 def cpr_upper(p: int, r: int, k: int, m: int) -> BoundReport:
     """Homogeneous-group bound via the two layer strategies."""
-    if r < 2 or k < 1 or m < 1:
-        raise BoundError("need r >= 2, k >= 1, m >= 1")
-    if not r * (p - 1) + 1 < 2 * p**m:
-        raise BoundError("need r(p-1)+1 < 2 p^m")
-    value = min((k * (r - 1) + 1) * p - r + 1, (k - 1) * p**m + r * (p - 1) + 1)
-    return BoundReport(
-        rule_id="ub.cpr",
-        direction="upper",
-        value=value,
-        inputs=_inputs(
-            [("p", p, SUPPLIED), ("r", r, SUPPLIED), ("k", k, SUPPLIED), ("m", m, SUPPLIED)]
-        ),
+    return report(
+        "ub.cpr",
+        "upper",
+        [("p", p, SUPPLIED), ("r", r, SUPPLIED), ("k", k, SUPPLIED), ("m", m, SUPPLIED)],
     )
 
 
@@ -285,32 +506,17 @@ def inductive_ub(
     (ell, D_quot, s_quot) triple to close with the one-long-block form.
     """
     if quotient_dk is not None:
-        return BoundReport(
-            rule_id="ub.inductive",
-            direction="upper",
-            value=quotient_dk,
-            inputs=_inputs(
-                [("sub_dk", sub_dk, sub_prov), ("quotient_dk", quotient_dk, quot_prov)]
-            ),
-        )
-    if ell is None or D_quot is None or s_quot is None:
+        pairs = [("sub_dk", sub_dk, sub_prov), ("quotient_dk", quotient_dk, quot_prov)]
+    elif ell is None or D_quot is None or s_quot is None:
         raise BoundError("supply quotient_dk or the (ell, D_quot, s_quot) triple")
-    if not is_finite(s_quot):
-        raise BoundError("threshold value must be finite")
-    value = (sub_dk - 1) * ell + max(D_quot, s_quot - ell)
-    return BoundReport(
-        rule_id="ub.inductive",
-        direction="upper",
-        value=value,
-        inputs=_inputs(
-            [
-                ("sub_dk", sub_dk, sub_prov),
-                ("ell", ell, SUPPLIED),
-                ("D_quot", D_quot, quot_prov),
-                ("s_quot", s_quot, quot_prov),
-            ]
-        ),
-    )
+    else:
+        pairs = [
+            ("sub_dk", sub_dk, sub_prov),
+            ("ell", ell, SUPPLIED),
+            ("D_quot", D_quot, quot_prov),
+            ("s_quot", s_quot, quot_prov),
+        ]
+    return report("ub.inductive", "upper", pairs)
 
 
 def delta_upper(G: Group) -> BoundReport:
@@ -319,13 +525,8 @@ def delta_upper(G: Group) -> BoundReport:
     note = ""
     if order <= 2:
         note = "vacuous: groups of order at most 2 have no length jumps"
-    return BoundReport(
-        rule_id="ub.delta",
-        direction="upper",
-        value=(2 * order) ** (3 * order + 1),
-        constant="delta",
-        inputs=_inputs([("order", order, COMPUTED)]),
-        note=note,
+    return report(
+        "ub.delta", "upper", [("order", order, COMPUTED)], constant="delta", note=note
     )
 
 
@@ -344,63 +545,49 @@ def kd_upper(
     prof = profile(G)
     refined = (delta_val, atoms_count, eta_val, d_minus)
     if all(v is not None for v in refined):
-        value = delta_val * prof.exponent * atoms_count + eta_val - d_minus
-        return BoundReport(
-            rule_id="ub.kd",
-            direction="upper",
-            value=value,
+        return report(
+            "ub.kd",
+            "upper",
+            [
+                ("delta", delta_val, SUPPLIED),
+                ("exponent", prof.exponent, COMPUTED),
+                ("atoms", atoms_count, SUPPLIED),
+                ("eta", eta_val, SUPPLIED),
+                ("d_minus", d_minus, SUPPLIED),
+            ],
             constant="k_D",
-            inputs=_inputs(
-                [
-                    ("delta", delta_val, SUPPLIED),
-                    ("exponent", prof.exponent, COMPUTED),
-                    ("atoms", atoms_count, SUPPLIED),
-                    ("eta", eta_val, SUPPLIED),
-                    ("d_minus", d_minus, SUPPLIED),
-                ]
-            ),
         )
     if any(v is not None for v in refined):
         raise BoundError("supply all refined inputs or none")
-    order = prof.order
-    return BoundReport(
-        rule_id="ub.kd",
-        direction="upper",
-        value=(2 * order) ** (4 * order + 2),
+    return report(
+        "ub.kd",
+        "upper",
+        [("order", prof.order, COMPUTED)],
         constant="k_D",
-        inputs=_inputs([("order", order, COMPUTED)]),
         note="crude closed form",
     )
 
 
 # ---------------------------------------------------------------------------
-# Lower bounds
+# Calculators: lower bounds
 
 
 def lower_direct_sum(dk1: int, dk2: int, prov1: str = SUPPLIED, prov2: str = SUPPLIED) -> BoundReport:
     """Concatenate extremal sequences of two summands."""
-    return BoundReport(
-        rule_id="lb.direct_sum",
-        direction="lower",
-        value=dk1 + dk2 - 1,
-        inputs=_inputs([("dk1", dk1, prov1), ("dk2", dk2, prov2)]),
-    )
+    return report("lb.direct_sum", "lower", [("dk1", dk1, prov1), ("dk2", dk2, prov2)])
 
 
 def lower_dstar(G: Group, k: int) -> BoundReport:
     """Independent layers plus k-1 extra copies of a max-order element."""
     prof = profile(G)
-    return BoundReport(
-        rule_id="lb.dstar",
-        direction="lower",
-        value=prof.d_star + (k - 1) * prof.exponent,
-        inputs=_inputs(
-            [
-                ("k", k, SUPPLIED),
-                ("d_star", prof.d_star, COMPUTED),
-                ("exponent", prof.exponent, COMPUTED),
-            ]
-        ),
+    return report(
+        "lb.dstar",
+        "lower",
+        [
+            ("k", k, SUPPLIED),
+            ("d_star", prof.d_star, COMPUTED),
+            ("exponent", prof.exponent, COMPUTED),
+        ],
     )
 
 
@@ -416,64 +603,42 @@ def elb_lower(G: Group, s: int, t: int, k: int) -> BoundReport:
     if s * (s - 1) // 2 > r - t + 1:
         raise BoundError("pair patterns exceed available coordinates")
     n_t = factors[t - 1]
-    n_r = factors[r - 1]
-    delta = n_t % 2
-    value = prof.d_star + s * (n_t // 2) + delta + (k - 2) * n_r
-    return BoundReport(
-        rule_id="lb.elb",
-        direction="lower",
-        value=value,
-        inputs=_inputs(
-            [
-                ("k", k, SUPPLIED),
-                ("s", s, SUPPLIED),
-                ("t", t, SUPPLIED),
-                ("d_star", prof.d_star, COMPUTED),
-                ("n_t", n_t, COMPUTED),
-                ("n_r", n_r, COMPUTED),
-                ("delta", delta, COMPUTED),
-            ]
-        ),
+    return report(
+        "lb.elb",
+        "lower",
+        [
+            ("k", k, SUPPLIED),
+            ("s", s, SUPPLIED),
+            ("t", t, SUPPLIED),
+            ("d_star", prof.d_star, COMPUTED),
+            ("n_t", n_t, COMPUTED),
+            ("n_r", factors[r - 1], COMPUTED),
+            ("delta", n_t % 2, COMPUTED),
+        ],
     )
 
 
 def step_append_lower(dk: int, dk_prov: str = SUPPLIED) -> BoundReport:
     """Append an element and its inverse to any extremal sequence."""
-    return BoundReport(
-        rule_id="lb.step_append",
-        direction="lower",
-        value=dk + 2,
-        inputs=_inputs([("dk", dk, dk_prov)]),
-    )
+    return report("lb.step_append", "lower", [("dk", dk, dk_prov)])
 
 
 # ---------------------------------------------------------------------------
-# Elementary 2-group specials
+# Calculators: elementary 2-group specials
 
 
 def e2g_d2_upper(r: int) -> BoundReport:
     """Strict half-integer cap on the 2-block constant."""
-    if r < 1:
-        raise BoundError("rank must be positive")
-    return BoundReport(
-        rule_id="ub.e2g_d2",
-        direction="upper",
-        value=(3 * r + 5) // 2,
-        inputs=_inputs([("r", r, SUPPLIED)]),
-    )
+    return report("ub.e2g_d2", "upper", [("r", r, SUPPLIED)])
 
 
 def e2g_s2m_upper(r: int, m: int) -> BoundReport:
     """Counting bound on the threshold for blocks of length <= 2m."""
-    if m < 2:
-        raise BoundError("need m >= 2")
-    u = least_root_at_least(factorial(m) * 2**r, m)
-    return BoundReport(
-        rule_id="ub.e2g_s2m",
-        direction="upper",
-        value=(m - 1) + u,
+    return report(
+        "ub.e2g_s2m",
+        "upper",
+        [("r", r, SUPPLIED), ("m", m, SUPPLIED), ("root", _s2m_root(r, m), COMPUTED)],
         constant="s_le",
-        inputs=_inputs([("r", r, SUPPLIED), ("m", m, SUPPLIED), ("root", u, COMPUTED)]),
         note="bounds the threshold for blocks of length at most 2m",
     )
 
@@ -482,52 +647,25 @@ def e2g_split_upper(
     s: int, sub_dk: int, rest_value: int, sub_prov: str = SUPPLIED, rest_prov: str = SUPPLIED
 ) -> BoundReport:
     """Split off s coordinates and recurse on the rest."""
-    if s < 0:
-        raise BoundError("s must be nonnegative")
-    return BoundReport(
-        rule_id="ub.e2g_split",
-        direction="upper",
-        value=rest_value + s,
-        inputs=_inputs(
-            [("s", s, SUPPLIED), ("sub_dk", sub_dk, sub_prov), ("rest", rest_value, rest_prov)]
-        ),
+    return report(
+        "ub.e2g_split",
+        "upper",
+        [("s", s, SUPPLIED), ("sub_dk", sub_dk, sub_prov), ("rest", rest_value, rest_prov)],
     )
 
 
 def e2g_d0_bounds(r: int) -> Tuple[BoundReport, BoundReport]:
     """Bracket on the eventual offset of the progression."""
-    if r < 1:
-        raise BoundError("rank must be positive")
-    lo = ceil_div((1 << r) - 1, 3)
-    hi = lo + isqrt(1 << r)
-    lower = BoundReport(
-        rule_id="lb.e2g_d0",
-        direction="lower",
-        value=lo,
-        constant="D_0",
-        inputs=_inputs([("r", r, SUPPLIED)]),
+    pairs = [("r", r, SUPPLIED)]
+    return (
+        report("lb.e2g_d0", "lower", pairs, constant="D_0"),
+        report("ub.e2g_d0", "upper", pairs, constant="D_0"),
     )
-    upper = BoundReport(
-        rule_id="ub.e2g_d0",
-        direction="upper",
-        value=hi,
-        constant="D_0",
-        inputs=_inputs([("r", r, SUPPLIED)]),
-    )
-    return lower, upper
 
 
 def e2g_kd_upper(r: int) -> BoundReport:
     """Onset index bounded by the largest full-support block count."""
-    if r < 1:
-        raise BoundError("rank must be positive")
-    return BoundReport(
-        rule_id="ub.e2g_kd",
-        direction="upper",
-        value=((1 << r) - 1) // 3,
-        constant="k_D",
-        inputs=_inputs([("r", r, SUPPLIED)]),
-    )
+    return report("ub.e2g_kd", "upper", [("r", r, SUPPLIED)], constant="k_D")
 
 
 def e2g_bounds(r: int, k: int, split_inputs=None) -> List[BoundReport]:
@@ -542,70 +680,6 @@ def e2g_bounds(r: int, k: int, split_inputs=None) -> List[BoundReport]:
     out.extend([lo, hi])
     out.append(e2g_kd_upper(r))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Re-evaluation of rules from recorded inputs
-
-
-def _listed(raw):
-    return tuple(raw) if isinstance(raw, (list, tuple)) else raw
-
-
-def _eval_recursion(inp: Dict[str, object]) -> int:
-    return _recursion_scan(
-        list(_listed(inp["ell"])), list(_listed(inp["s_values"])), inp["D"], inp["k"]
-    )
-
-
-RULE_EVALUATORS: Dict[str, Callable[[Dict[str, object]], object]] = {
-    "ub.k_times_d": lambda i: i["k"] * i["D"],
-    "ub.recursion": _eval_recursion,
-    "ub.remark": lambda i: (i["k"] - 1) * i["ell_1"] + max(i["D"], i["s_value"] - i["ell_1"]),
-    "ub.step": lambda i: max(i["dk"] + i["ell"], i["s_value"] - 1),
-    "ub.extension": lambda i: i["D_ext"],
-    "ub.cpr": lambda i: min(
-        (i["k"] * (i["r"] - 1) + 1) * i["p"] - i["r"] + 1,
-        (i["k"] - 1) * i["p"] ** i["m"] + i["r"] * (i["p"] - 1) + 1,
-    ),
-    "ub.inductive": lambda i: (
-        (i["sub_dk"] - 1) * i["ell"] + max(i["D_quot"], i["s_quot"] - i["ell"])
-        if "ell" in i
-        else i["quotient_dk"]
-    ),
-    "ub.delta": lambda i: (2 * i["order"]) ** (3 * i["order"] + 1),
-    "ub.kd": lambda i: (
-        i["delta"] * i["exponent"] * i["atoms"] + i["eta"] - i["d_minus"]
-        if "delta" in i
-        else (2 * i["order"]) ** (4 * i["order"] + 2)
-    ),
-    "lb.direct_sum": lambda i: i["dk1"] + i["dk2"] - 1,
-    "lb.dstar": lambda i: i["d_star"] + (i["k"] - 1) * i["exponent"],
-    "lb.elb": lambda i: i["d_star"]
-    + i["s"] * (i["n_t"] // 2)
-    + i["delta"]
-    + (i["k"] - 2) * i["n_r"],
-    "lb.step_append": lambda i: i["dk"] + 2,
-    "ub.e2g_d2": lambda i: (3 * i["r"] + 5) // 2,
-    "ub.e2g_s2m": lambda i: (i["m"] - 1)
-    + least_root_at_least(factorial(i["m"]) * 2 ** i["r"], i["m"]),
-    "ub.e2g_split": lambda i: i["rest"] + i["s"],
-    "lb.e2g_d0": lambda i: ceil_div((1 << i["r"]) - 1, 3),
-    "ub.e2g_d0": lambda i: ceil_div((1 << i["r"]) - 1, 3) + isqrt(1 << i["r"]),
-    "ub.e2g_kd": lambda i: ((1 << i["r"]) - 1) // 3,
-}
-
-
-def evaluate_rule(rule_id: str, inputs: Dict[str, object]):
-    """Recompute a rule's value from plain named inputs.
-
-    Search steps (rule ids starting with "search.") have no closed form
-    and are outside this dispatcher on purpose.
-    """
-    fn = RULE_EVALUATORS.get(rule_id)
-    if fn is None:
-        raise BoundError("no evaluator for rule %r" % rule_id)
-    return fn(inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
+from .bounds import evaluate_rule
+
 
 def reduce_mod_basis(v: int, basis: List[int]) -> int:
     for b in basis:
@@ -236,10 +238,7 @@ class SmallRankEngine:
         )
 
     def dk(self, k: int) -> int:
-        best = 0
-        for j in range(0, min(k, self.jmax) + 1):
-            best = max(best, self.f_caps[j] + 2 * (k - j))
-        return best
+        return evaluate_rule("ub.squarefree_caps", {"k": k, "caps": self.f_caps.items()})
 
     def dk_witness(self, k: int) -> Tuple[Tuple[int, ...], int]:
         """Ids of a squarefree core and the number of doubled elements."""

@@ -67,10 +67,6 @@ class Group:
             n == 2 for n in self.invariant_factors
         )
 
-    def spec_string(self) -> str:
-        """Canonical comma-separated form, empty for the trivial group."""
-        return ",".join(str(n) for n in self.invariant_factors)
-
     def __repr__(self) -> str:
         if self.is_trivial:
             return "Group(trivial)"

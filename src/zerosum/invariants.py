@@ -18,8 +18,11 @@ from functools import lru_cache, wraps
 from itertools import permutations
 from typing import Dict, List, Optional, Tuple
 
-from . import bounds, gf2
-from .arith import INFINITE, ExtInt, ceil_div, is_finite, parse_value, serialize_value
+from . import gf2
+from .arith import ExtInt, ceil_div, is_finite, parse_value, serialize_value
+# elb_lower, lower_dstar and ub_recursion are unused here but stay importable
+# from this module: perfbench/tracer.py wraps the bound calculators and
+# evaluate_rule in this namespace by name
 from .bounds import (
     COMPUTED,
     SEARCH,
@@ -36,8 +39,9 @@ from .bounds import (
     k_times_d,
     lower_dstar,
     remark_ub,
+    report,
     step_ub,
-    ub_recursion,  # unused here; perfbench/tracer.py wraps it in this namespace
+    ub_recursion,
 )
 from .constructions import elb_witness
 # max_length and minimal_divisors are unused here but stay importable from
@@ -115,79 +119,11 @@ def _digest16(text: str) -> str:
 # Chain steps
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One link of a certificate chain: a bound rule or a search record."""
-
-    rule_id: str
-    direction: str
-    constant: str
-    value: ExtInt
-    inputs: Tuple[Tuple[str, InputValue], ...]
-    note: str = ""
-    digest: Optional[str] = None
-
-    @classmethod
-    def from_report(cls, report: BoundReport, note: str = "") -> "ChainStep":
-        return cls(
-            rule_id=report.rule_id,
-            direction=report.direction,
-            constant=report.constant,
-            value=report.value,
-            inputs=report.inputs,
-            note=note or report.note,
-        )
-
-    def plain_inputs(self) -> Dict[str, object]:
-        return {name: iv.value for name, iv in self.inputs}
-
-    def input_value(self, name: str):
-        for key, iv in self.inputs:
-            if key == name:
-                return iv.value
-        raise KeyError(name)
-
-    def to_json(self) -> dict:
-        out = {
-            "rule": self.rule_id,
-            "direction": self.direction,
-            "constant": self.constant,
-            "value": serialize_value(self.value),
-            "inputs": {name: iv.to_json() for name, iv in self.inputs},
-        }
-        if self.note:
-            out["note"] = self.note
-        if self.digest is not None:
-            out["digest"] = self.digest
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChainStep":
-        def revive(raw):
-            if isinstance(raw, list):
-                return tuple(revive(x) for x in raw)
-            if raw == "inf":
-                return INFINITE
-            return raw
-
-        inputs = []
-        for name in sorted(data.get("inputs", {})):
-            entry = data["inputs"][name]
-            inputs.append(
-                (name, InputValue(revive(entry["value"]), entry.get("provenance", SUPPLIED)))
-            )
-        return cls(
-            rule_id=data["rule"],
-            direction=data["direction"],
-            constant=data.get("constant", "D_k"),
-            value=parse_value(data["value"]),
-            inputs=tuple(inputs),
-            note=data.get("note", ""),
-            digest=data.get("digest"),
-        )
+# Both names are public; a chain step is a BoundReport.
+ChainStep = BoundReport
 
 
-def _expected_digest(step: ChainStep) -> Optional[str]:
+def _expected_digest(step: BoundReport) -> Optional[str]:
     """Canonical digest of a search step, from its inputs alone.
 
     A sweep's digest is its SweepRecord digest; other searches hash a
@@ -215,7 +151,7 @@ def _expected_digest(step: ChainStep) -> Optional[str]:
     return _digest16(text)
 
 
-def _sealed(step: ChainStep) -> ChainStep:
+def _sealed(step: BoundReport) -> BoundReport:
     """Stamp a search step with its canonical digest."""
     digest = _expected_digest(step)
     if digest is None:
@@ -223,10 +159,10 @@ def _sealed(step: ChainStep) -> ChainStep:
     return replace(step, digest=digest)
 
 
-def _dedupe_steps(steps) -> Tuple[ChainStep, ...]:
+def _dedupe_steps(steps) -> Tuple[BoundReport, ...]:
     """Steps in order, each (rule, inputs, value) kept at its first use."""
     seen = set()
-    chain: List[ChainStep] = []
+    chain: List[BoundReport] = []
     for step in steps:
         key = (step.rule_id, step.inputs, serialize_value(step.value))
         if key not in seen:
@@ -235,9 +171,9 @@ def _dedupe_steps(steps) -> Tuple[ChainStep, ...]:
     return tuple(chain)
 
 
-def _zsf_step(G: Group, max_free: int) -> ChainStep:
+def _zsf_step(G: Group, max_free: int) -> BoundReport:
     return _sealed(
-        ChainStep(
+        BoundReport(
             rule_id="search.zsf",
             direction="upper",
             constant="D",
@@ -251,9 +187,9 @@ def _zsf_step(G: Group, max_free: int) -> ChainStep:
     )
 
 
-def _sle_step(G: Group, cap: int, max_free: int) -> ChainStep:
+def _sle_step(G: Group, cap: int, max_free: int) -> BoundReport:
     return _sealed(
-        ChainStep(
+        BoundReport(
             rule_id="search.sle",
             direction="upper",
             constant="s_le",
@@ -268,9 +204,9 @@ def _sle_step(G: Group, cap: int, max_free: int) -> ChainStep:
     )
 
 
-def _full_enum_step(G: Group, k: int, value: int) -> ChainStep:
+def _full_enum_step(G: Group, k: int, value: int) -> BoundReport:
     return _sealed(
-        ChainStep(
+        BoundReport(
             rule_id="search.full_enum",
             direction="upper",
             constant="D_k",
@@ -284,9 +220,9 @@ def _full_enum_step(G: Group, k: int, value: int) -> ChainStep:
     )
 
 
-def _sweep_step(rec: gf2.SweepRecord) -> ChainStep:
+def _sweep_step(rec: gf2.SweepRecord) -> BoundReport:
     size = (1 << rec.r) - 1 - rec.complement_size
-    return ChainStep(
+    return BoundReport(
         rule_id="search.sweep",
         direction="upper",
         constant="split",
@@ -303,59 +239,12 @@ def _sweep_step(rec: gf2.SweepRecord) -> ChainStep:
     )
 
 
-# ---------------------------------------------------------------------------
-# Extra formula rules registered alongside the bound calculators
-
-
-def _eval_sle3(inp: Dict[str, object]):
-    r = inp["r"]
-    if r < 2:
-        raise BoundError("rank must be at least 2")
-    return 1 + (1 << (r - 1))
-
-
-def _eval_sle_infinite(inp: Dict[str, object]):
-    if inp["k"] >= inp["exponent"]:
-        raise BoundError("threshold is finite at or above the exponent")
-    return INFINITE
-
-
-def _eval_sle_equals_davenport(inp: Dict[str, object]):
-    if inp["k"] < inp["D"]:
-        raise BoundError("threshold equals D only from k = D on")
-    return inp["D"]
-
-
-def _eval_sle_trivial(inp: Dict[str, object]):
-    return 1
-
-
-def _eval_squarefree_caps(inp: Dict[str, object]):
-    k = inp["k"]
-    usable = [cap + 2 * (k - j) for j, cap in inp["caps"] if j <= k]
-    if not usable:
-        raise BoundError("no cap with index at most k")
-    return max(usable)
-
-
-bounds.RULE_EVALUATORS.update(
-    {
-        "e2g.sle3": _eval_sle3,
-        "sle.infinite": _eval_sle_infinite,
-        "sle.equals_davenport": _eval_sle_equals_davenport,
-        "sle.trivial_group": _eval_sle_trivial,
-        "ub.squarefree_caps": _eval_squarefree_caps,
-    }
-)
-
-
-def _sle3_step(r: int) -> ChainStep:
-    return ChainStep(
-        rule_id="e2g.sle3",
-        direction="upper",
+def _sle3_step(r: int) -> BoundReport:
+    return report(
+        "e2g.sle3",
+        "upper",
+        [("r", r, SUPPLIED)],
         constant="s_le",
-        value=1 + (1 << (r - 1)),
-        inputs=(("r", InputValue(r, SUPPLIED)),),
         note="coset construction meets the counting bound for blocks <= 3",
     )
 
@@ -376,7 +265,7 @@ class Certificate:
     interval: Optional[Tuple[int, int]]
     witness: Optional[Sequence]
     witness_check: Optional[dict]
-    upper_chain: Tuple[ChainStep, ...]
+    upper_chain: Tuple[BoundReport, ...]
     exhaustive: bool
     notes: Tuple[str, ...] = ()
     stored_digest: Optional[str] = None
@@ -451,7 +340,7 @@ class Certificate:
             interval=interval,
             witness=witness,
             witness_check=data.get("witness_check"),
-            upper_chain=tuple(ChainStep.from_json(s) for s in data.get("upper_chain", [])),
+            upper_chain=tuple(BoundReport.from_json(s) for s in data.get("upper_chain", [])),
             exhaustive=bool(data.get("exhaustive", False)),
             notes=tuple(data.get("notes", ())),
             stored_digest=data.get("digest"),
@@ -586,7 +475,7 @@ def _check_witness(
     return problems
 
 
-def _check_chain(steps: Tuple[ChainStep, ...]) -> List[str]:
+def _check_chain(steps: Tuple[BoundReport, ...]) -> List[str]:
     problems: List[str] = []
     for i, step in enumerate(steps):
         label = "chain[%d] %s" % (i, step.rule_id)
@@ -602,7 +491,7 @@ def _check_chain(steps: Tuple[ChainStep, ...]) -> List[str]:
             continue
         try:
             value = evaluate_rule(step.rule_id, step.plain_inputs())
-        except (BoundError, KeyError, ValueError) as err:
+        except (BoundError, KeyError, TypeError, ValueError) as err:
             problems.append(label + ": re-evaluation failed (%s)" % err)
             continue
         if value != step.value:
@@ -856,42 +745,31 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         raise ValueError("k must be positive")
     prof = profile(G)
     if G.order == 1:
+        step = report("sle.trivial_group", "upper", [("order", 1, COMPUTED)], constant="s_le")
         return Certificate(
             constant="s_le",
             group=G,
             k=k,
-            value=1,
+            value=step.value,
             interval=None,
             witness=Sequence.empty(G),
             witness_check={"rule": "short-free", "params": {}},
-            upper_chain=(
-                ChainStep(
-                    rule_id="sle.trivial_group",
-                    direction="upper",
-                    constant="s_le",
-                    value=1,
-                    inputs=(("order", InputValue(1, COMPUTED)),),
-                ),
-            ),
+            upper_chain=(step,),
             exhaustive=True,
         )
     if k < prof.exponent:
-        step = ChainStep(
-            rule_id="sle.infinite",
-            direction="upper",
+        step = report(
+            "sle.infinite",
+            "upper",
+            [("k", k, SUPPLIED), ("exponent", prof.exponent, COMPUTED)],
             constant="s_le",
-            value=INFINITE,
-            inputs=(
-                ("k", InputValue(k, SUPPLIED)),
-                ("exponent", InputValue(prof.exponent, COMPUTED)),
-            ),
             note="powers of a maximal-order element never close a short block",
         )
         return Certificate(
             constant="s_le",
             group=G,
             k=k,
-            value=INFINITE,
+            value=step.value,
             interval=None,
             witness=None,
             witness_check=None,
@@ -902,21 +780,14 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     D = d_cert.value
     if k >= D:
         witness = _strip_closing(d_cert.witness)
-        step = ChainStep(
-            rule_id="sle.equals_davenport",
-            direction="upper",
-            constant="s_le",
-            value=D,
-            inputs=(
-                ("k", InputValue(k, SUPPLIED)),
-                ("D", InputValue(D, SEARCH)),
-            ),
+        step = report(
+            "sle.equals_davenport", "upper", [("k", k, SUPPLIED), ("D", D, SEARCH)], constant="s_le"
         )
         return Certificate(
             constant="s_le",
             group=G,
             k=k,
-            value=D,
+            value=step.value,
             interval=None,
             witness=witness,
             witness_check={"rule": "short-free", "params": {}},
@@ -941,36 +812,36 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     # only C_2^r past rank 5 gets here: formulas stand in for the search
     r = prof.rank
     if k == 3:
-        ids = gf2.top_coset_ids(r)
+        step = _sle3_step(r)
         return Certificate(
             constant="s_le",
             group=G,
             k=k,
-            value=1 + (1 << (r - 1)),
+            value=step.value,
             interval=None,
-            witness=_ids_to_sequence(G, ids),
+            witness=_ids_to_sequence(G, gf2.top_coset_ids(r)),
             witness_check={"rule": "short-free", "params": {}},
-            upper_chain=(_sle3_step(r),),
+            upper_chain=(step,),
             exhaustive=False,
         )
-    if k % 2 == 0 and k >= 4:
-        report = e2g_s2m_upper(r, k // 2)
-        lo = D  # a longest zero-sum-free sequence has no zero-sum at all
-        hi = report.value
-        witness = _strip_closing(d_cert.witness)
-        return Certificate(
-            constant="s_le",
-            group=G,
-            k=k,
-            value=lo if lo == hi else None,
-            interval=None if lo == hi else (lo, hi),
-            witness=witness,
-            witness_check={"rule": "short-free", "params": {}},
-            upper_chain=(ChainStep.from_report(report),),
-            exhaustive=False,
-        )
-    raise SearchError(
-        "no exact method for s_le(%s, %d); rank too large" % (format_group(G), k)
+    # k >= 4: the counting bound for blocks <= 2m, with 2m = k rounded down
+    # to even; it bounds s_le(G, k) too, as s_le is nonincreasing in the cap
+    step = e2g_s2m_upper(r, k // 2)
+    lo = D  # a longest zero-sum-free sequence has no zero-sum at all
+    hi = step.value
+    return Certificate(
+        constant="s_le",
+        group=G,
+        k=k,
+        value=lo if lo == hi else None,
+        interval=None if lo == hi else (lo, hi),
+        witness=_strip_closing(d_cert.witness),
+        witness_check={"rule": "short-free", "params": {}},
+        upper_chain=(step,),
+        exhaustive=False,
+        notes=("the cap-%d bound applies: s_le is nonincreasing in the cap" % (k - 1),)
+        if k % 2
+        else (),
     )
 
 
@@ -1023,14 +894,14 @@ class _Rank5Pipeline:
         self.r = 5
         self.full = (1 << 5) - 1  # 31 nonzero ids
         self._sweeps: Dict[int, gf2.SweepRecord] = {}
-        self._m_steps: Dict[int, ChainStep] = {}
+        self._m_steps: Dict[int, BoundReport] = {}
         self._m_values: Dict[int, int] = {}
         d_cert = davenport(self.G)
         self.D1 = d_cert.value
         self.zsf_step = d_cert.upper_chain[0]
         self.s2_step = s_le(self.G, 2).upper_chain[0]
         self.s3_step = _sle3_step(5)
-        self.s4_step = ChainStep.from_report(e2g_s2m_upper(5, 2))
+        self.s4_step = e2g_s2m_upper(5, 2)
         self.s_values = {2: self.s2_step.value, 3: self.s3_step.value, 4: self.s4_step.value}
 
     def sweep(self, c: int) -> gf2.SweepRecord:
@@ -1043,13 +914,13 @@ class _Rank5Pipeline:
         self._sweeps[c] = rec
         return rec
 
-    def m_bound(self, j: int) -> Tuple[int, ChainStep]:
+    def m_bound(self, j: int) -> Tuple[int, BoundReport]:
         """Best one-row recursion cap on zero-sum sizes with maxl <= j."""
         if j in self._m_values:
             return self._m_values[j], self._m_steps[j]
         best = best_recursion(self.G, self.s_values, self.D1, j, SEARCH, SEARCH)
         self._m_values[j] = best.value
-        self._m_steps[j] = ChainStep.from_report(best)
+        self._m_steps[j] = best
         return best.value, self._m_steps[j]
 
     def _excluded(self, size: int, j: int, sweeps: Tuple[int, ...]) -> bool:
@@ -1060,9 +931,9 @@ class _Rank5Pipeline:
         c = self.full - size
         return c in sweeps and gf2.RANK5_SWEEP_PIECES[c] >= j + 1
 
-    def caps_for(self, k: int) -> Tuple[Dict[int, int], List[ChainStep]]:
+    def caps_for(self, k: int) -> Tuple[Dict[int, int], List[BoundReport]]:
         sweeps = _rank5_sweeps_for(k)
-        steps: List[ChainStep] = [self.zsf_step, self.s2_step, self.s3_step, self.s4_step]
+        steps: List[BoundReport] = [self.zsf_step, self.s2_step, self.s3_step, self.s4_step]
         caps: Dict[int, int] = {0: 0}
         for j in range(1, min(k, 10) + 1):
             if j <= 9:
@@ -1079,31 +950,21 @@ class _Rank5Pipeline:
             steps.append(_sweep_step(self.sweep(c)))
         return caps, steps
 
-    def upper(self, k: int) -> Tuple[int, List[ChainStep]]:
+    def upper(self, k: int) -> Tuple[int, List[BoundReport]]:
         caps, steps = self.caps_for(k)
-        cap_pairs = tuple(sorted(caps.items()))
-        value = max(cap + 2 * (k - j) for j, cap in cap_pairs if j <= k)
         if k == 2:
             # corroborating one-step route through the threshold for blocks <= 4
             steps.append(
-                ChainStep.from_report(
-                    step_ub(self.D1, 4, self.s4_step.value, dk_prov=SEARCH, s_prov=COMPUTED)
-                )
+                step_ub(self.D1, 4, self.s4_step.value, dk_prov=SEARCH, s_prov=COMPUTED)
             )
-        steps.append(
-            ChainStep(
-                rule_id="ub.squarefree_caps",
-                direction="upper",
-                constant="D_k",
-                value=value,
-                inputs=(
-                    ("k", InputValue(k, SUPPLIED)),
-                    ("caps", InputValue(cap_pairs, COMPUTED)),
-                ),
-                note="squarefree caps plus two elements per extra block",
-            )
+        final = report(
+            "ub.squarefree_caps",
+            "upper",
+            [("k", k, SUPPLIED), ("caps", tuple(sorted(caps.items())), COMPUTED)],
+            note="squarefree caps plus two elements per extra block",
         )
-        return value, steps
+        steps.append(final)
+        return final.value, steps
 
     def witness(self, k: int) -> Tuple[Sequence, dict]:
         G = self.G
@@ -1217,10 +1078,10 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
     prof = profile(G)
     d_cert = davenport(G, budget)
     D = d_cert.value
-    base_steps: List[ChainStep] = list(d_cert.upper_chain)
+    base_steps: List[BoundReport] = list(d_cert.upper_chain)
 
     s_map: Dict[int, int] = {}
-    s_steps: Dict[int, ChainStep] = {}
+    s_steps: Dict[int, BoundReport] = {}
     for ell in range(prof.exponent, min(D, prof.exponent + 3)):
         try:
             cert = s_le(G, ell, budget)
@@ -1236,7 +1097,7 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
         and _is_prime(G.invariant_factors[0])
     )
 
-    rows: Dict[int, Tuple[int, int, Tuple[ChainStep, ...]]] = {}
+    rows: Dict[int, Tuple[int, int, Tuple[BoundReport, ...]]] = {}
     rows[1] = (D, D, tuple(base_steps))
     witnesses: Dict[int, Tuple[Sequence, dict]] = {
         1: (d_cert.witness, d_cert.witness_check)
@@ -1244,18 +1105,18 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
 
     for kk in range(2, k + 1):
         prev_lo, prev_hi, prev_steps = rows[kk - 1]
-        candidates: List[Tuple[int, List[ChainStep]]] = []
+        candidates: List[Tuple[int, List[BoundReport]]] = []
 
-        def add_candidate(report: BoundReport, deps: List[ChainStep]):
-            candidates.append((report.value, deps + [ChainStep.from_report(report)]))
+        def add_candidate(step: BoundReport, deps: List[BoundReport]):
+            candidates.append((step.value, deps + [step]))
 
         add_candidate(k_times_d(kk, D, d_prov=SEARCH), list(base_steps))
         rec = best_recursion(G, s_map, D, kk, SEARCH, SEARCH)
         add_candidate(rec, list(base_steps) + [s_steps[l] for l in rec.input_value("ell")])
         for ell in sorted(s_map):
             if prof.exponent <= ell <= max(prof.exponent, D - 1):
-                report = remark_ub(G, kk, ell, s_map[ell], D, s_prov=SEARCH, d_prov=SEARCH)
-                add_candidate(report, list(base_steps) + [s_steps[ell]])
+                step = remark_ub(G, kk, ell, s_map[ell], D, s_prov=SEARCH, d_prov=SEARCH)
+                add_candidate(step, list(base_steps) + [s_steps[ell]])
             step_report = step_ub(prev_hi, ell, s_map[ell], dk_prov=COMPUTED, s_prov=SEARCH)
             add_candidate(step_report, list(prev_steps) + [s_steps[ell]])
         if homogeneous:
@@ -1335,7 +1196,7 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             interval=None,
             witness=witness,
             witness_check={"rule": "zeros", "params": {}},
-            upper_chain=(ChainStep.from_report(k_times_d(k, 1, d_prov=COMPUTED)),),
+            upper_chain=(k_times_d(k, 1, d_prov=COMPUTED),),
             exhaustive=True,
         )
     if k == 1:
@@ -1347,7 +1208,7 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         g = element_at(G, 1)
         witness = Sequence.from_counts(G, {g: k * n})
         chain = tuple(d_cert.upper_chain) + (
-            ChainStep.from_report(k_times_d(k, d_cert.value, d_prov=SEARCH)),
+            k_times_d(k, d_cert.value, d_prov=SEARCH),
         )
         return Certificate(
             constant="D_k",

@@ -9,6 +9,7 @@ from zerosum.bounds import (
     BoundConsistencyError,
     BoundError,
     KnownValues,
+    RULES,
     collect_bounds,
     cpr_upper,
     delta_upper,
@@ -34,6 +35,7 @@ from zerosum.bounds import (
 )
 from zerosum.gf2 import SmallRankEngine
 from zerosum.groups import make_group
+from zerosum.invariants import davenport_k, s_le
 
 C2 = make_group((2,))
 C23 = make_group((2, 2, 2))
@@ -261,9 +263,68 @@ class TestEvaluateRule:
             e2g_d0_bounds(5)[1],
             e2g_kd_upper(5),
         ]
+        # rules whose steps s_le and the rank-5 rows build
+        C2_6 = make_group((2,) * 6)
+        moved = {
+            "e2g.sle3": (s_le(C2_6, 3).upper_chain[-1], 33),
+            "sle.infinite": (s_le(make_group((3,)), 2).upper_chain[-1], INFINITE),
+            "sle.equals_davenport": (s_le(C23, 4).upper_chain[-1], 4),
+            "sle.trivial_group": (s_le(make_group(()), 1).upper_chain[-1], 1),
+            "ub.squarefree_caps": (davenport_k(C25, 2).upper_chain[-1], 10),
+        }
+        for rule_id, (step, value) in moved.items():
+            assert (step.rule_id, step.value) == (rule_id, value)
+            reports.append(step)
         for rep in reports:
-            plain = {name: iv.value for name, iv in rep.inputs}
-            assert evaluate_rule(rep.rule_id, plain) == rep.value, rep.rule_id
+            assert evaluate_rule(rep.rule_id, rep.plain_inputs()) == rep.value, rep.rule_id
+        assert {rep.rule_id for rep in reports} == set(RULES)
+
+    # one input dict per rule with a precondition, each breaking it
+    VIOLATIONS = [
+        ("ub.k_times_d", {"k": 0, "D": 4}),
+        ("ub.k_times_d", {"k": 2, "D": 0}),
+        ("ub.recursion", {"k": 2, "ell": (2,), "s_values": (INFINITE,), "D": 4}),
+        ("ub.recursion", {"k": 2, "ell": (3, 2), "s_values": (8, 9), "D": 4}),
+        ("ub.remark", {"k": 2, "ell_1": 2, "s_value": INFINITE, "D": 4}),
+        ("ub.step", {"dk": 6, "ell": 4, "s_value": INFINITE}),
+        ("ub.cpr", {"p": 3, "r": 3, "k": 2, "m": 1}),
+        ("ub.cpr", {"p": 2, "r": 1, "k": 2, "m": 2}),
+        ("ub.cpr", {"p": 2, "r": 4, "k": 0, "m": 2}),
+        ("ub.inductive", {"sub_dk": 3, "ell": 2, "D_quot": 3, "s_quot": INFINITE}),
+        ("ub.squarefree_caps", {"k": 1, "caps": ((2, 5), (3, 8))}),
+        ("lb.elb", {"k": 2, "s": 1, "t": 1, "d_star": 6, "n_t": 2, "n_r": 2, "delta": 0}),
+        ("lb.elb", {"k": 1, "s": 3, "t": 1, "d_star": 6, "n_t": 2, "n_r": 2, "delta": 0}),
+        ("lb.elb", {"k": 2, "s": 3, "t": 0, "d_star": 6, "n_t": 2, "n_r": 2, "delta": 0}),
+        ("lb.elb", {"k": 2, "s": 3, "t": 1, "d_star": 6, "n_t": 2, "n_r": 2, "delta": 1}),
+        ("ub.extension", {"n": 0, "D_ext": 6, "D_G": 5, "m": 0}),
+        ("ub.extension", {"n": 2, "D_ext": 6, "D_G": 5, "m": 5}),
+        ("sle.trivial_group", {"order": 2}),
+        ("sle.infinite", {"k": 3, "exponent": 3}),
+        ("sle.equals_davenport", {"k": 3, "D": 4}),
+        ("ub.e2g_d2", {"r": 0}),
+        ("ub.e2g_s2m", {"r": 5, "m": 1, "root": 6}),
+        ("ub.e2g_s2m", {"r": 0, "m": 2, "root": 2}),
+        ("ub.e2g_s2m", {"r": 5, "m": 2, "root": 9}),
+        ("e2g.sle3", {"r": 1}),
+        ("ub.e2g_split", {"s": -1, "sub_dk": 3, "rest": 9}),
+        ("lb.e2g_d0", {"r": 0}),
+        ("ub.e2g_d0", {"r": 0}),
+        ("ub.e2g_kd", {"r": 0}),
+    ]
+
+    @pytest.mark.parametrize("rule_id,inputs", VIOLATIONS)
+    def test_precondition_violation_raises(self, rule_id, inputs):
+        with pytest.raises(BoundError):
+            evaluate_rule(rule_id, inputs)
+
+    def test_violations_break_only_the_precondition(self):
+        # the same dicts with the broken input mended evaluate
+        assert evaluate_rule("ub.cpr", {"p": 3, "r": 3, "k": 2, "m": 2}) == 13
+        assert evaluate_rule(
+            "lb.elb", {"k": 2, "s": 3, "t": 1, "d_star": 6, "n_t": 2, "n_r": 2, "delta": 0}
+        ) == 9
+        assert evaluate_rule("ub.extension", {"n": 2, "D_ext": 6, "D_G": 5, "m": 4}) == 6
+        assert evaluate_rule("ub.e2g_s2m", {"r": 5, "m": 2, "root": 8}) == 9
 
     def test_recursion_evaluator_matches_rule_on_grid(self):
         # the verifier's re-evaluation and the rule share one scan

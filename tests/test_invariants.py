@@ -1,10 +1,12 @@
 """Tests for certified invariant computation."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from zerosum.arith import INFINITE
+from zerosum.bounds import BoundReport, InputValue, elb_lower, remark_ub, s_le_from_extension
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
 from zerosum.groups import make_group, profile
 from zerosum.invariants import (
@@ -12,6 +14,7 @@ from zerosum.invariants import (
     CertificateError,
     ChainStep,
     SearchError,
+    _dstar_witness,
     _generic_search,
     certify_dk,
     davenport,
@@ -120,6 +123,16 @@ class TestSle:
         assert cert.value == 7
         assert cert.exhaustive
         assert_verifies(cert)
+
+    @pytest.mark.parametrize("r,cap,bracket", [(6, 5, (7, 13)), (7, 5, (8, 17)), (7, 7, (8, 12))])
+    def test_odd_cap_past_rank_five_is_bracketed(self, r, cap, bracket):
+        # s_le is nonincreasing in the cap, so the counting bound for cap - 1 applies
+        cert = s_le(make_group((2,) * r), cap)
+        assert cert.interval == bracket
+        assert [(s.rule_id, s.input_value("m")) for s in cert.upper_chain] == [
+            ("ub.e2g_s2m", (cap - 1) // 2)
+        ]
+        assert_verifies(Certificate.from_json(cert.to_json()))
 
     def test_witness_is_extremal(self):
         # the stored witness has length value - 1 and no short zero-sum
@@ -431,6 +444,89 @@ def _raise_if_bad(cert):
     result = verify_certificate(cert)
     if not result.ok:
         raise CertificateError("; ".join(result.problems))
+
+
+def _tamper(cert, rule_id, edits):
+    """Verify cert's JSON with rule_id's recorded inputs edited, digest dropped."""
+    data = cert.to_json()
+    del data["digest"]  # so only the chain check can object
+    steps = [s for s in data["upper_chain"] if s["rule"] == rule_id]
+    assert steps, rule_id
+    for step in steps:
+        for name, value in edits.items():
+            step["inputs"][name]["value"] = value
+    return verify_certificate(Certificate.from_json(data))
+
+
+def _with_step(cert, step):
+    """cert with a rule step ahead of its chain; the final step is unchanged."""
+    extended = replace(cert, upper_chain=(step,) + cert.upper_chain)
+    assert_verifies(extended)
+    return extended
+
+
+class TestRuleStepsRecheckPreconditions:
+    def forged_c33_dk2(self):
+        # D_2(C_3^3) is 11; this claims 10 from one ub.cpr step whose
+        # inputs break r(p-1)+1 < 2 p^m, next to a sound length-10 witness
+        step = BoundReport(
+            "ub.cpr",
+            "upper",
+            10,
+            tuple((name, InputValue(v)) for name, v in (("p", 3), ("r", 3), ("k", 2), ("m", 1))),
+        )
+        return Certificate(
+            constant="D_k", group=C33, k=2, value=10, interval=None,
+            witness=_dstar_witness(C33, 2),
+            witness_check={"rule": "max-disjoint", "params": {}},
+            upper_chain=(step,), exhaustive=False,
+        )
+
+    def test_forged_cpr_certificate_is_rejected(self):
+        cert = self.forged_c33_dk2()
+        result = verify_certificate(cert)
+        assert result.problems == (
+            "chain[0] ub.cpr: re-evaluation failed (need r(p-1)+1 < 2 p^m)",
+        )
+        revived = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+        assert verify_certificate(revived).problems == result.problems
+
+    def test_tampered_s2m_root_is_rejected(self):
+        result = _tamper(davenport_k(C25, 2), "ub.e2g_s2m", {"root": 10})
+        assert not result.ok
+        assert any("ub.e2g_s2m: re-evaluation failed" in p for p in result.problems)
+
+    def test_tampered_elb_delta_is_rejected(self):
+        cert = _with_step(davenport_k(C24, 2), elb_lower(C25, 3, 1, 2))
+        # delta 0 -> 1 with d_star 6 -> 5 keeps the recorded value 9
+        result = _tamper(cert, "lb.elb", {"delta": 1, "d_star": 5})
+        assert not result.ok
+        assert any("lb.elb: re-evaluation failed" in p for p in result.problems)
+
+    def test_tampered_extension_m_is_rejected(self):
+        cert = _with_step(davenport_k(C24, 2), s_le_from_extension(2, 6, 5))
+        result = _tamper(cert, "ub.extension", {"m": 3})
+        assert not result.ok
+        assert any("ub.extension: re-evaluation failed" in p for p in result.problems)
+
+    def test_infinite_threshold_in_step_is_reported(self):
+        result = _tamper(davenport_k(C25, 2), "ub.step", {"s_value": "inf"})
+        assert any("ub.step: re-evaluation failed" in p for p in result.problems)
+
+    def test_infinite_threshold_in_remark_is_reported(self):
+        cert = _with_step(davenport_k(C24, 2), remark_ub(C24, 3, 2, 16, 5))
+        result = _tamper(cert, "ub.remark", {"s_value": "inf"})
+        assert any("ub.remark: re-evaluation failed" in p for p in result.problems)
+
+    def test_wrongly_typed_input_is_reported(self):
+        result = _tamper(davenport_k(C32, 2), "ub.cpr", {"k": "2"})
+        assert any("ub.cpr: re-evaluation failed" in p for p in result.problems)
+
+    def test_untampered_steps_verify(self):
+        for cert in (davenport_k(C25, 2), davenport_k(C32, 2)):
+            data = cert.to_json()
+            del data["digest"]
+            assert_verifies(Certificate.from_json(data))
 
 
 class TestWitnessRules:
