@@ -225,7 +225,7 @@ class SmallRankEngine:
         caps: Dict[int, int] = {0: 0}
         examples: Dict[int, int] = {0: 0}
         best, best_mask = 0, 0
-        for j in range(1, max(exact) + 1):
+        for j in range(1, max(exact, default=0) + 1):
             if j in exact and exact[j] > best:
                 best, best_mask = exact[j], example[j]
             caps[j] = best

@@ -55,7 +55,7 @@ from .factorizations import (
 )
 from .groups import (
     Group,
-    add,
+    add,  # not called here; perfbench/tracer.py counts group additions through it
     element_at,
     element_index,
     element_order,
@@ -589,10 +589,11 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     sequence is shorter than |G|, as eta(G) <= |G| and D(G) <= |G|.
 
     DFS on nondecreasing element index. Elements are their
-    enumerate_elements positions. Level j is the set of sums of
-    subsequences of length <= j, the empty sum included; the top level
-    is j = min(cap - 1, depth), and a candidate e is refused iff -e lies
-    in it. Levels below cap - |G| + depth can feed no later check and
+    enumerate_elements positions. Level j holds the sums of subsequences
+    of length <= j, the empty sum included, as an int bitset stored
+    negated: bit x is set iff -x is such a sum. The top level is
+    j = min(cap - 1, depth), and a candidate e is refused iff bit e of it
+    is set. Levels below cap - |G| + depth can feed no later check and
     are dropped, so the zero-sum-free case keeps only the set of all
     subsequence sums.
     """
@@ -602,12 +603,29 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
             % (G.order, GENERIC_ORDER_GUARD)
         )
     n = G.order
+    factors = G.invariant_factors
     elements = list(enumerate_elements(G))
     index = {e: i for i, e in enumerate(elements)}
-    table = [[index[add(G, a, b)] for b in elements] for a in elements]
-    neg_of = [index[neg(G, a)] for a in elements]
     perm_maps = [
         [index[tuple(a[i] for i in p)] for a in elements] for p in _coordinate_perms(G)
+    ]
+    full = (1 << n) - 1
+    # Adding y to coordinate i (factor m, enumerate_elements stride s) moves
+    # the bits whose coordinate i is below m - y up by y*s and the rest down
+    # by (m - y)*s: one masked rotate. rotate[i][y] = (low, high, up, down).
+    rotate = []
+    stride = n
+    for m in factors:
+        stride //= m
+        by_shift: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
+        for y in range(1, m):
+            low = sum(1 << x for x in range(n) if x // stride % m < m - y)
+            by_shift.append((low, full ^ low, y * stride, (m - y) * stride))
+        rotate.append(by_shift)
+    # a negated level grows by the one below it translated by -e
+    minus = [
+        [rotate[i][-x % m] for i, (x, m) in enumerate(zip(a, factors)) if x]
+        for a in elements
     ]
     zero_sum_free = cap >= n
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
@@ -619,7 +637,7 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
         # seq is nondecreasing, so it is its own sorted form
         return all(sorted(m[e] for e in seq) >= seq for m in perm_maps)
 
-    def rec(seq: List[int], levels: List[set], lo: int):
+    def rec(seq: List[int], levels: List[int], lo: int):
         nonlocal nodes, best_len, best_seq
         nodes += 1
         if nodes > limit:
@@ -637,24 +655,30 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
             best_len = depth
             best_seq = list(seq)
         top = levels[-1]
-        if zero_sum_free and depth + n - len(top) <= best_len:
+        if zero_sum_free and depth + n - top.bit_count() <= best_len:
             return
         # a new top while depth < cap - 1; the bottom goes once depth >= |G| - cap
         src = levels + [top] if depth < cap - 1 else levels
         keep = [] if depth >= n - cap else [src[0]]
-        for e in range(lo, n):
-            if neg_of[e] in top:
-                continue
+        free = (full ^ top) >> lo << lo
+        while free:
+            bit = free & -free
+            free ^= bit
+            e = bit.bit_length() - 1
             seq.append(e)
             if perm_maps and len(seq) <= 4 and not canonical(seq):
                 seq.pop()
                 continue
-            row = table[e]
-            grown = [src[j] | {row[s] for s in src[j - 1]} for j in range(1, len(src))]
-            rec(seq, keep + grown, e)
+            grown = list(keep)
+            for j in range(1, len(src)):
+                t = src[j - 1]
+                for low, high, up, down in minus[e]:
+                    t = (t & low) << up | (t & high) >> down
+                grown.append(src[j] | t)
+            rec(seq, grown, e)
             seq.pop()
 
-    rec([], [{0}], 1)
+    rec([], [1], 1)  # level 0 holds the empty sum: bit 0
     return best_len, tuple(elements[e] for e in best_seq), nodes
 
 

@@ -147,6 +147,13 @@ class TestSmallRankEngine:
         eng = SmallRankEngine(4)
         assert [eng.dk(k) for k in range(1, 6)] == [5, 8, 11, 13, 15]
 
+    def test_rank1_has_only_the_empty_core(self):
+        # C_2 has no zero-sum set of nonzero ids, so every D_k is 2k
+        eng = SmallRankEngine(1)
+        assert eng.f_caps == {0: 0}
+        assert [eng.dk(k) for k in range(1, 6)] == [2, 4, 6, 8, 10]
+        assert eng.eventual_offset() == (0, 1)
+
     def test_eventual_offsets(self):
         assert SmallRankEngine(3).eventual_offset() == (3, 2)
         assert SmallRankEngine(4).eventual_offset() == (5, 3)

@@ -2,13 +2,14 @@
 
 import json
 from dataclasses import replace
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from zerosum.arith import INFINITE
 from zerosum.bounds import BoundReport, InputValue, elb_lower, remark_ub, s_le_from_extension
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
-from zerosum.groups import make_group, profile
+from zerosum.groups import enumerate_elements, make_group, profile
 from zerosum.invariants import (
     Certificate,
     CertificateError,
@@ -32,6 +33,21 @@ C24 = make_group((2, 2, 2, 2))
 C25 = make_group((2, 2, 2, 2, 2))
 C32 = make_group((3, 3))
 C33 = make_group((3, 3, 3))
+
+
+# every abelian group of order <= 8, the trivial one included
+SMALL_GROUPS = [
+    (), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2),
+]
+
+
+def has_short_zero_sum(seq, cap, factors):
+    """Brute force: some nonempty subsequence of length <= cap sums to 0."""
+    return any(
+        all(sum(coords) % m == 0 for coords, m in zip(zip(*sub), factors))
+        for length in range(1, min(cap, len(seq)) + 1)
+        for sub in combinations(seq, length)
+    )
 
 
 def assert_verifies(cert):
@@ -275,6 +291,10 @@ class TestGenericSearch:
         ((2, 4), 8, 4, 95), ((2, 4), 4, 5, 103),
         ((4, 4), 16, 6, 2165), ((4, 4), 4, 9, 4279), ((4, 4), 6, 7, 2274),
         ((2, 2, 4), 16, 5, 1532), ((2, 2, 4), 5, 6, 1686),
+        # mixed strides and shifts for the masked rotates
+        ((3, 3, 3), 27, 6, 28772), ((3, 3, 3), 4, 9, 104562), ((3, 3, 3), 5, 8, 40866),
+        ((5, 5), 25, 8, 73511), ((3, 9), 27, 10, 216962), ((2, 10), 20, 10, 17803),
+        ((2, 2, 6), 24, 7, 33244),
     ])
     def test_search_size_and_nodes_pinned(self, factors, cap, size, nodes):
         # cap = |G| is the zero-sum-free search; node counts pin the DFS order
@@ -283,6 +303,21 @@ class TestGenericSearch:
         assert (got_size, got_nodes) == (size, nodes)
         assert len(seq) == size
         assert shortest_zero_sum_length(Sequence.from_elements(G, seq), cap) is None
+
+    @pytest.mark.parametrize("factors", SMALL_GROUPS)
+    def test_search_size_matches_brute_force(self, factors):
+        G = make_group(factors)
+        nonzero = list(enumerate_elements(G))[1:]  # 0 alone is a zero-sum
+        for cap in range(G.exponent, G.order + 1):
+            # the property is closed under subsequences: stop at the first
+            # length that no sequence of nonzero elements reaches
+            longest = 0
+            while any(
+                not has_short_zero_sum(seq, cap, factors)
+                for seq in combinations_with_replacement(nonzero, longest + 1)
+            ):
+                longest += 1
+            assert _generic_search(G, cap, None)[0] == longest, cap
 
     def test_budget_exhaustion_names_the_search(self):
         # enough for D (28,772 nodes), not for s_le(3) (1,874,852)
