@@ -15,7 +15,7 @@ import inspect
 import json
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, wraps
-from itertools import permutations
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from . import gf2
@@ -85,6 +85,9 @@ class CertificateError(ValueError):
 GENERIC_ORDER_GUARD = 256
 DEFAULT_SEARCH_BUDGET = 8_000_000
 DEFAULT_VERIFY_BUDGET = 4_000_000
+# _generic_search tests prefixes up to this length for orbit minimality;
+# deeper tests cost more in orbit BFS than they save in nodes
+ORBIT_PRUNE_DEPTH = 3
 
 
 def _memoized(maxsize: int):
@@ -569,15 +572,45 @@ def verify_certificate(cert: Certificate, budget: Optional[int] = None) -> Check
 # Exhaustive searches
 
 
-def _coordinate_perms(G: Group) -> List[Tuple[int, ...]]:
-    """Coordinate permutations fixing the invariant factor profile."""
+def _automorphism_generators(G: Group) -> List[List[int]]:
+    """Index maps of automorphisms that generate a subgroup H of Aut(G).
+
+    Elements are their enumerate_elements positions; map g sends x to
+    g[x]. The generators are the swaps of adjacent equal invariant
+    factors, the unit scalings x_i -> u*x_i for u in a generating set of
+    the units mod n_i, and the transvections
+    x_i -> x_i + (n_i / gcd(n_i, n_j))*x_j for i != j. A transvection is
+    well defined since n_i divides its coefficient times n_j, and it is
+    inverted by subtracting the same multiple. H need not be all of
+    Aut(G): pruning by H is sound as long as each map is an automorphism.
+    """
     factors = G.invariant_factors
-    r = len(factors)
-    out = []
-    for p in permutations(range(r)):
-        if p != tuple(range(r)) and all(factors[p[i]] == factors[i] for i in range(r)):
-            out.append(p)
-    return out
+    elements = list(enumerate_elements(G))
+    index = {a: x for x, a in enumerate(elements)}
+
+    def setting(i: int, value) -> List[int]:
+        # the map that rewrites coordinate i as value(a) mod n_i
+        return [index[a[:i] + (value(a) % factors[i],) + a[i + 1:]] for a in elements]
+
+    maps = []
+    for i, m in enumerate(factors):
+        if i + 1 < len(factors) and factors[i + 1] == m:
+            maps.append([index[a[:i] + (a[i + 1], a[i]) + a[i + 2:]] for a in elements])
+        # scale only by a generating set of the units mod m, taken greedily:
+        # each orbit BFS then costs a few maps per member, not phi(m)
+        units = {1}
+        for u in range(2, m):
+            if gcd(u, m) == 1 and u not in units:
+                maps.append(setting(i, lambda a, i=i, u=u: u * a[i]))
+                frontier = units
+                while frontier:
+                    frontier = {x * u % m for x in frontier} - units
+                    units |= frontier
+        for j, mj in enumerate(factors):
+            if j != i:
+                c = m // gcd(m, mj)
+                maps.append(setting(i, lambda a, i=i, j=j, c=c: a[i] + c * a[j]))
+    return maps
 
 
 def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tuple, int]:
@@ -596,6 +629,15 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     is set. Levels below cap - |G| + depth can feed no later check and
     are dropped, so the zero-sum-free case keeps only the set of all
     subsequence sums.
+
+    Isomorph rejection (McKay, J. Algorithms 26, 1998): a prefix of length
+    <= ORBIT_PRUNE_DEPTH is searched only if it is the least sorted image
+    in its orbit under the group H of _automorphism_generators. The DFS
+    returns the lex-least longest sequence S*. If some g in H mapped a
+    prefix of S* to a smaller sorted image, the sorted image of S* under g
+    would be a smaller sequence of the same length with the same
+    property. So S* is never pruned: pruning moves node counts, not
+    results.
     """
     if G.order > GENERIC_ORDER_GUARD:
         raise SearchError(
@@ -605,10 +647,7 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     n = G.order
     factors = G.invariant_factors
     elements = list(enumerate_elements(G))
-    index = {e: i for i, e in enumerate(elements)}
-    perm_maps = [
-        [index[tuple(a[i] for i in p)] for a in elements] for p in _coordinate_perms(G)
-    ]
+    generators = _automorphism_generators(G)
     full = (1 << n) - 1
     # Adding y to coordinate i (factor m, enumerate_elements stride s) moves
     # the bits whose coordinate i is below m - y up by y*s and the rest down
@@ -632,10 +671,29 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     nodes = 0
     best_len = 0
     best_seq: List[int] = []
+    least: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
 
     def canonical(seq: List[int]) -> bool:
-        # seq is nondecreasing, so it is its own sorted form
-        return all(sorted(m[e] for e in seq) >= seq for m in perm_maps)
+        # seq is nondecreasing, so it is its own sorted form. The first
+        # time a multiset is met, its H-orbit is found by BFS and every
+        # member is mapped to the orbit's least sorted image.
+        key = tuple(seq)
+        if key not in least:
+            orbit = {key}
+            frontier = [key]
+            while frontier:
+                reached = []
+                for t in frontier:
+                    for g in generators:
+                        image = tuple(sorted(g[e] for e in t))
+                        if image not in orbit:
+                            orbit.add(image)
+                            reached.append(image)
+                frontier = reached
+            rep = min(orbit)
+            for t in orbit:
+                least[t] = rep
+        return least[key] == key
 
     def rec(seq: List[int], levels: List[int], lo: int):
         nonlocal nodes, best_len, best_seq
@@ -666,7 +724,7 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
             free ^= bit
             e = bit.bit_length() - 1
             seq.append(e)
-            if perm_maps and len(seq) <= 4 and not canonical(seq):
+            if generators and len(seq) <= ORBIT_PRUNE_DEPTH and not canonical(seq):
                 seq.pop()
                 continue
             grown = list(keep)

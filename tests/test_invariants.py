@@ -9,12 +9,13 @@ import pytest
 from zerosum.arith import INFINITE
 from zerosum.bounds import BoundReport, InputValue, elb_lower, remark_ub, s_le_from_extension
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
-from zerosum.groups import enumerate_elements, make_group, profile
+from zerosum.groups import add, enumerate_elements, make_group, profile
 from zerosum.invariants import (
     Certificate,
     CertificateError,
     ChainStep,
     SearchError,
+    _automorphism_generators,
     _dstar_witness,
     _generic_search,
     certify_dk,
@@ -269,6 +270,18 @@ GENERIC_CERT_DIGESTS = {
                 5: "1a9da101de1305ce"},
 }
 
+# (factors, cap, size, nodes) of _generic_search
+SEARCH_PINS = [
+    ((3, 3), 9, 4, 9), ((3, 3), 3, 6, 20), ((3, 3), 4, 5, 11),
+    ((2, 4), 8, 4, 23), ((2, 4), 4, 5, 26),
+    ((4, 4), 16, 6, 261), ((4, 4), 4, 9, 709), ((4, 4), 6, 7, 281),
+    ((2, 2, 4), 16, 5, 205), ((2, 2, 4), 5, 6, 235),
+    # mixed strides and shifts for the masked rotates
+    ((3, 3, 3), 27, 6, 1110), ((3, 3, 3), 4, 9, 5715), ((3, 3, 3), 5, 8, 1750),
+    ((5, 5), 25, 8, 4483), ((3, 9), 27, 10, 16903), ((2, 10), 20, 10, 2783),
+    ((2, 2, 6), 24, 7, 4430),
+]
+
 
 class TestGenericSearch:
     @pytest.mark.parametrize("factors", sorted(GENERIC_CERT_DIGESTS))
@@ -286,18 +299,53 @@ class TestGenericSearch:
     def test_dk_rank_three_of_threes_digest_pinned(self):
         assert davenport_k(C33, 2).digest() == "d8023cca7ca3af01"
 
-    @pytest.mark.parametrize("factors,cap,size,nodes", [
-        ((3, 3), 9, 4, 98), ((3, 3), 3, 6, 168), ((3, 3), 4, 5, 113),
-        ((2, 4), 8, 4, 95), ((2, 4), 4, 5, 103),
-        ((4, 4), 16, 6, 2165), ((4, 4), 4, 9, 4279), ((4, 4), 6, 7, 2274),
-        ((2, 2, 4), 16, 5, 1532), ((2, 2, 4), 5, 6, 1686),
-        # mixed strides and shifts for the masked rotates
-        ((3, 3, 3), 27, 6, 28772), ((3, 3, 3), 4, 9, 104562), ((3, 3, 3), 5, 8, 40866),
-        ((5, 5), 25, 8, 73511), ((3, 9), 27, 10, 216962), ((2, 10), 20, 10, 17803),
-        ((2, 2, 6), 24, 7, 33244),
-    ])
+    def test_eta_rank_three_of_threes_digest_pinned(self):
+        assert eta(C33).digest() == "868ad0f8e5a50874"
+
+    def test_dk_six_six_digest_pinned(self):
+        cert = davenport_k(make_group((6, 6)), 2)
+        assert (cert.value, cert.digest()) == (17, "5639f64f0cf56e2c")
+
+    @pytest.mark.parametrize("factors", sorted({f for f, _, _, _ in SEARCH_PINS}))
+    def test_automorphism_generators(self, factors):
+        # a map that is not an automorphism would prune unsoundly
+        G = make_group(factors)
+        elements = list(enumerate_elements(G))
+        generators = _automorphism_generators(G)
+        assert generators
+        for g in generators:
+            assert g[0] == 0
+            assert sorted(g) == list(range(G.order))
+            image = {a: elements[g[x]] for x, a in enumerate(elements)}
+            for a in elements:
+                for b in elements:
+                    assert image[add(G, a, b)] == add(G, image[a], image[b])
+
+    def test_automorphism_generators_span_gl33(self):
+        # on C_3^3 the generators reach every element of GL(3,3)
+        generators = _automorphism_generators(C33)
+        identity = tuple(range(27))
+        group, frontier = {identity}, [identity]
+        while frontier:
+            reached = []
+            for h in frontier:
+                for g in generators:
+                    image = tuple(g[x] for x in h)
+                    if image not in group:
+                        group.add(image)
+                        reached.append(image)
+            frontier = reached
+        assert len(group) == 11232
+
+    @pytest.mark.parametrize(
+        "factors,cap,size,nodes",
+        SEARCH_PINS,
+        # ids leave the pinned counts out, so a moved pin keeps its test name
+        ids=["x".join(map(str, f)) + "-cap%d" % cap for f, cap, _, _ in SEARCH_PINS],
+    )
     def test_search_size_and_nodes_pinned(self, factors, cap, size, nodes):
-        # cap = |G| is the zero-sum-free search; node counts pin the DFS order
+        # cap = |G| is the zero-sum-free search; node counts pin the DFS
+        # order and the orbit pruning
         G = make_group(factors)
         got_size, seq, got_nodes = _generic_search(G, cap, None)
         assert (got_size, got_nodes) == (size, nodes)
@@ -310,17 +358,26 @@ class TestGenericSearch:
         nonzero = list(enumerate_elements(G))[1:]  # 0 alone is a zero-sum
         for cap in range(G.exponent, G.order + 1):
             # the property is closed under subsequences: stop at the first
-            # length that no sequence of nonzero elements reaches
-            longest = 0
-            while any(
-                not has_short_zero_sum(seq, cap, factors)
-                for seq in combinations_with_replacement(nonzero, longest + 1)
-            ):
-                longest += 1
-            assert _generic_search(G, cap, None)[0] == longest, cap
+            # length that no sequence of nonzero elements reaches. The first
+            # sequence found at a length is the lex-least one, which the
+            # search must return: orbit pruning never drops it.
+            longest, least = 0, ()
+            while True:
+                found = next(
+                    (
+                        seq
+                        for seq in combinations_with_replacement(nonzero, longest + 1)
+                        if not has_short_zero_sum(seq, cap, factors)
+                    ),
+                    None,
+                )
+                if found is None:
+                    break
+                longest, least = longest + 1, found
+            assert _generic_search(G, cap, None)[:2] == (longest, least), cap
 
     def test_budget_exhaustion_names_the_search(self):
-        # enough for D (28,772 nodes), not for s_le(3) (1,874,852)
+        # enough for D (1,110 nodes), not for s_le(3) (176,094)
         with pytest.raises(SearchError) as excinfo:
             s_le(C33, 3, 100_000)
         assert str(excinfo.value) == (
