@@ -613,7 +613,14 @@ def _automorphism_generators(G: Group) -> List[List[int]]:
     return maps
 
 
-def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tuple, int]:
+def _generic_search(
+    G: Group,
+    cap: int,
+    budget: Optional[int],
+    *,
+    generators: Optional[List[List[int]]] = None,
+    prune_depth: int = ORBIT_PRUNE_DEPTH,
+) -> Tuple[int, Tuple, int]:
     """Longest sequence with no nonempty zero-sum of length <= cap.
 
     Returns (length, sequence, nodes). With cap >= |G| this is a longest
@@ -631,13 +638,14 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     subsequence sums.
 
     Isomorph rejection (McKay, J. Algorithms 26, 1998): a prefix of length
-    <= ORBIT_PRUNE_DEPTH is searched only if it is the least sorted image
-    in its orbit under the group H of _automorphism_generators. The DFS
+    <= prune_depth is searched only if it is the least sorted image in its
+    orbit under the group H spanned by generators (default: those of
+    _automorphism_generators). The DFS
     returns the lex-least longest sequence S*. If some g in H mapped a
     prefix of S* to a smaller sorted image, the sorted image of S* under g
     would be a smaller sequence of the same length with the same
     property. So S* is never pruned: pruning moves node counts, not
-    results.
+    results, for any set of automorphism index maps and any depth.
     """
     if G.order > GENERIC_ORDER_GUARD:
         raise SearchError(
@@ -647,7 +655,8 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     n = G.order
     factors = G.invariant_factors
     elements = list(enumerate_elements(G))
-    generators = _automorphism_generators(G)
+    if generators is None:
+        generators = _automorphism_generators(G)
     full = (1 << n) - 1
     # Adding y to coordinate i (factor m, enumerate_elements stride s) moves
     # the bits whose coordinate i is below m - y up by y*s and the rest down
@@ -724,7 +733,7 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
             free ^= bit
             e = bit.bit_length() - 1
             seq.append(e)
-            if generators and len(seq) <= ORBIT_PRUNE_DEPTH and not canonical(seq):
+            if generators and len(seq) <= prune_depth and not canonical(seq):
                 seq.pop()
                 continue
             grown = list(keep)

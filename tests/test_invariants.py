@@ -270,6 +270,18 @@ GENERIC_CERT_DIGESTS = {
                 5: "1a9da101de1305ce"},
 }
 
+def _coordinate_swaps(G):
+    """Index maps swapping adjacent equal invariant factors."""
+    factors = G.invariant_factors
+    elements = list(enumerate_elements(G))
+    index = {a: x for x, a in enumerate(elements)}
+    return [
+        [index[a[:i] + (a[i + 1], a[i]) + a[i + 2:]] for a in elements]
+        for i in range(len(factors) - 1)
+        if factors[i] == factors[i + 1]
+    ]
+
+
 # (factors, cap, size, nodes) of _generic_search
 SEARCH_PINS = [
     ((3, 3), 9, 4, 9), ((3, 3), 3, 6, 20), ((3, 3), 4, 5, 11),
@@ -337,15 +349,36 @@ class TestGenericSearch:
             frontier = reached
         assert len(group) == 11232
 
+    @pytest.mark.parametrize("factors,cap,size,nodes", [
+        ((3, 3), 9, 4, 98), ((3, 3), 3, 6, 168), ((3, 3), 4, 5, 113),
+        ((2, 4), 8, 4, 95), ((2, 4), 4, 5, 103),
+        ((4, 4), 16, 6, 2165), ((4, 4), 4, 9, 4279), ((4, 4), 6, 7, 2274),
+        ((2, 2, 4), 16, 5, 1532), ((2, 2, 4), 5, 6, 1686),
+        # mixed strides and shifts for the masked rotates
+        ((3, 3, 3), 27, 6, 28772), ((3, 3, 3), 4, 9, 104562), ((3, 3, 3), 5, 8, 40866),
+        ((5, 5), 25, 8, 73511), ((3, 9), 27, 10, 216962), ((2, 10), 20, 10, 17803),
+        ((2, 2, 6), 24, 7, 33244),
+    ])
+    def test_search_size_and_nodes_pinned(self, factors, cap, size, nodes):
+        # cap = |G| is the zero-sum-free search; node counts pin the DFS
+        # order. H is cut down to the coordinate permutations fixing the
+        # invariant factors, pruned to depth 4, so the counts do not move
+        # with _automorphism_generators or ORBIT_PRUNE_DEPTH.
+        G = make_group(factors)
+        got_size, seq, got_nodes = _generic_search(
+            G, cap, None, generators=_coordinate_swaps(G), prune_depth=4
+        )
+        assert (got_size, got_nodes) == (size, nodes)
+        assert len(seq) == size
+        assert shortest_zero_sum_length(Sequence.from_elements(G, seq), cap) is None
+
     @pytest.mark.parametrize(
         "factors,cap,size,nodes",
         SEARCH_PINS,
-        # ids leave the pinned counts out, so a moved pin keeps its test name
         ids=["x".join(map(str, f)) + "-cap%d" % cap for f, cap, _, _ in SEARCH_PINS],
     )
-    def test_search_size_and_nodes_pinned(self, factors, cap, size, nodes):
-        # cap = |G| is the zero-sum-free search; node counts pin the DFS
-        # order and the orbit pruning
+    def test_orbit_search_size_and_nodes_pinned(self, factors, cap, size, nodes):
+        # the same searches pruned by all of _automorphism_generators
         G = make_group(factors)
         got_size, seq, got_nodes = _generic_search(G, cap, None)
         assert (got_size, got_nodes) == (size, nodes)
