@@ -572,17 +572,32 @@ def verify_certificate(cert: Certificate, budget: Optional[int] = None) -> Check
 # Exhaustive searches
 
 
+def _factor_swaps(G: Group) -> List[List[int]]:
+    """Index maps of the swaps of adjacent equal invariant factors.
+
+    Elements are their enumerate_elements positions; map g sends x to g[x].
+    """
+    factors = G.invariant_factors
+    elements = list(enumerate_elements(G))
+    index = {a: x for x, a in enumerate(elements)}
+    return [
+        [index[a[:i] + (a[i + 1], a[i]) + a[i + 2:]] for a in elements]
+        for i in range(len(factors) - 1)
+        if factors[i] == factors[i + 1]
+    ]
+
+
 def _automorphism_generators(G: Group) -> List[List[int]]:
     """Index maps of automorphisms that generate a subgroup H of Aut(G).
 
     Elements are their enumerate_elements positions; map g sends x to
-    g[x]. The generators are the swaps of adjacent equal invariant
-    factors, the unit scalings x_i -> u*x_i for u in a generating set of
-    the units mod n_i, and the transvections
-    x_i -> x_i + (n_i / gcd(n_i, n_j))*x_j for i != j. A transvection is
-    well defined since n_i divides its coefficient times n_j, and it is
-    inverted by subtracting the same multiple. H need not be all of
-    Aut(G): pruning by H is sound as long as each map is an automorphism.
+    g[x]. The generators are the _factor_swaps, the unit scalings
+    x_i -> u*x_i for u in a generating set of the units mod n_i, and the
+    transvections x_i -> x_i + (n_i / gcd(n_i, n_j))*x_j for i != j. A
+    transvection is well defined since n_i divides its coefficient times
+    n_j, and it is inverted by subtracting the same multiple. H need not
+    be all of Aut(G): pruning by H is sound as long as each map is an
+    automorphism.
     """
     factors = G.invariant_factors
     elements = list(enumerate_elements(G))
@@ -592,10 +607,8 @@ def _automorphism_generators(G: Group) -> List[List[int]]:
         # the map that rewrites coordinate i as value(a) mod n_i
         return [index[a[:i] + (value(a) % factors[i],) + a[i + 1:]] for a in elements]
 
-    maps = []
+    maps = _factor_swaps(G)
     for i, m in enumerate(factors):
-        if i + 1 < len(factors) and factors[i + 1] == m:
-            maps.append([index[a[:i] + (a[i + 1], a[i]) + a[i + 2:]] for a in elements])
         # scale only by a generating set of the units mod m, taken greedily:
         # each orbit BFS then costs a few maps per member, not phi(m)
         units = {1}
@@ -613,14 +626,7 @@ def _automorphism_generators(G: Group) -> List[List[int]]:
     return maps
 
 
-def _generic_search(
-    G: Group,
-    cap: int,
-    budget: Optional[int],
-    *,
-    generators: Optional[List[List[int]]] = None,
-    prune_depth: int = ORBIT_PRUNE_DEPTH,
-) -> Tuple[int, Tuple, int]:
+def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tuple, int]:
     """Longest sequence with no nonempty zero-sum of length <= cap.
 
     Returns (length, sequence, nodes). With cap >= |G| this is a longest
@@ -638,14 +644,15 @@ def _generic_search(
     subsequence sums.
 
     Isomorph rejection (McKay, J. Algorithms 26, 1998): a prefix of length
-    <= prune_depth is searched only if it is the least sorted image in its
-    orbit under the group H spanned by generators (default: those of
-    _automorphism_generators). The DFS
+    <= ORBIT_PRUNE_DEPTH is searched only if it is the least sorted image
+    in its orbit under the group H of _automorphism_generators. The DFS
     returns the lex-least longest sequence S*. If some g in H mapped a
     prefix of S* to a smaller sorted image, the sorted image of S* under g
     would be a smaller sequence of the same length with the same
     property. So S* is never pruned: pruning moves node counts, not
-    results, for any set of automorphism index maps and any depth.
+    results. A cyclic group is not pruned: its H is the unit scalings,
+    which cut about 3% of the nodes (C_97: 4,657 -> 4,515) while the
+    orbit BFS makes the search 3-5 times slower.
     """
     if G.order > GENERIC_ORDER_GUARD:
         raise SearchError(
@@ -655,8 +662,7 @@ def _generic_search(
     n = G.order
     factors = G.invariant_factors
     elements = list(enumerate_elements(G))
-    if generators is None:
-        generators = _automorphism_generators(G)
+    generators = _automorphism_generators(G) if G.rank > 1 else []
     full = (1 << n) - 1
     # Adding y to coordinate i (factor m, enumerate_elements stride s) moves
     # the bits whose coordinate i is below m - y up by y*s and the rest down
@@ -733,7 +739,7 @@ def _generic_search(
             free ^= bit
             e = bit.bit_length() - 1
             seq.append(e)
-            if generators and len(seq) <= prune_depth and not canonical(seq):
+            if generators and len(seq) <= ORBIT_PRUNE_DEPTH and not canonical(seq):
                 seq.pop()
                 continue
             grown = list(keep)

@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from zerosum import invariants
 from zerosum.arith import INFINITE
 from zerosum.bounds import BoundReport, InputValue, elb_lower, remark_ub, s_le_from_extension
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
@@ -270,18 +271,6 @@ GENERIC_CERT_DIGESTS = {
                 5: "1a9da101de1305ce"},
 }
 
-def _coordinate_swaps(G):
-    """Index maps swapping adjacent equal invariant factors."""
-    factors = G.invariant_factors
-    elements = list(enumerate_elements(G))
-    index = {a: x for x, a in enumerate(elements)}
-    return [
-        [index[a[:i] + (a[i + 1], a[i]) + a[i + 2:]] for a in elements]
-        for i in range(len(factors) - 1)
-        if factors[i] == factors[i + 1]
-    ]
-
-
 # (factors, cap, size, nodes) of _generic_search
 SEARCH_PINS = [
     ((3, 3), 9, 4, 9), ((3, 3), 3, 6, 20), ((3, 3), 4, 5, 11),
@@ -292,6 +281,8 @@ SEARCH_PINS = [
     ((3, 3, 3), 27, 6, 1110), ((3, 3, 3), 4, 9, 5715), ((3, 3, 3), 5, 8, 1750),
     ((5, 5), 25, 8, 4483), ((3, 9), 27, 10, 16903), ((2, 10), 20, 10, 2783),
     ((2, 2, 6), 24, 7, 4430),
+    # a cyclic group is searched unpruned
+    ((97,), 97, 96, 4657),
 ]
 
 
@@ -359,15 +350,15 @@ class TestGenericSearch:
         ((5, 5), 25, 8, 73511), ((3, 9), 27, 10, 216962), ((2, 10), 20, 10, 17803),
         ((2, 2, 6), 24, 7, 33244),
     ])
-    def test_search_size_and_nodes_pinned(self, factors, cap, size, nodes):
+    def test_search_size_and_nodes_pinned(self, monkeypatch, factors, cap, size, nodes):
         # cap = |G| is the zero-sum-free search; node counts pin the DFS
         # order. H is cut down to the coordinate permutations fixing the
         # invariant factors, pruned to depth 4, so the counts do not move
         # with _automorphism_generators or ORBIT_PRUNE_DEPTH.
+        monkeypatch.setattr(invariants, "_automorphism_generators", invariants._factor_swaps)
+        monkeypatch.setattr(invariants, "ORBIT_PRUNE_DEPTH", 4)
         G = make_group(factors)
-        got_size, seq, got_nodes = _generic_search(
-            G, cap, None, generators=_coordinate_swaps(G), prune_depth=4
-        )
+        got_size, seq, got_nodes = _generic_search(G, cap, None)
         assert (got_size, got_nodes) == (size, nodes)
         assert len(seq) == size
         assert shortest_zero_sum_length(Sequence.from_elements(G, seq), cap) is None
