@@ -652,7 +652,7 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     property. So S* is never pruned: pruning moves node counts, not
     results. A cyclic group is not pruned: its H is the unit scalings,
     which cut about 3% of the nodes (C_97: 4,657 -> 4,515) while the
-    orbit BFS makes the search 3-5 times slower.
+    orbit BFS makes the search 2-6 times slower.
     """
     if G.order > GENERIC_ORDER_GUARD:
         raise SearchError(
