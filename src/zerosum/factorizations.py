@@ -1,19 +1,23 @@
 """Factorizations of zero-sum sequences into minimal zero-sum parts.
 
-The searches work on a count vector over the positions of S's support.
-Group elements are ``enumerate_elements`` positions, and adding a
-support element is a lookup in its translation row: one row of |G|
-positions per group and element, cached, so no Cayley table is built
-and groups far larger than the exhaustive-search guard are fine.
-Element tuples appear only at the API boundary.
+Every query builds one kernel, ``_Kernel``: a plain DFS lists each atom
+(minimal zero-sum divisor) of S once. Slot j stands for S's j-th support
+element, and a multiset of slots is an int with one bit field per slot,
+topped by a guard bit, so that "atom A fits in counts C" is one
+subtraction and one mask test. While the DFS grows a zero-sum-free
+prefix, the sums of its nonempty subsequences are an int bitset over
+``enumerate_elements`` positions, translated by a new element through
+the masked rotates of ``groups.translation``. Element tuples appear only
+at the API boundary.
 
-There is one atom enumerator, ``_atoms``, a DFS over nondecreasing
-positions, and one memoised search, ``_lengths``. The search pins the
-first nonzero position and branches over the atoms through the pin;
-pinning breaks the symmetry between orderings of the same
-decomposition, so every decomposition is visited once. It returns the
-set of reachable part counts: ``length_set`` sorts it, ``max_length``
-and ``max_disjoint_zero_sums`` take its maximum.
+There is one memoised search, ``_lengths``, keyed on the packed counts.
+It pins the least slot left and branches over the atoms through the pin:
+the atoms of a sub-multiset of S are those atoms of S that fit in it, so
+each node scans the pin's bucket of the one atom list. Pinning breaks
+the symmetry between orderings of the same decomposition, so every
+decomposition is visited once. It returns the reachable part counts as
+a bitmask: ``length_set`` lists its bits, ``max_length`` and
+``max_disjoint_zero_sums`` take its highest.
 """
 
 from __future__ import annotations
@@ -24,7 +28,15 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .gf2 import mask_rank
-from .groups import Element, Group, add, element_index, enumerate_elements, zero
+from .groups import (
+    Element,
+    Group,
+    add,  # not called here; perfbench/tracer.py counts group additions through it
+    element_index,
+    neg,
+    translation,
+    zero,
+)
 from .sequences import (
     Sequence,
     SequenceError,
@@ -41,26 +53,34 @@ class BudgetExhausted(RuntimeError):
     """A search hit its node budget before finishing.
 
     Carries no partial answer on purpose: exhaustion is an outcome
-    distinct from any mathematical result.
+    distinct from any mathematical result. nodes is the number spent,
+    which is the budget, and search names the entry point that ran out.
     """
 
-    def __init__(self, nodes: int):
-        super().__init__("search budget exhausted after %d nodes" % nodes)
+    def __init__(self, nodes: int, search: str = "search"):
+        super().__init__("%s: budget exhausted after %d nodes" % (search, nodes))
         self.nodes = nodes
+        self.search = search
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    """Node budget of one query: a node is one step of the atom DFS (one
+    slot tried on a prefix) or one search node (one memo miss, or one
+    partial factorization when enumerating)."""
 
-    def __init__(self, limit: Optional[int]):
-        self.remaining = limit
+    __slots__ = ("limit", "spent", "search")
+
+    def __init__(self, limit: Optional[int], search: str):
+        self.limit = limit
+        self.spent = 0
+        self.search = search
 
     def spend(self) -> None:
-        if self.remaining is None:
+        if self.limit is None:
             return
-        if self.remaining <= 0:
-            raise BudgetExhausted(0)
-        self.remaining -= 1
+        if self.spent >= self.limit:
+            raise BudgetExhausted(self.spent, self.search)
+        self.spent += 1
 
 
 class _Memo:
@@ -114,102 +134,102 @@ def is_minimal_zero_sum(S: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Atom enumeration on support positions
+# The packed-count kernel
 
 
 @lru_cache(maxsize=1024)
-def _row(G: Group, e: Element) -> Tuple[int, ...]:
-    """Position of x + e for each x, in enumerate_elements order."""
-    return tuple(element_index(G, add(G, x, e)) for x in enumerate_elements(G))
+def _bits(G: Group, e: Element) -> Tuple[int, int, tuple]:
+    """The bits of e and -e, and the rotates that translate by e."""
+    return 1 << element_index(G, e), 1 << element_index(G, neg(G, e)), translation(G, e)
 
 
-def _rows(S: Sequence) -> List[Tuple[int, ...]]:
-    return [_row(S.group, e) for e in S.support]
+class _Kernel:
+    """The atoms of S, enumerated once, on counts packed into guarded fields.
 
+    Slot j is S's j-th support element. A multiset of slots is an int
+    holding the count of slot j in bits [j*width, (j+1)*width); the top bit
+    of each field is a guard that no count reaches. With the guards set,
+    (C | guards) - A borrows out of no field, and it keeps every guard iff
+    A fits in C: then clearing the guards leaves C - A.
 
-def _atom_dfs(
-    rows: List[Tuple[int, ...]],
-    counts: List[int],
-    start: int,
-    prefix: List[int],
-    s: int,
-    proper: set,
-    max_len: Optional[int],
-    budget: _Budget,
-) -> Iterator[List[int]]:
-    """Extend prefix with nondecreasing positions.
-
-    s is the prefix sum and proper the set of sums of its nonempty
-    proper subsequences; a zero among the new proper sums means no
-    extension can be minimal. Position 0 of a group is its zero.
+    atoms lists every atom of S (of length <= max_len) once, packed, in
+    lexicographic order of its sorted slots; atoms[first[i]:first[i + 1]]
+    are the ones whose least slot is i. An atom of a sub-multiset of S is
+    an atom of S, so the atoms of a sub-multiset C whose least slot is i
+    are the ones in that range that fit in C.
     """
-    for i in range(start, len(counts)):
-        if counts[i] == 0:
-            continue
-        budget.spend()
-        row = rows[i]
-        e = row[0]
-        if prefix:
-            if e == 0:
-                continue
-            shifted = {row[x] for x in proper}
-            if 0 in shifted:
-                continue
-            proper2 = proper | shifted
-            proper2.add(s)
-            proper2.add(e)
-        else:
-            proper2 = set()
-        s2 = row[s]
-        prefix.append(i)
-        if s2 == 0:
-            yield list(prefix)
-        elif max_len is None or len(prefix) < max_len:
-            counts[i] -= 1
-            yield from _atom_dfs(rows, counts, i, prefix, s2, proper2, max_len, budget)
-            counts[i] += 1
-        prefix.pop()
 
+    __slots__ = ("support", "width", "guards", "counts", "atoms", "first")
 
-def _atoms(
-    rows: List[Tuple[int, ...]],
-    counts: List[int],
-    pin: Optional[int],
-    max_len: Optional[int],
-    budget: _Budget,
-) -> Iterator[List[int]]:
-    """Each minimal zero-sum sub-multiset of counts once, as positions.
+    def __init__(self, S: Sequence, max_len: Optional[int], budget: _Budget):
+        G = S.group
+        support = self.support = S.support
+        left = [m for _, m in S.items]
+        k = len(left)
+        w = self.width = max(left, default=0).bit_length() + 1
+        unit = [1 << j * w for j in range(k)]
+        self.guards = sum(unit) << (w - 1)
+        self.counts = sum(m * u for m, u in zip(left, unit))
+        bit, minus, moves = zip(*(_bits(G, e) for e in support)) if k else ((), (), ())
+        spend = budget.spend
+        atoms: List[int] = []
 
-    Without a pin: every atom, in lexicographic order. With a pin: the
-    atoms containing that position, pin first. counts is restored when
-    the iterator is exhausted.
-    """
-    if pin is None:
-        yield from _atom_dfs(rows, counts, 0, [], 0, set(), max_len, budget)
-        return
-    e = rows[pin][0]
-    if e == 0:
-        yield [pin]
-        return
-    if max_len is not None and max_len < 2:
-        return
-    counts[pin] -= 1
-    yield from _atom_dfs(rows, counts, 0, [pin], e, set(), max_len, budget)
-    counts[pin] += 1
+        def extend(start: int, atom: int, room: int, sums: int, total: int) -> None:
+            # The prefix atom is zero-sum free and may grow by room more
+            # elements; sums is the bitset of the sums of its nonempty
+            # subsequences and total the bit of its own sum. No proper
+            # subsequence sums to total (the rest would be a zero-sum), so
+            # adding e closes an atom iff e = -total, and is refused iff
+            # some other subsequence sums to -e.
+            for j in range(start, k):
+                if not left[j]:
+                    continue
+                spend()
+                if total == minus[j]:
+                    atoms.append(atom + unit[j])
+                elif room > 1 and not sums & minus[j]:
+                    t, u = sums, total
+                    for low, high, up, down in moves[j]:
+                        t = (t & low) << up | (t & high) >> down
+                        u = (u & low) << up | (u & high) >> down
+                    left[j] -= 1
+                    extend(j, atom + unit[j], room - 1, sums | t | bit[j], u)
+                    left[j] += 1
 
+        room = S.length if max_len is None else max_len - 1
+        first = []
+        for i in range(k):
+            first.append(len(atoms))
+            spend()
+            if bit[i] == 1:  # the zero element is an atom on its own
+                atoms.append(unit[i])
+            elif room > 0:
+                left[i] -= 1
+                extend(i, unit[i], room, bit[i], bit[i])
+                left[i] += 1
+        first.append(len(atoms))
+        self.atoms = atoms
+        self.first = first
 
-def _items(support: tuple, atom: List[int]) -> tuple:
-    """Canonical Sequence items of an atom given as positions."""
-    return tuple((support[j], atom.count(j)) for j in sorted(set(atom)))
+    def items(self, atom: int) -> tuple:
+        """Canonical Sequence items of a packed multiset."""
+        w = self.width
+        field = (1 << w) - 1
+        out = []
+        for j, e in enumerate(self.support):
+            m = atom >> j * w & field
+            if m:
+                out.append((e, m))
+        return tuple(out)
 
 
 def minimal_divisors(
     S: Sequence, max_len: Optional[int] = None, budget: Optional[int] = None
 ) -> Iterator[Sequence]:
     """All minimal zero-sum T dividing S, each once, in lexicographic order."""
-    counts = [m for _, m in S.items]
-    for atom in _atoms(_rows(S), counts, None, max_len, _Budget(budget)):
-        yield Sequence(S.group, _items(S.support, atom))
+    kernel = _Kernel(S, max_len, _Budget(budget, "minimal_divisors"))
+    for atom in kernel.atoms:
+        yield Sequence(S.group, kernel.items(atom))
 
 
 def atoms_through(
@@ -219,66 +239,61 @@ def atoms_through(
     budget: Optional[_Budget] = None,
 ) -> Iterator[Tuple[Element, ...]]:
     """Minimal zero-sum divisors of S containing g, as element tuples."""
-    support = S.support
-    if g not in support:
+    if g not in S.support:
         return
-    counts = [m for _, m in S.items]
-    b = _Budget(None) if budget is None else budget
-    for atom in _atoms(_rows(S), counts, support.index(g), max_len, b):
-        yield tuple(support[j] for j in sorted(atom))
+    b = _Budget(None, "atoms_through") if budget is None else budget
+    kernel = _Kernel(S, max_len, b)
+    shift = S.support.index(g) * kernel.width
+    for atom in kernel.atoms:
+        if atom >> shift & ((1 << kernel.width) - 1):
+            yield tuple(e for e, m in kernel.items(atom) for _ in range(m))
 
 
 # ---------------------------------------------------------------------------
 # The one search: reachable numbers of disjoint atoms
 
 
-def _first_nonzero(counts: List[int]) -> int:
-    for i, c in enumerate(counts):
-        if c:
-            return i
-    return -1
-
-
 def _lengths(
-    S: Sequence, atom_cap: Optional[int], discard: bool, budget: Optional[int]
-) -> frozenset:
-    """Numbers of disjoint atoms (of length <= atom_cap) in S.
+    S: Sequence,
+    atom_cap: Optional[int],
+    discard: bool,
+    entry: str,
+    budget: Optional[int],
+) -> int:
+    """Numbers of disjoint atoms (of length <= atom_cap) in S, as a bitmask.
 
-    Without discard the atoms must exhaust S, so these are the
-    factorization lengths. With discard the pinned element may also be
-    left out, so the maximum is the largest number of disjoint
-    nonempty zero-sum subsequences: each of them contains an atom.
+    Bit n is set iff n is reachable. Without discard the atoms must
+    exhaust S, so these are the factorization lengths. With discard the
+    pinned element may also be left out, so the maximum is the largest
+    number of disjoint nonempty zero-sum subsequences: each of them
+    contains an atom. The search pins the least slot left and branches
+    over the atoms through it, so every decomposition is visited once.
     """
-    rows = _rows(S)
-    b = _Budget(budget)
+    b = _Budget(budget, entry)
+    kernel = _Kernel(S, atom_cap, b)
+    w, guards, first = kernel.width, kernel.guards, kernel.first
+    buckets = [kernel.atoms[first[i]:first[i + 1]] for i in range(len(first) - 1)]
     memo = _Memo()
-    done = frozenset([0])
+    spend = b.spend
 
-    def search(counts: List[int]) -> frozenset:
-        i = _first_nonzero(counts)
-        if i < 0:
-            return done
-        key = tuple(counts)
-        hit = memo.get(key)
+    def search(counts: int) -> int:
+        if not counts:
+            return 1
+        hit = memo.get(counts)
         if hit is not None:
             return hit
-        b.spend()
-        out = set()
-        if discard:
-            counts[i] -= 1
-            out |= search(counts)
-            counts[i] += 1
-        for atom in list(_atoms(rows, counts, i, atom_cap, b)):
-            for j in atom:
-                counts[j] -= 1
-            out.update(1 + n for n in search(counts))
-            for j in atom:
-                counts[j] += 1
-        result = frozenset(out)
-        memo.put(key, result)
-        return result
+        spend()
+        i = ((counts & -counts).bit_length() - 1) // w
+        out = search(counts - (1 << i * w)) if discard else 0
+        high = counts | guards
+        for atom in buckets[i]:
+            rest = high - atom
+            if rest & guards == guards:
+                out |= search(rest ^ guards) << 1
+        memo.put(counts, out)
+        return out
 
-    return search([m for _, m in S.items])
+    return search(kernel.counts)
 
 
 def _require_zero_sum(B: Sequence, caller: str) -> None:
@@ -294,13 +309,14 @@ def max_disjoint_zero_sums(S: Sequence, budget: Optional[int] = None) -> int:
     blocks that exhaust S, and they refine into at least k atoms. So the
     discard branch runs only when S is not zero-sum.
     """
-    return max(_lengths(S, None, S.sum() != zero(S.group), budget))
+    discard = S.sum() != zero(S.group)
+    return _lengths(S, None, discard, "max_disjoint_zero_sums", budget).bit_length() - 1
 
 
 def max_length(B: Sequence, budget: Optional[int] = None) -> int:
     """Largest factorization length of a zero-sum sequence."""
     _require_zero_sum(B, "max_length")
-    return max(_lengths(B, None, False, budget))
+    return _lengths(B, None, False, "max_length", budget).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +362,12 @@ def length_set(
 ) -> LengthSet:
     """Exact set of factorization lengths of a zero-sum sequence."""
     _require_zero_sum(B, "length_set")
-    lengths = _lengths(B, atom_cap, False, budget)
-    if not lengths:
+    mask = _lengths(B, atom_cap, False, "length_set", budget)
+    if not mask:
         raise SequenceError(
             "no factorization within atom length cap %r" % (atom_cap,)
         )
-    return LengthSet(tuple(sorted(lengths)))
+    return LengthSet(tuple(n for n in range(mask.bit_length()) if mask >> n & 1))
 
 
 @dataclass(frozen=True)
@@ -423,35 +439,32 @@ def enumerate_factorizations(
 
     Atoms are chosen in nondecreasing canonical order; an atom's least
     element is always the current pin, so the ordering constraint is a
-    single global threshold.
+    single global threshold: an index into the kernel's atom list.
     """
     _require_zero_sum(B, "enumerate_factorizations")
     G = B.group
-    rows = _rows(B)
-    b = _Budget(budget)
+    b = _Budget(budget, "enumerate_factorizations")
+    kernel = _Kernel(B, None, b)
+    w, guards, atoms, first = kernel.width, kernel.guards, kernel.atoms, kernel.first
+    # the kernel yields only minimal zero-sums, so from_atoms' check is skipped
+    parts = [Sequence(G, kernel.items(atom)) for atom in atoms]
 
-    def search(counts: List[int], last) -> Iterator[List[List[int]]]:
-        i = _first_nonzero(counts)
-        if i < 0:
+    def search(counts: int, lo: int) -> Iterator[List[int]]:
+        # lo is the index of the last atom taken; atoms are listed in order
+        if not counts:
             yield []
             return
         b.spend()
-        for atom in list(_atoms(rows, counts, i, None, b)):
-            atom.sort()
-            if last is not None and atom < last:
-                continue
-            for j in atom:
-                counts[j] -= 1
-            for rest in search(counts, atom):
-                yield [atom] + rest
-            for j in atom:
-                counts[j] += 1
+        i = ((counts & -counts).bit_length() - 1) // w
+        high = counts | guards
+        for x in range(max(lo, first[i]), first[i + 1]):
+            rest = high - atoms[x]
+            if rest & guards == guards:
+                for chain in search(rest ^ guards, x):
+                    yield [x] + chain
 
-    # _atoms yields only minimal zero-sums, so from_atoms' check is skipped
-    for chain in search([m for _, m in B.items], None):
-        yield Factorization._grouped(
-            G, [Sequence(G, _items(B.support, atom)) for atom in chain]
-        )
+    for chain in search(kernel.counts, 0):
+        yield Factorization._grouped(G, [parts[x] for x in chain])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence as Seq
 
@@ -267,6 +268,32 @@ def element_at(G: Group, idx: int) -> Element:
         coords.append(idx % n)
         idx //= n
     return tuple(reversed(coords))
+
+
+@lru_cache(maxsize=1024)
+def translation(G: Group, a: Element) -> tuple:
+    """Masked rotates that translate a set of elements by a.
+
+    A set of elements is an int bitset over enumerate_elements positions.
+    Adding y to coordinate i (factor m, stride s) moves the bits whose
+    coordinate i is below m - y up by y*s and the rest down by (m - y)*s:
+    one masked rotate (low, high, up, down), applied as
+    t -> (t & low) << up | (t & high) >> down. The result holds one rotate
+    per nonzero coordinate of a; applying them in turn translates by a.
+    """
+    _check_element(G, a)
+    n = G.order
+    full = (1 << n) - 1
+    out = []
+    stride = n
+    for y, m in zip(a, G.invariant_factors):
+        stride //= m
+        if y:
+            period = m * stride
+            # the lowest (m - y)*s bits of each period of m*s positions
+            low = ((1 << (m - y) * stride) - 1) * (full // ((1 << period) - 1))
+            out.append((low, full ^ low, y * stride, (m - y) * stride))
+    return tuple(out)
 
 
 def validate_element(G: Group, coords: Seq) -> Element:

@@ -64,6 +64,7 @@ from .groups import (
     make_group,
     neg,
     profile,
+    translation,
     zero,
 )
 from .sequences import (
@@ -660,27 +661,11 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
             % (G.order, GENERIC_ORDER_GUARD)
         )
     n = G.order
-    factors = G.invariant_factors
     elements = list(enumerate_elements(G))
     generators = _automorphism_generators(G) if G.rank > 1 else []
     full = (1 << n) - 1
-    # Adding y to coordinate i (factor m, enumerate_elements stride s) moves
-    # the bits whose coordinate i is below m - y up by y*s and the rest down
-    # by (m - y)*s: one masked rotate. rotate[i][y] = (low, high, up, down).
-    rotate = []
-    stride = n
-    for m in factors:
-        stride //= m
-        by_shift: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)]
-        for y in range(1, m):
-            low = sum(1 << x for x in range(n) if x // stride % m < m - y)
-            by_shift.append((low, full ^ low, y * stride, (m - y) * stride))
-        rotate.append(by_shift)
     # a negated level grows by the one below it translated by -e
-    minus = [
-        [rotate[i][-x % m] for i, (x, m) in enumerate(zip(a, factors)) if x]
-        for a in elements
-    ]
+    minus = [translation(G, neg(G, a)) for a in elements]
     zero_sum_free = cap >= n
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     nodes = 0

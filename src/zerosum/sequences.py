@@ -21,7 +21,6 @@ from .groups import (
     add,
     element_index,
     element_order,
-    scale,
     validate_element,
     zero,
 )
@@ -112,10 +111,12 @@ class Sequence:
         return any(e == z for e, _ in self.items)
 
     def sum(self) -> Element:
-        total = zero(self.group)
-        for e, m in self.items:
-            total = add(self.group, total, scale(self.group, e, m))
-        return total
+        # the elements were validated when the sequence was built
+        items = self.items
+        return tuple(
+            sum(e[i] * m for e, m in items) % n
+            for i, n in enumerate(self.group.invariant_factors)
+        )
 
     def cross_number(self) -> Fraction:
         total = Fraction(0)

@@ -31,6 +31,10 @@ C3_2 = make_group([3, 3])
 C4 = make_group([4])
 C6 = make_group([6])
 C2_C4 = make_group([2, 4])
+C2_C6 = make_group([2, 6])
+C3_C6 = make_group([3, 6])
+C2_2_C4 = make_group([2, 2, 4])
+TRIVIAL = make_group([])
 
 
 def mask_el(G, m):
@@ -154,23 +158,33 @@ def _oracle_count_above(S, floor_items):
 
 
 class TestAgainstOracles:
-    GROUPS = (C2_3, C4, C6, C3_2, C2_C4)
+    GROUPS = (C2_3, C4, C6, C3_2, C2_C4, C2_C6, C3_C6, C2_2_C4)
+    # Fixed inputs: the trivial group, the empty sequence, and multiplicities
+    # of 8 or more, which need a wider packed count field than 7 does.
+    EDGE_CASES = (
+        Sequence.from_elements(TRIVIAL, [()] * 8),
+        Sequence.empty(C2_C6),
+        parse_sequence(C6, "3^8; 1; 5"),
+        parse_sequence(C2_C6, "1,3^9; 0,2; 0,4"),
+        parse_sequence(C3_C6, "0,2^8; 1,1; 2,1"),
+        parse_sequence(C2_2_C4, "0,0,2^8; 1,0,1; 1,0,3; 0,1,2"),
+    )
 
     def test_lengths_and_packings_match_oracle(self):
         rng = random.Random(6011)
         zero_sum = 0
-        for G in self.GROUPS:
-            for _ in range(40):
-                S = random_sequence(G, rng, 7)
-                assert max_disjoint_zero_sums(S) == oracle_max_disjoint(S), S
-                lengths = oracle_length_set(S)
-                if S.sum() != zero(G):
-                    assert not lengths
-                    continue
-                zero_sum += 1
-                assert length_set(S).lengths == tuple(sorted(lengths)), S
-                assert max_length(S) == max(lengths), S
-                assert max_disjoint_zero_sums(S) == max(lengths), S
+        inputs = [random_sequence(G, rng, 7) for G in self.GROUPS for _ in range(40)]
+        for S in inputs + list(self.EDGE_CASES):
+            G = S.group
+            assert max_disjoint_zero_sums(S) == oracle_max_disjoint(S), S
+            lengths = oracle_length_set(S)
+            if S.sum() != zero(G):
+                assert not lengths
+                continue
+            zero_sum += 1
+            assert length_set(S).lengths == tuple(sorted(lengths)), S
+            assert max_length(S) == max(lengths), S
+            assert max_disjoint_zero_sums(S) == max(lengths), S
         assert zero_sum >= 20
 
     def test_zero_sum_closures_match_oracle(self):
@@ -178,21 +192,21 @@ class TestAgainstOracles:
         # negative of its sum to test the length sets, capped too, on more
         # inputs
         rng = random.Random(6012)
-        for G in self.GROUPS:
-            for _ in range(25):
-                S = random_sequence(G, rng, 6)
-                B = S.times(Sequence.from_elements(G, [neg(G, S.sum())]))
-                lengths = tuple(sorted(oracle_length_set(B)))
-                assert length_set(B).lengths == lengths, B
-                assert max_length(B) == lengths[-1], B
-                assert max_disjoint_zero_sums(B) == lengths[-1], B
-                for cap in (2, 3):
-                    capped = tuple(sorted(oracle_length_set(B, cap)))
-                    if capped:
-                        assert length_set(B, atom_cap=cap).lengths == capped, B
-                    else:
-                        with pytest.raises(ValueError):
-                            length_set(B, atom_cap=cap)
+        inputs = [random_sequence(G, rng, 6) for G in self.GROUPS for _ in range(25)]
+        for S in inputs + list(self.EDGE_CASES):
+            G = S.group
+            B = S.times(Sequence.from_elements(G, [neg(G, S.sum())]))
+            lengths = tuple(sorted(oracle_length_set(B)))
+            assert length_set(B).lengths == lengths, B
+            assert max_length(B) == lengths[-1], B
+            assert max_disjoint_zero_sums(B) == lengths[-1], B
+            for cap in (2, 3):
+                capped = tuple(sorted(oracle_length_set(B, cap)))
+                if capped:
+                    assert length_set(B, atom_cap=cap).lengths == capped, B
+                else:
+                    with pytest.raises(ValueError):
+                        length_set(B, atom_cap=cap)
 
     # Orders pinned from the per-function recursions this search replaced.
     PINNED_ORDER = [
@@ -287,8 +301,8 @@ class TestMinimalDivisors:
 
     def test_matches_oracle_generic(self):
         rng = random.Random(5522)
-        for _ in range(30):
-            S = random_sequence(C4, rng, 6)
+        inputs = [random_sequence(C4, rng, 6) for _ in range(30)]
+        for S in inputs + list(TestAgainstOracles.EDGE_CASES):
             ours = {a.items for a in minimal_divisors(S)}
             assert ours == oracle_atoms(S)
 
@@ -304,6 +318,12 @@ class TestMinimalDivisors:
         assert capped == {3}
         uncapped = {a.length for a in minimal_divisors(S)}
         assert max(uncapped) > 3
+
+    def test_budget_exhaustion_raises(self):
+        with pytest.raises(BudgetExhausted) as spent:
+            list(minimal_divisors(full_squarefree(C2_4), budget=7))
+        assert spent.value.nodes == 7
+        assert str(spent.value) == "minimal_divisors: budget exhausted after 7 nodes"
 
     def test_atoms_through_pins_element(self):
         S = full_squarefree(C2_3)
@@ -328,8 +348,10 @@ class TestMaxDisjoint:
         assert max_disjoint_zero_sums(Sequence.empty(C2_3)) == 0
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(BudgetExhausted) as spent:
             max_disjoint_zero_sums(full_squarefree(C2_4), budget=5)
+        assert spent.value.nodes == 5
+        assert str(spent.value) == "max_disjoint_zero_sums: budget exhausted after 5 nodes"
 
     def test_coordinate_permutation_invariance(self):
         rng = random.Random(314)
@@ -436,8 +458,10 @@ class TestLengthSet:
             LengthSet((3, 2))
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(BudgetExhausted):
+        with pytest.raises(BudgetExhausted) as spent:
             length_set(full_squarefree(C2_4), budget=5)
+        assert spent.value.nodes == 5
+        assert str(spent.value) == "length_set: budget exhausted after 5 nodes"
 
 
 class TestEnumerateFactorizations:
@@ -484,14 +508,20 @@ class TestEnumerateFactorizations:
     def test_count_matches_oracle_generic(self):
         rng = random.Random(79)
         checked = 0
-        for _ in range(40):
-            S = random_sequence(C3_2, rng, 6)
-            if S.sum() != zero(C3_2) or S.length == 0:
+        inputs = [random_sequence(C3_2, rng, 6) for _ in range(40)]
+        for S in inputs + list(TestAgainstOracles.EDGE_CASES):
+            if S.sum() != zero(S.group) or S.length == 0:
                 continue
             facs = list(enumerate_factorizations(S))
             assert len(facs) == oracle_factorization_count(S)
             checked += 1
         assert checked >= 5
+
+    def test_budget_exhaustion_raises(self):
+        with pytest.raises(BudgetExhausted) as spent:
+            list(enumerate_factorizations(full_squarefree(C2_4), budget=9))
+        assert spent.value.nodes == 9
+        assert str(spent.value) == "enumerate_factorizations: budget exhausted after 9 nodes"
 
     def test_json_round_trip(self):
         B = parse_sequence(C2_2, "1,0^2; 0,1^2; 1,1^2")

@@ -97,6 +97,19 @@ class TestConstruction:
         # 2 has order 3, 3 has order 2
         assert S.cross_number() == Fraction(3, 3) + Fraction(1, 2)
 
+    def test_sum_matches_add_fold(self):
+        # one pass per coordinate agrees with adding the elements one by one,
+        # on mixed strides and on multiplicities above the exponent
+        rng = random.Random(4242)
+        for G in (make_group([]), C6, C3_2, make_group([2, 6]), make_group([2, 2, 4])):
+            for _ in range(30):
+                elems = [element_at(G, rng.randrange(G.order)) for _ in range(rng.randint(0, 5))]
+                elems += [element_at(G, rng.randrange(G.order))] * rng.randint(0, 3 * G.exponent)
+                total = zero(G)
+                for e in elems:
+                    total = add(G, total, e)
+                assert Sequence.from_elements(G, elems).sum() == total
+
     def test_divide_and_times(self):
         S = parse_sequence(C2_3, "1,0,0^2; 0,1,0")
         T = parse_sequence(C2_3, "1,0,0")
