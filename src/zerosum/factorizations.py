@@ -208,6 +208,7 @@ class _Kernel:
                 extend(i, unit[i], room, bit[i], bit[i])
                 left[i] += 1
         first.append(len(atoms))
+        del extend  # a recursive closure is a reference cycle; free it now
         self.atoms = atoms
         self.first = first
 
@@ -293,7 +294,9 @@ def _lengths(
         memo.put(counts, out)
         return out
 
-    return search(kernel.counts)
+    lengths = search(kernel.counts)
+    del search  # a recursive closure is a reference cycle; free it now
+    return lengths
 
 
 def _require_zero_sum(B: Sequence, caller: str) -> None:
@@ -465,6 +468,7 @@ def enumerate_factorizations(
 
     for chain in search(kernel.counts, 0):
         yield Factorization._grouped(G, [parts[x] for x in chain])
+    del search  # a recursive closure is a reference cycle; free it now
 
 
 # ---------------------------------------------------------------------------
