@@ -60,6 +60,10 @@ def _emit_json(payload) -> None:
     click.echo(json.dumps(payload, sort_keys=True))
 
 
+def _span(lo: int, hi: int) -> str:
+    return "%d" % lo if lo == hi else "%d..%d" % (lo, hi)
+
+
 def _cert_lines(cert: Certificate) -> list:
     label = cert.constant
     if cert.constant == "D_k":
@@ -270,8 +274,7 @@ def compute_stabilize(group_text: str, kmax: int, inputs_path: Optional[str],
     else:
         click.echo("group: %s" % format_group(report.group))
         for k, lo, hi in report.rows:
-            mark = "%d" % lo if lo == hi else "%d..%d" % (lo, hi)
-            click.echo("k=%d: %s" % (k, mark))
+            click.echo("k=%d: %s" % (k, _span(lo, hi)))
         click.echo("offset: %s" % report.d0)
         click.echo("onset: %s" % report.k_onset)
         click.echo("certified: %s" % ("yes" if report.certified else "no"))
@@ -487,9 +490,6 @@ def table_dk(group_text: str, kmax: int, fmt: str, budget: Optional[int],
     summary = stabilization(G, kmax, budget=budget)
     elapsed = int((time.time() - started) * 1000) if timing else None
 
-    def span(lo: int, hi: int) -> str:
-        return "%d" % lo if lo == hi else "%d..%d" % (lo, hi)
-
     if fmt == "json":
         payload = {
             "group": format_group(G),
@@ -508,11 +508,11 @@ def table_dk(group_text: str, kmax: int, fmt: str, budget: Optional[int],
     elif fmt == "csv":
         click.echo("k,dk,dk_minus_kexp,step,certified")
         for row in rows:
-            value = span(row["lo"], row["hi"])
-            shifted = span(row["lo"] - row["k"] * exp, row["hi"] - row["k"] * exp)
+            value = _span(row["lo"], row["hi"])
+            shifted = _span(row["lo"] - row["k"] * exp, row["hi"] - row["k"] * exp)
             step = ""
             if "step_lo" in row:
-                step = span(row["step_lo"], row["step_hi"])
+                step = _span(row["step_lo"], row["step_hi"])
             click.echo("%d,%s,%s,%s,%s"
                        % (row["k"], value, shifted, step,
                           "true" if row["certified"] else "false"))
@@ -521,9 +521,9 @@ def table_dk(group_text: str, kmax: int, fmt: str, budget: Optional[int],
         for row in rows:
             step = ""
             if "step_lo" in row:
-                step = "  step %s" % span(row["step_lo"], row["step_hi"])
+                step = "  step %s" % _span(row["step_lo"], row["step_hi"])
             click.echo("k=%d: %s%s%s"
-                       % (row["k"], span(row["lo"], row["hi"]), step,
+                       % (row["k"], _span(row["lo"], row["hi"]), step,
                           "" if row["certified"] else "  [unverified]"))
         click.echo("stabilization: offset %s from k=%s, certified %s"
                    % (summary.d0, summary.k_onset,

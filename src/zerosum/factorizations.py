@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .gf2 import mask_rank
 from .groups import (
     Element,
     Group,
@@ -40,10 +39,9 @@ from .groups import (
 from .sequences import (
     Sequence,
     SequenceError,
-    _support_masks,
     format_sequence,
+    is_zero_sum_free,
     parse_sequence,
-    shortest_zero_sum_length,
 )
 
 MEMO_LIMIT = 1 << 18
@@ -108,29 +106,13 @@ class _Memo:
 
 def is_minimal_zero_sum(S: Sequence) -> bool:
     """Nonempty, zero-sum, and no proper nonempty zero-sum subsequence."""
-    G = S.group
-    n = S.length
-    if n == 0:
+    if S.length == 0 or S.sum() != zero(S.group):
         return False
-    z = zero(G)
-    if S.sum() != z:
-        return False
-    if n == 1:
-        return True  # the single element is 0, and 0 alone is minimal
-    if G.is_elementary_2:
-        # only shapes: the zero singleton, a doubled element, or a
-        # squarefree circuit (dependent set whose proper subsets are free)
-        if S.contains_zero():
-            return False
-        if n == 2:
-            return S.items[0][1] == 2  # g*g for a single g
-        if not S.is_squarefree():
-            return False
-        masks = _support_masks(S)
-        return mask_rank(masks) == n - 1
-    # a proper zero-sum part and its complement are both zero-sum; one of
-    # them has length at most half, so a capped search settles minimality
-    return shortest_zero_sum_length(S, n // 2) is None
+    # a proper zero-sum part and its complement are both zero-sum, and one
+    # of them misses any given element of S: so S is minimal iff S without
+    # one copy of its first element is zero-sum free
+    (e, m), rest = S.items[0], S.items[1:]
+    return is_zero_sum_free(Sequence(S.group, ((e, m - 1),) + rest if m > 1 else rest))
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,12 @@ class Certificate:
             if not lo <= hi:
                 raise CertificateError("interval must satisfy lo <= hi")
 
+    @classmethod
+    def from_bracket(cls, lo: int, hi: int, **fields) -> "Certificate":
+        """lo <= c <= hi: the value when the bounds meet, else the interval."""
+        exact = lo == hi
+        return cls(value=lo if exact else None, interval=None if exact else (lo, hi), **fields)
+
     @property
     def lower(self) -> ExtInt:
         return self.value if self.value is not None else self.interval[0]
@@ -911,12 +917,12 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     step = e2g_s2m_upper(r, k // 2)
     lo = D  # a longest zero-sum-free sequence has no zero-sum at all
     hi = step.value
-    return Certificate(
+    return Certificate.from_bracket(
+        lo,
+        hi,
         constant="s_le",
         group=G,
         k=k,
-        value=lo if lo == hi else None,
-        interval=None if lo == hi else (lo, hi),
         witness=_strip_closing(d_cert.witness),
         witness_check={"rule": "short-free", "params": {}},
         upper_chain=(step,),
@@ -1093,13 +1099,12 @@ class _Rank5Pipeline:
     def row(self, k: int) -> Certificate:
         hi, steps = self.upper(k)
         witness, check = self.witness(k)
-        lo = witness.length
-        return Certificate(
+        return Certificate.from_bracket(
+            witness.length,
+            hi,
             constant="D_k",
             group=self.G,
             k=k,
-            value=lo if lo == hi else None,
-            interval=None if lo == hi else (lo, hi),
             witness=witness,
             witness_check=check,
             upper_chain=_dedupe_steps(steps),
@@ -1238,12 +1243,12 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
 
     lo, hi, steps = rows[k]
     witness, check = witnesses[k]
-    return Certificate(
+    return Certificate.from_bracket(
+        lo,
+        hi,
         constant="D_k",
         group=G,
         k=k,
-        value=lo if lo == hi else None,
-        interval=None if lo == hi else (lo, hi),
         witness=witness,
         witness_check=check,
         upper_chain=_dedupe_steps(steps),

@@ -21,6 +21,8 @@ from .groups import (
     add,
     element_index,
     element_order,
+    neg,
+    translation,
     validate_element,
     zero,
 )
@@ -215,15 +217,6 @@ def sequence_from_json(G: Group, data: list) -> Sequence:
 
 
 # ---------------------------------------------------------------------------
-# Element masks for the GF(2) fast paths
-
-
-def _support_masks(S: Sequence) -> List[int]:
-    G = S.group
-    return [element_index(G, e) for e in S.support]
-
-
-# ---------------------------------------------------------------------------
 # Zero-sum-free tests
 
 
@@ -254,89 +247,12 @@ def is_zero_sum_free_brute(S: Sequence) -> bool:
 
 
 def is_zero_sum_free(S: Sequence) -> bool:
-    """No nonempty subsequence sums to zero.
-
-    Over elementary 2-groups this reduces to: S is squarefree and its
-    support is linearly independent. Other groups run the direct search.
-    """
-    G = S.group
-    if S.length == 0:
-        return True
-    if G.is_elementary_2:
-        if not S.is_squarefree():
-            return False
-        masks = _support_masks(S)
-        if 0 in masks:
-            return False
-        return mask_rank(masks) == len(masks)
-    return is_zero_sum_free_brute(S)
+    """No nonempty subsequence sums to zero."""
+    return S.length == 0 or shortest_zero_sum_length(S, S.length) is None
 
 
 # ---------------------------------------------------------------------------
 # Shortest zero-sum subsequence
-
-
-def _shortest_zero_sum_generic(S: Sequence, cap: int) -> Optional[int]:
-    """Bounded-knapsack DP: sum -> least nonempty count reaching it."""
-    G = S.group
-    z = zero(G)
-    best: Dict[Element, int] = {}
-    for e, m in S.items:
-        additions = []
-        step = z
-        for j in range(1, min(m, cap) + 1):
-            step = add(G, step, e)
-            additions.append((step, j))
-        merged = dict(best)
-        for base_sum, base_len in list(best.items()) + [(None, 0)]:
-            for add_sum, add_len in additions:
-                total_len = base_len + add_len
-                if total_len > cap:
-                    continue
-                s = add_sum if base_sum is None else add(G, base_sum, add_sum)
-                if total_len < merged.get(s, cap + 1):
-                    merged[s] = total_len
-        best = merged
-    result = best.get(z)
-    return result if result is not None and result <= cap else None
-
-
-def _shortest_zero_sum_2group(S: Sequence, cap: int) -> Optional[int]:
-    """Meet-in-the-middle over the support for elementary 2-groups.
-
-    Repeats and zeros short-circuit to lengths 1 and 2, so the subset
-    stage only ever sees a squarefree, zero-free support set.
-    """
-    if S.contains_zero():
-        return 1 if cap >= 1 else None
-    if not S.is_squarefree():
-        return 2 if cap >= 2 else None
-    if cap < 3:
-        return None
-    masks = _support_masks(S)
-    half = len(masks) // 2
-    left, right = masks[:half], masks[half:]
-
-    def table(part: List[int]) -> Dict[int, int]:
-        out: Dict[int, int] = {0: 0}
-        for v in part:
-            snapshot = list(out.items())
-            for x, w in snapshot:
-                y = x ^ v
-                if w + 1 < out.get(y, len(masks) + 1):
-                    out[y] = w + 1
-        return out
-
-    lt, rt = table(left), table(right)
-    best: Optional[int] = None
-    for x, w in lt.items():
-        w2 = rt.get(x)
-        if w2 is None:
-            continue
-        total = w + w2
-        if total >= 1 and (best is None or total < best):
-            best = total
-    return best if best is not None and best <= cap else None
 
 
 def shortest_zero_sum_length(S: Sequence, cap: int) -> Optional[int]:
@@ -344,12 +260,39 @@ def shortest_zero_sum_length(S: Sequence, cap: int) -> Optional[int]:
 
     Returns None when every nonempty subsequence of length <= cap has a
     nonzero sum.
+
+    The elements are taken one at a time. Level j holds the sums of the
+    subsequences of length <= j of the elements taken so far, the empty
+    sum included, as an int bitset over enumerate_elements positions
+    stored negated, as in the generic invariants search: bit x is set iff
+    -x is such a sum. A zero-sum of length j + 1 ends at the next element
+    e iff bit element_index(e) of level j is set; taking e then grows each
+    level j by level j - 1 translated by -e. Once a zero-sum of length L
+    is found only a shorter one matters, so only the levels below L - 1
+    are kept.
     """
     if cap < 1:
         raise SequenceError("cap must be >= 1")
-    if S.group.is_elementary_2:
-        return _shortest_zero_sum_2group(S, cap)
-    return _shortest_zero_sum_generic(S, cap)
+    G = S.group
+    best = None
+    levels = [1]  # level 0 holds the empty sum: bit 0
+    for e, m in S.items:
+        bit = 1 << element_index(G, e)
+        moves = translation(G, neg(G, e))
+        for _ in range(m):
+            for j, level in enumerate(levels):
+                if level & bit:
+                    best = j + 1
+                    del levels[j:]
+                    break
+            if best is None and len(levels) < cap:
+                levels.append(levels[-1])
+            for j in range(len(levels) - 1, 0, -1):
+                t = levels[j - 1]
+                for low, high, up, down in moves:
+                    t = (t & low) << up | (t & high) >> down
+                levels[j] |= t
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +449,7 @@ def _enumerate_subspace_bases(r: int, d: int) -> Iterator[List[int]]:
             yield basis
 
 
-def davydov_tombak_check(G: Group, A: Iterable, r: Optional[int] = None) -> DavydovTombakClass:
+def davydov_tombak_check(G: Group, A: Iterable) -> DavydovTombakClass:
     """Classify a large zero-free subset of C_2^r with no repeated element.
 
     Either A lies in the nonzero coset of an index-2 subgroup, or it
@@ -516,10 +459,7 @@ def davydov_tombak_check(G: Group, A: Iterable, r: Optional[int] = None) -> Davy
     """
     if not G.is_elementary_2:
         raise SequenceError("classification applies to elementary 2-groups only")
-    if r is None:
-        r = G.rank
-    if r != G.rank:
-        raise SequenceError("rank argument disagrees with the group")
+    r = G.rank
     if r > 8:
         raise SequenceError("subspace enumeration is guarded to rank <= 8")
     elems = _as_element_set(G, A)

@@ -271,11 +271,34 @@ class TestMinimality:
             S = random_sequence(C2_3, rng, 6)
             assert is_minimal_zero_sum(S) == oracle_minimal(S)
 
+    # the trivial group, the empty sequence, sequences holding 0, and
+    # multiplicities >= exp(G)
+    EDGE_CASES = (
+        Sequence.from_elements(TRIVIAL, [()]),
+        Sequence.from_elements(TRIVIAL, [()] * 2),
+        Sequence.empty(C3_C6),
+        parse_sequence(C6, "1^6"),
+        parse_sequence(C6, "0; 1^6"),
+        parse_sequence(C6, "1^7; 5"),
+        parse_sequence(C2_C4, "0,1^4"),
+        parse_sequence(C2_C4, "0,1^5; 0,3"),
+        parse_sequence(C3_C6, "0,1^5; 1,1; 2,0"),
+        parse_sequence(C3_C6, "0,0; 0,3^2"),
+        parse_sequence(C2_2_C4, "0,0,1^3; 1,0,1; 1,0,0"),
+        parse_sequence(C2_2_C4, "0,1,1^4"),
+    )
+
     def test_matches_oracle_on_generic_group(self):
         rng = random.Random(917)
-        for _ in range(150):
-            S = random_sequence(C6, rng, 6)
-            assert is_minimal_zero_sum(S) == oracle_minimal(S)
+        inputs = [random_sequence(C6, rng, 6) for _ in range(150)]
+        # random sequences are seldom zero-sum, so the other groups add
+        # each one closed by the negative of its sum
+        for G in (C2_C4, C3_C6, C2_2_C4, TRIVIAL):
+            for _ in range(60):
+                S = random_sequence(G, rng, 6)
+                inputs += [S, S.times(Sequence.from_elements(G, [neg(G, S.sum())]))]
+        for S in inputs + list(self.EDGE_CASES):
+            assert is_minimal_zero_sum(S) == oracle_minimal(S), S
 
 
 class TestMinimalDivisors:

@@ -35,6 +35,10 @@ C2_5 = make_group([2] * 5)
 C9 = make_group([9])
 C6 = make_group([6])
 C3_2 = make_group([3, 3])
+C2_C4 = make_group([2, 4])
+C3_C6 = make_group([3, 6])
+C2_2_C4 = make_group([2, 2, 4])
+TRIVIAL = make_group([])
 
 
 def mask_elements(G, *masks):
@@ -46,6 +50,26 @@ def random_sequence(G, rng, max_len):
     n = rng.randint(0, max_len)
     elems = [element_at(G, rng.randrange(G.order)) for _ in range(n)]
     return Sequence.from_elements(G, elems)
+
+
+# Fixed inputs for the generic oracle tests: the empty sequence, the
+# trivial group, sequences holding 0, multiplicities >= exp(G), and a
+# squarefree sequence over C_2^4 whose zero-sums (1 2 3 and 4 8 12 as
+# masks) each lie in one half of its support, which a meet-in-the-middle
+# split of the support misses.
+EDGE_CASES = (
+    Sequence.empty(C3_C6),
+    Sequence.from_elements(TRIVIAL, [()] * 3),
+    parse_sequence(C6, "0; 1^6"),
+    parse_sequence(C6, "1^7; 2; 3"),
+    parse_sequence(C2_C4, "0,0; 1,1^4; 0,2"),
+    parse_sequence(C2_C4, "0,1^5; 1,0^2; 1,2"),
+    parse_sequence(C3_C6, "0,1^6; 1,0^3; 2,3"),
+    parse_sequence(C3_C6, "0,0^2; 1,2^7"),
+    parse_sequence(C2_2_C4, "0,0,0; 0,0,1^5; 1,1,2"),
+    parse_sequence(C2_2_C4, "0,1,3^4; 1,0,1^2; 1,1,0; 1,1,2"),
+    Sequence.from_elements(C2_4, mask_elements(C2_4, 1, 2, 3, 4, 8, 12)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +208,15 @@ class TestZeroSumFree:
 
     def test_generic_matches_subset_oracle(self):
         rng = random.Random(4457)
-        for _ in range(60):
-            S = random_sequence(C3_2, rng, 6)
+        inputs = [
+            random_sequence(G, rng, 6)
+            for G in (C3_2, C2_C4, C3_C6, C2_2_C4, TRIVIAL)
+            for _ in range(60)
+        ]
+        for S in inputs + list(EDGE_CASES):
             expected = oracle_shortest_zero_sum(S, S.length) is None
-            assert is_zero_sum_free(S) == expected
+            assert is_zero_sum_free(S) == expected, S
+            assert is_zero_sum_free_brute(S) == expected, S
 
 
 class TestShortestZeroSum:
@@ -199,9 +228,16 @@ class TestShortestZeroSum:
 
     def test_matches_oracle_generic(self):
         rng = random.Random(62011)
-        for _ in range(60):
-            S = random_sequence(C6, rng, 7)
-            assert shortest_zero_sum_length(S, 7) == oracle_shortest_zero_sum(S, 7)
+        inputs = [
+            random_sequence(G, rng, 7)
+            for G in (C6, C2_C4, C3_C6, C2_2_C4, TRIVIAL)
+            for _ in range(60)
+        ]
+        for S in inputs + list(EDGE_CASES):
+            shortest = oracle_shortest_zero_sum(S, S.length)
+            for cap in range(1, max(S.length, 1) + 1):
+                expected = shortest if shortest is not None and shortest <= cap else None
+                assert shortest_zero_sum_length(S, cap) == expected, (S, cap)
 
     def test_cap_respected(self):
         S = parse_sequence(C9, "1^9")
