@@ -650,6 +650,16 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     are dropped, so the zero-sum-free case keeps only the set of all
     subsequence sums.
 
+    Multiplicity bound: with cap >= exp(G), ord(e) copies of e form a
+    zero-sum of length ord(e) <= cap, so e occurs at most ord(e) - 1
+    times in a searched sequence. Every extension of a node draws only
+    on its free candidates, a set that only shrinks down a branch. So
+    no extension is longer than depth + sum of ord(e) - 1 over the free
+    e, and a node where that is <= the best length found returns: it
+    could at best tie, and a tie never replaces the lex-least best. The
+    zero-sum-free search (cap >= |G|) uses its own bound instead,
+    depth + |G| - |sums|, which is tighter and cheaper there.
+
     Isomorph rejection (McKay, J. Algorithms 26, 1998): a prefix of length
     <= ORBIT_PRUNE_DEPTH is searched only if it is the least sorted image
     in its orbit under the group H of _automorphism_generators. The DFS
@@ -661,6 +671,10 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     which cut about 3% of the nodes (C_97: 4,657 -> 4,515) while the
     orbit BFS makes the search 2-6 times slower.
     """
+    if cap < G.exponent:
+        raise ValueError(
+            "cap %d is below the exponent %d of %s" % (cap, G.exponent, format_group(G))
+        )
     if G.order > GENERIC_ORDER_GUARD:
         raise SearchError(
             "order %d exceeds the exhaustive-search guard (%d)"
@@ -673,6 +687,13 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     # a negated level grows by the one below it translated by -e
     minus = [translation(G, neg(G, a)) for a in elements]
     zero_sum_free = cap >= n
+    # (ord(e) - 1, indices of the elements of order ord(e)) per order > 1
+    by_order: Dict[int, int] = {}
+    for x, a in enumerate(elements):
+        w = element_order(G, a) - 1
+        if w:
+            by_order[w] = by_order.get(w, 0) | 1 << x
+    multiplicity = list(by_order.items())
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     nodes = 0
     best_len = 0
@@ -721,10 +742,16 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
         top = levels[-1]
         if zero_sum_free and depth + n - top.bit_count() <= best_len:
             return
+        free = (full ^ top) >> lo << lo
+        if not zero_sum_free:
+            bound = depth
+            for w, mask in multiplicity:
+                bound += w * (free & mask).bit_count()
+            if bound <= best_len:
+                return
         # a new top while depth < cap - 1; the bottom goes once depth >= |G| - cap
         src = levels + [top] if depth < cap - 1 else levels
         keep = [] if depth >= n - cap else [src[0]]
-        free = (full ^ top) >> lo << lo
         while free:
             bit = free & -free
             free ^= bit

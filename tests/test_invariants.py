@@ -40,6 +40,7 @@ C33 = make_group((3, 3, 3))
 # every abelian group of order <= 8, the trivial one included
 SMALL_GROUPS = [
     (), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2),
+    (3, 3),
 ]
 
 
@@ -273,12 +274,14 @@ GENERIC_CERT_DIGESTS = {
 
 # (factors, cap, size, nodes) of _generic_search
 SEARCH_PINS = [
-    ((3, 3), 9, 4, 9), ((3, 3), 3, 6, 20), ((3, 3), 4, 5, 11),
+    ((3, 3), 9, 4, 9), ((3, 3), 3, 6, 16), ((3, 3), 4, 5, 11),
     ((2, 4), 8, 4, 23), ((2, 4), 4, 5, 26),
-    ((4, 4), 16, 6, 261), ((4, 4), 4, 9, 709), ((4, 4), 6, 7, 281),
-    ((2, 2, 4), 16, 5, 205), ((2, 2, 4), 5, 6, 235),
+    ((4, 4), 16, 6, 261), ((4, 4), 4, 9, 498), ((4, 4), 6, 7, 258),
+    ((2, 2, 4), 16, 5, 205), ((2, 2, 4), 5, 6, 219),
     # mixed strides and shifts for the masked rotates
-    ((3, 3, 3), 27, 6, 1110), ((3, 3, 3), 4, 9, 5715), ((3, 3, 3), 5, 8, 1750),
+    ((3, 3, 3), 27, 6, 1110), ((3, 3, 3), 4, 9, 4157), ((3, 3, 3), 5, 8, 1400),
+    # eta(C_3^3) = 17: the longest search behind davenport_k(C_3^3, 2)
+    ((3, 3, 3), 3, 16, 22620),
     ((5, 5), 25, 8, 4483), ((3, 9), 27, 10, 16903), ((2, 10), 20, 10, 2783),
     ((2, 2, 6), 24, 7, 4430),
     # a cyclic group is searched unpruned
@@ -341,12 +344,12 @@ class TestGenericSearch:
         assert len(group) == 11232
 
     @pytest.mark.parametrize("factors,cap,size,nodes", [
-        ((3, 3), 9, 4, 98), ((3, 3), 3, 6, 168), ((3, 3), 4, 5, 113),
-        ((2, 4), 8, 4, 95), ((2, 4), 4, 5, 103),
-        ((4, 4), 16, 6, 2165), ((4, 4), 4, 9, 4279), ((4, 4), 6, 7, 2274),
-        ((2, 2, 4), 16, 5, 1532), ((2, 2, 4), 5, 6, 1686),
+        ((3, 3), 9, 4, 98), ((3, 3), 3, 6, 100), ((3, 3), 4, 5, 89),
+        ((2, 4), 8, 4, 95), ((2, 4), 4, 5, 76),
+        ((4, 4), 16, 6, 2165), ((4, 4), 4, 9, 2643), ((4, 4), 6, 7, 1907),
+        ((2, 2, 4), 16, 5, 1532), ((2, 2, 4), 5, 6, 1391),
         # mixed strides and shifts for the masked rotates
-        ((3, 3, 3), 27, 6, 28772), ((3, 3, 3), 4, 9, 104562), ((3, 3, 3), 5, 8, 40866),
+        ((3, 3, 3), 27, 6, 28772), ((3, 3, 3), 4, 9, 69813), ((3, 3, 3), 5, 8, 30158),
         ((5, 5), 25, 8, 73511), ((3, 9), 27, 10, 216962), ((2, 10), 20, 10, 17803),
         ((2, 2, 6), 24, 7, 33244),
     ])
@@ -401,12 +404,20 @@ class TestGenericSearch:
             assert _generic_search(G, cap, None)[:2] == (longest, least), cap
 
     def test_budget_exhaustion_names_the_search(self):
-        # enough for D (1,110 nodes), not for s_le(3) (176,094)
+        # enough for D (1,110 nodes), not for s_le(3) (22,620)
         with pytest.raises(SearchError) as excinfo:
-            s_le(C33, 3, 100_000)
+            s_le(C33, 3, 10_000)
         assert str(excinfo.value) == (
-            "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 100000 nodes"
+            "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 10000 nodes"
         )
+
+    def test_cap_below_exponent_rejected(self):
+        # exp(G) copies of an element of order exp(G) are a zero-sum of
+        # length exp(G), so the multiplicity bound needs cap >= exp(G)
+        with pytest.raises(ValueError, match="cap 2 is below the exponent 3 of 3\\^2"):
+            _generic_search(C32, 2, None)
+        with pytest.raises(ValueError, match="cap 3 is below the exponent 4 of 2,4"):
+            _generic_search(make_group((2, 4)), 3, None)
 
     def test_zero_budget_searches_nothing(self):
         with pytest.raises(SearchError, match="zero-sum-free search .* after 0 nodes"):
