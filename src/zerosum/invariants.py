@@ -638,8 +638,9 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
 
     Returns (length, sequence, nodes). With cap >= |G| this is a longest
     zero-sum-free sequence, since a zero-sum longer than |G| >= D(G)
-    contains a shorter one. Needs cap >= exp(G); then every searched
-    sequence is shorter than |G|, as eta(G) <= |G| and D(G) <= |G|.
+    contains a shorter one. Needs cap >= exp(G), else raises ValueError;
+    then every searched sequence is shorter than |G|, as eta(G) <= |G|
+    and D(G) <= |G|.
 
     DFS on nondecreasing element index. Elements are their
     enumerate_elements positions. Level j holds the sums of subsequences
