@@ -454,16 +454,11 @@ def _check_witness(
                 if len(core) // 4 > slack:
                     fail("quarter-bound %d exceeds remaining %d blocks" % (len(core) // 4, slack))
                 return problems
-            if rule == "mask-maxl":
-                if prof.rank > 4:
-                    fail("mask-maxl rule only covers rank <= 4")
-                    return problems
-                engine = _engine(prof.rank)
-                mask = gf2.ids_to_mask(core)
-                if engine.maxl(mask) > slack:
-                    fail("core needs %d blocks, only %d allowed" % (engine.maxl(mask), slack))
+            if rule == "mask-maxl" and prof.rank > 4:
+                fail("mask-maxl rule only covers rank <= 4")
                 return problems
-            # max-disjoint over a 2-group: refute every deeper partition
+            # mask-maxl and max-disjoint over a 2-group: refute every deeper
+            # partition, without the engine that made the witness
             if not gf2.squarefree_max_length_at_most(core, slack, prof.rank):
                 fail("core splits into more than %d disjoint blocks" % slack)
             return problems
@@ -1011,7 +1006,6 @@ class _Rank5Pipeline:
         self.full = (1 << 5) - 1  # 31 nonzero ids
         self._sweeps: Dict[int, gf2.SweepRecord] = {}
         self._m_steps: Dict[int, BoundReport] = {}
-        self._m_values: Dict[int, int] = {}
         d_cert = davenport(self.G)
         self.D1 = d_cert.value
         self.zsf_step = d_cert.upper_chain[0]
@@ -1030,14 +1024,11 @@ class _Rank5Pipeline:
         self._sweeps[c] = rec
         return rec
 
-    def m_bound(self, j: int) -> Tuple[int, BoundReport]:
+    def m_bound(self, j: int) -> BoundReport:
         """Best one-row recursion cap on zero-sum sizes with maxl <= j."""
-        if j in self._m_values:
-            return self._m_values[j], self._m_steps[j]
-        best = best_recursion(self.G, self.s_values, self.D1, j, SEARCH, SEARCH)
-        self._m_values[j] = best.value
-        self._m_steps[j] = best
-        return best.value, self._m_steps[j]
+        if j not in self._m_steps:
+            self._m_steps[j] = best_recursion(self.G, self.s_values, self.D1, j, SEARCH, SEARCH)
+        return self._m_steps[j]
 
     def _excluded(self, size: int, j: int, sweeps: Tuple[int, ...]) -> bool:
         if size >= self.full - 2:
@@ -1053,9 +1044,9 @@ class _Rank5Pipeline:
         caps: Dict[int, int] = {0: 0}
         for j in range(1, min(k, 10) + 1):
             if j <= 9:
-                start, m_step = self.m_bound(j)
+                m_step = self.m_bound(j)
                 steps.append(m_step)
-                start = min(start, self.full)
+                start = min(m_step.value, self.full)
             else:
                 start = self.full
             w = start
@@ -1140,14 +1131,9 @@ class _Rank5Pipeline:
         )
 
 
-_rank5_pipeline: Optional[_Rank5Pipeline] = None
-
-
+@lru_cache(maxsize=1)
 def _rank5() -> _Rank5Pipeline:
-    global _rank5_pipeline
-    if _rank5_pipeline is None:
-        _rank5_pipeline = _Rank5Pipeline()
-    return _rank5_pipeline
+    return _Rank5Pipeline()
 
 
 def _dstar_witness(G: Group, k: int) -> Sequence:
@@ -1188,8 +1174,27 @@ def _verified_lower(
     return best, best_check
 
 
+@lru_cache(maxsize=128)
+def _generic_rows(G: Group, budget: Optional[int]) -> List[Certificate]:
+    """The D_k rows of G built so far: rows[k - 1] is row k.
+
+    Starts at row 1 and only grows, as _generic_dk appends each row
+    built from the one before it, so a row is built once per budget.
+    """
+    return [davenport_k(G, 1, budget)]
+
+
 def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
-    """Sandwich rows 1..k from searches, bound rules, and constructions."""
+    """Row k, sandwiched from searches, bound rules and constructions.
+
+    Appends the rows missing from _generic_rows in a loop. Row kk's
+    candidates include a step up from row kk - 1's upper side and row
+    kk - 1's witness plus a pair g, -g. Raises SearchError when no lower
+    witness re-verifies within the budget.
+    """
+    rows = _generic_rows(G, budget)
+    if k <= len(rows):
+        return rows[k - 1]
     prof = profile(G)
     d_cert = davenport(G, budget)
     D = d_cert.value
@@ -1212,14 +1217,9 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
         and _is_prime(G.invariant_factors[0])
     )
 
-    rows: Dict[int, Tuple[int, int, Tuple[BoundReport, ...]]] = {}
-    rows[1] = (D, D, tuple(base_steps))
-    witnesses: Dict[int, Tuple[Sequence, dict]] = {
-        1: (d_cert.witness, d_cert.witness_check)
-    }
-
-    for kk in range(2, k + 1):
-        prev_lo, prev_hi, prev_steps = rows[kk - 1]
+    while len(rows) < k:
+        kk = len(rows) + 1
+        prev = rows[-1]
         candidates: List[Tuple[int, List[BoundReport]]] = []
 
         def add_candidate(step: BoundReport, deps: List[BoundReport]):
@@ -1232,8 +1232,8 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
             if prof.exponent <= ell <= max(prof.exponent, D - 1):
                 step = remark_ub(G, kk, ell, s_map[ell], D, s_prov=SEARCH, d_prov=SEARCH)
                 add_candidate(step, list(base_steps) + [s_steps[ell]])
-            step_report = step_ub(prev_hi, ell, s_map[ell], dk_prov=COMPUTED, s_prov=SEARCH)
-            add_candidate(step_report, list(prev_steps) + [s_steps[ell]])
+            step_report = step_ub(prev.upper, ell, s_map[ell], dk_prov=COMPUTED, s_prov=SEARCH)
+            add_candidate(step_report, list(prev.upper_chain) + [s_steps[ell]])
         if homogeneous:
             p = G.invariant_factors[0]
             m = 1
@@ -1245,43 +1245,39 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
 
         hi, hi_steps = min(candidates, key=lambda c: (c[0], len(c[1])))
 
-        lower_candidates: List[Tuple[Sequence, dict]] = []
-        lower_candidates.append((_dstar_witness(G, kk), {"rule": "max-disjoint", "params": {}}))
+        disjoint = {"rule": "max-disjoint", "params": {}}
+        lower_candidates: List[Tuple[Sequence, dict]] = [(_dstar_witness(G, kk), disjoint)]
         for t in range(1, prof.rank + 1):
             for s in range(2, prof.rank + 2):
                 if s * (s - 1) // 2 > prof.rank - t + 1:
                     continue
                 try:
-                    lower_candidates.append(
-                        (_elb_closure(G, s, t, kk), {"rule": "max-disjoint", "params": {}})
-                    )
+                    lower_candidates.append((_elb_closure(G, s, t, kk), disjoint))
                 except (BoundError, ValueError):
                     continue
-        prev_witness, _prev_check = witnesses[kk - 1]
-        if prev_witness is not None:
-            g = element_at(G, 1)
-            appended = Sequence.from_elements(
-                G, prev_witness.as_list() + [g, neg(G, g)]
-            )
-            lower_candidates.append((appended, {"rule": "max-disjoint", "params": {}}))
+        g = element_at(G, 1)
+        appended = Sequence.from_elements(G, prev.witness.as_list() + [g, neg(G, g)])
+        lower_candidates.append((appended, disjoint))
         witness, check = _verified_lower(G, kk, lower_candidates, budget)
-        lo = witness.length if witness is not None else prev_lo + 2
-        rows[kk] = (lo, hi, tuple(hi_steps))
-        witnesses[kk] = (witness, check)
-
-    lo, hi, steps = rows[k]
-    witness, check = witnesses[k]
-    return Certificate.from_bracket(
-        lo,
-        hi,
-        constant="D_k",
-        group=G,
-        k=k,
-        witness=witness,
-        witness_check=check,
-        upper_chain=_dedupe_steps(steps),
-        exhaustive=False,
-    )
+        if witness is None:
+            raise SearchError(
+                "no lower witness for D_%d(%s) verified within the budget %d"
+                % (kk, format_group(G), DEFAULT_VERIFY_BUDGET if budget is None else budget)
+            )
+        rows.append(
+            Certificate.from_bracket(
+                witness.length,
+                hi,
+                constant="D_k",
+                group=G,
+                k=kk,
+                witness=witness,
+                witness_check=check,
+                upper_chain=_dedupe_steps(hi_steps),
+                exhaustive=False,
+            )
+        )
+    return rows[k - 1]
 
 
 def _is_prime(n: int) -> bool:

@@ -392,7 +392,7 @@ class TestRank5Certificates:
         # a forged c = 3 record: its digest is an unkeyed hash of its own
         # fields, so no check on load could tell it from a real one
         monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-        monkeypatch.setattr(invariants, "_rank5_pipeline", None)
+        invariants._rank5.cache_clear()
         davenport_k.cache_clear()
         cache.store_sweep(
             SweepRecord(r=5, complement_size=3, pieces=9, instances=7, failures=0, elapsed_ms=0)

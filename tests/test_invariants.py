@@ -1,6 +1,8 @@
 """Tests for certified invariant computation."""
 
+import inspect
 import json
+import sys
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement
 
@@ -233,6 +235,44 @@ class TestDkCyclic:
         assert cert.value == davenport(make_group((7,))).value
 
 
+# digests of the generic D_k rows k = 1..8, computed when each call rebuilt
+# rows 2..k for itself
+GENERIC_DK_DIGESTS = {
+    (3, 3): (
+        "2d6f0011e43fb2b4", "13e3e4bbedf6f5f4", "f6d7d2b0eff01f59", "f7adb1da388e4bac",
+        "219e2dbaee4c2e8a", "a14cff1c41532910", "674b306944055019", "fd4b21585ba6447a",
+    ),
+    (2, 4): (
+        "a3d1143ac0872383", "ea682cd1a152ec53", "dc2f0f159eb45e4b", "9f4887e2282832d7",
+        "60ea5fc7d902a683", "7de2907a5f437108", "1620c6ce2a7f53e9", "1d8eba61d226940e",
+    ),
+    (2, 6): (
+        "1e523ab2233a59f3", "926afe23ff86f0ce", "c64a7cdda91e93b7", "e517f3bf169f92b7",
+        "7c11b75d34fe5a59", "fce81b53a1f06cc3", "6df16273aebf33aa", "4414548ab8bb8223",
+    ),
+    (4, 4): (
+        "b53fa7d92ef61b16", "9e1c18507c713309", "6da8be7a6e8ab540", "3470c1fb7c917643",
+        "65c6ef7060fd54fc", "fed3b27ec56ba721", "57f268b5784af610", "96e8b323ef31a4cb",
+    ),
+    (3, 6): (
+        "4d8581da5cb9ed6b", "a135152dbae9ffb1", "11ec6b604b4234d0", "18f5a039e947d516",
+        "acf591e59c0f6792", "13299f50f9409026", "56df666560253249", "93f51493ba9f84e4",
+    ),
+    (2, 2, 4): (
+        "97703fffb5e2fe28", "19c312b982346c77", "928b2b3ecb6a5f39", "8e6397856992abae",
+        "87136e85017273b9", "4c4da5b6f4a9e857", "901532e9bb8fa3ca", "c2c7a8b8e1a738c8",
+    ),
+    (2, 8): (
+        "a8ae0ce3813b7275", "a023377bed9cbc0c", "c3d23919e57d4668", "2a6fbdf2dac3d89d",
+        "5018406d2c424154", "ee9c2f7b01057f99", "b375b1195e99d099", "d7929ed82c1d758e",
+    ),
+    (2, 2, 2, 2, 2, 2): (
+        "5ae171110cb8621c", "79e13b116b9ea93e", "04f23ad5480dc809", "9a462fd808d6792e",
+        "596a274274d40732", "d1b1541f40297928", "ee9e56bc9b79226e", "382068409ed785b4",
+    ),
+}
+
+
 class TestDkGeneric:
     @pytest.mark.parametrize("k,value", [(1, 5), (2, 8), (3, 11), (4, 14)])
     def test_rank_two_of_threes(self, k, value):
@@ -255,6 +295,31 @@ class TestDkGeneric:
         cert = davenport_k(make_group(()), 4)
         assert cert.value == 4
         assert_verifies(cert)
+
+    @pytest.mark.parametrize("factors", sorted(GENERIC_DK_DIGESTS))
+    def test_row_digests_pinned(self, factors):
+        G = make_group(factors)
+        got = tuple(davenport_k(G, k, None).digest() for k in range(1, 9))
+        assert got == GENERIC_DK_DIGESTS[factors]
+
+    def test_unverified_lower_side_raises(self):
+        # no D_2(C_3^2) witness verifies within 20 nodes, and a row with
+        # no witness would fail verify_certificate
+        with pytest.raises(SearchError, match=r"D_2\(3\^2\).* budget 20$"):
+            davenport_k(C32, 2, 20)
+
+    def test_cold_rows_need_no_recursion_per_row(self):
+        # rows 2..120 are built in a loop; the depth needed is the
+        # verifier's factorization search, about one frame per block
+        invariants.davenport_k.cache_clear()
+        invariants._generic_rows.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+        try:
+            cert = davenport_k(C32, 120)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cert.value == 3 * 120 + 2
 
 
 # digests of D and s_le(ell) certificates, exp <= ell < D and ell <= exp + 2,
@@ -695,6 +760,20 @@ class TestWitnessRules:
         result = verify_certificate(cert, budget=1)
         assert result.problems == ("witness: verification budget exhausted",)
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_mask_maxl_witness_fails_one_block_lower(self, r):
+        G = make_group((2,) * r)
+        certs = {k: davenport_k(G, k) for k in range(2, 9)}
+        # the check refutes partitions itself, without the engine that
+        # produced the witnesses
+        invariants._engine.cache_clear()
+        for k, cert in certs.items():
+            assert cert.witness_check["rule"] == "mask-maxl"
+            check = cert.witness_check
+            assert not invariants._check_witness(G, cert.witness, k, check, None)
+            assert invariants._check_witness(G, cert.witness, k - 1, check, None)
+        assert invariants._engine.cache_info().currsize == 0
+
     def test_unknown_rule_is_flagged(self):
         data = davenport(C22).to_json()
         data["witness_check"] = {"rule": "mystery"}
@@ -713,10 +792,12 @@ class TestMemoKeys:
     def test_three_spellings_share_one_entry(self, fn, args):
         fn.cache_clear()
         first = fn(*args)
+        # counted from here, since a cold davenport_k row also reads row 1
+        before = fn.cache_info()
         assert fn(*args, None) is first
         assert fn(*args, budget=None) is first
-        info = fn.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        after = fn.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 2)
 
 
 class TestTableShape:
