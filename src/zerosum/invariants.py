@@ -86,8 +86,12 @@ class CertificateError(ValueError):
 GENERIC_ORDER_GUARD = 256
 DEFAULT_SEARCH_BUDGET = 8_000_000
 DEFAULT_VERIFY_BUDGET = 4_000_000
-# _generic_search tests prefixes up to this length for orbit minimality;
-# deeper tests cost more in orbit BFS than they save in nodes
+# _generic_search tests prefixes up to this length for orbit minimality.
+# Deeper tests cost more in orbit BFS than they save in nodes, even with
+# the orbit flags shared by every search on a group: at depth 4 the four
+# C_3^3 searches behind davenport_k(C_3^3, 2) drop from 6,992 to 4,390
+# nodes but take 0.21-0.33 s against 0.05-0.08 s from cold, and the four
+# C_6^2 searches break even
 ORBIT_PRUNE_DEPTH = 3
 
 
@@ -95,18 +99,30 @@ def _memoized(maxsize: int):
     """lru_cache keyed on the bound arguments with defaults applied.
 
     f(G, 3), f(G, 3, None) and f(G, 3, budget=None) share one entry.
-    The wrapper keeps cache_info() and cache_clear().
+    A SearchError is remembered too, so a search that ran out of its
+    budget is not rerun to the full budget by a later call: that call
+    raises a fresh SearchError with the same message at once. The
+    wrapper keeps cache_info() and cache_clear().
     """
 
     def decorate(fn):
-        cached = lru_cache(maxsize=maxsize)(fn)
+        def outcome(*args):
+            try:
+                return fn(*args), None
+            except SearchError as error:
+                return None, str(error)
+
+        cached = lru_cache(maxsize=maxsize)(outcome)
         signature = inspect.signature(fn)
 
         @wraps(fn)
         def wrapper(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            return cached(*bound.args)
+            value, error = cached(*bound.args)
+            if error is not None:
+                raise SearchError(error)
+            return value
 
         wrapper.cache_info = cached.cache_info
         wrapper.cache_clear = cached.cache_clear
@@ -628,6 +644,22 @@ def _automorphism_generators(G: Group) -> List[List[int]]:
     return maps
 
 
+@lru_cache(maxsize=16)
+def _orbit_map(G: Group, generate, depth: int) -> Tuple[List[List[int]], bytearray]:
+    """H = generate(G) as index maps, and a flag per prefix of length <= depth.
+
+    Prefix (e_1, ..., e_L) has slot sum of (e_i + 1)(|G| + 1)^(L - i).
+    Its byte is 0 until _generic_search finds its orbit, then 1 if it is
+    the orbit's least sorted image and 2 if not. An orbit does not depend
+    on the cap, so every search on G shares the flags. They are keyed on
+    the generating function as well as on G, so they only serve searches
+    under the generators they were filled from. One byte per slot, with
+    no object per prefix, keeps a group's flags at (|G| + 1)^depth bytes
+    (22 KB on C_3^3 at depth 3) for as long as they are cached.
+    """
+    return generate(G), bytearray((G.order + 1) ** depth)
+
+
 def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tuple, int]:
     """Longest sequence with no nonempty zero-sum of length <= cap.
 
@@ -649,12 +681,19 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     Multiplicity bound: with cap >= exp(G), ord(e) copies of e form a
     zero-sum of length ord(e) <= cap, so e occurs at most ord(e) - 1
     times in a searched sequence. Every extension of a node draws only
-    on its free candidates, a set that only shrinks down a branch. So
-    no extension is longer than depth + sum of ord(e) - 1 over the free
-    e, and a node where that is <= the best length found returns: it
-    could at best tie, and a tie never replaces the lex-least best. The
-    zero-sum-free search (cap >= |G|) uses its own bound instead,
-    depth + |G| - |sums|, which is tighter and cheaper there.
+    on its free candidates, a set that only shrinks down a branch. So no
+    extension of a child is longer than depth + 1 + sum of ord(f) - 1
+    over the child's free f; a child where that is <= the best length
+    found could at best tie, and a tie never replaces the lex-least
+    best. The parent tests it in its candidate loop, before the orbit
+    test: the loop stops at the first e where the bound fails over the
+    parent's free f >= e (a superset of every later child's free set,
+    and one that only shrinks as e grows), and any other child is
+    skipped when the bound fails over the free set its new top level
+    leaves, before its lower levels are grown. A skipped child is not a
+    node. The zero-sum-free search (cap >= |G|) uses its own bound
+    instead, depth + |G| - |sums|, tested on entry; it is tighter and
+    cheaper there.
 
     Isomorph rejection (McKay, J. Algorithms 26, 1998): a prefix of length
     <= ORBIT_PRUNE_DEPTH is searched only if it is the least sorted image
@@ -663,9 +702,11 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     prefix of S* to a smaller sorted image, the sorted image of S* under g
     would be a smaller sequence of the same length with the same
     property. So S* is never pruned: pruning moves node counts, not
-    results. A cyclic group is not pruned: its H is the unit scalings,
-    which cut about 3% of the nodes (C_97: 4,657 -> 4,515) while the
-    orbit BFS makes the search 2-6 times slower.
+    results. H and the flags of the prefixes come from _orbit_map, so
+    each orbit is found once per process, not once per search. A cyclic
+    group is not pruned: its H is the unit scalings, which cut about 3%
+    of the nodes (C_97: 4,657 -> 4,515) while the orbit BFS makes the
+    search 2-6 times slower.
     """
     if cap < G.exponent:
         raise ValueError(
@@ -678,15 +719,19 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
         )
     n = G.order
     elements = list(enumerate_elements(G))
-    generators = _automorphism_generators(G) if G.rank > 1 else []
+    if G.rank > 1:
+        generators, flags = _orbit_map(G, _automorphism_generators, ORBIT_PRUNE_DEPTH)
+    else:
+        generators = []
     full = (1 << n) - 1
     # a negated level grows by the one below it translated by -e
     minus = [translation(G, neg(G, a)) for a in elements]
     zero_sum_free = cap >= n
-    # (ord(e) - 1, indices of the elements of order ord(e)) per order > 1
+    # ord(e) - 1 per element index, and per order > 1 the pair
+    # (ord(e) - 1, indices of the elements of order ord(e))
+    weight = [element_order(G, a) - 1 for a in elements]
     by_order: Dict[int, int] = {}
-    for x, a in enumerate(elements):
-        w = element_order(G, a) - 1
+    for x, w in enumerate(weight):
         if w:
             by_order[w] = by_order.get(w, 0) | 1 << x
     multiplicity = list(by_order.items())
@@ -694,16 +739,22 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     nodes = 0
     best_len = 0
     best_seq: List[int] = []
-    least: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+    def slot(t) -> int:
+        key = 0
+        for e in t:
+            key = key * (n + 1) + e + 1
+        return key
 
     def canonical(seq: List[int]) -> bool:
         # seq is nondecreasing, so it is its own sorted form. The first
         # time a multiset is met, its H-orbit is found by BFS and every
-        # member is mapped to the orbit's least sorted image.
-        key = tuple(seq)
-        if key not in least:
-            orbit = {key}
-            frontier = [key]
+        # member is flagged by whether it is the orbit's least sorted image.
+        key = slot(seq)
+        if not flags[key]:
+            start = tuple(seq)
+            orbit = {start}
+            frontier = [start]
             while frontier:
                 reached = []
                 for t in frontier:
@@ -713,10 +764,10 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
                             orbit.add(image)
                             reached.append(image)
                 frontier = reached
-            rep = min(orbit)
             for t in orbit:
-                least[t] = rep
-        return least[key] == key
+                flags[slot(t)] = 2
+            flags[slot(min(orbit))] = 1
+        return flags[key] == 1
 
     def rec(seq: List[int], levels: List[int], lo: int):
         nonlocal nodes, best_len, best_seq
@@ -739,12 +790,12 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
         if zero_sum_free and depth + n - top.bit_count() <= best_len:
             return
         free = (full ^ top) >> lo << lo
+        # room: sum of ord(f) - 1 over the free f >= e, the most any child
+        # from e on can add past depth + 1
+        room = 0
         if not zero_sum_free:
-            bound = depth
             for w, mask in multiplicity:
-                bound += w * (free & mask).bit_count()
-            if bound <= best_len:
-                return
+                room += w * (free & mask).bit_count()
         # a new top while depth < cap - 1; the bottom goes once depth >= |G| - cap
         src = levels + [top] if depth < cap - 1 else levels
         keep = [] if depth >= n - cap else [src[0]]
@@ -752,16 +803,32 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
             bit = free & -free
             free ^= bit
             e = bit.bit_length() - 1
+            if not zero_sum_free:
+                if depth + 1 + room <= best_len:
+                    return
+                room -= weight[e]
+            t = src[-2]
+            for low, high, up, down in minus[e]:
+                t = (t & low) << up | (t & high) >> down
+            new_top = src[-1] | t
+            if not zero_sum_free:
+                bound = depth + 1
+                below = (full ^ new_top) >> e << e
+                for w, mask in multiplicity:
+                    bound += w * (below & mask).bit_count()
+                if bound <= best_len:
+                    continue
             seq.append(e)
             if generators and len(seq) <= ORBIT_PRUNE_DEPTH and not canonical(seq):
                 seq.pop()
                 continue
             grown = list(keep)
-            for j in range(1, len(src)):
+            for j in range(1, len(src) - 1):
                 t = src[j - 1]
                 for low, high, up, down in minus[e]:
                     t = (t & low) << up | (t & high) >> down
                 grown.append(src[j] | t)
+            grown.append(new_top)
             rec(seq, grown, e)
             seq.pop()
 

@@ -4,7 +4,7 @@ import inspect
 import json
 import sys
 from dataclasses import replace
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -39,11 +39,17 @@ C32 = make_group((3, 3))
 C33 = make_group((3, 3, 3))
 
 
-# every abelian group of order <= 8, the trivial one included
+# every abelian group of order <= 8, the trivial one included, then C_3^2
+# and C_2 + C_6, the first here with elements of three orders above 1, so
+# the multiplicity bound weighs the orders differently
 SMALL_GROUPS = [
     (), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2),
-    (3, 3),
+    (3, 3), (2, 6),
 ]
+# the caps checked by brute force where not every cap from exp(G) to |G|;
+# on C_2 + C_6 each cap from D = 7 on has the zero-sum-free answer, so the
+# short caps 6 and 7 and the zero-sum-free cap |G| stand for the rest
+BRUTE_FORCE_CAPS = {(2, 6): (6, 7, 12)}
 
 
 def has_short_zero_sum(seq, cap, factors):
@@ -339,19 +345,38 @@ GENERIC_CERT_DIGESTS = {
 
 # (factors, cap, size, nodes) of _generic_search
 SEARCH_PINS = [
-    ((3, 3), 9, 4, 9), ((3, 3), 3, 6, 16), ((3, 3), 4, 5, 11),
-    ((2, 4), 8, 4, 23), ((2, 4), 4, 5, 26),
-    ((4, 4), 16, 6, 261), ((4, 4), 4, 9, 498), ((4, 4), 6, 7, 258),
-    ((2, 2, 4), 16, 5, 205), ((2, 2, 4), 5, 6, 219),
+    ((3, 3), 9, 4, 9), ((3, 3), 3, 6, 10), ((3, 3), 4, 5, 8),
+    ((2, 4), 8, 4, 23), ((2, 4), 4, 5, 15),
+    ((4, 4), 16, 6, 261), ((4, 4), 4, 9, 188), ((4, 4), 6, 7, 94),
+    ((2, 2, 4), 16, 5, 205), ((2, 2, 4), 5, 6, 74),
     # mixed strides and shifts for the masked rotates
-    ((3, 3, 3), 27, 6, 1110), ((3, 3, 3), 4, 9, 4157), ((3, 3, 3), 5, 8, 1400),
+    ((3, 3, 3), 27, 6, 1110), ((3, 3, 3), 4, 9, 1413), ((3, 3, 3), 5, 8, 389),
     # eta(C_3^3) = 17: the longest search behind davenport_k(C_3^3, 2)
-    ((3, 3, 3), 3, 16, 22620),
+    ((3, 3, 3), 3, 16, 4080),
     ((5, 5), 25, 8, 4483), ((3, 9), 27, 10, 16903), ((2, 10), 20, 10, 2783),
     ((2, 2, 6), 24, 7, 4430),
     # a cyclic group is searched unpruned
     ((97,), 97, 96, 4657),
 ]
+
+
+# (factors, cap, size, nodes) of _generic_search under swaps_only
+SWAP_SEARCH_PINS = [
+    ((3, 3), 9, 4, 98), ((3, 3), 3, 6, 43), ((3, 3), 4, 5, 41),
+    ((2, 4), 8, 4, 95), ((2, 4), 4, 5, 29),
+    ((4, 4), 16, 6, 2165), ((4, 4), 4, 9, 948), ((4, 4), 6, 7, 707),
+    ((2, 2, 4), 16, 5, 1532), ((2, 2, 4), 5, 6, 486),
+    # mixed strides and shifts for the masked rotates
+    ((3, 3, 3), 27, 6, 28772), ((3, 3, 3), 4, 9, 23593), ((3, 3, 3), 5, 8, 8608),
+    ((5, 5), 25, 8, 73511), ((3, 9), 27, 10, 216962), ((2, 10), 20, 10, 17803),
+    ((2, 2, 6), 24, 7, 33244),
+]
+
+
+def swaps_only(monkeypatch):
+    """Prune by the swaps of equal invariant factors alone, to depth 4."""
+    monkeypatch.setattr(invariants, "_automorphism_generators", invariants._factor_swaps)
+    monkeypatch.setattr(invariants, "ORBIT_PRUNE_DEPTH", 4)
 
 
 class TestGenericSearch:
@@ -408,23 +433,13 @@ class TestGenericSearch:
             frontier = reached
         assert len(group) == 11232
 
-    @pytest.mark.parametrize("factors,cap,size,nodes", [
-        ((3, 3), 9, 4, 98), ((3, 3), 3, 6, 100), ((3, 3), 4, 5, 89),
-        ((2, 4), 8, 4, 95), ((2, 4), 4, 5, 76),
-        ((4, 4), 16, 6, 2165), ((4, 4), 4, 9, 2643), ((4, 4), 6, 7, 1907),
-        ((2, 2, 4), 16, 5, 1532), ((2, 2, 4), 5, 6, 1391),
-        # mixed strides and shifts for the masked rotates
-        ((3, 3, 3), 27, 6, 28772), ((3, 3, 3), 4, 9, 69813), ((3, 3, 3), 5, 8, 30158),
-        ((5, 5), 25, 8, 73511), ((3, 9), 27, 10, 216962), ((2, 10), 20, 10, 17803),
-        ((2, 2, 6), 24, 7, 33244),
-    ])
+    @pytest.mark.parametrize("factors,cap,size,nodes", SWAP_SEARCH_PINS)
     def test_search_size_and_nodes_pinned(self, monkeypatch, factors, cap, size, nodes):
         # cap = |G| is the zero-sum-free search; node counts pin the DFS
         # order. H is cut down to the coordinate permutations fixing the
         # invariant factors, pruned to depth 4, so the counts do not move
         # with _automorphism_generators or ORBIT_PRUNE_DEPTH.
-        monkeypatch.setattr(invariants, "_automorphism_generators", invariants._factor_swaps)
-        monkeypatch.setattr(invariants, "ORBIT_PRUNE_DEPTH", 4)
+        swaps_only(monkeypatch)
         G = make_group(factors)
         got_size, seq, got_nodes = _generic_search(G, cap, None)
         assert (got_size, got_nodes) == (size, nodes)
@@ -448,7 +463,7 @@ class TestGenericSearch:
     def test_search_size_matches_brute_force(self, factors):
         G = make_group(factors)
         nonzero = list(enumerate_elements(G))[1:]  # 0 alone is a zero-sum
-        for cap in range(G.exponent, G.order + 1):
+        for cap in BRUTE_FORCE_CAPS.get(factors, range(G.exponent, G.order + 1)):
             # the property is closed under subsequences: stop at the first
             # length that no sequence of nonzero elements reaches. The first
             # sequence found at a length is the lex-least one, which the
@@ -469,12 +484,51 @@ class TestGenericSearch:
             assert _generic_search(G, cap, None)[:2] == (longest, least), cap
 
     def test_budget_exhaustion_names_the_search(self):
-        # enough for D (1,110 nodes), not for s_le(3) (22,620)
+        # enough for D (1,110 nodes), not for s_le(3) (4,080)
         with pytest.raises(SearchError) as excinfo:
-            s_le(C33, 3, 10_000)
+            s_le(C33, 3, 2_000)
         assert str(excinfo.value) == (
-            "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 10000 nodes"
+            "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 2000 nodes"
         )
+
+    def test_exhausted_search_is_not_rerun(self, monkeypatch):
+        # the second call raises the remembered SearchError at once
+        calls = []
+        search = invariants._generic_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(invariants, "_generic_search", counted)
+        message = "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 2001 nodes"
+        for _ in range(2):
+            with pytest.raises(SearchError) as excinfo:
+                s_le(C33, 3, 2_001)
+            assert str(excinfo.value) == message
+        # D once (1,110 nodes) and s_le(3) once
+        assert [args[1:] for args in calls] == [(27, 2_001), (3, 2_001)]
+
+    def test_orbit_map_not_shared_across_generators(self, monkeypatch):
+        # full-H searches, then swap-only ones, then full-H again, on the
+        # same groups in one process: each keeps its own pinned count
+        pins = {(f, cap): nodes for f, cap, _, nodes in SEARCH_PINS}
+        cheap = [p for p in SWAP_SEARCH_PINS if p[3] < 3000]
+        for factors, cap, _, _ in cheap:
+            assert _generic_search(make_group(factors), cap, None)[2] == pins[factors, cap]
+        swaps_only(monkeypatch)
+        for factors, cap, _, nodes in cheap:
+            assert _generic_search(make_group(factors), cap, None)[2] == nodes
+        monkeypatch.undo()
+        for factors, cap, _, _ in cheap:
+            assert _generic_search(make_group(factors), cap, None)[2] == pins[factors, cap]
+
+    @pytest.mark.parametrize("caps", list(permutations((3, 4, 5, 27))))
+    def test_node_counts_do_not_depend_on_call_order(self, caps):
+        # every search on C_3^3 shares one orbit map, filled as it goes
+        invariants._orbit_map.cache_clear()
+        pins = {cap: nodes for f, cap, _, nodes in SEARCH_PINS if f == (3, 3, 3)}
+        assert {cap: _generic_search(C33, cap, None)[2] for cap in caps} == pins
 
     def test_cap_below_exponent_rejected(self):
         # exp(G) copies of an element of order exp(G) are a zero-sum of
