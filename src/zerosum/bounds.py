@@ -688,12 +688,10 @@ def e2g_bounds(r: int, k: int, split_inputs=None) -> List[BoundReport]:
 
 @dataclass
 class KnownValues:
-    """Inputs a bound sweep may draw on, each with its provenance."""
+    """Supplied inputs a bound sweep may draw on."""
 
     D: Optional[int] = None
-    d_prov: str = SUPPLIED
     s_le: Dict[int, ExtInt] = field(default_factory=dict)
-    s_prov: str = SUPPLIED
 
 
 def _ell_vectors(candidates: Seq[int]) -> List[Tuple[int, ...]]:
@@ -734,49 +732,76 @@ def best_recursion(
     return best
 
 
-def collect_bounds(G: Group, k: int, known: KnownValues) -> List[BoundReport]:
-    """Every applicable bound on the k-block constant, best settings first.
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
+
+def dk_upper_bounds(
+    G: Group,
+    k: int,
+    D: Optional[int],
+    s_values: Dict[int, ExtInt],
+    prev_dk: Optional[int] = None,
+    prov: str = SUPPLIED,
+) -> List[BoundReport]:
+    """Every upper bound rule on D_k(G) the inputs allow, in a fixed order.
+
+    Given D: k * D, best_recursion when it uses a level, then per usable
+    level ub.remark and, given prev_dk = D_{k-1}, ub.step. Then ub.cpr on
+    C_p^r with r >= 2, at the least m its precondition accepts, and
+    ub.e2g_d2 at k = 2 on C_2^r. D and the thresholds are recorded with
+    provenance prov, prev_dk as computed.
+    """
+    prof = profile(G)
+    factors = G.invariant_factors
+    out: List[BoundReport] = []
+    if D is not None:
+        out.append(k_times_d(k, D, d_prov=prov))
+        rec = best_recursion(G, s_values, D, k, prov, prov)
+        if rec.input_value("ell"):
+            out.append(rec)
+        for ell in _usable_levels(G, s_values, D):
+            s = s_values[ell]
+            if ell <= max(prof.exponent, D - 1):
+                out.append(remark_ub(G, k, ell, s, D, s_prov=prov, d_prov=prov))
+            if prev_dk is not None:
+                out.append(step_ub(prev_dk, ell, s, dk_prov=COMPUTED, s_prov=prov))
+    if prof.rank >= 2 and len(set(factors)) == 1 and _is_prime(factors[0]):
+        p, r = factors[0], prof.rank
+        m = 1
+        while r * (p - 1) + 1 >= 2 * p**m:
+            m += 1
+        out.append(cpr_upper(p, r, k, m))
+    if prof.exponent == 2 and k == 2:
+        out.append(e2g_d2_upper(prof.rank))
+    return out
+
+
+def elb_settings(G: Group) -> List[Tuple[int, int]]:
+    """The (s, t) pairs elb_lower accepts on G, by t and then s."""
+    r = profile(G).rank
+    return [
+        (s, t)
+        for t in range(1, r + 1)
+        for s in range(2, r + 2)
+        if s * (s - 1) // 2 <= r - t + 1
+    ]
+
+
+def collect_bounds(G: Group, k: int, known: KnownValues) -> List[BoundReport]:
+    """The lower bounds on the k-block constant, then dk_upper_bounds.
+
+    The lower bounds are lb.dstar and, for k >= 2, the best lb.elb.
     Raises BoundConsistencyError when any lower bound exceeds any upper
     bound, since that can only mean an input or a rule is wrong.
     """
-    prof = profile(G)
-    out: List[BoundReport] = []
-    if prof.order == 1:
+    if profile(G).order == 1:
         raise BoundError("trivial group is handled by direct computation")
-    out.append(lower_dstar(G, k))
+    out = [lower_dstar(G, k)]
     if k >= 2:
-        best_elb: Optional[BoundReport] = None
-        for t in range(1, prof.rank + 1):
-            for s in range(2, prof.rank + 2):
-                if s * (s - 1) // 2 > prof.rank - t + 1:
-                    break
-                rep = elb_lower(G, s, t, k)
-                if best_elb is None or rep.value > best_elb.value:
-                    best_elb = rep
-        if best_elb is not None:
-            out.append(best_elb)
-    if known.D is not None:
-        D = known.D
-        out.append(k_times_d(k, D, d_prov=known.d_prov))
-        best_rec = best_recursion(G, known.s_le, D, k, known.s_prov, known.d_prov)
-        if best_rec.input_value("ell"):
-            out.append(best_rec)
-        for ell_1 in _usable_levels(G, known.s_le, D):
-            if ell_1 <= max(prof.exponent, D - 1):
-                out.append(
-                    remark_ub(
-                        G,
-                        k,
-                        ell_1,
-                        known.s_le[ell_1],
-                        D,
-                        s_prov=known.s_prov,
-                        d_prov=known.d_prov,
-                    )
-                )
-    if prof.exponent == 2 and k == 2:
-        out.append(e2g_d2_upper(prof.rank))
+        elbs = [elb_lower(G, s, t, k) for s, t in elb_settings(G)]
+        out.append(max(elbs, key=lambda rep: rep.value))
+    out.extend(dk_upper_bounds(G, k, known.D, known.s_le))
     check_consistency(out)
     return out
 

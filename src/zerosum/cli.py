@@ -309,12 +309,8 @@ def bound_all(group_text: str, k: int, inputs_path: Optional[str], fmt: str,
         raw = _load_json_file(inputs_path)
         if "D" in raw:
             known.D = int(raw["D"])
-        if "d_prov" in raw:
-            known.d_prov = str(raw["d_prov"])
         for key, val in raw.get("s_le", {}).items():
             known.s_le[int(key)] = INFINITE if val == "inf" else int(val)
-        if "s_prov" in raw:
-            known.s_prov = str(raw["s_prov"])
     started = time.time()
     try:
         reports = collect_bounds(G, k, known)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Tuple
 
-from .bounds import BoundError
+from .bounds import BoundError, elb_lower
 from .factorizations import Factorization
-from .groups import Group, add, make_group, profile, zero
+from .groups import Group, add, make_group, zero
 from .sequences import Sequence
 
 Element = Tuple[int, ...]
@@ -26,21 +26,14 @@ def elb_witness(G: Group, s: int, t: int, k: int) -> Sequence:
     position t on (one coordinate per pattern, in lexicographic pattern
     order), each scaled so its order drops to the t-th factor; the
     pattern sums, the near-full basis layers, and k-2 extra runs of the
-    last generator make up the sequence.
+    last generator make up the sequence. Its preconditions and length
+    are those of bounds.elb_lower: the sequence is one element short of
+    the bound, and BoundError is raised where the rule does not apply.
     """
-    prof = profile(G)
+    bound = elb_lower(G, s, t, k)
     factors = G.invariant_factors
-    r = prof.rank
-    if r == 0:
-        raise BoundError("trivial group has no coordinates")
-    if s < 2 or k < 2 or not 1 <= t <= r:
-        raise BoundError("need s >= 2, k >= 2, t in [1, rank]")
-    pairs = list(combinations(range(1, s + 1), 2))
-    if len(pairs) > r - t + 1:
-        raise BoundError("pair patterns exceed available coordinates")
-    n_t = factors[t - 1]
-    n_r = factors[r - 1]
-    delta = n_t % 2
+    r = G.rank
+    n_t = bound.input_value("n_t")
 
     def basis(i: int) -> Element:
         return tuple(1 if j == i - 1 else 0 for j in range(r))
@@ -51,7 +44,7 @@ def elb_witness(G: Group, s: int, t: int, k: int) -> Sequence:
         return tuple(scale_by if j == i - 1 else 0 for j in range(r))
 
     position_of: Dict[Tuple[int, int], int] = {
-        pat: t + idx for idx, pat in enumerate(pairs)
+        pat: t + idx for idx, pat in enumerate(combinations(range(1, s + 1), 2))
     }
     pattern_sums: List[Element] = []
     for j in range(1, s + 1):
@@ -64,17 +57,15 @@ def elb_witness(G: Group, s: int, t: int, k: int) -> Sequence:
     items: List[Element] = []
     for g_j in pattern_sums:
         items.extend([g_j] * (n_t // 2))
-    if delta:
+    if bound.input_value("delta"):
         items.append(pattern_sums[-1])
     for i in range(1, r + 1):
         items.extend([basis(i)] * (factors[i - 1] - 1))
-    items.extend([basis(r)] * ((k - 2) * n_r))
+    items.extend([basis(r)] * ((k - 2) * bound.input_value("n_r")))
     seq = Sequence.from_elements(G, items)
-    expected = prof.d_star - 1 + s * (n_t // 2) + delta + (k - 2) * n_r
-    if seq.length != expected:
+    if seq.length != bound.value - 1:
         raise AssertionError(
-            "length %d does not match the counting identity %d"
-            % (seq.length, expected)
+            "length %d is not one short of the lb.elb bound %d" % (seq.length, bound.value)
         )
     return seq
 

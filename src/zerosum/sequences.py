@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .gf2 import mask_rank
+from .gf2 import mask_rank, reduce_mod_basis
 from .groups import (
     Element,
     Group,
@@ -478,9 +478,7 @@ def davydov_tombak_check(G: Group, A: Iterable) -> DavydovTombakClass:
             kernel = [v for v in range(1, 1 << r) if _inner(chi, v) == 0]
             basis = []
             for v in kernel:
-                w = v
-                for b in basis:
-                    w = min(w, w ^ b)
+                w = reduce_mod_basis(v, basis)
                 if w:
                     basis.append(w)
             return DavydovTombakClass(
@@ -496,10 +494,7 @@ def davydov_tombak_check(G: Group, A: Iterable) -> DavydovTombakClass:
         for basis in _enumerate_subspace_bases(r, r - 4):
             classes: Dict[int, int] = {}
             for v in masks:
-                rep = v
-                for b in basis:
-                    rep = min(rep, rep ^ b)
-                classes.setdefault(rep, v)
+                classes.setdefault(reduce_mod_basis(v, basis), v)
             if 0 in classes:
                 continue  # some element falls into the subgroup itself
             reps = sorted(classes)

@@ -411,6 +411,34 @@ class TestConsistency:
             collect_bounds(C25, 2, KnownValues(D=2, s_le={2: 32}))
 
 
+# the groups of the pinned generic rows, then C_3^3, C_5^2 and C_6^2
+AGREEMENT_GROUPS = [
+    (3, 3), (2, 4), (2, 6), (4, 4), (3, 6), (2, 2, 4), (2, 8), (2,) * 6,
+    (3, 3, 3), (5, 5), (6, 6),
+]
+
+
+class TestCatalogMatchesRows:
+    @pytest.mark.parametrize("factors", AGREEMENT_GROUPS, ids=lambda f: "x".join(map(str, f)))
+    def test_least_upper_is_the_row_upper(self, factors):
+        # fed a generic row's own D and thresholds, the catalog reaches the
+        # row's upper side, unless the row closes by ub.step, which needs
+        # D_{k-1} and so is not in the catalog
+        G = make_group(factors)
+        D = davenport_k(G, 1).value
+        known = KnownValues(D=D)
+        for ell in range(G.exponent, min(D, G.exponent + 3)):
+            value = s_le(G, ell).value
+            if value is not None:
+                known.s_le[ell] = value
+        for k in range(2, 9):
+            row = davenport_k(G, k)
+            if row.upper_chain[-1].rule_id == "ub.step":
+                continue
+            uppers = [r.value for r in collect_bounds(G, k, known) if r.direction == "upper"]
+            assert min(uppers) == row.upper, k
+
+
 class TestRecursionMatchesSingleBlockCap:
     # Known values (D, threshold at the exponent) for a pool of groups.
     POOL = [

@@ -373,6 +373,11 @@ SWAP_SEARCH_PINS = [
 ]
 
 
+def pin_ids(pins):
+    """Test ids naming a pin's group and cap, not its pinned counts."""
+    return ["x".join(map(str, f)) + "-cap%d" % cap for f, cap, _, _ in pins]
+
+
 def swaps_only(monkeypatch):
     """Prune by the swaps of equal invariant factors alone, to depth 4."""
     monkeypatch.setattr(invariants, "_automorphism_generators", invariants._factor_swaps)
@@ -433,7 +438,9 @@ class TestGenericSearch:
             frontier = reached
         assert len(group) == 11232
 
-    @pytest.mark.parametrize("factors,cap,size,nodes", SWAP_SEARCH_PINS)
+    @pytest.mark.parametrize(
+        "factors,cap,size,nodes", SWAP_SEARCH_PINS, ids=pin_ids(SWAP_SEARCH_PINS)
+    )
     def test_search_size_and_nodes_pinned(self, monkeypatch, factors, cap, size, nodes):
         # cap = |G| is the zero-sum-free search; node counts pin the DFS
         # order. H is cut down to the coordinate permutations fixing the
@@ -446,11 +453,7 @@ class TestGenericSearch:
         assert len(seq) == size
         assert shortest_zero_sum_length(Sequence.from_elements(G, seq), cap) is None
 
-    @pytest.mark.parametrize(
-        "factors,cap,size,nodes",
-        SEARCH_PINS,
-        ids=["x".join(map(str, f)) + "-cap%d" % cap for f, cap, _, _ in SEARCH_PINS],
-    )
+    @pytest.mark.parametrize("factors,cap,size,nodes", SEARCH_PINS, ids=pin_ids(SEARCH_PINS))
     def test_orbit_search_size_and_nodes_pinned(self, factors, cap, size, nodes):
         # the same searches pruned by all of _automorphism_generators
         G = make_group(factors)
@@ -833,6 +836,86 @@ class TestWitnessRules:
         data["witness_check"] = {"rule": "mystery"}
         result = verify_certificate(Certificate.from_json(data))
         assert not result.ok
+
+
+def _verify_edited(cert, edit):
+    """Problems of cert's JSON after edit(data), its digest dropped first."""
+    data = cert.to_json()
+    del data["digest"]  # so only the edited field can object
+    edit(data)
+    return verify_certificate(Certificate.from_json(data)).problems
+
+
+def _setting(**fields):
+    return lambda data: data.update(fields)
+
+
+def _witness_rule(rule, **params):
+    return _setting(witness_check={"rule": rule, "params": params})
+
+
+class TestForgedUpperSide:
+    @pytest.mark.parametrize(
+        "factors,value", [((2,) * 5, 13), ((3, 3, 3), 14)], ids=["2^5", "3^3"]
+    )
+    def test_exhaustive_flag_backs_nothing(self, factors, value):
+        # a bracketed row claims its lower end, with no chain, as exhaustive
+        def forge(data):
+            del data["interval"]
+            data.update(value=value, upper_chain=[], exhaustive=True)
+
+        problems = _verify_edited(davenport_k(make_group(factors), 3), forge)
+        assert problems == ("no chain backing the upper side",)
+
+
+class TestTamperedFields:
+    """Each edit of one field of a real certificate draws its own problem."""
+
+    @pytest.mark.parametrize("build,edit,problem", [
+        (lambda: davenport(C22), _witness_rule("zeros"),
+         "witness: zeros rule requires every element to be the identity"),
+        (lambda: davenport_k(make_group(()), 3), _setting(k=2),
+         "witness: 3 identity elements exceed 2 blocks"),
+        (lambda: davenport_k(make_group((6,)), 3),
+         _setting(witness=[{"coords": [0], "mult": 18}]),
+         "witness: cyclic-power rule needs a single nonzero element"),
+        (lambda: davenport_k(make_group((6,)), 3), _setting(k=2),
+         "witness: 3 repetitions of a length-6 block exceed 2"),
+        (lambda: davenport_k(C25, 2), _witness_rule("coset-quarter", functional=0),
+         "witness: coset-quarter rule needs a nonzero functional"),
+        (lambda: davenport_k(C25, 2), _witness_rule("coset-quarter", functional=1),
+         "witness: core element 16 lies outside the selected coset"),
+        (lambda: davenport_k(C25, 4), _setting(k=3),
+         "witness: quarter-bound 4 exceeds remaining 3 blocks"),
+        (lambda: davenport_k(C25, 8), _setting(k=7),
+         "witness: third-bound 8 exceeds remaining 7 blocks"),
+        (lambda: davenport_k(C25, 7), _setting(k=1),
+         "witness: pairs and zeros alone exceed 1 blocks"),
+        (lambda: davenport_k(C25, 2), _witness_rule("mask-maxl"),
+         "witness: mask-maxl rule only covers rank <= 4"),
+        (lambda: davenport_k(C32, 2), _witness_rule("squarefree-third"),
+         "witness: rule 'squarefree-third' needs an elementary 2-group"),
+        (lambda: davenport(C22), _setting(witness_check=None),
+         "witness present without a check rule"),
+        (lambda: s_le(make_group((6,)), 2), _setting(witness=[{"coords": [1], "mult": 1}]),
+         "infinite threshold should carry no witness"),
+        (lambda: s_le(C24, 3), lambda data: data["witness"].pop(),
+         "witness length 7 differs from claimed 9 - 1"),
+        (lambda: davenport(C22), _setting(witness=None),
+         "no witness for a positive lower side"),
+        (lambda: eta(C32), _setting(k=2), "eta certificate must use k = exponent"),
+    ], ids=[
+        "zeros-nonzero", "zeros-count", "cyclic-support", "cyclic-blocks",
+        "coset-functional", "coset-outside", "coset-quarter", "squarefree-third",
+        "pairs-and-zeros", "mask-maxl-rank", "non-2-group-rule", "no-rule",
+        "infinite-threshold", "threshold-length", "no-witness", "eta-k",
+    ])
+    def test_edit_is_reported(self, build, edit, problem):
+        assert _verify_edited(build(), edit) == (problem,)
+
+    def test_witness_in_another_group(self):
+        cert = replace(davenport(C22), witness=davenport(C32).witness)
+        assert verify_certificate(cert).problems == ("witness lives in a different group",)
 
 
 class TestMemoKeys:
