@@ -11,8 +11,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .bounds import evaluate_rule
 
@@ -106,7 +105,8 @@ class CircuitTable:
     the circuits of that size whose lowest id is v. Any circuit inside a
     subset that contains the subset's lowest id v has v as its lowest
     id, so one bucket is all a search pinned at v needs to scan.
-    Circuits longer than max_len, when given, are left out.
+    Circuits longer than max_len, when given, are left out; the kept
+    ones sit in their buckets in the order of the full table.
     """
 
     def __init__(self, ids, r: int, max_len: Optional[int] = None):
@@ -115,23 +115,34 @@ class CircuitTable:
             raise ValueError("ids must lie in 1..%d" % ((1 << r) - 1))
         self.r = r
         self.mask = ids_to_mask(ids)
+        self.max_len = r + 1 if max_len is None else min(max_len, r + 1)
         self.by_low: List[List[List[int]]] = [
             [[] for _ in range(r + 2)] for _ in range(1 << r)
         ]
-        cap = r + 1 if max_len is None else min(max_len, r + 1)
-        for circ in _circuit_dfs(ids, cap):
+        for circ in _circuit_dfs(ids, self.max_len):
             self.by_low[circ[0]][len(circ)].append(ids_to_mask(circ))
 
-    def partition(self, avail: int, pieces: int) -> Optional[List[int]]:
+    def partition(
+        self, avail: int, pieces: int, fail: Set[Tuple[int, int]]
+    ) -> Optional[List[int]]:
         """Split the subset mask `avail` into exactly `pieces` circuits.
 
         Returns the circuit masks, or None when no such partition exists.
-        Pinning the lowest remaining id plus memoizing failed residuals
-        keeps the search exact.
+        Parts are drawn from this table, so a table cut to max_len L
+        answers exactly for any question with n - 3(pieces - 1) <= L (n
+        ids in `avail`): no part of such a partition is longer, and the
+        bound only shrinks down the search tree.
+
+        Pinning the lowest remaining id keeps the search exact. `fail`
+        is the caller's set of residuals (avail, pieces) known to have no
+        partition; the search skips them and adds the ones it refutes.
+        Those answers depend only on the table, so one set may serve
+        every question a caller asks of the table. It only prunes
+        subtrees that fail: it never turns a failure into a success, and
+        the first partition found is the same with or without it.
         """
         by_low = self.by_low
-        top = self.r + 1
-        fail: set = set()
+        top = self.max_len
 
         def solve(avail: int, n: int, pieces: int) -> Optional[List[int]]:
             if pieces == 0:
@@ -156,10 +167,22 @@ class CircuitTable:
         return None if parts is None else parts[::-1]
 
 
-@lru_cache(maxsize=None)
-def universe_table(r: int) -> CircuitTable:
-    """Every circuit of C_2^r, built once per process."""
-    return CircuitTable(range(1, 1 << r), r)
+# one table of C_2^r per rank, cut to the longest circuits asked for yet
+_UNIVERSE: Dict[int, CircuitTable] = {}
+
+
+def universe_table(r: int, max_len: Optional[int] = None) -> CircuitTable:
+    """The circuits of C_2^r of length <= max_len (all when None).
+
+    One table per rank is kept for the process. It is rebuilt, and
+    replaces the old one, only when a caller asks for circuits longer
+    than it holds, so the table returned may also hold longer ones.
+    """
+    want = r + 1 if max_len is None else min(max_len, r + 1)
+    table = _UNIVERSE.get(r)
+    if table is None or table.max_len < want:
+        table = _UNIVERSE[r] = CircuitTable(range(1, 1 << r), r, want)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +386,7 @@ def find_circuit_partition(
     """
     ids = set(ids)
     table = CircuitTable(ids, r, max_len=len(ids) - 3 * (pieces - 1))
-    parts = table.partition(table.mask, pieces)
+    parts = table.partition(table.mask, pieces, set())
     if parts is None:
         return None
     return [frozenset(i + 1 for i in range(1 << r) if (circ >> i) & 1) for circ in parts]
@@ -386,8 +409,9 @@ def squarefree_max_length_at_most(ids, bound: int, r: int) -> bool:
         return True
     # the fewest parts leave room for the longest one
     table = CircuitTable(ids, r, max_len=len(ids) - 3 * (counts[0] - 1))
+    fail: Set[Tuple[int, int]] = set()  # shared by the counts, dropped on return
     for k in counts:
-        if table.partition(table.mask, k) is not None:
+        if table.partition(table.mask, k, fail) is not None:
             return False
     return True
 
@@ -434,12 +458,23 @@ RANK5_SWEEP_PIECES = {3: 9, 4: 9, 5: 8, 6: 8, 7: 8, 8: 7, 9: 7, 10: 6, 11: 6}
 
 
 def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
+    """Try to split the complement of every covering instance into `pieces`.
+
+    The instances are canonical_zero_sum_subsets(r, complement_size),
+    which meet every GL(r, 2) orbit; failures counts the complements
+    with no partition into exactly `pieces` circuits. The search uses
+    the universe table cut to the longest part such a partition can
+    have, set_size - 3(pieces - 1), and one failure memo that all
+    instances share and that is dropped when the sweep returns.
+    """
     started = time.monotonic()
-    table = universe_table(r)
+    set_size = (1 << r) - 1 - complement_size
+    table = universe_table(r, set_size - 3 * (pieces - 1))
     instances = canonical_zero_sum_subsets(r, complement_size)
+    fail: Set[Tuple[int, int]] = set()
     failures = 0
     for inst in instances:
-        if table.partition(table.mask ^ ids_to_mask(inst), pieces) is None:
+        if table.partition(table.mask ^ ids_to_mask(inst), pieces, fail) is None:
             failures += 1
     elapsed = int((time.monotonic() - started) * 1000)
     return SweepRecord(

@@ -1,10 +1,11 @@
 """Tests for the bitmask search engines on elementary 2-groups."""
 
 import itertools
+import random
 
 import pytest
 
-from zerosum import cache, invariants
+from zerosum import cache, gf2, invariants
 from zerosum.factorizations import max_length
 from zerosum.gf2 import (
     RANK5_CORE_MAXL3,
@@ -93,6 +94,17 @@ class TestCircuits:
         assert is_circuit((1, 2, 4, 7))
 
 
+def zero_sum_subsets(r):
+    """Every nonempty zero-sum set of nonzero ids of C_2^r."""
+    ids = range(1, 1 << r)
+    return [
+        sub
+        for size in range(3, len(ids) + 1)
+        for sub in itertools.combinations(ids, size)
+        if xor_all(sub) == 0
+    ]
+
+
 def mask_of(ids):
     return sum(1 << (v - 1) for v in ids)
 
@@ -106,6 +118,21 @@ class TestCircuitTable:
         for r in (2, 3, 4, 5):
             expected = sorted(mask_of(c) for c in circuits(r))
             assert table_masks(universe_table(r)) == expected
+
+    @pytest.mark.parametrize("r", (3, 4, 5))
+    def test_cut_table_is_the_full_table_filtered(self, r, monkeypatch):
+        monkeypatch.setattr(gf2, "_UNIVERSE", {})
+        full = CircuitTable(range(1, 1 << r), r)
+        for cap in range(3, r + 2):
+            expected = [
+                [bucket if size <= cap else [] for size, bucket in enumerate(buckets)]
+                for buckets in full.by_low
+            ]
+            assert CircuitTable(range(1, 1 << r), r, max_len=cap).by_low == expected
+            # the kept table grows to the longest circuits asked for
+            assert universe_table(r, cap).by_low == expected
+        assert universe_table(r).by_low == full.by_low
+        assert universe_table(r, 3) is universe_table(r)
 
     def test_buckets_hold_lowest_id_and_size(self):
         table = universe_table(4)
@@ -216,7 +243,8 @@ class TestCanonicalEnumeration:
                 assert hit, sub
 
     def test_dedupes_orbits_substantially(self):
-        # 4 orbit representatives stand in for all 22,568 zero-sum 6-subsets
+        # 4 covering instances, in 2 GL(5,2) orbits, stand in for all
+        # 22,568 zero-sum 6-subsets
         assert len(canonical_zero_sum_subsets(5, 6)) == 4
 
     def test_max_independent_matches_rank(self):
@@ -358,6 +386,53 @@ class TestSweeps:
         # size-12 sets of rank 4 never split into 5 circuits (needs 15 ids)
         rec = run_sweep(4, 3, 5)
         assert rec.failures == rec.instances == 1
+
+    @pytest.mark.parametrize("r", (3, 4))
+    def test_sweep_failures_match_brute_force(self, r, monkeypatch):
+        # a sweep fails exactly when some zero-sum set of its size has no
+        # partition into `pieces` circuits, each asked with a fresh memo.
+        # Each sweep starts without a kept table, so it runs on one cut
+        # to its own longest part.
+        monkeypatch.setattr(gf2, "_UNIVERSE", {})
+        n_ids = (1 << r) - 1
+        by_size = {}
+        for ids in zero_sum_subsets(r):
+            by_size.setdefault(len(ids), []).append(ids)
+        for c in range(n_ids - 2):
+            size = n_ids - c
+            for pieces in range(-(-size // (r + 1)), size // 3 + 1):
+                some_fail = any(
+                    find_circuit_partition(ids, pieces, r) is None
+                    for ids in by_size.get(size, ())
+                )
+                gf2._UNIVERSE.clear()
+                assert (run_sweep(r, c, pieces).failures > 0) == some_fail, (c, pieces)
+
+    @pytest.mark.parametrize("r", (4, 5))
+    def test_shared_memo_gives_the_fresh_memo_answers(self, r):
+        # one memo across many sets and part counts, some of which split
+        # and some not. In C_2^4 (every zero-sum set) a part count within
+        # [n / (r + 1), n / 3] always splits, so only the seeded sample of
+        # C_2^5 sets makes the memo refute residuals.
+        if r == 4:
+            sets = zero_sum_subsets(4)
+        else:
+            rng = random.Random(16)
+            sets = []
+            while len(sets) < 1000:
+                ids = rng.sample(range(1, 32), rng.randrange(8, 28))
+                if xor_all(ids) and xor_all(ids) not in ids:
+                    sets.append(ids + [xor_all(ids)])
+        table = universe_table(r)
+        fail = set()
+        outcomes = set()
+        for ids in sets:
+            for pieces in range(1, len(ids) // 3 + 1):
+                got = table.partition(mask_of(ids), pieces, fail)
+                assert got == table.partition(mask_of(ids), pieces, set()), (ids, pieces)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+        assert bool(fail) == (r == 5)
 
     def test_rank5_sweep_counts_pinned(self):
         expected = {3: 1, 4: 1, 5: 1, 6: 4, 7: 21, 8: 103, 9: 497, 10: 2082, 11: 7208}
