@@ -18,6 +18,13 @@ the symmetry between orderings of the same decomposition, so every
 decomposition is visited once. It returns the reachable part counts as
 a bitmask: ``length_set`` lists its bits, ``max_length`` and
 ``max_disjoint_zero_sums`` take its highest.
+
+The masks are kept in one bounded FIFO memo for the process, ``_MASKS``,
+keyed on (S, atom cap, discard), with the nodes the full search spent;
+nodes are counted with or without a budget. A hit whose budget is below
+that count raises the ``BudgetExhausted`` the search would have raised,
+so budgets act as without the memo. A search that runs out stores
+nothing, and no kernel is kept.
 """
 
 from __future__ import annotations
@@ -64,19 +71,20 @@ class BudgetExhausted(RuntimeError):
 class _Budget:
     """Node budget of one query: a node is one step of the atom DFS (one
     slot tried on a prefix) or one search node (one memo miss, or one
-    partial factorization when enumerating)."""
+    partial factorization when enumerating). spent counts the nodes even
+    when limit is None, so the length-mask memo can record what a full
+    search costs."""
 
     __slots__ = ("limit", "spent", "search")
 
     def __init__(self, limit: Optional[int], search: str):
-        self.limit = limit
+        # a negative budget runs out at the first node, as a zero one does
+        self.limit = None if limit is None else max(limit, 0)
         self.spent = 0
         self.search = search
 
     def spend(self) -> None:
-        if self.limit is None:
-            return
-        if self.spent >= self.limit:
+        if self.spent == self.limit:
             raise BudgetExhausted(self.spent, self.search)
         self.spent += 1
 
@@ -120,9 +128,14 @@ def is_minimal_zero_sum(S: Sequence) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _bits(G: Group, e: Element) -> Tuple[int, int, tuple]:
-    """The bits of e and -e, and the rotates that translate by e."""
-    return 1 << element_index(G, e), 1 << element_index(G, neg(G, e)), translation(G, e)
+def _bits(G: Group, e: Element) -> Tuple[int, int, int, tuple, tuple]:
+    """The bit of e, the index and bit of -e, the rotates that translate
+    a bitset by e, and the index map x -> x + e."""
+    step = [0]
+    for y, m in zip(e, G.invariant_factors):
+        step = [x * m + (c + y) % m for x in step for c in range(m)]
+    minus = element_index(G, neg(G, e))
+    return 1 << step[0], minus, 1 << minus, translation(G, e), tuple(step)
 
 
 class _Kernel:
@@ -152,14 +165,15 @@ class _Kernel:
         unit = [1 << j * w for j in range(k)]
         self.guards = sum(unit) << (w - 1)
         self.counts = sum(m * u for m, u in zip(left, unit))
-        bit, minus, moves = zip(*(_bits(G, e) for e in support)) if k else ((), (), ())
+        rows = [_bits(G, e) for e in support]
+        bit, minus, minus_bit, moves, step = zip(*rows) if k else ((),) * 5
         spend = budget.spend
         atoms: List[int] = []
 
         def extend(start: int, atom: int, room: int, sums: int, total: int) -> None:
             # The prefix atom is zero-sum free and may grow by room more
             # elements; sums is the bitset of the sums of its nonempty
-            # subsequences and total the bit of its own sum. No proper
+            # subsequences and total the index of its own sum. No proper
             # subsequence sums to total (the rest would be a zero-sum), so
             # adding e closes an atom iff e = -total, and is refused iff
             # some other subsequence sums to -e.
@@ -169,13 +183,12 @@ class _Kernel:
                 spend()
                 if total == minus[j]:
                     atoms.append(atom + unit[j])
-                elif room > 1 and not sums & minus[j]:
-                    t, u = sums, total
+                elif room > 1 and not sums & minus_bit[j]:
+                    t = sums
                     for low, high, up, down in moves[j]:
                         t = (t & low) << up | (t & high) >> down
-                        u = (u & low) << up | (u & high) >> down
                     left[j] -= 1
-                    extend(j, atom + unit[j], room - 1, sums | t | bit[j], u)
+                    extend(j, atom + unit[j], room - 1, sums | t | bit[j], step[j][total])
                     left[j] += 1
 
         room = S.length if max_len is None else max_len - 1
@@ -187,7 +200,7 @@ class _Kernel:
                 atoms.append(unit[i])
             elif room > 0:
                 left[i] -= 1
-                extend(i, unit[i], room, bit[i], bit[i])
+                extend(i, unit[i], room, bit[i], step[i][0])
                 left[i] += 1
         first.append(len(atoms))
         del extend  # a recursive closure is a reference cycle; free it now
@@ -236,6 +249,10 @@ def atoms_through(
 # The one search: reachable numbers of disjoint atoms
 
 
+# (S, atom_cap, discard) -> (length mask, nodes of the full search)
+_MASKS = _Memo(1 << 10)
+
+
 def _lengths(
     S: Sequence,
     atom_cap: Optional[int],
@@ -253,6 +270,13 @@ def _lengths(
     over the atoms through it, so every decomposition is visited once.
     """
     b = _Budget(budget, entry)
+    key = (S, atom_cap, discard)
+    hit = _MASKS.get(key)
+    if hit is not None:
+        lengths, nodes = hit
+        if b.limit is not None and b.limit < nodes:
+            raise BudgetExhausted(b.limit, entry)  # where the search stops
+        return lengths
     kernel = _Kernel(S, atom_cap, b)
     w, guards, first = kernel.width, kernel.guards, kernel.first
     buckets = [kernel.atoms[first[i]:first[i + 1]] for i in range(len(first) - 1)]
@@ -278,6 +302,7 @@ def _lengths(
 
     lengths = search(kernel.counts)
     del search  # a recursive closure is a reference cycle; free it now
+    _MASKS.put(key, (lengths, b.spent))
     return lengths
 
 

@@ -128,10 +128,12 @@ class CircuitTable:
         """Split the subset mask `avail` into exactly `pieces` circuits.
 
         Returns the circuit masks, or None when no such partition exists.
-        Parts are drawn from this table, so a table cut to max_len L
-        answers exactly for any question with n - 3(pieces - 1) <= L (n
-        ids in `avail`): no part of such a partition is longer, and the
-        bound only shrinks down the search tree.
+        No part of a partition of n ids (in `avail`) into `pieces`
+        circuits is longer than n - 3(pieces - 1), and the bound only
+        shrinks down the search tree. So the search caps part length at
+        its root by that bound and this table's max_len: a table cut to
+        max_len L answers exactly when the bound is <= L, and any table
+        that holds the bound searches node for node alike.
 
         Pinning the lowest remaining id keeps the search exact. `fail`
         is the caller's set of residuals (avail, pieces) known to have no
@@ -142,7 +144,8 @@ class CircuitTable:
         the first partition found is the same with or without it.
         """
         by_low = self.by_low
-        top = self.max_len
+        n = bin(avail).count("1")
+        top = min(self.max_len, n - 3 * (pieces - 1))
 
         def solve(avail: int, n: int, pieces: int) -> Optional[List[int]]:
             if pieces == 0:
@@ -163,7 +166,7 @@ class CircuitTable:
             fail.add(key)
             return None
 
-        parts = solve(avail, bin(avail).count("1"), pieces)
+        parts = solve(avail, n, pieces)
         return None if parts is None else parts[::-1]
 
 
@@ -463,9 +466,10 @@ def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
     The instances are canonical_zero_sum_subsets(r, complement_size),
     which meet every GL(r, 2) orbit; failures counts the complements
     with no partition into exactly `pieces` circuits. The search uses
-    the universe table cut to the longest part such a partition can
-    have, set_size - 3(pieces - 1), and one failure memo that all
-    instances share and that is dropped when the sweep returns.
+    the kept universe table, holding at least the circuits up to the
+    longest part such a partition can have, set_size - 3(pieces - 1),
+    and one failure memo that all instances share and that is dropped
+    when the sweep returns.
     """
     started = time.monotonic()
     set_size = (1 << r) - 1 - complement_size

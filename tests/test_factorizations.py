@@ -1,11 +1,13 @@
 """Tests for atom enumeration, disjoint zero-sum search, and length sets."""
 
+import contextlib
 import functools
 import itertools
 import random
 
 import pytest
 
+from zerosum import factorizations as fz
 from zerosum.groups import add, element_at, make_group, neg, zero
 from zerosum.factorizations import (
     BudgetExhausted,
@@ -157,6 +159,29 @@ def _oracle_count_above(S, floor_items):
     return total
 
 
+def memo_asks():
+    """Two ways to run a length query: on a length-mask memo cleared
+    first (cold), or twice, returning the second answer, which the memo
+    gives (warm).
+
+    Cold runs test the kernel, warm runs the memo; either way the memo
+    never holds more entries than its limit.
+    """
+
+    def ask(cold, query, *args, **kwargs):
+        if cold:
+            fz._MASKS.data.clear()
+        else:
+            with contextlib.suppress(ValueError):
+                query(*args, **kwargs)
+        try:
+            return query(*args, **kwargs)
+        finally:
+            assert len(fz._MASKS.data) <= fz._MASKS.limit
+
+    return [functools.partial(ask, cold) for cold in (True, False)]
+
+
 class TestAgainstOracles:
     GROUPS = (C2_3, C4, C6, C3_2, C2_C4, C2_C6, C3_C6, C2_2_C4)
     # Fixed inputs: the trivial group, the empty sequence, and multiplicities
@@ -171,42 +196,55 @@ class TestAgainstOracles:
     )
 
     def test_lengths_and_packings_match_oracle(self):
-        rng = random.Random(6011)
-        zero_sum = 0
-        inputs = [random_sequence(G, rng, 7) for G in self.GROUPS for _ in range(40)]
-        for S in inputs + list(self.EDGE_CASES):
-            G = S.group
-            assert max_disjoint_zero_sums(S) == oracle_max_disjoint(S), S
-            lengths = oracle_length_set(S)
-            if S.sum() != zero(G):
-                assert not lengths
-                continue
-            zero_sum += 1
-            assert length_set(S).lengths == tuple(sorted(lengths)), S
-            assert max_length(S) == max(lengths), S
-            assert max_disjoint_zero_sums(S) == max(lengths), S
-        assert zero_sum >= 20
+        for ask in memo_asks():
+            rng = random.Random(6011)
+            zero_sum = 0
+            inputs = [random_sequence(G, rng, 7) for G in self.GROUPS for _ in range(40)]
+            for S in inputs + list(self.EDGE_CASES):
+                G = S.group
+                assert ask(max_disjoint_zero_sums, S) == oracle_max_disjoint(S), S
+                lengths = oracle_length_set(S)
+                if S.sum() != zero(G):
+                    assert not lengths
+                    continue
+                zero_sum += 1
+                assert ask(length_set, S).lengths == tuple(sorted(lengths)), S
+                assert ask(max_length, S) == max(lengths), S
+                assert ask(max_disjoint_zero_sums, S) == max(lengths), S
+            assert zero_sum >= 20
 
     def test_zero_sum_closures_match_oracle(self):
         # random sequences are seldom zero-sum; close each one with the
         # negative of its sum to test the length sets, capped too, on more
         # inputs
-        rng = random.Random(6012)
-        inputs = [random_sequence(G, rng, 6) for G in self.GROUPS for _ in range(25)]
-        for S in inputs + list(self.EDGE_CASES):
-            G = S.group
-            B = S.times(Sequence.from_elements(G, [neg(G, S.sum())]))
-            lengths = tuple(sorted(oracle_length_set(B)))
-            assert length_set(B).lengths == lengths, B
-            assert max_length(B) == lengths[-1], B
-            assert max_disjoint_zero_sums(B) == lengths[-1], B
-            for cap in (2, 3):
-                capped = tuple(sorted(oracle_length_set(B, cap)))
-                if capped:
-                    assert length_set(B, atom_cap=cap).lengths == capped, B
-                else:
-                    with pytest.raises(ValueError):
-                        length_set(B, atom_cap=cap)
+        for ask in memo_asks():
+            rng = random.Random(6012)
+            inputs = [random_sequence(G, rng, 6) for G in self.GROUPS for _ in range(25)]
+            for S in inputs + list(self.EDGE_CASES):
+                G = S.group
+                B = S.times(Sequence.from_elements(G, [neg(G, S.sum())]))
+                lengths = tuple(sorted(oracle_length_set(B)))
+                assert ask(length_set, B).lengths == lengths, B
+                assert ask(max_length, B) == lengths[-1], B
+                assert ask(max_disjoint_zero_sums, B) == lengths[-1], B
+                for cap in (2, 3):
+                    capped = tuple(sorted(oracle_length_set(B, cap)))
+                    if capped:
+                        assert ask(length_set, B, atom_cap=cap).lengths == capped, B
+                    else:
+                        with pytest.raises(ValueError):
+                            ask(length_set, B, atom_cap=cap)
+
+    def test_memo_evicts_within_its_limit(self, monkeypatch):
+        # a memo far smaller than the inputs keeps evicting; every answer,
+        # evicted or kept, still matches the oracle
+        monkeypatch.setattr(fz, "_MASKS", fz._Memo(4))
+        rng = random.Random(6013)
+        inputs = [random_sequence(G, rng, 6) for G in self.GROUPS for _ in range(6)]
+        for S in inputs + inputs[::-1]:
+            assert max_disjoint_zero_sums(S) == oracle_max_disjoint(S), S
+            assert len(fz._MASKS.data) <= 4
+        assert len(fz._MASKS.data) == 4
 
     # Orders pinned from the per-function recursions this search replaced.
     PINNED_ORDER = [
@@ -485,6 +523,56 @@ class TestLengthSet:
             length_set(full_squarefree(C2_4), budget=5)
         assert spent.value.nodes == 5
         assert str(spent.value) == "length_set: budget exhausted after 5 nodes"
+
+
+class TestLengthMemoBudgets:
+    """A budget acts on a memo hit as on the search the hit replaces."""
+
+    QUERIES = (max_length, max_disjoint_zero_sums, length_set)
+
+    @pytest.fixture
+    def warm(self):
+        fz._MASKS.data.clear()
+        S = full_squarefree(C2_4)
+        assert max_length(S) == 5
+        return S
+
+    @staticmethod
+    def outcome(query, S, budget):
+        try:
+            return query(S, budget=budget)
+        except BudgetExhausted as err:
+            return err.nodes, str(err)
+
+    @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+    def test_small_budget_still_raises(self, warm, query):
+        with pytest.raises(BudgetExhausted) as spent:
+            query(warm, budget=5)
+        assert spent.value.nodes == 5
+        assert str(spent.value) == "%s: budget exhausted after 5 nodes" % query.__name__
+
+    @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.__name__)
+    def test_budget_outcomes_match_a_cold_search(self, warm, query):
+        _, nodes = fz._MASKS.get((warm, None, False))
+        budgets = (None, -1, 0, 5, nodes - 1, nodes, nodes + 1)
+        hits = [self.outcome(query, warm, b) for b in budgets]
+        assert query(warm, budget=nodes) == query(warm)  # the recorded count suffices
+        colds = []
+        for b in budgets:
+            fz._MASKS.data.clear()
+            colds.append(self.outcome(query, warm, b))
+        assert hits == colds
+        message = "%s: budget exhausted after %d nodes" % (query.__name__, nodes - 1)
+        assert hits[4] == (nodes - 1, message)
+
+    def test_exhausted_search_stores_nothing(self, warm):
+        # 5 runs out while the atoms are listed, nodes - 1 in the search
+        _, nodes = fz._MASKS.get((warm, None, False))
+        for budget in (5, nodes - 1):
+            fz._MASKS.data.clear()
+            with pytest.raises(BudgetExhausted):
+                max_length(warm, budget=budget)
+            assert not fz._MASKS.data
 
 
 class TestEnumerateFactorizations:

@@ -434,6 +434,42 @@ class TestSweeps:
         assert outcomes == {True, False}
         assert bool(fail) == (r == 5)
 
+    def test_longer_table_searches_alike(self):
+        # the c = 3 and c = 4 sweeps (9 pieces) have parts of at most 4
+        # and 3 ids; a table holding circuits up to 5 must search as one
+        # cut to 4, partition for partition and refuted residual for
+        # refuted residual
+        tables = [CircuitTable(range(1, 32), 5, max_len=cap) for cap in (4, 5)]
+        for c in (3, 4):
+            runs = []
+            for table in tables:
+                fail = set()
+                parts = [
+                    table.partition(table.mask ^ mask_of(inst), RANK5_SWEEP_PIECES[c], fail)
+                    for inst in canonical_zero_sum_subsets(5, c)
+                ]
+                runs.append((parts, len(fail)))
+            assert runs[0] == runs[1], c
+            assert None not in runs[0][0]
+
+    def test_cold_line_builds_one_rank5_table(self, monkeypatch):
+        built = []
+
+        class Counting(CircuitTable):
+            def __init__(self, ids, r, max_len=None):
+                super().__init__(ids, r, max_len)
+                if r == 5:
+                    built.append(self.max_len)
+
+        monkeypatch.setattr(gf2, "CircuitTable", Counting)
+        monkeypatch.setattr(gf2, "_UNIVERSE", {})
+        invariants._rank5.cache_clear()
+        davenport_k.cache_clear()
+        G = make_group((2,) * 5)
+        got = {k: davenport_k(G, k).digest() for k in (1, 2, 3, 4, 8, 9, 10)}
+        assert built == [5]
+        assert got == {k: RANK5_CERT_DIGESTS[k] for k in got}
+
     def test_rank5_sweep_counts_pinned(self):
         expected = {3: 1, 4: 1, 5: 1, 6: 4, 7: 21, 8: 103, 9: 497, 10: 2082, 11: 7208}
         for c, instances in expected.items():
