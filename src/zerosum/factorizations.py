@@ -128,14 +128,9 @@ def is_minimal_zero_sum(S: Sequence) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _bits(G: Group, e: Element) -> Tuple[int, int, int, tuple, tuple]:
-    """The bit of e, the index and bit of -e, the rotates that translate
-    a bitset by e, and the index map x -> x + e."""
-    step = [0]
-    for y, m in zip(e, G.invariant_factors):
-        step = [x * m + (c + y) % m for x in step for c in range(m)]
-    minus = element_index(G, neg(G, e))
-    return 1 << step[0], minus, 1 << minus, translation(G, e), tuple(step)
+def _bits(G: Group, e: Element) -> Tuple[int, int, tuple]:
+    """The bits of e and -e, and the rotates that translate by e."""
+    return 1 << element_index(G, e), 1 << element_index(G, neg(G, e)), translation(G, e)
 
 
 class _Kernel:
@@ -165,15 +160,14 @@ class _Kernel:
         unit = [1 << j * w for j in range(k)]
         self.guards = sum(unit) << (w - 1)
         self.counts = sum(m * u for m, u in zip(left, unit))
-        rows = [_bits(G, e) for e in support]
-        bit, minus, minus_bit, moves, step = zip(*rows) if k else ((),) * 5
+        bit, minus, moves = zip(*(_bits(G, e) for e in support)) if k else ((), (), ())
         spend = budget.spend
         atoms: List[int] = []
 
         def extend(start: int, atom: int, room: int, sums: int, total: int) -> None:
             # The prefix atom is zero-sum free and may grow by room more
             # elements; sums is the bitset of the sums of its nonempty
-            # subsequences and total the index of its own sum. No proper
+            # subsequences and total the bit of its own sum. No proper
             # subsequence sums to total (the rest would be a zero-sum), so
             # adding e closes an atom iff e = -total, and is refused iff
             # some other subsequence sums to -e.
@@ -183,12 +177,13 @@ class _Kernel:
                 spend()
                 if total == minus[j]:
                     atoms.append(atom + unit[j])
-                elif room > 1 and not sums & minus_bit[j]:
-                    t = sums
+                elif room > 1 and not sums & minus[j]:
+                    t, u = sums, total
                     for low, high, up, down in moves[j]:
                         t = (t & low) << up | (t & high) >> down
+                        u = (u & low) << up | (u & high) >> down
                     left[j] -= 1
-                    extend(j, atom + unit[j], room - 1, sums | t | bit[j], step[j][total])
+                    extend(j, atom + unit[j], room - 1, sums | t | bit[j], u)
                     left[j] += 1
 
         room = S.length if max_len is None else max_len - 1
@@ -200,7 +195,7 @@ class _Kernel:
                 atoms.append(unit[i])
             elif room > 0:
                 left[i] -= 1
-                extend(i, unit[i], room, bit[i], step[i][0])
+                extend(i, unit[i], room, bit[i], bit[i])
                 left[i] += 1
         first.append(len(atoms))
         del extend  # a recursive closure is a reference cycle; free it now

@@ -128,12 +128,10 @@ class CircuitTable:
         """Split the subset mask `avail` into exactly `pieces` circuits.
 
         Returns the circuit masks, or None when no such partition exists.
-        No part of a partition of n ids (in `avail`) into `pieces`
-        circuits is longer than n - 3(pieces - 1), and the bound only
-        shrinks down the search tree. So the search caps part length at
-        its root by that bound and this table's max_len: a table cut to
-        max_len L answers exactly when the bound is <= L, and any table
-        that holds the bound searches node for node alike.
+        Parts are drawn from this table, so a table cut to max_len L
+        answers exactly for any question with n - 3(pieces - 1) <= L (n
+        ids in `avail`): no part of such a partition is longer, and the
+        bound only shrinks down the search tree.
 
         Pinning the lowest remaining id keeps the search exact. `fail`
         is the caller's set of residuals (avail, pieces) known to have no
@@ -144,8 +142,7 @@ class CircuitTable:
         the first partition found is the same with or without it.
         """
         by_low = self.by_low
-        n = bin(avail).count("1")
-        top = min(self.max_len, n - 3 * (pieces - 1))
+        top = self.max_len
 
         def solve(avail: int, n: int, pieces: int) -> Optional[List[int]]:
             if pieces == 0:
@@ -166,7 +163,7 @@ class CircuitTable:
             fail.add(key)
             return None
 
-        parts = solve(avail, n, pieces)
+        parts = solve(avail, bin(avail).count("1"), pieces)
         return None if parts is None else parts[::-1]
 
 
@@ -460,6 +457,13 @@ class SweepRecord:
 RANK5_SWEEP_PIECES = {3: 9, 4: 9, 5: 8, 6: 8, 7: 8, 8: 7, 9: 7, 10: 6, 11: 6}
 
 
+def sweep_part_cap(r: int, complement_size: int, pieces: int) -> int:
+    """The longest part a partition into `pieces` circuits can have, of
+    the set of C_2^r left by a complement of complement_size ids: every
+    other part holds at least 3."""
+    return (1 << r) - 1 - complement_size - 3 * (pieces - 1)
+
+
 def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
     """Try to split the complement of every covering instance into `pieces`.
 
@@ -467,13 +471,12 @@ def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
     which meet every GL(r, 2) orbit; failures counts the complements
     with no partition into exactly `pieces` circuits. The search uses
     the kept universe table, holding at least the circuits up to the
-    longest part such a partition can have, set_size - 3(pieces - 1),
-    and one failure memo that all instances share and that is dropped
-    when the sweep returns.
+    longest part such a partition can have (sweep_part_cap), and one
+    failure memo that all instances share and that is dropped when the
+    sweep returns.
     """
     started = time.monotonic()
-    set_size = (1 << r) - 1 - complement_size
-    table = universe_table(r, set_size - 3 * (pieces - 1))
+    table = universe_table(r, sweep_part_cap(r, complement_size, pieces))
     instances = canonical_zero_sum_subsets(r, complement_size)
     fail: Set[Tuple[int, int]] = set()
     failures = 0

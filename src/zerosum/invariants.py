@@ -1117,11 +1117,11 @@ class _Rank5Pipeline:
             while w > 0 and self._excluded(w, j, sweeps):
                 w -= 1
             caps[j] = w
-        # one circuit table for the row's sweeps: cut to the longest part
-        # any of them can have, as gf2.run_sweep cuts it for one sweep
-        longest = [self.full - c - 3 * (gf2.RANK5_SWEEP_PIECES[c] - 1) for c in sweeps]
-        if longest:
-            gf2.universe_table(self.r, max(longest))
+        # one circuit table for the row's sweeps, cut for the longest part
+        # any of them can have, so no later sweep rebuilds it
+        if sweeps:
+            longest = max(gf2.sweep_part_cap(self.r, c, gf2.RANK5_SWEEP_PIECES[c]) for c in sweeps)
+            gf2.universe_table(self.r, longest)
         for c in sorted(sweeps):
             steps.append(_sweep_step(self.sweep(c)))
         return caps, steps
