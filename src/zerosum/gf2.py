@@ -227,18 +227,28 @@ class SmallRankEngine:
         memo[subset_mask] = best
         return best
 
+    def _zero_sum_masks(self) -> List[int]:
+        """The nonempty zero-sum subset masks, in increasing order.
+
+        Any subset of the ids other than the basis ids 2^b is closed to a
+        zero-sum by exactly one set of basis ids, those of its XOR, so
+        the zero-sum subsets number 2^(2^r - 1 - r).
+        """
+        closing = [0] * (1 << self.r)  # the basis ids of each XOR, as a mask
+        for x in range(1, 1 << self.r):
+            low = x & -x
+            closing[x] = closing[x ^ low] | 1 << (low - 1)
+        subsets = [(0, 0)]
+        for v in range(1, self.n_ids + 1):
+            if v & (v - 1):  # not a basis id
+                bit = 1 << (v - 1)
+                subsets += [(mask | bit, xr ^ v) for mask, xr in subsets]
+        return sorted(mask | closing[xr] for mask, xr in subsets[1:])
+
     def _build_tables(self):
         exact: Dict[int, int] = {}
         example: Dict[int, int] = {}
-        for mask in range(1, 1 << self.n_ids):
-            xr = 0
-            m = mask
-            while m:
-                low = m & -m
-                xr ^= low.bit_length()
-                m ^= low
-            if xr:
-                continue
+        for mask in self._zero_sum_masks():
             j = self.maxl(mask)
             size = bin(mask).count("1")
             if size > exact.get(j, -1):

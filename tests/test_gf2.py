@@ -208,6 +208,26 @@ class TestSmallRankEngine:
             checked += 1
         assert checked == 15
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_tables_match_all_masks_loop(self, r):
+        # the oracle XORs every subset mask in increasing order; the engine
+        # builds the zero-sum ones alone, so its caps and examples (the
+        # first mask of each size record) must come out the same
+        eng = SmallRankEngine(r)
+        zero_sums = [m for m in range(1, 1 << eng.n_ids) if not xor_all(eng.ids_of_mask(m))]
+        assert eng._zero_sum_masks() == zero_sums
+        exact, example = {}, {}
+        for mask in zero_sums:
+            j, size = eng.maxl(mask), bin(mask).count("1")
+            if size > exact.get(j, -1):
+                exact[j], example[j] = size, mask
+        caps, examples, best, best_mask = {0: 0}, {0: 0}, 0, 0
+        for j in range(1, max(exact, default=0) + 1):
+            if exact.get(j, 0) > best:
+                best, best_mask = exact[j], example[j]
+            caps[j], examples[j] = best, best_mask
+        assert (eng.f_caps, eng.f_examples) == (caps, examples)
+
     def test_witness_reaches_dk(self):
         eng = SmallRankEngine(4)
         for k in range(1, 7):

@@ -5,6 +5,7 @@ import json
 import sys
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, permutations
+from math import gcd
 
 import pytest
 
@@ -373,15 +374,95 @@ SWAP_SEARCH_PINS = [
 ]
 
 
+def group_ids(groups):
+    return ["x".join(map(str, f)) for f in groups]
+
+
 def pin_ids(pins):
     """Test ids naming a pin's group and cap, not its pinned counts."""
     return ["x".join(map(str, f)) + "-cap%d" % cap for f, cap, _, _ in pins]
 
 
+def _factor_swaps(G):
+    """Index maps of the swaps of adjacent equal invariant factors.
+
+    Elements are their enumerate_elements positions; map g sends x to g[x].
+    """
+    factors = G.invariant_factors
+    elements = list(enumerate_elements(G))
+    index = {a: x for x, a in enumerate(elements)}
+    return [
+        [index[a[:i] + (a[i + 1], a[i]) + a[i + 2:]] for a in elements]
+        for i in range(len(factors) - 1)
+        if factors[i] == factors[i + 1]
+    ]
+
+
 def swaps_only(monkeypatch):
     """Prune by the swaps of equal invariant factors alone, to depth 4."""
-    monkeypatch.setattr(invariants, "_automorphism_generators", invariants._factor_swaps)
+    monkeypatch.setattr(invariants, "_automorphism_generators", _factor_swaps)
     monkeypatch.setattr(invariants, "ORBIT_PRUNE_DEPTH", 4)
+
+
+def reference_generators(G):
+    """Generators of H with every conjugate listed, as index maps.
+
+    The _factor_swaps, the unit scalings x_i -> u*x_i of every coordinate
+    for u in a greedy generating set of the units mod n_i, and the
+    transvections x_i -> x_i + (n_i / gcd(n_i, n_j))*x_j for all i != j.
+    _automorphism_generators keeps one map per conjugacy class under
+    permutations of equal invariant factors, and must give the same H.
+    """
+    factors = G.invariant_factors
+    elements = list(enumerate_elements(G))
+    index = {a: x for x, a in enumerate(elements)}
+
+    def setting(i, value):
+        return [index[a[:i] + (value(a) % factors[i],) + a[i + 1:]] for a in elements]
+
+    maps = _factor_swaps(G)
+    for i, m in enumerate(factors):
+        units = {1}
+        for u in range(2, m):
+            if gcd(u, m) == 1 and u not in units:
+                maps.append(setting(i, lambda a, i=i, u=u: u * a[i]))
+                frontier = units
+                while frontier:
+                    frontier = {x * u % m for x in frontier} - units
+                    units |= frontier
+        for j, mj in enumerate(factors):
+            if j != i:
+                c = m // gcd(m, mj)
+                maps.append(setting(i, lambda a, i=i, j=j, c=c: a[i] + c * a[j]))
+    return maps
+
+
+def orbit_partition(G, generators, depth):
+    """Each nondecreasing index tuple of length 1..depth -> its orbit's least member."""
+    least = {}
+    for length in range(1, depth + 1):
+        for start in combinations_with_replacement(range(G.order), length):
+            if start in least:
+                continue
+            orbit, frontier = {start}, [start]
+            while frontier:
+                reached = []
+                for t in frontier:
+                    for g in generators:
+                        image = tuple(sorted(g[e] for e in t))
+                        if image not in orbit:
+                            orbit.add(image)
+                            reached.append(image)
+                frontier = reached
+            for t in orbit:
+                least[t] = start
+    return least
+
+
+# groups with several blocks of equal invariant factors
+MIXED_BLOCK_GROUPS = [(2, 4, 4), (2, 2, 2, 4), (3, 3, 9), (2, 2, 8), (2, 2, 2, 2, 4)]
+GENERATOR_GROUPS = sorted({f for f, _, _, _ in SEARCH_PINS} | set(MIXED_BLOCK_GROUPS))
+GENERATOR_COUNTS = {(3, 3, 3): 4, (3, 3): 3, (2, 2, 2, 2, 4): 6}
 
 
 class TestGenericSearch:
@@ -407,7 +488,7 @@ class TestGenericSearch:
         cert = davenport_k(make_group((6, 6)), 2)
         assert (cert.value, cert.digest()) == (17, "5639f64f0cf56e2c")
 
-    @pytest.mark.parametrize("factors", sorted({f for f, _, _, _ in SEARCH_PINS}))
+    @pytest.mark.parametrize("factors", GENERATOR_GROUPS)
     def test_automorphism_generators(self, factors):
         # a map that is not an automorphism would prune unsoundly
         G = make_group(factors)
@@ -421,6 +502,21 @@ class TestGenericSearch:
             for a in elements:
                 for b in elements:
                     assert image[add(G, a, b)] == add(G, image[a], image[b])
+
+    @pytest.mark.parametrize("factors", list(GENERATOR_COUNTS), ids=group_ids(GENERATOR_COUNTS))
+    def test_one_generator_per_conjugacy_class(self, factors):
+        # reference_generators lists 11, 5 and 24 maps
+        assert len(_automorphism_generators(make_group(factors))) == GENERATOR_COUNTS[factors]
+
+    @pytest.mark.parametrize("factors", GENERATOR_GROUPS, ids=group_ids(GENERATOR_GROUPS))
+    def test_orbits_match_every_conjugate(self, factors):
+        # the generators stand for reference_generators: same H, so the
+        # prefix orbits the search flags must be the same
+        G = make_group(factors)
+        depth = 3 if G.order <= 64 else 2
+        assert orbit_partition(G, _automorphism_generators(G), depth) == orbit_partition(
+            G, reference_generators(G), depth
+        )
 
     def test_automorphism_generators_span_gl33(self):
         # on C_3^3 the generators reach every element of GL(3,3)
