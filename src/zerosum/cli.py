@@ -242,27 +242,18 @@ def compute_eta(group_text: str, budget: Optional[int], fmt: str,
 @click.option("--group", "group_text", required=True)
 @click.option("--kmax", type=int, required=True,
               help="Largest block cap to tabulate.")
-@click.option("--inputs", "inputs_path", default=None,
-              help="JSON file with a trusted upper table {\"k\": value} for the tail.")
 @_BUDGET
 @_FMT
 @_TIMING
-def compute_stabilize(group_text: str, kmax: int, inputs_path: Optional[str],
-                      budget: Optional[int], fmt: str, timing: bool) -> int:
+def compute_stabilize(group_text: str, kmax: int, budget: Optional[int], fmt: str,
+                      timing: bool) -> int:
     """Detect the onset of linear growth across a table of block constants."""
     if kmax < 1:
         raise _CliError("kmax must be at least 1")
     G = _parse_group_arg(group_text)
-    external = None
-    if inputs_path is not None:
-        raw = _load_json_file(inputs_path)
-        try:
-            external = {int(key): int(val) for key, val in raw.items()}
-        except (TypeError, ValueError):
-            raise _CliError("--inputs must map k to an integer upper value")
     started = time.time()
     try:
-        report = stabilization(G, kmax, budget=budget, external_upper=external)
+        report = stabilization(G, kmax, budget=budget)
     except (SearchError, BoundError, ValueError) as exc:
         raise _CliError(str(exc))
     elapsed = int((time.time() - started) * 1000) if timing else None

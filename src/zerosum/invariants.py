@@ -526,6 +526,37 @@ def _check_chain(steps: Tuple[BoundReport, ...]) -> List[str]:
     return problems
 
 
+def _check_caps(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
+    """Re-derive the caps of a closing ub.squarefree_caps step from the
+    chain: the walk starts at its ub.recursion values and excludes what
+    its failure-free sweeps prove. The sweep results themselves are
+    trusted."""
+    label = "chain[%d] ub.squarefree_caps" % (len(steps) - 1)
+    if G.invariant_factors != (2,) * 5:
+        return [label + ": caps are only derived on C_2^5"]
+    m_bounds: Dict[int, int] = {}
+    swept: Dict[int, int] = {}
+    try:
+        for step in steps[:-1]:
+            inp = step.plain_inputs()
+            if step.rule_id == "ub.recursion":
+                j = inp["k"]
+                m_bounds[j] = min(step.value, m_bounds.get(j, step.value))
+            elif step.rule_id == "search.sweep" and inp["r"] == 5 and not inp["failures"]:
+                c = inp["complement_size"]
+                swept[c] = max(inp["pieces"], swept.get(c, 0))
+        final = steps[-1].plain_inputs()
+        derived = sorted(_rank5_caps(final["k"], m_bounds, swept).items())
+        claimed = [tuple(pair) for pair in final["caps"]]
+    except (KeyError, TypeError, ValueError) as err:
+        return [label + ": caps cannot be re-derived (%s)" % err]
+    if claimed != derived:
+        return [
+            label + ": caps %s do not follow from the chain, which gives %s" % (claimed, derived)
+        ]
+    return []
+
+
 @dataclass(frozen=True)
 class CheckResult:
     ok: bool
@@ -575,6 +606,8 @@ def verify_certificate(cert: Certificate, budget: Optional[int] = None) -> Check
 
     if cert.upper_chain:
         final = cert.upper_chain[-1]
+        if final.rule_id == "ub.squarefree_caps":
+            problems.extend(_check_caps(G, cert.upper_chain))
         if final.value != cert.upper:
             problems.append(
                 "final chain value %s differs from claimed upper %s"
@@ -1061,21 +1094,29 @@ def eta(G: Group, budget: Optional[int] = None) -> Certificate:
 # k-wise Davenport constants
 
 
-ROW_SWEEPS: Dict[int, Tuple[int, ...]] = {
-    5: (10, 11),
-    6: (8, 9, 10, 11),
-    7: (5, 6, 7, 8, 9, 10, 11),
-    8: (3, 4, 5, 6, 7, 8, 9),
-    9: (3, 4, 5, 6, 7, 8, 9),
-}
+def _rank5_caps(k: int, m_bounds: Dict[int, int], swept: Dict[int, int]) -> Dict[int, int]:
+    """caps[j] for j = 0..min(k, 10): the largest size a zero-sum set of
+    distinct nonzero ids of C_2^5 can have when it splits into at most j
+    disjoint circuits.
 
-
-def _rank5_sweeps_for(k: int) -> Tuple[int, ...]:
-    if k <= 4:
-        return ()
-    if k in ROW_SWEEPS:
-        return ROW_SWEEPS[k]
-    return (3, 4, 5, 6, 7)
+    The walk for j starts at m_bounds[j] (a ub.recursion bound on D_j;
+    the full 31 ids when absent) and steps down past every size it can
+    exclude. A size of 31 - c ids is excluded when swept maps c to at
+    least j + 1 pieces, since that sweep proves every such set splits
+    into that many circuits.
+    """
+    full = 31
+    caps = {0: 0}
+    for j in range(1, min(k, 10) + 1):
+        w = min(m_bounds.get(j, full), full)
+        if w < full or j <= 9:
+            # the full set splits into exactly 10 circuits, and 30 or 29
+            # ids leave a complement of 1 or 2 ids, which is not zero-sum
+            w = min(w, full - 3)
+            while w > 0 and swept.get(full - w, 0) >= j + 1:
+                w -= 1
+        caps[j] = w
+    return caps
 
 
 class _Rank5Pipeline:
@@ -1084,7 +1125,6 @@ class _Rank5Pipeline:
     def __init__(self):
         self.G = make_group((2,) * 5)
         self.r = 5
-        self.full = (1 << 5) - 1  # 31 nonzero ids
         self._sweeps: Dict[int, gf2.SweepRecord] = {}
         self._m_steps: Dict[int, BoundReport] = {}
         d_cert = davenport(self.G)
@@ -1111,37 +1151,43 @@ class _Rank5Pipeline:
             self._m_steps[j] = best_recursion(self.G, self.s_values, self.D1, j, SEARCH, SEARCH)
         return self._m_steps[j]
 
-    def _excluded(self, size: int, j: int, sweeps: Tuple[int, ...]) -> bool:
-        if size >= self.full - 2:
-            if size == self.full:
-                return j <= 9  # the full set attains exactly 10 blocks
-            return True  # complement of 1 or 2 ids cannot be zero-sum
-        c = self.full - size
-        return c in sweeps and gf2.RANK5_SWEEP_PIECES[c] >= j + 1
-
     def caps_for(self, k: int) -> Tuple[Dict[int, int], List[BoundReport]]:
-        sweeps = _rank5_sweeps_for(k)
+        """The row's caps and steps, with only the sweeps its bound needs.
+
+        A first walk counts every sweep of RANK5_SWEEP_PIECES as run, and
+        runs none, to find the least bound V they can reach. Each size w
+        <= 28 with V - 2(k - j) < w <= the walk's start for j must be
+        excluded for j, and only the sweep of complement 31 - w can do
+        that. So those sweeps are the one least set that reaches V: they
+        run, and the caps are walked again with them.
+        """
+        full = 31
         steps: List[BoundReport] = [self.zsf_step, self.s2_step, self.s3_step, self.s4_step]
-        caps: Dict[int, int] = {0: 0}
-        for j in range(1, min(k, 10) + 1):
-            if j <= 9:
-                m_step = self.m_bound(j)
-                steps.append(m_step)
-                start = min(m_step.value, self.full)
-            else:
-                start = self.full
-            w = start
-            while w > 0 and self._excluded(w, j, sweeps):
-                w -= 1
-            caps[j] = w
+        m_bounds: Dict[int, int] = {}
+        for j in range(1, min(k, 9) + 1):
+            m_step = self.m_bound(j)
+            steps.append(m_step)
+            m_bounds[j] = m_step.value
+        every = _rank5_caps(k, m_bounds, gf2.RANK5_SWEEP_PIECES)
+        bound = max(cap + 2 * (k - j) for j, cap in every.items())
+        sweeps = sorted(
+            {
+                full - w
+                for j in range(1, min(k, 10) + 1)
+                for w in range(bound - 2 * (k - j) + 1, min(m_bounds.get(j, full), full - 3) + 1)
+            }
+        )
         # one circuit table for the row's sweeps, cut for the longest part
         # any of them can have, so no later sweep rebuilds it
         if sweeps:
             longest = max(gf2.sweep_part_cap(self.r, c, gf2.RANK5_SWEEP_PIECES[c]) for c in sweeps)
             gf2.universe_table(self.r, longest)
-        for c in sorted(sweeps):
-            steps.append(_sweep_step(self.sweep(c)))
-        return caps, steps
+        swept = {}
+        for c in sweeps:
+            rec = self.sweep(c)
+            steps.append(_sweep_step(rec))
+            swept[c] = rec.pieces
+        return _rank5_caps(k, m_bounds, swept), steps
 
     def upper(self, k: int) -> Tuple[int, List[BoundReport]]:
         caps, steps = self.caps_for(k)
@@ -1444,19 +1490,13 @@ class StabilizationReport:
         }
 
 
-def stabilization(
-    G: Group,
-    k_max: int,
-    budget: Optional[int] = None,
-    external_upper: Optional[Dict[int, int]] = None,
-) -> StabilizationReport:
+def stabilization(G: Group, k_max: int, budget: Optional[int] = None) -> StabilizationReport:
     """Read the eventual arithmetic progression off the computed rows.
 
     The offset and onset are certified only when a sufficient criterion
     applies: the final rows step by exactly the exponent, the table is
     long enough relative to the short-block threshold at the exponent,
-    and the offset matches the complement-group constant minus one; or
-    an externally supplied upper table confirms the read tail.
+    and the offset matches the complement-group constant minus one.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -1487,14 +1527,7 @@ def stabilization(
         onset -= 1
     certified = False
     method = "empirical tail read"
-    if external_upper:
-        tail_ok = all(
-            external_upper.get(k) == d0 + k * exp for k in range(onset, k_max + 1)
-        )
-        if tail_ok and len(external_upper) >= k_max - onset + 1:
-            certified = True
-            method = "supplied upper table matches the tail"
-    if not certified and k_max >= onset + 1:
+    if k_max >= onset + 1:
         try:
             eta_cert = eta(G, budget)
             eta_value = eta_cert.upper

@@ -117,6 +117,26 @@ class TestCompute:
                             "--format", "json")
         assert "elapsed_ms" not in json.loads(out)
 
+    def test_text_bracket(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "dk", "--group", "2^5", "--k", "3")
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[0] == "D_3(2^5) in [13, 14]"
+        assert lines[1].endswith("(length 13, rule max-disjoint)")
+        assert lines[2] == (
+            "chain: search.zsf -> search.sle -> e2g.sle3 -> ub.e2g_s2m -> ub.recursion"
+            " -> ub.recursion -> ub.recursion -> ub.squarefree_caps"
+        )
+        assert lines[3:] == ["exhaustive: no", "digest: 37dd2cb702e15e37"]
+
+    def test_text_threshold_label(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "sle", "--group", "2^3", "--k", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "s_le(2)(2^3) = 8"
+        assert lines[1].endswith("(length 7, rule short-free)")
+        assert lines[2:4] == ["chain: search.sle", "exhaustive: yes"]
+
     def test_json_output_is_byte_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "compute", "dk", "--group", "2^4", "--k", "3",
                               "--format", "json")
@@ -136,22 +156,31 @@ class TestStabilize:
         assert data["k_onset"] == 1
         assert data["certified"] is True
 
-    def test_external_inputs_file(self, capsys, tmp_path):
-        table = {str(k): 3 + 2 * k for k in range(1, 6)}
+    def test_inputs_option_is_gone(self, capsys, tmp_path):
+        # a caller's table no longer certifies a tail
         path = tmp_path / "upper.json"
-        path.write_text(json.dumps(table))
-        code, out, _ = run_cli(capsys, "compute", "stabilize", "--group", "2^3",
-                               "--kmax", "5", "--inputs", str(path),
-                               "--format", "json")
-        assert code == 0
-        assert json.loads(out)["certified"] is True
-
-    def test_bad_inputs_file(self, capsys, tmp_path):
-        path = tmp_path / "upper.json"
-        path.write_text("{\"1\": \"nope\"}")
-        code, _, _ = run_cli(capsys, "compute", "stabilize", "--group", "2^3",
-                             "--kmax", "2", "--inputs", str(path))
+        path.write_text(json.dumps({str(k): 3 + 2 * k for k in range(1, 6)}))
+        code, out, err = run_cli(capsys, "compute", "stabilize", "--group", "2^3",
+                                 "--kmax", "5", "--inputs", str(path))
         assert code == 1
+        assert out == ""
+        assert "No such option '--inputs'" in err
+
+    def test_text_report(self, capsys):
+        code, out, _ = run_cli(capsys, "compute", "stabilize", "--group", "3^2",
+                               "--kmax", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "group: 3^2",
+            "k=1: 5",
+            "k=2: 8",
+            "k=3: 11",
+            "offset: 2",
+            "onset: 1",
+            "certified: yes",
+            "method: threshold criterion: table depth 3 >= 2 and offset "
+            "matches the complement constant",
+        ]
 
 
 class TestBound:
@@ -169,6 +198,17 @@ class TestBound:
         uppers = [b["value"] for b in data["bounds"] if b["direction"] == "upper"]
         assert max(lowers) <= min(uppers)
 
+    def test_text_lines(self, capsys, tmp_path):
+        path = tmp_path / "known.json"
+        path.write_text(json.dumps({"D": 4, "s_le": {"2": 8, "3": 8}}))
+        code, out, _ = run_cli(capsys, "bound", "all", "--group", "2^3", "--k", "2",
+                               "--inputs", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "lower lb.dstar           6"
+        assert "upper ub.recursion       7" in lines
+        assert lines[-1] == "upper ub.e2g_d2          7"
+
     def test_without_inputs_still_reports_floor(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "all", "--group", "3^3", "--k", "2",
                                "--format", "json")
@@ -178,6 +218,34 @@ class TestBound:
 
 
 class TestConstruct:
+    def test_elb_witness_text(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "elb-witness", "--group", "3^3",
+                               "--s", "3", "--t", "1", "--k", "2", "--verify")
+        assert code == 0
+        assert out.splitlines() == [
+            "witness: 0,0,1^2; 0,1,0^2; 0,1,1^2; 1,0,0^2; 1,0,1; 1,1,0",
+            "length: 10",
+            "lower_bound: 11",
+            "verified: yes",
+        ]
+
+    def test_paige_text(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "paige", "--rank", "2", "--verify")
+        assert code == 0
+        assert out.splitlines() == [
+            "00 -> 00", "01 -> 11", "10 -> 01", "11 -> 10", "verified: yes",
+        ]
+
+    def test_maxfull_text(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "maxfull", "--rank", "3", "--verify")
+        assert code == 0
+        assert out.splitlines() == [
+            "blocks: 2",
+            "0,0,1; 0,1,1; 1,0,1; 1,1,1",
+            "0,1,0; 1,0,0; 1,1,0",
+            "verified: yes",
+        ]
+
     def test_paige_pairs_cover_the_group(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "paige", "--rank", "4",
                                "--format", "json")
@@ -229,6 +297,18 @@ class TestConstruct:
 
 
 class TestTable:
+    def test_text_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "dk", "--group", "2^5", "--kmax", "4")
+        assert code == 2
+        assert out.splitlines() == [
+            "group: 2^5  exponent: 2",
+            "k=1: 6",
+            "k=2: 10  step 4",
+            "k=3: 13..14  step 3..4",
+            "k=4: 16..17  step 2..4",
+            "stabilization: offset None from k=None, certified no",
+        ]
+
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(capsys, "table", "dk", "--group", "2^3", "--kmax", "5",
                                "--format", "csv")

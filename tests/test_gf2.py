@@ -497,20 +497,41 @@ class TestSweeps:
             assert (rec.instances, rec.failures) == (instances, 0), c
 
 
-# digests of the C_2^5 certificates for k = 1..10, unchanged since the
-# sweeps ran on frozenset circuits
+# digests of the C_2^5 certificates for k = 1..10. Rows 1-4 are unchanged
+# since the sweeps ran on frozenset circuits; rows 5-10 were re-pinned when
+# each row came to run only the sweeps its bound needs
 RANK5_CERT_DIGESTS = {
     1: "deecc2044395696a",
     2: "91ef9de0477f2dfc",
     3: "37dd2cb702e15e37",
     4: "821846df7f99e9e4",
-    5: "2682d432a2ef322e",
-    6: "25edcbf3044062ea",
-    7: "08cfc25b1b18d28b",
-    8: "e8a0a39ee36fc138",
-    9: "83926d5788501b3a",
-    10: "573340c497b6eb41",
+    5: "2dc81101d8542382",
+    6: "237e075f55661a7b",
+    7: "c640fcb548876048",
+    8: "1e1add1dd8437e56",
+    9: "ffb776ebaacb5f56",
+    10: "f89c0bcc25fb338d",
 }
+
+# complement sizes of the sweeps in each C_2^5 row's chain
+DERIVED_SWEEPS = {
+    1: (), 2: (), 3: (), 4: (),
+    5: (11,),
+    6: (8, 9, 11),
+    7: (5, 6, 7, 8, 9, 11),
+    8: (3, 4, 5, 6, 8),
+    9: (3, 4, 5, 6, 8),
+    10: (3, 5), 11: (3, 5), 12: (3, 5), 13: (3, 5),
+}
+
+
+def rank5_bound(k, sweeps):
+    """The ub.squarefree_caps bound on row k with these sweeps counted as run."""
+    pipeline = invariants._rank5()
+    m_bounds = {j: pipeline.m_bound(j).value for j in range(1, min(k, 9) + 1)}
+    swept = {c: RANK5_SWEEP_PIECES[c] for c in sweeps}
+    caps = invariants._rank5_caps(k, m_bounds, swept)
+    return max(cap + 2 * (k - j) for j, cap in caps.items())
 
 
 class TestRank5Certificates:
@@ -518,6 +539,25 @@ class TestRank5Certificates:
         G = make_group((2,) * 5)
         got = {k: davenport_k(G, k).digest() for k in RANK5_CERT_DIGESTS}
         assert got == RANK5_CERT_DIGESTS
+
+    @pytest.mark.parametrize("k", sorted(DERIVED_SWEEPS))
+    def test_each_row_runs_its_derived_sweeps(self, k):
+        cert = davenport_k(make_group((2,) * 5), k)
+        sweeps = tuple(
+            step.plain_inputs()["complement_size"]
+            for step in cert.upper_chain
+            if step.rule_id == "search.sweep"
+        )
+        assert sweeps == DERIVED_SWEEPS[k]
+
+    @pytest.mark.parametrize("k", [k for k in sorted(DERIVED_SWEEPS) if DERIVED_SWEEPS[k]])
+    def test_derived_sweeps_are_the_least_set_reaching_the_bound(self, k):
+        upper = davenport_k(make_group((2,) * 5), k).upper
+        sweeps = DERIVED_SWEEPS[k]
+        assert rank5_bound(k, sweeps) == upper
+        assert rank5_bound(k, RANK5_SWEEP_PIECES) == upper
+        for c in sweeps:
+            assert rank5_bound(k, set(sweeps) - {c}) > upper, c
 
     def test_stored_sweep_records_are_not_read(self, monkeypatch, tmp_path):
         # a forged c = 3 record: its digest is an unkeyed hash of its own

@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from zerosum import invariants
+from zerosum import gf2, invariants
 from zerosum.arith import INFINITE
 from zerosum.bounds import BoundReport, InputValue, elb_lower, remark_ub, s_le_from_extension
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
@@ -697,15 +697,6 @@ class TestStabilization:
         rep = stabilization(make_group(factors), kmax)
         assert (rep.d0, rep.k_onset, rep.certified) == expected
 
-    def test_external_table_certifies_tail(self):
-        table = {k: 3 + 2 * k for k in range(1, 6)}
-        rep = stabilization(C23, 5, external_upper=table)
-        assert rep.certified
-
-    def test_wrong_external_table_does_not_certify(self):
-        rep = stabilization(C23, 5, external_upper={k: 99 for k in range(1, 6)})
-        assert not rep.certified
-
     def test_rows_match_individual_certificates(self):
         rep = stabilization(C32, 3)
         for k, lo, hi in rep.rows:
@@ -962,6 +953,97 @@ class TestForgedUpperSide:
 
         problems = _verify_edited(davenport_k(make_group(factors), 3), forge)
         assert problems == ("no chain backing the upper side",)
+
+
+def _lowered_cap(data):
+    # D_3(C_2^5) in [13, 14] claimed exact at 13 by lowering cap 3 to 13
+    final = data["upper_chain"][-1]
+    final["inputs"]["caps"]["value"][-1] = [3, 13]
+    final["value"] = 13
+    del data["interval"]
+    data["value"] = 13
+
+
+def _without_sweep(c):
+    def edit(data):
+        data["upper_chain"] = [
+            step for step in data["upper_chain"]
+            if step["rule"] != "search.sweep"
+            or step["inputs"]["complement_size"]["value"] != c
+        ]
+    return edit
+
+
+class TestRank5Caps:
+    """The caps of a C_2^5 row are re-derived from its own chain."""
+
+    def test_lowered_cap_is_rejected(self):
+        problems = _verify_edited(davenport_k(C25, 3), _lowered_cap)
+        assert problems == (
+            "chain[7] ub.squarefree_caps: caps [(0, 0), (1, 6), (2, 10), (3, 13)] "
+            "do not follow from the chain, which gives "
+            "[(0, 0), (1, 6), (2, 10), (3, 14)]",
+        )
+
+    @pytest.mark.parametrize("c", (3, 4, 5, 6, 8))
+    def test_row_without_one_of_its_sweeps_is_rejected(self, c):
+        problems = _verify_edited(davenport_k(C25, 8), _without_sweep(c))
+        assert len(problems) == 1
+        assert problems[0].startswith("chain[16] ub.squarefree_caps: caps ")
+
+    def test_unreadable_caps_are_rejected(self):
+        def edit(data):
+            del data["upper_chain"][-1]["inputs"]["k"]
+
+        problems = _verify_edited(davenport_k(C25, 3), edit)
+        assert "chain[7] ub.squarefree_caps: caps cannot be re-derived ('k')" in problems
+
+    def test_caps_on_another_group_are_rejected(self):
+        chain = davenport_k(C25, 3).upper_chain
+        assert invariants._check_caps(C24, chain) == [
+            "chain[7] ub.squarefree_caps: caps are only derived on C_2^5"
+        ]
+
+
+class TestFailureArms:
+    """Search failures that the row builders turn into errors or skips."""
+
+    @pytest.fixture
+    def fresh_rows(self):
+        # memoised rows and errors built under a patch must not outlive it
+        def clear():
+            invariants._rank5.cache_clear()
+            invariants._generic_rows.cache_clear()
+            davenport_k.cache_clear()
+
+        clear()
+        yield
+        clear()
+
+    def test_failing_rank5_sweep_raises(self, monkeypatch, fresh_rows):
+        real = gf2.run_sweep
+
+        def failing(r, c, pieces):
+            rec = real(r, c, pieces)
+            return replace(rec, failures=1) if c == 8 else rec
+
+        monkeypatch.setattr(gf2, "run_sweep", failing)
+        with pytest.raises(SearchError, match="partition sweep c=8 reported failures"):
+            davenport_k(C25, 6)
+
+    def test_failed_sle_level_is_skipped(self, monkeypatch, fresh_rows):
+        real = invariants.s_le
+
+        def failing(G, ell, budget=None):
+            if ell == 4:
+                raise SearchError("no s_le(3^3, 4) today")
+            return real(G, ell, budget)
+
+        monkeypatch.setattr(invariants, "s_le", failing)
+        cert = davenport_k(C33, 2)
+        caps = [s.plain_inputs()["cap"] for s in cert.upper_chain if s.rule_id == "search.sle"]
+        assert (cert.lower, cert.upper, caps) == (11, 12, [5])
+        assert_verifies(cert)
 
 
 class TestTamperedFields:
