@@ -5,9 +5,10 @@ its rule id. It returns the rule's value, and raises BoundError when the
 inputs break the rule's precondition. report() builds a BoundReport from
 (name, value, provenance) triples and takes its value from the rule, so
 a calculator below checks only what needs the group and is not recorded
-in the step, then returns report(...). verify_certificate re-evaluates a
-recorded step through the same rule with evaluate_rule, preconditions
-included, and never repeats a search.
+in the step, then returns report(...). A search is a rule too, giving
+its step's value from the search's record. verify_certificate
+re-evaluates a recorded step through the same rule with evaluate_rule,
+preconditions included, and never repeats a search.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class InputValue:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bound step: a rule applied to recorded inputs, or a search
-    record, which carries a digest of its inputs instead of a rule."""
+    """One bound step: a rule applied to recorded inputs. A search step
+    also carries a digest of its inputs."""
 
     rule_id: str
     direction: str  # "lower" | "upper"
@@ -149,8 +150,8 @@ def evaluate_rule(rule_id: str, inputs: Dict[str, object]) -> ExtInt:
     """A rule's value on plain named inputs.
 
     Raises BoundError when the inputs break the rule's precondition.
-    Search steps (rule ids starting with "search.") have no closed form
-    and are not rules.
+    A search rule reads the value off the search's record, which it
+    trusts. search.full_enum has no rule: only a rerun could check it.
     """
     fn = RULES.get(rule_id)
     if fn is None:
@@ -341,6 +342,21 @@ def _sle_infinite(i):
 def _sle_equals_davenport(i):
     _require(i["k"] >= i["D"], "threshold equals D only from k = D on")
     return i["D"]
+
+
+# Search records
+
+
+@_rule("search.zsf")
+@_rule("search.sle")
+def _max_free_plus_one(i):
+    return i["max_free"] + 1
+
+
+@_rule("search.sweep")
+def _sweep(i):
+    _require(i["failures"] == 0, "sweep recorded failures")
+    return (1 << _rank(i)) - 1 - i["complement_size"]
 
 
 # Elementary 2-groups

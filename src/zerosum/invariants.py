@@ -4,8 +4,10 @@ Every public operation returns a Certificate: the claimed value (or an
 honest bracketing interval), a witness sequence realizing the lower
 side, a named rule under which the witness re-verifies cheaply, and an
 upper chain of bound steps that re-evaluate from their recorded inputs.
-Search results enter the chain as digest-stamped steps; verification
-recomputes digests and formulas but never repeats a search.
+A search enters the chain as a digest-stamped step whose value follows
+from what the search recorded, by its rule in bounds.RULES. Verification
+recomputes digests, re-evaluates every rule and binds the chain to the
+certificate's k, but never repeats a search.
 """
 
 from __future__ import annotations
@@ -177,10 +179,7 @@ def _expected_digest(step: BoundReport) -> Optional[str]:
 
 def _sealed(step: BoundReport) -> BoundReport:
     """Stamp a search step with its canonical digest."""
-    digest = _expected_digest(step)
-    if digest is None:
-        raise CertificateError("cannot digest step %s" % step.rule_id)
-    return replace(step, digest=digest)
+    return replace(step, digest=_expected_digest(step))
 
 
 def _dedupe_steps(steps) -> Tuple[BoundReport, ...]:
@@ -195,37 +194,10 @@ def _dedupe_steps(steps) -> Tuple[BoundReport, ...]:
     return tuple(chain)
 
 
-def _zsf_step(G: Group, max_free: int) -> BoundReport:
-    return _sealed(
-        BoundReport(
-            rule_id="search.zsf",
-            direction="upper",
-            constant="D",
-            value=max_free + 1,
-            inputs=(
-                ("group", InputValue(format_group(G), SEARCH)),
-                ("max_free", InputValue(max_free, SEARCH)),
-            ),
-            note="exhaustive zero-sum-free maximum",
-        )
-    )
-
-
-def _sle_step(G: Group, cap: int, max_free: int) -> BoundReport:
-    return _sealed(
-        BoundReport(
-            rule_id="search.sle",
-            direction="upper",
-            constant="s_le",
-            value=max_free + 1,
-            inputs=(
-                ("group", InputValue(format_group(G), SEARCH)),
-                ("cap", InputValue(cap, SEARCH)),
-                ("max_free", InputValue(max_free, SEARCH)),
-            ),
-            note="exhaustive maximum without zero-sums of length <= cap",
-        )
-    )
+def _search_step(rule_id: str, constant: str, note: str, **record) -> BoundReport:
+    """The digest-stamped step of a search, its value ruled from the record."""
+    pairs = [(name, value, SEARCH) for name, value in record.items()]
+    return _sealed(report(rule_id, "upper", pairs, constant=constant, note=note))
 
 
 def _full_enum_step(G: Group, k: int, value: int) -> BoundReport:
@@ -241,25 +213,6 @@ def _full_enum_step(G: Group, k: int, value: int) -> BoundReport:
             ),
             note="full zero-sum subset enumeration with doubling closure",
         )
-    )
-
-
-def _sweep_step(rec: gf2.SweepRecord) -> BoundReport:
-    size = (1 << rec.r) - 1 - rec.complement_size
-    return BoundReport(
-        rule_id="search.sweep",
-        direction="upper",
-        constant="split",
-        value=size,
-        inputs=(
-            ("r", InputValue(rec.r, SEARCH)),
-            ("complement_size", InputValue(rec.complement_size, SEARCH)),
-            ("pieces", InputValue(rec.pieces, SEARCH)),
-            ("instances", InputValue(rec.instances, SEARCH)),
-            ("failures", InputValue(rec.failures, SEARCH)),
-        ),
-        note="sets of this size split into at least %d disjoint blocks" % rec.pieces,
-        digest=rec.digest,
     )
 
 
@@ -500,18 +453,17 @@ def _check_witness(
 
 
 def _check_chain(steps: Tuple[BoundReport, ...]) -> List[str]:
+    """Re-evaluate every step by its rule; a search step must also match
+    its digest."""
     problems: List[str] = []
     for i, step in enumerate(steps):
         label = "chain[%d] %s" % (i, step.rule_id)
         if step.rule_id.startswith("search."):
-            if step.rule_id == "search.sweep" and step.plain_inputs().get("failures"):
-                problems.append(label + ": sweep recorded failures")
-                continue
-            expect = _expected_digest(step)
-            if expect is None:
-                problems.append(label + ": undigestable search step")
-            elif step.digest != expect:
+            if step.digest != _expected_digest(step):
                 problems.append(label + ": digest mismatch")
+        if step.rule_id == "search.full_enum":
+            # its value is what the r <= 4 enumeration found: no rule gives
+            # it, and only a rerun of the enumeration could check it
             continue
         try:
             value = evaluate_rule(step.rule_id, step.plain_inputs())
@@ -528,25 +480,14 @@ def _check_chain(steps: Tuple[BoundReport, ...]) -> List[str]:
 
 def _check_caps(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
     """Re-derive the caps of a closing ub.squarefree_caps step from the
-    chain: the walk starts at its ub.recursion values and excludes what
-    its failure-free sweeps prove. The sweep results themselves are
-    trusted."""
+    rest of the chain, as the row builder derives them. The sweep results
+    themselves are trusted."""
     label = "chain[%d] ub.squarefree_caps" % (len(steps) - 1)
     if G.invariant_factors != (2,) * 5:
         return [label + ": caps are only derived on C_2^5"]
-    m_bounds: Dict[int, int] = {}
-    swept: Dict[int, int] = {}
     try:
-        for step in steps[:-1]:
-            inp = step.plain_inputs()
-            if step.rule_id == "ub.recursion":
-                j = inp["k"]
-                m_bounds[j] = min(step.value, m_bounds.get(j, step.value))
-            elif step.rule_id == "search.sweep" and inp["r"] == 5 and not inp["failures"]:
-                c = inp["complement_size"]
-                swept[c] = max(inp["pieces"], swept.get(c, 0))
         final = steps[-1].plain_inputs()
-        derived = sorted(_rank5_caps(final["k"], m_bounds, swept).items())
+        derived = sorted(_rank5_chain_caps(final["k"], steps[:-1]).items())
         claimed = [tuple(pair) for pair in final["caps"]]
     except (KeyError, TypeError, ValueError) as err:
         return [label + ": caps cannot be re-derived (%s)" % err]
@@ -555,6 +496,30 @@ def _check_caps(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
             label + ": caps %s do not follow from the chain, which gives %s" % (claimed, derived)
         ]
     return []
+
+
+# the k each of these rules bounds, whatever its inputs
+_FIXED_K = {"search.zsf": 1, "ub.e2g_d2": 2, "e2g.sle3": 3}
+
+
+def _closes(steps: Tuple[BoundReport, ...], i: int, k: int, constants) -> bool:
+    """Whether steps[i] bounds a constant in constants at k (the cap, for
+    s_le). ub.step bounds k when an earlier step of its value dk bounds
+    k - 1; a recorded k or cap must equal k."""
+    step = steps[i]
+    rule, inp = step.rule_id, step.plain_inputs()
+    if step.constant not in constants:
+        return False
+    if rule in _FIXED_K:
+        return k == _FIXED_K[rule]
+    if rule == "ub.e2g_s2m":
+        return k // 2 == inp.get("m")  # blocks <= 2m bound caps 2m and 2m + 1
+    if rule == "ub.step":
+        return any(
+            steps[j].value == inp.get("dk") and _closes(steps, j, k - 1, constants)
+            for j in range(i)
+        )
+    return rule == "sle.trivial_group" or inp.get("cap", inp.get("k")) == k
 
 
 @dataclass(frozen=True)
@@ -606,6 +571,13 @@ def verify_certificate(cert: Certificate, budget: Optional[int] = None) -> Check
 
     if cert.upper_chain:
         final = cert.upper_chain[-1]
+        last = len(cert.upper_chain) - 1
+        constants = ("s_le",) if cert.constant in ("s_le", "eta") else ("D", "D_k")
+        if not _closes(cert.upper_chain, last, k_eff, constants):
+            problems.append(
+                "chain[%d] %s does not bound the certificate's k = %d"
+                % (last, final.rule_id, k_eff)
+            )
         if final.rule_id == "ub.squarefree_caps":
             problems.extend(_check_caps(G, cert.upper_chain))
         if final.value != cert.upper:
@@ -895,14 +867,11 @@ def _engine(r: int) -> gf2.SmallRankEngine:
     return gf2.SmallRankEngine(r)
 
 
-def _ids_to_sequence(G: Group, ids, extra_pairs: int = 0) -> Sequence:
+def _ids_to_sequence(G: Group, ids) -> Sequence:
     counts: Dict = {}
     for v in ids:
         e = element_at(G, v)
         counts[e] = counts.get(e, 0) + 1
-    if extra_pairs:
-        e = element_at(G, 1)
-        counts[e] = counts.get(e, 0) + 2 * extra_pairs
     return Sequence.from_counts(G, counts)
 
 
@@ -955,7 +924,10 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
         interval=None,
         witness=_with_closing(free),
         witness_check={"rule": "atom", "params": {}},
-        upper_chain=(_zsf_step(G, size),),
+        upper_chain=(
+            _search_step("search.zsf", "D", "exhaustive zero-sum-free maximum",
+                         group=format_group(G), max_free=size),
+        ),
         exhaustive=True,
     )
 
@@ -1037,7 +1009,11 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             interval=None,
             witness=witness,
             witness_check={"rule": "short-free", "params": {}},
-            upper_chain=(_sle_step(G, k, size),),
+            upper_chain=(
+                _search_step("search.sle", "s_le",
+                             "exhaustive maximum without zero-sums of length <= cap",
+                             group=format_group(G), cap=k, max_free=size),
+            ),
             exhaustive=True,
             notes=("matches e2g.sle3 formula",) if G.is_elementary_2 and k == 3 else (),
         )
@@ -1119,6 +1095,24 @@ def _rank5_caps(k: int, m_bounds: Dict[int, int], swept: Dict[int, int]) -> Dict
     return caps
 
 
+def _rank5_chain_caps(k: int, steps) -> Dict[int, int]:
+    """_rank5_caps on what the steps of a C_2^5 row record: per j the least
+    ub.recursion value with k = j, and per complement size the most pieces
+    a rank-5 sweep proved. A sweep that recorded failures is refused by its
+    rule in _check_chain, not here."""
+    m_bounds: Dict[int, int] = {}
+    swept: Dict[int, int] = {}
+    for step in steps:
+        inp = step.plain_inputs()
+        if step.rule_id == "ub.recursion":
+            j = inp["k"]
+            m_bounds[j] = min(step.value, m_bounds.get(j, step.value))
+        elif step.rule_id == "search.sweep" and inp["r"] == 5:
+            c = inp["complement_size"]
+            swept[c] = max(inp["pieces"], swept.get(c, 0))
+    return _rank5_caps(k, m_bounds, swept)
+
+
 class _Rank5Pipeline:
     """Shared state for C_2^5 rows: thresholds, caps, and sweep records."""
 
@@ -1134,6 +1128,22 @@ class _Rank5Pipeline:
         self.s3_step = _sle3_step(5)
         self.s4_step = e2g_s2m_upper(5, 2)
         self.s_values = {2: self.s2_step.value, 3: self.s3_step.value, 4: self.s4_step.value}
+        # rows 2..10: the witness ids, a doubled id listed twice, and the
+        # witness rule with its params
+        quarter = ("coset-quarter", {"functional": 16})
+        disjoint = ("max-disjoint", {})
+        third = ("squarefree-third", {})
+        self.witnesses = {
+            2: (gf2.lex_least_coset_zero_sum(5, 10), *quarter),
+            3: (gf2.RANK5_CORE_MAXL3, *disjoint),
+            4: (gf2.RANK5_CORE_MAXL4, *quarter),
+            5: (gf2.RANK5_CORE_MAXL5, *disjoint),
+            6: (gf2.RANK5_CORE_MAXL5 + (1, 1), *disjoint),
+            7: (gf2.RANK5_CORE_MAXL5 + (1, 1, 2, 2), *disjoint),
+            8: (gf2.full_set_minus(5, (1, 2, 4, 8, 15)), *third),
+            9: (gf2.full_set_minus(5, (1, 2, 3)), *third),
+            10: (gf2.full_set_minus(5, ()), *third),
+        }
 
     def sweep(self, c: int) -> gf2.SweepRecord:
         rec = self._sweeps.get(c)
@@ -1159,15 +1169,13 @@ class _Rank5Pipeline:
         <= 28 with V - 2(k - j) < w <= the walk's start for j must be
         excluded for j, and only the sweep of complement 31 - w can do
         that. So those sweeps are the one least set that reaches V: they
-        run, and the caps are walked again with them.
+        run, and the caps are those _rank5_chain_caps derives from the
+        row's steps, as the verifier derives them.
         """
         full = 31
+        m_bounds = {j: self.m_bound(j).value for j in range(1, min(k, 9) + 1)}
         steps: List[BoundReport] = [self.zsf_step, self.s2_step, self.s3_step, self.s4_step]
-        m_bounds: Dict[int, int] = {}
-        for j in range(1, min(k, 9) + 1):
-            m_step = self.m_bound(j)
-            steps.append(m_step)
-            m_bounds[j] = m_step.value
+        steps += [self.m_bound(j) for j in m_bounds]
         every = _rank5_caps(k, m_bounds, gf2.RANK5_SWEEP_PIECES)
         bound = max(cap + 2 * (k - j) for j, cap in every.items())
         sweeps = sorted(
@@ -1182,12 +1190,15 @@ class _Rank5Pipeline:
         if sweeps:
             longest = max(gf2.sweep_part_cap(self.r, c, gf2.RANK5_SWEEP_PIECES[c]) for c in sweeps)
             gf2.universe_table(self.r, longest)
-        swept = {}
         for c in sweeps:
             rec = self.sweep(c)
-            steps.append(_sweep_step(rec))
-            swept[c] = rec.pieces
-        return _rank5_caps(k, m_bounds, swept), steps
+            note = "sets of this size split into at least %d disjoint blocks" % rec.pieces
+            steps.append(
+                _search_step("search.sweep", "split", note, r=rec.r,
+                             complement_size=rec.complement_size, pieces=rec.pieces,
+                             instances=rec.instances, failures=rec.failures)
+            )
+        return _rank5_chain_caps(k, steps), steps
 
     def upper(self, k: int) -> Tuple[int, List[BoundReport]]:
         caps, steps = self.caps_for(k)
@@ -1206,42 +1217,11 @@ class _Rank5Pipeline:
         return final.value, steps
 
     def witness(self, k: int) -> Tuple[Sequence, dict]:
-        G = self.G
-        if k == 2:
-            ids = gf2.lex_least_coset_zero_sum(5, 10)
-            return _ids_to_sequence(G, ids), {
-                "rule": "coset-quarter",
-                "params": {"functional": 16},
-            }
-        if k == 3:
-            return _ids_to_sequence(G, gf2.RANK5_CORE_MAXL3), {
-                "rule": "max-disjoint",
-                "params": {},
-            }
-        if k == 4:
-            return _ids_to_sequence(G, gf2.top_coset_ids(5)), {
-                "rule": "coset-quarter",
-                "params": {"functional": 16},
-            }
-        if k in (5, 6, 7):
-            seq = _ids_to_sequence(G, gf2.RANK5_CORE_MAXL5)
-            counts = dict(seq.counts())
-            for pair_id in (1, 2)[: k - 5]:
-                e = element_at(G, pair_id)
-                counts[e] = counts.get(e, 0) + 2
-            seq = Sequence.from_counts(G, counts)
-            return seq, {"rule": "max-disjoint", "params": {}}
-        if k == 8:
-            ids = gf2.full_set_minus(5, (1, 2, 4, 8, 15))
-            return _ids_to_sequence(G, ids), {"rule": "squarefree-third", "params": {}}
-        if k == 9:
-            ids = gf2.full_set_minus(5, (1, 2, 3))
-            return _ids_to_sequence(G, ids), {"rule": "squarefree-third", "params": {}}
-        ids = gf2.full_set_minus(5, ())
-        extra = k - 10
+        """Row k's witness: row 10 plus k - 10 pairs of id 1 past row 10."""
+        ids, rule, params = self.witnesses[min(k, 10)]
         return (
-            _ids_to_sequence(G, ids, extra_pairs=extra),
-            {"rule": "squarefree-third", "params": {}},
+            _ids_to_sequence(self.G, ids + (1,) * 2 * max(k - 10, 0)),
+            {"rule": rule, "params": dict(params)},
         )
 
     def row(self, k: int) -> Certificate:
@@ -1430,7 +1410,7 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             engine = _engine(r)
             value = engine.dk(k)
             core_ids, pairs = engine.dk_witness(k)
-            witness = _ids_to_sequence(G, core_ids, extra_pairs=pairs)
+            witness = _ids_to_sequence(G, core_ids + (1,) * 2 * pairs)
             return Certificate(
                 constant="D_k",
                 group=G,

@@ -263,9 +263,13 @@ class TestEvaluateRule:
             e2g_d0_bounds(5)[1],
             e2g_kd_upper(5),
         ]
-        # rules whose steps s_le and the rank-5 rows build
+        # rules whose steps s_le, davenport and the rank-5 rows build
         C2_6 = make_group((2,) * 6)
+        row5 = {step.rule_id: step for step in davenport_k(C25, 5).upper_chain}
         moved = {
+            "search.zsf": (row5["search.zsf"], 6),
+            "search.sle": (row5["search.sle"], 32),
+            "search.sweep": (row5["search.sweep"], 20),
             "e2g.sle3": (s_le(C2_6, 3).upper_chain[-1], 33),
             "sle.infinite": (s_le(make_group((3,)), 2).upper_chain[-1], INFINITE),
             "sle.equals_davenport": (s_le(C23, 4).upper_chain[-1], 4),
@@ -310,6 +314,7 @@ class TestEvaluateRule:
         ("lb.e2g_d0", {"r": 0}),
         ("ub.e2g_d0", {"r": 0}),
         ("ub.e2g_kd", {"r": 0}),
+        ("search.sweep", {"r": 5, "complement_size": 11, "pieces": 6, "instances": 20, "failures": 1}),
     ]
 
     @pytest.mark.parametrize("rule_id,inputs", VIOLATIONS)
@@ -346,7 +351,7 @@ class TestEvaluateRule:
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(BoundError):
-            evaluate_rule("search.sweep", {})
+            evaluate_rule("search.full_enum", {})
 
     def test_json_shape(self):
         rep = elb_lower(C25, 3, 1, 2)

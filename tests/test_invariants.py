@@ -13,7 +13,7 @@ from zerosum import gf2, invariants
 from zerosum.arith import INFINITE
 from zerosum.bounds import BoundReport, InputValue, elb_lower, remark_ub, s_le_from_extension
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
-from zerosum.groups import add, enumerate_elements, make_group, profile
+from zerosum.groups import add, element_index, enumerate_elements, make_group, profile
 from zerosum.invariants import (
     Certificate,
     CertificateError,
@@ -918,6 +918,12 @@ class TestWitnessRules:
             assert invariants._check_witness(G, cert.witness, k - 1, check, None)
         assert invariants._engine.cache_info().currsize == 0
 
+    def test_decompose_2group_takes_zeros_and_pairs_out_of_the_core(self):
+        counts = {(0, 0, 0): 2, (0, 0, 1): 2, (0, 1, 0): 3, (1, 0, 0): 1}
+        core, pairs, zeros = invariants._decompose_2group(Sequence.from_counts(C23, counts))
+        assert core == tuple(sorted(element_index(C23, e) for e in [(0, 1, 0), (1, 0, 0)]))
+        assert (pairs, zeros) == (2, 2)
+
     def test_unknown_rule_is_flagged(self):
         data = davenport(C22).to_json()
         data["witness_check"] = {"rule": "mystery"}
@@ -939,6 +945,33 @@ def _setting(**fields):
 
 def _witness_rule(rule, **params):
     return _setting(witness_check={"rule": rule, "params": params})
+
+
+def _witness_element(i, coords):
+    def edit(data):
+        data["witness"][i]["coords"] = coords
+
+    return edit
+
+
+def _step_field(i, name, value):
+    def edit(data):
+        data["upper_chain"][i][name] = value
+
+    return edit
+
+
+def _failed_sweep(i):
+    def edit(data):
+        step = data["upper_chain"][i]
+        step["inputs"]["failures"]["value"] = 1
+        del step["digest"]
+
+    return edit
+
+
+def _unbound(i, rule, k):
+    return "chain[%d] %s does not bound the certificate's k = %d" % (i, rule, k)
 
 
 class TestForgedUpperSide:
@@ -1053,22 +1086,27 @@ class TestTamperedFields:
         (lambda: davenport(C22), _witness_rule("zeros"),
          "witness: zeros rule requires every element to be the identity"),
         (lambda: davenport_k(make_group(()), 3), _setting(k=2),
-         "witness: 3 identity elements exceed 2 blocks"),
+         ("witness: 3 identity elements exceed 2 blocks",
+          _unbound(0, "ub.k_times_d", 2))),
         (lambda: davenport_k(make_group((6,)), 3),
          _setting(witness=[{"coords": [0], "mult": 18}]),
          "witness: cyclic-power rule needs a single nonzero element"),
         (lambda: davenport_k(make_group((6,)), 3), _setting(k=2),
-         "witness: 3 repetitions of a length-6 block exceed 2"),
+         ("witness: 3 repetitions of a length-6 block exceed 2",
+          _unbound(1, "ub.k_times_d", 2))),
         (lambda: davenport_k(C25, 2), _witness_rule("coset-quarter", functional=0),
          "witness: coset-quarter rule needs a nonzero functional"),
         (lambda: davenport_k(C25, 2), _witness_rule("coset-quarter", functional=1),
          "witness: core element 16 lies outside the selected coset"),
         (lambda: davenport_k(C25, 4), _setting(k=3),
-         "witness: quarter-bound 4 exceeds remaining 3 blocks"),
+         ("witness: quarter-bound 4 exceeds remaining 3 blocks",
+          _unbound(8, "ub.squarefree_caps", 3))),
         (lambda: davenport_k(C25, 8), _setting(k=7),
-         "witness: third-bound 8 exceeds remaining 7 blocks"),
+         ("witness: third-bound 8 exceeds remaining 7 blocks",
+          _unbound(17, "ub.squarefree_caps", 7))),
         (lambda: davenport_k(C25, 7), _setting(k=1),
-         "witness: pairs and zeros alone exceed 1 blocks"),
+         ("witness: pairs and zeros alone exceed 1 blocks",
+          _unbound(17, "ub.squarefree_caps", 1))),
         (lambda: davenport_k(C25, 2), _witness_rule("mask-maxl"),
          "witness: mask-maxl rule only covers rank <= 4"),
         (lambda: davenport_k(C32, 2), _witness_rule("squarefree-third"),
@@ -1081,15 +1119,46 @@ class TestTamperedFields:
          "witness length 7 differs from claimed 9 - 1"),
         (lambda: davenport(C22), _setting(witness=None),
          "no witness for a positive lower side"),
-        (lambda: eta(C32), _setting(k=2), "eta certificate must use k = exponent"),
+        (lambda: eta(C32), _setting(k=2),
+         ("eta certificate must use k = exponent", _unbound(0, "search.sle", 2))),
+        (lambda: s_le(C24, 3), _witness_element(0, [0, 0, 0, 0]),
+         "witness: sequence contains a zero-sum of length at most 3"),
+        (lambda: davenport(C22),
+         _setting(witness=[{"coords": [0, 0], "mult": 1}, {"coords": [1, 0], "mult": 2}]),
+         "witness: sequence is not a minimal zero-sum"),
+        (lambda: davenport_k(C32, 2),
+         _setting(witness=[{"coords": [1, 0], "mult": 3}, {"coords": [0, 1], "mult": 3},
+                           {"coords": [1, 1], "mult": 1}, {"coords": [2, 2], "mult": 1}]),
+         "witness: maximum block count 3 exceeds 2"),
+        (lambda: davenport(C22), _step_field(0, "digest", "0" * 16),
+         "chain[0] search.zsf: digest mismatch"),
+        (lambda: davenport_k(make_group((6,)), 2), _step_field(0, "value", 5),
+         "chain[0] search.zsf: re-evaluates to 6, not 5"),
+        (lambda: davenport_k(C25, 2), _step_field(1, "value", 31),
+         "chain[1] search.sle: re-evaluates to 32, not 31"),
+        (lambda: davenport_k(C25, 5), _step_field(9, "value", 19),
+         "chain[9] search.sweep: re-evaluates to 20, not 19"),
+        (lambda: davenport_k(C25, 5), _failed_sweep(9),
+         "chain[9] search.sweep: re-evaluation failed (sweep recorded failures)"),
+        (lambda: davenport_k(C33, 1), _setting(k=2), _unbound(0, "search.zsf", 2)),
+        (lambda: davenport_k(C25, 3), _setting(k=4), _unbound(7, "ub.squarefree_caps", 4)),
+        (lambda: davenport_k(make_group((2,) * 6), 8), _setting(k=9),
+         _unbound(2, "ub.step", 9)),
+        (lambda: s_le(C33, 3), _setting(k=2), _unbound(0, "search.sle", 2)),
+        (lambda: s_le(C24, 4), _setting(k=3), _unbound(0, "search.sle", 3)),
     ], ids=[
         "zeros-nonzero", "zeros-count", "cyclic-support", "cyclic-blocks",
         "coset-functional", "coset-outside", "coset-quarter", "squarefree-third",
         "pairs-and-zeros", "mask-maxl-rank", "non-2-group-rule", "no-rule",
         "infinite-threshold", "threshold-length", "no-witness", "eta-k",
+        "short-free", "atom-not-minimal", "max-disjoint-count",
+        "search-digest", "zsf-value", "sle-value", "sweep-value", "sweep-failures",
+        "zsf-relabel", "caps-relabel", "step-relabel", "sle-relabel", "sle-cap-relabel",
     ])
     def test_edit_is_reported(self, build, edit, problem):
-        assert _verify_edited(build(), edit) == (problem,)
+        # a relabelled k also leaves the chain bounding the old k
+        expected = problem if isinstance(problem, tuple) else (problem,)
+        assert _verify_edited(build(), edit) == expected
 
     def test_witness_in_another_group(self):
         cert = replace(davenport(C22), witness=davenport(C32).witness)
