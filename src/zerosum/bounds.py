@@ -196,15 +196,24 @@ def lower_max_length(
     ell[i] while more than s_values[i] - 1 elements remain, and a final
     layer removes blocks of length at most D.
     """
+    return _layer_count(_checked_levels(ell, s_values), D, m)
+
+
+def _checked_levels(ell: Seq[int], s_values: Seq[ExtInt]) -> List[Tuple[int, int]]:
+    """The (ell[i], s_values[i]) pairs, once the inputs pass every check."""
     if len(ell) != len(s_values):
         raise BoundError("ell and s_values must align")
     if any(not is_finite(s) for s in s_values):
         raise BoundError("threshold values must be finite")
     if list(ell) != sorted(set(ell)):
         raise BoundError("ell must be strictly increasing")
-    used = 0
-    total = 0
-    for l_i, s_i in zip(ell, s_values):
+    return list(zip(ell, s_values))
+
+
+def _layer_count(levels: List[Tuple[int, int]], D: int, m: int) -> int:
+    """lower_max_length on checked (ell[i], s_values[i]) pairs."""
+    used = total = 0
+    for l_i, s_i in levels:
         k_i = max(0, ceil_div(m - used - s_i + 1, l_i))
         total += k_i
         used += k_i * l_i
@@ -235,9 +244,9 @@ def _k_times_d(i):
 
 @_rule("ub.recursion")
 def _recursion(i):
-    ell, s_values, D, k = list(i["ell"]), list(i["s_values"]), i["D"], i["k"]
+    levels, D, k = _checked_levels(i["ell"], i["s_values"]), i["D"], i["k"]
     m = 0
-    while lower_max_length(ell, s_values, D, m + 1) <= k:
+    while _layer_count(levels, D, m + 1) <= k:
         m += 1
         if m > k * D:
             raise BoundError("scan escaped its ceiling; inputs inconsistent")

@@ -42,45 +42,13 @@ def xor_all(ids) -> int:
 # Circuit enumeration
 
 
-def _circuit_dfs(pool, cap: int) -> List[Tuple[int, ...]]:
-    """Circuits of length <= cap inside the id set `pool`, each exactly once.
-
-    A circuit minus its largest element is independent, so ascending
-    independent prefixes closed by their XOR (when the XOR exceeds the
-    prefix maximum and lies in the pool) generate every circuit once.
-    The span of a prefix is kept as a bitmask over element values.
-    """
-    pool = sorted(set(pool))
-    members = 0
-    for v in pool:
-        members |= 1 << v
-    out: List[Tuple[int, ...]] = []
-
-    def dfs(start: int, prefix: List[int], span: int, elems: List[int], xr: int) -> None:
-        extend = len(prefix) + 2 < cap
-        for i in range(start, len(pool)):
-            x = pool[i]
-            if (span >> x) & 1:
-                continue
-            y = xr ^ x
-            if prefix and y > x and (members >> y) & 1:
-                out.append(tuple(prefix) + (x, y))
-            if extend:
-                shifted = [e ^ x for e in elems]
-                grown = span
-                for e in shifted:
-                    grown |= 1 << e
-                dfs(i + 1, prefix + [x], grown, elems + shifted, y)
-
-    if cap >= 3:
-        dfs(0, [], 1, [0], 0)
-    return out
-
-
 def circuits(r: int, max_len: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """All circuits of C_2^r as ascending id tuples, each exactly once."""
-    cap = (r + 1) if max_len is None else min(max_len, r + 1)
-    return _circuit_dfs(range(1, 1 << r), cap)
+    """All circuits of C_2^r of length <= max_len (all when None), as
+    ascending id tuples in lexicographic order."""
+    table, ids = universe_table(r), range(1, 1 << r)
+    top = r + 1 if max_len is None else min(max_len, r + 1)
+    masks = [m for v in ids for size in range(3, top + 1) for m in table.bucket(v, size)]
+    return sorted(tuple(v for v in ids if (m >> (v - 1)) & 1) for m in masks)
 
 
 def is_circuit(ids) -> bool:
@@ -104,23 +72,58 @@ class CircuitTable:
     Bit (id - 1) stands for an id. by_low[v][size] lists the masks of
     the circuits of that size whose lowest id is v. Any circuit inside a
     subset that contains the subset's lowest id v has v as its lowest
-    id, so one bucket is all a search pinned at v needs to scan.
-    Circuits longer than max_len, when given, are left out; the kept
-    ones sit in their buckets in the order of the full table.
+    id, so one bucket is all a search pinned at v needs to scan. A
+    bucket of size >= 3 is None until it is first read, through bucket()
+    or a partition search, and is then filled for good.
     """
 
-    def __init__(self, ids, r: int, max_len: Optional[int] = None):
+    def __init__(self, ids, r: int):
         ids = sorted(set(ids))
         if ids and not (0 < ids[0] and ids[-1] < 1 << r):
             raise ValueError("ids must lie in 1..%d" % ((1 << r) - 1))
         self.r = r
+        self.ids = ids
         self.mask = ids_to_mask(ids)
-        self.max_len = r + 1 if max_len is None else min(max_len, r + 1)
-        self.by_low: List[List[List[int]]] = [
-            [[] for _ in range(r + 2)] for _ in range(1 << r)
+        self.by_low: List[List[Optional[List[int]]]] = [
+            [[], [], []] + [None] * (r - 1) for _ in range(1 << r)
         ]
-        for circ in _circuit_dfs(ids, self.max_len):
-            self.by_low[circ[0]][len(circ)].append(ids_to_mask(circ))
+
+    def bucket(self, v: int, size: int) -> List[int]:
+        """by_low[v][size]: the circuits of `size` ids with lowest id v, in
+        the lexicographic order of their ascending id tuples.
+
+        A circuit minus its largest id is independent, so the ascending
+        independent tuples of size - 1 ids from v, closed by their XOR
+        when it exceeds their last id and lies in the table, give each
+        such circuit once. The span of a tuple is kept as a bitmask over
+        element values.
+        """
+        out = self.by_low[v][size]
+        if out is not None:
+            return out
+        out = self.by_low[v][size] = []
+        members = self.mask
+        pool = [x for x in self.ids if x > v] if (members >> (v - 1)) & 1 else []
+
+        def dfs(start: int, depth: int, elems: List[int], span: int, xr: int, mask: int) -> None:
+            # the tuple so far has `depth` ids; each x leaves room for the rest
+            for i in range(start, len(pool) - size + depth + 1):
+                x = pool[i]
+                if (span >> x) & 1:
+                    continue
+                if depth == size - 2:
+                    y = xr ^ x
+                    if y > x and (members >> (y - 1)) & 1:
+                        out.append(mask | 1 << (x - 1) | 1 << (y - 1))
+                else:
+                    shifted = [e ^ x for e in elems]
+                    grown = span
+                    for e in shifted:
+                        grown |= 1 << e
+                    dfs(i + 1, depth + 1, elems + shifted, grown, xr ^ x, mask | 1 << (x - 1))
+
+        dfs(0, 1, [0, v], 1 | 1 << v, v, 1 << (v - 1))
+        return out
 
     def partition(
         self, avail: int, pieces: int, fail: Set[Tuple[int, int]]
@@ -128,10 +131,10 @@ class CircuitTable:
         """Split the subset mask `avail` into exactly `pieces` circuits.
 
         Returns the circuit masks, or None when no such partition exists.
-        Parts are drawn from this table, so a table cut to max_len L
-        answers exactly for any question with n - 3(pieces - 1) <= L (n
-        ids in `avail`): no part of such a partition is longer, and the
-        bound only shrinks down the search tree.
+        A node with n ids left and p parts to go scans circuits of at
+        most n - 3(p - 1) ids, the most one part can hold when every
+        other holds at least 3. That bound only shrinks down the search
+        tree, so only the buckets a question can use are ever filled.
 
         Pinning the lowest remaining id keeps the search exact. `fail`
         is the caller's set of residuals (avail, pieces) known to have no
@@ -142,7 +145,7 @@ class CircuitTable:
         the first partition found is the same with or without it.
         """
         by_low = self.by_low
-        top = self.max_len
+        top = self.r + 1
 
         def solve(avail: int, n: int, pieces: int) -> Optional[List[int]]:
             if pieces == 0:
@@ -152,9 +155,13 @@ class CircuitTable:
             key = (avail, pieces)
             if key in fail:
                 return None
-            buckets = by_low[(avail & -avail).bit_length()]
+            low = (avail & -avail).bit_length()
+            buckets = by_low[low]
             for size in range(3, min(top, n - 3 * (pieces - 1)) + 1):
-                for circ in buckets[size]:
+                bucket = buckets[size]
+                if bucket is None:
+                    bucket = self.bucket(low, size)
+                for circ in bucket:
                     if circ & avail == circ:
                         sub = solve(avail ^ circ, n - size, pieces - 1)
                         if sub is not None:
@@ -167,21 +174,15 @@ class CircuitTable:
         return None if parts is None else parts[::-1]
 
 
-# one table of C_2^r per rank, cut to the longest circuits asked for yet
+# one table of C_2^r per rank, for the process; its buckets fill as read
 _UNIVERSE: Dict[int, CircuitTable] = {}
 
 
-def universe_table(r: int, max_len: Optional[int] = None) -> CircuitTable:
-    """The circuits of C_2^r of length <= max_len (all when None).
-
-    One table per rank is kept for the process. It is rebuilt, and
-    replaces the old one, only when a caller asks for circuits longer
-    than it holds, so the table returned may also hold longer ones.
-    """
-    want = r + 1 if max_len is None else min(max_len, r + 1)
+def universe_table(r: int) -> CircuitTable:
+    """The table of every circuit of C_2^r, kept once per rank."""
     table = _UNIVERSE.get(r)
-    if table is None or table.max_len < want:
-        table = _UNIVERSE[r] = CircuitTable(range(1, 1 << r), r, want)
+    if table is None:
+        table = _UNIVERSE[r] = CircuitTable(range(1, 1 << r), r)
     return table
 
 
@@ -203,7 +204,7 @@ class SmallRankEngine:
             raise ValueError("full subset enumeration is meant for rank <= 4")
         self.r = r
         self.n_ids = (1 << r) - 1
-        self._by_low = universe_table(r).by_low
+        self._table = universe_table(r)
         self._maxl: Dict[int, int] = {0: 0}
         self.f_caps, self.f_examples = self._build_tables()
         self.jmax = max(self.f_caps)
@@ -216,8 +217,8 @@ class SmallRankEngine:
             return hit
         low = (subset_mask & -subset_mask).bit_length()  # id of lowest element
         best = -1
-        for bucket in self._by_low[low]:
-            for circ_mask in bucket:
+        for size in range(3, self.r + 2):
+            for circ_mask in self._table.bucket(low, size):
                 if circ_mask & subset_mask == circ_mask:
                     sub = self.maxl(subset_mask ^ circ_mask)
                     if sub + 1 > best:
@@ -391,11 +392,10 @@ def find_circuit_partition(
     """Partition the id set into exactly `pieces` disjoint circuits.
 
     Returns the parts, or None when no such partition exists. Only the
-    circuits inside the id set that leave room for the other parts are
-    enumerated.
+    circuits inside the id set that the search scans are enumerated.
     """
     ids = set(ids)
-    table = CircuitTable(ids, r, max_len=len(ids) - 3 * (pieces - 1))
+    table = CircuitTable(ids, r)
     parts = table.partition(table.mask, pieces, set())
     if parts is None:
         return None
@@ -417,8 +417,7 @@ def squarefree_max_length_at_most(ids, bound: int, r: int) -> bool:
     counts = range(bound + 1, len(ids) // 3 + 1)
     if not counts:
         return True
-    # the fewest parts leave room for the longest one
-    table = CircuitTable(ids, r, max_len=len(ids) - 3 * (counts[0] - 1))
+    table = CircuitTable(ids, r)
     fail: Set[Tuple[int, int]] = set()  # shared by the counts, dropped on return
     for k in counts:
         if table.partition(table.mask, k, fail) is not None:
@@ -467,26 +466,17 @@ class SweepRecord:
 RANK5_SWEEP_PIECES = {3: 9, 4: 9, 5: 8, 6: 8, 7: 8, 8: 7, 9: 7, 10: 6, 11: 6}
 
 
-def sweep_part_cap(r: int, complement_size: int, pieces: int) -> int:
-    """The longest part a partition into `pieces` circuits can have, of
-    the set of C_2^r left by a complement of complement_size ids: every
-    other part holds at least 3."""
-    return (1 << r) - 1 - complement_size - 3 * (pieces - 1)
-
-
 def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
     """Try to split the complement of every covering instance into `pieces`.
 
     The instances are canonical_zero_sum_subsets(r, complement_size),
     which meet every GL(r, 2) orbit; failures counts the complements
     with no partition into exactly `pieces` circuits. The search uses
-    the kept universe table, holding at least the circuits up to the
-    longest part such a partition can have (sweep_part_cap), and one
-    failure memo that all instances share and that is dropped when the
-    sweep returns.
+    the kept universe table and one failure memo that all instances
+    share and that is dropped when the sweep returns.
     """
     started = time.monotonic()
-    table = universe_table(r, sweep_part_cap(r, complement_size, pieces))
+    table = universe_table(r)
     instances = canonical_zero_sum_subsets(r, complement_size)
     fail: Set[Tuple[int, int]] = set()
     failures = 0

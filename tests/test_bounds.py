@@ -1,10 +1,11 @@
 """Tests for the pure bound calculators."""
 
+import itertools
 import random
 
 import pytest
 
-from zerosum.arith import INFINITE
+from zerosum.arith import INFINITE, ceil_div
 from zerosum.bounds import (
     BoundConsistencyError,
     BoundError,
@@ -45,7 +46,45 @@ C33 = make_group((3, 3, 3))
 C32 = make_group((3, 3))
 
 
+def reference_recursion(ell, s_values, D, k):
+    """The ub.recursion scan with every step checked by lower_max_length."""
+    m = 0
+    while lower_max_length(ell, s_values, D, m + 1) <= k:
+        m += 1
+        if m > k * D:
+            raise BoundError("scan escaped its ceiling; inputs inconsistent")
+    return m
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as err:  # the kind and text of each failure must match
+        return type(err).__name__, str(err)
+
+
 class TestRecursion:
+    def test_scan_matches_checked_reference(self):
+        # the rule checks its inputs once, then scans unchecked; values and
+        # errors must be those of a scan that checks at every step
+        seen = set()
+        for ell in ((), (2,), (3,), (10,), (2, 4), (4, 2), (2, 2), (2, 3, 5)):
+            s_lists = list(itertools.product((1, 6, 12, INFINITE), repeat=len(ell)))
+            s_lists += [s + (7,) for s in s_lists[:1]]
+            for s_values, D, k in itertools.product(s_lists, (0, 1, 3, 4), (0, 1, 2, 5)):
+                inputs = {"ell": ell, "s_values": s_values, "D": D, "k": k}
+                got = outcome(evaluate_rule, "ub.recursion", inputs)
+                assert got == outcome(reference_recursion, ell, s_values, D, k), inputs
+                seen.add(got[1] if isinstance(got, tuple) else "value")
+        assert seen == {
+            "value",
+            "ell and s_values must align",
+            "threshold values must be finite",
+            "ell must be strictly increasing",
+            "scan escaped its ceiling; inputs inconsistent",
+            outcome(ceil_div, 1, 0)[1],  # ceil_div refuses D = 0
+        }
+
     def test_empty_level_list_gives_k_times_d(self):
         assert ub_recursion(C23, [], [], 4, 3).value == 12
         assert k_times_d(3, 4).value == 12

@@ -110,7 +110,87 @@ def mask_of(ids):
 
 
 def table_masks(table):
-    return sorted(m for buckets in table.by_low for bucket in buckets for m in bucket)
+    return sorted(
+        m
+        for v in range(1, 1 << table.r)
+        for size in range(3, table.r + 2)
+        for m in table.bucket(v, size)
+    )
+
+
+def eager_circuits(pool, cap):
+    """Circuits of length <= cap inside the id set pool, in one DFS over
+    ascending independent prefixes closed by their XOR: the up-front
+    enumeration the lazily filled buckets must reproduce, order included."""
+    pool = sorted(set(pool))
+    members = sum(1 << v for v in pool)
+    out = []
+
+    def dfs(start, prefix, span, elems, xr):
+        for i in range(start, len(pool)):
+            x = pool[i]
+            if (span >> x) & 1:
+                continue
+            y = xr ^ x
+            if prefix and y > x and (members >> y) & 1:
+                out.append(tuple(prefix) + (x, y))
+            if len(prefix) + 2 < cap:
+                shifted = [e ^ x for e in elems]
+                dfs(i + 1, prefix + [x], span | sum(1 << e for e in shifted), elems + shifted, y)
+
+    dfs(0, [], 1, [0], 0)
+    return out
+
+
+def eager_buckets(ids, r):
+    """by_low of every circuit inside ids, bucketed in eager_circuits order."""
+    by_low = [[[] for _ in range(r + 2)] for _ in range(1 << r)]
+    for circ in eager_circuits(ids, r + 1):
+        by_low[circ[0]][len(circ)].append(mask_of(circ))
+    return by_low
+
+
+def read_buckets(table):
+    return [
+        [[] if v == 0 or size < 3 else table.bucket(v, size) for size in range(table.r + 2)]
+        for v in range(1 << table.r)
+    ]
+
+
+class EagerCutTable:
+    """Every circuit of at most max_len ids, filled up front and searched
+    with max_len as the longest part: the reference a lazily filled
+    table with no cut must search alike."""
+
+    def __init__(self, ids, r, max_len):
+        self.by_low = [
+            [bucket if size <= max_len else [] for size, bucket in enumerate(buckets)]
+            for buckets in eager_buckets(ids, r)
+        ]
+        self.top = max_len
+        self.mask = mask_of(ids)
+
+    def partition(self, avail, pieces, fail):
+        by_low, top = self.by_low, self.top
+
+        def solve(avail, n, pieces):
+            if pieces == 0:
+                return None if avail else []
+            if not (3 * pieces <= n <= top * pieces) or (avail, pieces) in fail:
+                return None
+            buckets = by_low[(avail & -avail).bit_length()]
+            for size in range(3, min(top, n - 3 * (pieces - 1)) + 1):
+                for circ in buckets[size]:
+                    if circ & avail == circ:
+                        sub = solve(avail ^ circ, n - size, pieces - 1)
+                        if sub is not None:
+                            sub.append(circ)
+                            return sub
+            fail.add((avail, pieces))
+            return None
+
+        parts = solve(avail, bin(avail).count("1"), pieces)
+        return None if parts is None else parts[::-1]
 
 
 class TestCircuitTable:
@@ -118,25 +198,37 @@ class TestCircuitTable:
         for r in (2, 3, 4, 5):
             expected = sorted(mask_of(c) for c in circuits(r))
             assert table_masks(universe_table(r)) == expected
+        assert universe_table(5) is universe_table(5)
 
-    @pytest.mark.parametrize("r", (3, 4, 5))
-    def test_cut_table_is_the_full_table_filtered(self, r, monkeypatch):
-        monkeypatch.setattr(gf2, "_UNIVERSE", {})
-        full = CircuitTable(range(1, 1 << r), r)
-        for cap in range(3, r + 2):
-            expected = [
-                [bucket if size <= cap else [] for size, bucket in enumerate(buckets)]
-                for buckets in full.by_low
-            ]
-            assert CircuitTable(range(1, 1 << r), r, max_len=cap).by_low == expected
-            # the kept table grows to the longest circuits asked for
-            assert universe_table(r, cap).by_low == expected
-        assert universe_table(r).by_low == full.by_low
-        assert universe_table(r, 3) is universe_table(r)
+    @pytest.mark.parametrize("r", (3, 4))
+    def test_buckets_match_oracle(self, r):
+        table = CircuitTable(range(1, 1 << r), r)
+        assert read_buckets(table) == eager_buckets(range(1, 1 << r), r)
+        assert table_masks(table) == sorted(mask_of(c) for c in oracle_circuits(r))
+
+    def test_rank5_buckets_match_eager_enumeration(self):
+        by_low = read_buckets(CircuitTable(range(1, 32), 5))
+        assert by_low == eager_buckets(range(1, 32), 5)
+        counts = [sum(len(buckets[size]) for buckets in by_low) for size in range(3, 7)]
+        assert counts == [155, 1085, 5208, 13888]
+
+    def test_rank5_subset_buckets_match_eager_enumeration(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            ids = rng.sample(range(1, 32), rng.randrange(3, 31))
+            assert read_buckets(CircuitTable(ids, 5)) == eager_buckets(ids, 5), ids
+
+    def test_buckets_fill_on_first_read(self):
+        table = CircuitTable(range(1, 16), 4)
+        assert table.by_low[1][3] is None
+        first = table.bucket(1, 3)
+        assert table.by_low[1][3] is first
+        assert table.bucket(1, 3) is first
+        assert all(b is None for buckets in table.by_low[2:] for b in buckets[3:])
 
     def test_buckets_hold_lowest_id_and_size(self):
         table = universe_table(4)
-        for low, buckets in enumerate(table.by_low):
+        for low, buckets in enumerate(read_buckets(table)):
             for size, bucket in enumerate(buckets):
                 for circ in bucket:
                     assert (circ & -circ).bit_length() == low
@@ -411,8 +503,8 @@ class TestSweeps:
     def test_sweep_failures_match_brute_force(self, r, monkeypatch):
         # a sweep fails exactly when some zero-sum set of its size has no
         # partition into `pieces` circuits, each asked with a fresh memo.
-        # Each sweep starts without a kept table, so it runs on one cut
-        # to its own longest part.
+        # Each sweep starts without a kept table, so it fills its own
+        # buckets.
         monkeypatch.setattr(gf2, "_UNIVERSE", {})
         n_ids = (1 << r) - 1
         by_size = {}
@@ -454,41 +546,40 @@ class TestSweeps:
         assert outcomes == {True, False}
         assert bool(fail) == (r == 5)
 
-    def test_longer_table_searches_alike(self):
-        # the c = 3 and c = 4 sweeps (9 pieces) have parts of at most 4
-        # and 3 ids; a table holding circuits up to 5 must search as one
-        # cut to 4, partition for partition and refuted residual for
-        # refuted residual
-        tables = [CircuitTable(range(1, 32), 5, max_len=cap) for cap in (4, 5)]
-        for c in (3, 4):
-            runs = []
-            for table in tables:
-                fail = set()
-                parts = [
-                    table.partition(table.mask ^ mask_of(inst), RANK5_SWEEP_PIECES[c], fail)
-                    for inst in canonical_zero_sum_subsets(5, c)
-                ]
-                runs.append((parts, len(fail)))
-            assert runs[0] == runs[1], c
-            assert None not in runs[0][0]
+    @pytest.mark.parametrize("c", range(3, 9))
+    def test_lazy_table_searches_as_eager_cut_table(self, c):
+        # a sweep's parts hold at most L = 31 - c - 3(pieces - 1) ids; the
+        # lazy table with no cut must search as an eager one cut to L,
+        # partition for partition and refuted residual for refuted residual
+        pieces = RANK5_SWEEP_PIECES[c]
+        tables = [
+            EagerCutTable(range(1, 32), 5, 31 - c - 3 * (pieces - 1)),
+            CircuitTable(range(1, 32), 5),
+        ]
+        runs = []
+        for table in tables:
+            fail = set()
+            parts = [
+                table.partition(table.mask ^ mask_of(inst), pieces, fail)
+                for inst in canonical_zero_sum_subsets(5, c)
+            ]
+            runs.append((parts, fail))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) == len(runs[1][1])
+        assert None not in runs[1][0]
 
-    def test_cold_line_builds_one_rank5_table(self, monkeypatch):
-        built = []
-
-        class Counting(CircuitTable):
-            def __init__(self, ids, r, max_len=None):
-                super().__init__(ids, r, max_len)
-                if r == 5:
-                    built.append(self.max_len)
-
-        monkeypatch.setattr(gf2, "CircuitTable", Counting)
+    def test_cold_line_fills_few_buckets(self, monkeypatch):
+        # the sweeps of rows 8, 9 and 10 scan a few hundred circuits of
+        # 3 to 5 ids; the full table holds 20,336 of 3 to 6
         monkeypatch.setattr(gf2, "_UNIVERSE", {})
         invariants._rank5.cache_clear()
         davenport_k.cache_clear()
         G = make_group((2,) * 5)
         got = {k: davenport_k(G, k).digest() for k in (1, 2, 3, 4, 8, 9, 10)}
-        assert built == [5]
         assert got == {k: RANK5_CERT_DIGESTS[k] for k in got}
+        by_low = gf2._UNIVERSE[5].by_low
+        assert sum(len(b) for buckets in by_low for b in buckets if b is not None) < 1000
+        assert all(buckets[6] is None for buckets in by_low)
 
     def test_rank5_sweep_counts_pinned(self):
         expected = {3: 1, 4: 1, 5: 1, 6: 4, 7: 21, 8: 103, 9: 497, 10: 2082, 11: 7208}

@@ -970,6 +970,10 @@ def _failed_sweep(i):
     return edit
 
 
+def _drop_input(i, name):
+    return lambda data: data["upper_chain"][i]["inputs"].pop(name)
+
+
 def _unbound(i, rule, k):
     return "chain[%d] %s does not bound the certificate's k = %d" % (i, rule, k)
 
@@ -1132,6 +1136,8 @@ class TestTamperedFields:
          "witness: maximum block count 3 exceeds 2"),
         (lambda: davenport(C22), _step_field(0, "digest", "0" * 16),
          "chain[0] search.zsf: digest mismatch"),
+        (lambda: davenport(C22), _drop_input(0, "max_free"),
+         "chain[0] search.zsf: cannot be digested ('max_free')"),
         (lambda: davenport_k(make_group((6,)), 2), _step_field(0, "value", 5),
          "chain[0] search.zsf: re-evaluates to 6, not 5"),
         (lambda: davenport_k(C25, 2), _step_field(1, "value", 31),
@@ -1152,7 +1158,7 @@ class TestTamperedFields:
         "pairs-and-zeros", "mask-maxl-rank", "non-2-group-rule", "no-rule",
         "infinite-threshold", "threshold-length", "no-witness", "eta-k",
         "short-free", "atom-not-minimal", "max-disjoint-count",
-        "search-digest", "zsf-value", "sle-value", "sweep-value", "sweep-failures",
+        "search-digest", "search-input-missing", "zsf-value", "sle-value", "sweep-value", "sweep-failures",
         "zsf-relabel", "caps-relabel", "step-relabel", "sle-relabel", "sle-cap-relabel",
     ])
     def test_edit_is_reported(self, build, edit, problem):
