@@ -151,7 +151,7 @@ def evaluate_rule(rule_id: str, inputs: Dict[str, object]) -> ExtInt:
 
     Raises BoundError when the inputs break the rule's precondition.
     A search rule reads the value off the search's record, which it
-    trusts. search.full_enum has no rule: only a rerun could check it.
+    trusts; every step kind a certificate holds has a rule here.
     """
     fn = RULES.get(rule_id)
     if fn is None:
@@ -196,11 +196,13 @@ def lower_max_length(
     ell[i] while more than s_values[i] - 1 elements remain, and a final
     layer removes blocks of length at most D.
     """
-    return _layer_count(_checked_levels(ell, s_values), D, m)
+    return _layer_count(_checked_levels(ell, s_values, D), D, m)
 
 
-def _checked_levels(ell: Seq[int], s_values: Seq[ExtInt]) -> List[Tuple[int, int]]:
+def _checked_levels(ell: Seq[int], s_values: Seq[ExtInt], D: int) -> List[Tuple[int, int]]:
     """The (ell[i], s_values[i]) pairs, once the inputs pass every check."""
+    if D < 1 or any(l < 1 for l in ell):
+        raise BoundError("D and every ell must be positive")
     if len(ell) != len(s_values):
         raise BoundError("ell and s_values must align")
     if any(not is_finite(s) for s in s_values):
@@ -244,7 +246,8 @@ def _k_times_d(i):
 
 @_rule("ub.recursion")
 def _recursion(i):
-    levels, D, k = _checked_levels(i["ell"], i["s_values"]), i["D"], i["k"]
+    D, k = i["D"], i["k"]
+    levels = _checked_levels(i["ell"], i["s_values"], D)
     m = 0
     while _layer_count(levels, D, m + 1) <= k:
         m += 1

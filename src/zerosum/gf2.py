@@ -197,6 +197,10 @@ class SmallRankEngine:
     For a zero-sum subset, maxl is the largest number of parts in a
     partition into circuits; f_caps[j] is the largest zero-sum subset
     size achievable with maxl <= j.
+
+    No library code builds it: the tests use it as the oracle for the
+    caps and rows of C_2^2..C_2^4, and perfbench's tracer wraps it by
+    name.
     """
 
     def __init__(self, r: int):

@@ -33,7 +33,6 @@ from .bounds import (
     SUPPLIED,
     BoundError,
     BoundReport,
-    InputValue,
     best_recursion,
     cpr_upper,
     dk_upper_bounds,
@@ -170,8 +169,6 @@ def _expected_digest(step: BoundReport) -> Optional[str]:
         text = "zsf:g=%s:max_free=%d" % (inp["group"], inp["max_free"])
     elif step.rule_id == "search.sle":
         text = "sle:g=%s:cap=%d:max_free=%d" % (inp["group"], inp["cap"], inp["max_free"])
-    elif step.rule_id == "search.full_enum":
-        text = "full-enum:g=%s:k=%d:value=%d" % (inp["group"], inp["k"], step.value)
     else:
         return None
     return _digest16(text)
@@ -198,22 +195,6 @@ def _search_step(rule_id: str, constant: str, note: str, **record) -> BoundRepor
     """The digest-stamped step of a search, its value ruled from the record."""
     pairs = [(name, value, SEARCH) for name, value in record.items()]
     return _sealed(report(rule_id, "upper", pairs, constant=constant, note=note))
-
-
-def _full_enum_step(G: Group, k: int, value: int) -> BoundReport:
-    return _sealed(
-        BoundReport(
-            rule_id="search.full_enum",
-            direction="upper",
-            constant="D_k",
-            value=value,
-            inputs=(
-                ("group", InputValue(format_group(G), SEARCH)),
-                ("k", InputValue(k, SEARCH)),
-            ),
-            note="full zero-sum subset enumeration with doubling closure",
-        )
-    )
 
 
 def _sle3_step(r: int) -> BoundReport:
@@ -403,7 +384,7 @@ def _check_witness(
             fail("%d repetitions of a length-%d block exceed %d" % (m // order, order, k))
         return problems
 
-    if rule in ("squarefree-third", "coset-quarter", "max-disjoint", "mask-maxl"):
+    if rule in ("squarefree-third", "coset-quarter", "max-disjoint"):
         if G.is_elementary_2:
             core, pairs, zeros_n = _decompose_2group(S)
             slack = k - pairs - zeros_n
@@ -426,11 +407,7 @@ def _check_witness(
                 if len(core) // 4 > slack:
                     fail("quarter-bound %d exceeds remaining %d blocks" % (len(core) // 4, slack))
                 return problems
-            if rule == "mask-maxl" and prof.rank > 4:
-                fail("mask-maxl rule only covers rank <= 4")
-                return problems
-            # mask-maxl and max-disjoint over a 2-group: refute every deeper
-            # partition, without the engine that made the witness
+            # max-disjoint over a 2-group: refute every deeper partition
             if not gf2.squarefree_max_length_at_most(core, slack, prof.rank):
                 fail("core splits into more than %d disjoint blocks" % slack)
             return problems
@@ -466,10 +443,6 @@ def _check_chain(steps: Tuple[BoundReport, ...]) -> List[str]:
                 continue
             if step.digest != expected:
                 problems.append(label + ": digest mismatch")
-        if step.rule_id == "search.full_enum":
-            # its value is what the r <= 4 enumeration found: no rule gives
-            # it, and only a rerun of the enumeration could check it
-            continue
         try:
             value = evaluate_rule(step.rule_id, step.plain_inputs())
         except (BoundError, KeyError, TypeError, ValueError) as err:
@@ -488,11 +461,12 @@ def _check_caps(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
     rest of the chain, as the row builder derives them. The sweep results
     themselves are trusted."""
     label = "chain[%d] ub.squarefree_caps" % (len(steps) - 1)
-    if G.invariant_factors != (2,) * 5:
-        return [label + ": caps are only derived on C_2^5"]
+    if not G.is_elementary_2:
+        # two elements per extra block needs every element of order 2
+        return [label + ": caps are only derived on C_2^r"]
     try:
         final = steps[-1].plain_inputs()
-        derived = sorted(_rank5_chain_caps(final["k"], steps[:-1]).items())
+        derived = sorted(_e2_chain_caps(profile(G).rank, final["k"], steps[:-1]).items())
         claimed = [tuple(pair) for pair in final["caps"]]
     except (KeyError, TypeError, ValueError) as err:
         return [label + ": caps cannot be re-derived (%s)" % err]
@@ -867,11 +841,6 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     return best_len, tuple(elements[e] for e in best_seq), nodes
 
 
-@lru_cache(maxsize=16)
-def _engine(r: int) -> gf2.SmallRankEngine:
-    return gf2.SmallRankEngine(r)
-
-
 def _ids_to_sequence(G: Group, ids) -> Sequence:
     counts: Dict = {}
     for v in ids:
@@ -1075,24 +1044,28 @@ def eta(G: Group, budget: Optional[int] = None) -> Certificate:
 # k-wise Davenport constants
 
 
-def _rank5_caps(k: int, m_bounds: Dict[int, int], swept: Dict[int, int]) -> Dict[int, int]:
-    """caps[j] for j = 0..min(k, 10): the largest size a zero-sum set of
-    distinct nonzero ids of C_2^5 can have when it splits into at most j
-    disjoint circuits.
+def _e2_caps(r: int, k: int, m_bounds: Dict[int, int], swept: Dict[int, int]) -> Dict[int, int]:
+    """caps[j] for j = 0..min(k, J): the largest size a zero-sum set of
+    distinct nonzero ids of C_2^r can have when it splits into at most j
+    disjoint circuits. J = (2^r - 1) // 3 is the most circuits any such
+    set splits into, and the full set splits into J of them: a line
+    spread for even r, a maximal partial spread plus one 4-circuit for
+    odd r (Beutelspacher, Math. Z. 145, 1975).
 
     The walk for j starts at m_bounds[j] (a ub.recursion bound on D_j;
-    the full 31 ids when absent) and steps down past every size it can
-    exclude. A size of 31 - c ids is excluded when swept maps c to at
-    least j + 1 pieces, since that sweep proves every such set splits
-    into that many circuits.
+    the full 2^r - 1 ids when absent) and steps down past every size it
+    can exclude. A size of 2^r - 1 - c ids is excluded when swept maps c
+    to at least j + 1 pieces, since that sweep proves every such set
+    splits into that many circuits.
     """
-    full = 31
+    full = (1 << r) - 1
+    most = full // 3
     caps = {0: 0}
-    for j in range(1, min(k, 10) + 1):
+    for j in range(1, min(k, most) + 1):
         w = min(m_bounds.get(j, full), full)
-        if w < full or j <= 9:
-            # the full set splits into exactly 10 circuits, and 30 or 29
-            # ids leave a complement of 1 or 2 ids, which is not zero-sum
+        if w < full or j < most:
+            # the full set splits into J > j circuits, and full - 1 or
+            # full - 2 ids leave a complement of 1 or 2 ids, not zero-sum
             w = min(w, full - 3)
             while w > 0 and swept.get(full - w, 0) >= j + 1:
                 w -= 1
@@ -1100,11 +1073,11 @@ def _rank5_caps(k: int, m_bounds: Dict[int, int], swept: Dict[int, int]) -> Dict
     return caps
 
 
-def _rank5_chain_caps(k: int, steps) -> Dict[int, int]:
-    """_rank5_caps on what the steps of a C_2^5 row record: per j the least
+def _e2_chain_caps(r: int, k: int, steps) -> Dict[int, int]:
+    """_e2_caps on what the steps of a C_2^r row record: per j the least
     ub.recursion value with k = j, and per complement size the most pieces
-    a rank-5 sweep proved. A sweep that recorded failures is refused by its
-    rule in _check_chain, not here."""
+    a sweep of rank r proved. A sweep that recorded failures is refused by
+    its rule in _check_chain, not here."""
     m_bounds: Dict[int, int] = {}
     swept: Dict[int, int] = {}
     for step in steps:
@@ -1112,33 +1085,30 @@ def _rank5_chain_caps(k: int, steps) -> Dict[int, int]:
         if step.rule_id == "ub.recursion":
             j = inp["k"]
             m_bounds[j] = min(step.value, m_bounds.get(j, step.value))
-        elif step.rule_id == "search.sweep" and inp["r"] == 5:
+        elif step.rule_id == "search.sweep" and inp["r"] == r:
             c = inp["complement_size"]
             swept[c] = max(inp["pieces"], swept.get(c, 0))
-    return _rank5_caps(k, m_bounds, swept)
+    return _e2_caps(r, k, m_bounds, swept)
 
 
-class _Rank5Pipeline:
-    """Shared state for C_2^5 rows: thresholds, caps, and sweep records."""
-
-    def __init__(self):
-        self.G = make_group((2,) * 5)
-        self.r = 5
-        self._sweeps: Dict[int, gf2.SweepRecord] = {}
-        self._m_steps: Dict[int, BoundReport] = {}
-        d_cert = davenport(self.G)
-        self.D1 = d_cert.value
-        self.zsf_step = d_cert.upper_chain[0]
-        self.s2_step = s_le(self.G, 2).upper_chain[0]
-        self.s3_step = _sle3_step(5)
-        self.s4_step = e2g_s2m_upper(5, 2)
-        self.s_values = {2: self.s2_step.value, 3: self.s3_step.value, 4: self.s4_step.value}
-        # rows 2..10: the witness ids, a doubled id listed twice, and the
-        # witness rule with its params
-        quarter = ("coset-quarter", {"functional": 16})
-        disjoint = ("max-disjoint", {})
-        third = ("squarefree-third", {})
-        self.witnesses = {
+def _e2_witnesses(r: int) -> Dict[int, Tuple[Tuple[int, ...], str, dict]]:
+    """Row witnesses of C_2^r from row 2 to row J = (2^r - 1) // 3, which
+    is the full set: the ids, a doubled id listed twice, and the witness
+    rule with its params. Rows 2..J - 1 exist for r = 4 and 5 only."""
+    full = gf2.full_set_minus(r, ())
+    quarter = ("coset-quarter", {"functional": 1 << (r - 1)})
+    disjoint = ("max-disjoint", {})
+    third = ("squarefree-third", {})
+    rows = {len(full) // 3: (full, *third)}
+    if r == 4:
+        minus_circuit = gf2.full_set_minus(4, (1, 2, 4, 7))
+        rows.update({
+            2: (gf2.top_coset_ids(4), *quarter),
+            3: (minus_circuit, *third),
+            4: (minus_circuit + (1, 1), *third),
+        })
+    elif r == 5:
+        rows.update({
             2: (gf2.lex_least_coset_zero_sum(5, 10), *quarter),
             3: (gf2.RANK5_CORE_MAXL3, *disjoint),
             4: (gf2.RANK5_CORE_MAXL4, *quarter),
@@ -1147,14 +1117,35 @@ class _Rank5Pipeline:
             7: (gf2.RANK5_CORE_MAXL5 + (1, 1, 2, 2), *disjoint),
             8: (gf2.full_set_minus(5, (1, 2, 4, 8, 15)), *third),
             9: (gf2.full_set_minus(5, (1, 2, 3)), *third),
-            10: (gf2.full_set_minus(5, ()), *third),
-        }
+        })
+    return rows
+
+
+class _E2Pipeline:
+    """Shared state for the D_k rows of C_2^r, 2 <= r <= 5: thresholds,
+    caps, and sweep records. Only rank 5 has sweeps to run: the caps of
+    r <= 4 come out exact from the thresholds alone."""
+
+    def __init__(self, r: int):
+        self.G = make_group((2,) * r)
+        self.r = r
+        self.pieces = gf2.RANK5_SWEEP_PIECES if r == 5 else {}
+        self._sweeps: Dict[int, gf2.SweepRecord] = {}
+        self._m_steps: Dict[int, BoundReport] = {}
+        d_cert = davenport(self.G)
+        self.D1 = d_cert.value
+        self.zsf_step = d_cert.upper_chain[0]
+        self.s2_step = s_le(self.G, 2).upper_chain[0]
+        self.s3_step = _sle3_step(r)
+        self.s4_step = e2g_s2m_upper(r, 2)
+        self.s_values = {2: self.s2_step.value, 3: self.s3_step.value, 4: self.s4_step.value}
+        self.witnesses = _e2_witnesses(r)
 
     def sweep(self, c: int) -> gf2.SweepRecord:
         rec = self._sweeps.get(c)
         if rec is not None:
             return rec
-        rec = gf2.run_sweep(5, c, gf2.RANK5_SWEEP_PIECES[c])
+        rec = gf2.run_sweep(self.r, c, self.pieces[c])
         if rec.failures:
             raise SearchError("partition sweep c=%d reported failures" % c)
         self._sweeps[c] = rec
@@ -1169,24 +1160,25 @@ class _Rank5Pipeline:
     def caps_for(self, k: int) -> Tuple[Dict[int, int], List[BoundReport]]:
         """The row's caps and steps, with only the sweeps its bound needs.
 
-        A first walk counts every sweep of RANK5_SWEEP_PIECES as run, and
-        runs none, to find the least bound V they can reach. Each size w
-        <= 28 with V - 2(k - j) < w <= the walk's start for j must be
-        excluded for j, and only the sweep of complement 31 - w can do
+        A first walk counts every sweep of self.pieces as run, and runs
+        none, to find the least bound V they can reach. Each size w <=
+        full - 3 with V - 2(k - j) < w <= the walk's start for j must be
+        excluded for j, and only the sweep of complement full - w can do
         that. So those sweeps are the one least set that reaches V: they
-        run, and the caps are those _rank5_chain_caps derives from the
-        row's steps, as the verifier derives them.
+        run, and the caps are those _e2_chain_caps derives from the row's
+        steps, as the verifier derives them.
         """
-        full = 31
-        m_bounds = {j: self.m_bound(j).value for j in range(1, min(k, 9) + 1)}
+        full = (1 << self.r) - 1
+        most = full // 3
+        m_bounds = {j: self.m_bound(j).value for j in range(1, min(k, most - 1) + 1)}
         steps: List[BoundReport] = [self.zsf_step, self.s2_step, self.s3_step, self.s4_step]
         steps += [self.m_bound(j) for j in m_bounds]
-        every = _rank5_caps(k, m_bounds, gf2.RANK5_SWEEP_PIECES)
+        every = _e2_caps(self.r, k, m_bounds, self.pieces)
         bound = max(cap + 2 * (k - j) for j, cap in every.items())
         sweeps = sorted(
             {
                 full - w
-                for j in range(1, min(k, 10) + 1)
+                for j in range(1, min(k, most) + 1)
                 for w in range(bound - 2 * (k - j) + 1, min(m_bounds.get(j, full), full - 3) + 1)
             }
         )
@@ -1198,7 +1190,7 @@ class _Rank5Pipeline:
                              complement_size=rec.complement_size, pieces=rec.pieces,
                              instances=rec.instances, failures=rec.failures)
             )
-        return _rank5_chain_caps(k, steps), steps
+        return _e2_chain_caps(self.r, k, steps), steps
 
     def upper(self, k: int) -> Tuple[int, List[BoundReport]]:
         caps, steps = self.caps_for(k)
@@ -1217,10 +1209,12 @@ class _Rank5Pipeline:
         return final.value, steps
 
     def witness(self, k: int) -> Tuple[Sequence, dict]:
-        """Row k's witness: row 10 plus k - 10 pairs of id 1 past row 10."""
-        ids, rule, params = self.witnesses[min(k, 10)]
+        """Row k's witness: past the table's last row, that row plus a pair
+        of id 1 per extra block."""
+        last = max(self.witnesses)
+        ids, rule, params = self.witnesses[min(k, last)]
         return (
-            _ids_to_sequence(self.G, ids + (1,) * 2 * max(k - 10, 0)),
+            _ids_to_sequence(self.G, ids + (1,) * 2 * max(k - last, 0)),
             {"rule": rule, "params": dict(params)},
         )
 
@@ -1240,9 +1234,10 @@ class _Rank5Pipeline:
         )
 
 
-@lru_cache(maxsize=1)
-def _rank5() -> _Rank5Pipeline:
-    return _Rank5Pipeline()
+@lru_cache(maxsize=16)
+def _engine(r: int) -> _E2Pipeline:
+    """The one D_k row pipeline of C_2^r per rank, 2 <= r <= 5."""
+    return _E2Pipeline(r)
 
 
 def _dstar_witness(G: Group, k: int) -> Sequence:
@@ -1404,26 +1399,8 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             upper_chain=chain,
             exhaustive=False,
         )
-    if G.is_elementary_2:
-        r = prof.rank
-        if r <= 4:
-            engine = _engine(r)
-            value = engine.dk(k)
-            core_ids, pairs = engine.dk_witness(k)
-            witness = _ids_to_sequence(G, core_ids + (1,) * 2 * pairs)
-            return Certificate(
-                constant="D_k",
-                group=G,
-                k=k,
-                value=value,
-                interval=None,
-                witness=witness,
-                witness_check={"rule": "mask-maxl", "params": {}},
-                upper_chain=(_full_enum_step(G, k, value),),
-                exhaustive=True,
-            )
-        if r == 5:
-            return _rank5().row(k)
+    if G.is_elementary_2 and prof.rank <= 5:
+        return _engine(prof.rank).row(k)
     return _generic_dk(G, k, budget)
 
 

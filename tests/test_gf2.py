@@ -411,6 +411,17 @@ class TestCircuitPartitions:
         assert parts is not None
         assert all(is_circuit(p) for p in parts)
 
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_full_set_splits_into_a_third_of_its_ids(self, r):
+        # the row caps rely on the full set splitting into (2^r - 1) // 3
+        # circuits; one more would need more ids than the set has
+        full, most = range(1, 1 << r), ((1 << r) - 1) // 3
+        parts = find_circuit_partition(full, most, r)
+        assert parts is not None and len(parts) == most
+        assert all(is_circuit(p) for p in parts)
+        assert set().union(*parts) == set(full)
+        assert find_circuit_partition(full, most + 1, r) is None
+
     def test_refutation_guard_rejects_bad_input(self):
         with pytest.raises(ValueError):
             squarefree_max_length_at_most((1, 2, 3, 4), 2, 3)
@@ -572,7 +583,7 @@ class TestSweeps:
         # the sweeps of rows 8, 9 and 10 scan a few hundred circuits of
         # 3 to 5 ids; the full table holds 20,336 of 3 to 6
         monkeypatch.setattr(gf2, "_UNIVERSE", {})
-        invariants._rank5.cache_clear()
+        invariants._engine.cache_clear()
         davenport_k.cache_clear()
         G = make_group((2,) * 5)
         got = {k: davenport_k(G, k).digest() for k in (1, 2, 3, 4, 8, 9, 10)}
@@ -618,10 +629,10 @@ DERIVED_SWEEPS = {
 
 def rank5_bound(k, sweeps):
     """The ub.squarefree_caps bound on row k with these sweeps counted as run."""
-    pipeline = invariants._rank5()
+    pipeline = invariants._engine(5)
     m_bounds = {j: pipeline.m_bound(j).value for j in range(1, min(k, 9) + 1)}
     swept = {c: RANK5_SWEEP_PIECES[c] for c in sweeps}
-    caps = invariants._rank5_caps(k, m_bounds, swept)
+    caps = invariants._e2_caps(5, k, m_bounds, swept)
     return max(cap + 2 * (k - j) for j, cap in caps.items())
 
 
@@ -654,7 +665,7 @@ class TestRank5Certificates:
         # a forged c = 3 record: its digest is an unkeyed hash of its own
         # fields, so no check on load could tell it from a real one
         monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
-        invariants._rank5.cache_clear()
+        invariants._engine.cache_clear()
         davenport_k.cache_clear()
         cache.store_sweep(
             SweepRecord(r=5, complement_size=3, pieces=9, instances=7, failures=0, elapsed_ms=0)

@@ -207,18 +207,20 @@ class TestElementaryTwoSearchDigests:
 
 
 class TestDkSmallRank:
+    # row 1 is the exhaustive zero-sum-free search; later rows are
+    # sandwiched from thresholds and rules, as rank 5 and C_3^3 are
     @pytest.mark.parametrize("k,value", [(1, 4), (2, 7), (3, 9), (4, 11), (5, 13)])
     def test_rank_three_table(self, k, value):
         cert = davenport_k(C23, k)
         assert cert.value == value
-        assert cert.exhaustive
+        assert cert.exhaustive == (k == 1)
         assert_verifies(cert)
 
     @pytest.mark.parametrize("k,value", [(1, 5), (2, 8), (3, 11), (4, 13), (5, 15)])
     def test_rank_four_table(self, k, value):
         cert = davenport_k(C24, k)
         assert cert.value == value
-        assert cert.exhaustive
+        assert cert.exhaustive == (k == 1)
         assert_verifies(cert)
 
     def test_witness_packs_to_claimed_value(self):
@@ -226,6 +228,64 @@ class TestDkSmallRank:
         assert cert.witness.length == 11
         assert max_disjoint_zero_sums(cert.witness) <= 3
         assert max_length(cert.witness) <= 3
+
+
+# digests of the C_2^r rows k = 2..12, pinned when the rows came to close
+# on the caps walk instead of the full subset enumeration
+E2_SMALL_DK_DIGESTS = {
+    2: (
+        "0bd4f3783bef5e7c", "980f295247980ed9", "a11f7b17efb5d681", "c8dfbfe2bc3b84c7",
+        "28d40c4be08d0714", "a0384c57a0558ae5", "dcba0e31f29aee49", "bae04bcde8bb7532",
+        "d44e4f83ae8337b2", "0127b44082d71ecf", "9bb4a97142d463bb",
+    ),
+    3: (
+        "6f428e6ef6790bb0", "e943fab8efa838c2", "ddb50490d39fb3b2", "73ee3a081f49055b",
+        "cae909c1980c1296", "a2a92802a50a7297", "75b3a129f52bcf09", "941e6bca55727fff",
+        "b86c3a2b4cb4a996", "5fd1daf508a8e1ab", "63b786865f34f112",
+    ),
+    4: (
+        "2c45baca650523d5", "60dfac265398947e", "95b443c20743bbb9", "7ac3f62c1fd853ec",
+        "f2ff5c603ed935d1", "f920012fae1c08ee", "ce10b51562860b82", "e6d457753bb373ea",
+        "7fe186bef673b187", "c7269464a3141901", "4201d2f5b8003724",
+    ),
+}
+
+
+class TestElementaryTwoRowsMatchEnumeration:
+    """Rows of C_2^2..C_2^4 against the full subset enumeration of gf2."""
+
+    KS = range(1, 13)
+
+    @pytest.mark.parametrize("r", sorted(E2_SMALL_DK_DIGESTS))
+    def test_row_digests_pinned(self, r):
+        G = make_group((2,) * r)
+        got = tuple(davenport_k(G, k).digest() for k in self.KS if k >= 2)
+        assert got == E2_SMALL_DK_DIGESTS[r]
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_values_match(self, r):
+        engine = gf2.SmallRankEngine(r)
+        values = [davenport_k(make_group((2,) * r), k).value for k in self.KS]
+        assert values == [engine.dk(k) for k in self.KS]
+        if r == 2:
+            assert values == [2 * k + 1 for k in self.KS]
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_derived_caps_match(self, r):
+        caps, _steps = invariants._engine(r).caps_for(max(self.KS))
+        assert caps == gf2.SmallRankEngine(r).f_caps
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_rows_verify_from_json_and_every_step_is_checked(self, r):
+        # an edited value fails on every step: the verifier skips none
+        for k in self.KS:
+            data = json.loads(json.dumps(davenport_k(make_group((2,) * r), k).to_json()))
+            assert_verifies(Certificate.from_json(data))
+            del data["digest"]
+            for step in data["upper_chain"]:
+                step["value"] += 1
+                assert not verify_certificate(Certificate.from_json(data)).ok, (k, step["rule"])
+                step["value"] -= 1
 
 
 class TestDkCyclic:
@@ -905,14 +965,13 @@ class TestWitnessRules:
         assert result.problems == ("witness: verification budget exhausted",)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
-    def test_mask_maxl_witness_fails_one_block_lower(self, r):
+    def test_row_witness_fails_one_block_lower(self, r):
         G = make_group((2,) * r)
         certs = {k: davenport_k(G, k) for k in range(2, 9)}
-        # the check refutes partitions itself, without the engine that
-        # produced the witnesses
+        # the check needs no row pipeline
         invariants._engine.cache_clear()
         for k, cert in certs.items():
-            assert cert.witness_check["rule"] == "mask-maxl"
+            assert cert.witness_check["rule"] in ("squarefree-third", "coset-quarter")
             check = cert.witness_check
             assert not invariants._check_witness(G, cert.witness, k, check, None)
             assert invariants._check_witness(G, cert.witness, k - 1, check, None)
@@ -970,6 +1029,13 @@ def _failed_sweep(i):
     return edit
 
 
+def _step_input(i, name, value):
+    def edit(data):
+        data["upper_chain"][i]["inputs"][name]["value"] = value
+
+    return edit
+
+
 def _drop_input(i, name):
     return lambda data: data["upper_chain"][i]["inputs"].pop(name)
 
@@ -990,6 +1056,24 @@ class TestForgedUpperSide:
 
         problems = _verify_edited(davenport_k(make_group(factors), 3), forge)
         assert problems == ("no chain backing the upper side",)
+
+    def test_enumeration_step_is_refused(self):
+        # D_2(C_2^4) closed, as it once was, on a search.full_enum step whose
+        # value no rule gives, under its own digest
+        def forge(data):
+            data["upper_chain"] = [{
+                "rule": "search.full_enum", "direction": "upper", "constant": "D_k",
+                "value": 8,
+                "inputs": {"group": {"value": "2^4", "provenance": "search"},
+                           "k": {"value": 2, "provenance": "search"}},
+                "digest": invariants._digest16("full-enum:g=2^4:k=2:value=8"),
+            }]
+
+        assert _verify_edited(davenport_k(C24, 2), forge) == (
+            "chain[0] search.full_enum: digest mismatch",
+            "chain[0] search.full_enum: re-evaluation failed "
+            "(no evaluator for rule 'search.full_enum')",
+        )
 
 
 def _lowered_cap(data):
@@ -1012,7 +1096,7 @@ def _without_sweep(c):
 
 
 class TestRank5Caps:
-    """The caps of a C_2^5 row are re-derived from its own chain."""
+    """The caps of a C_2^r row are re-derived from its own chain."""
 
     def test_lowered_cap_is_rejected(self):
         problems = _verify_edited(davenport_k(C25, 3), _lowered_cap)
@@ -1036,10 +1120,32 @@ class TestRank5Caps:
         assert "chain[7] ub.squarefree_caps: caps cannot be re-derived ('k')" in problems
 
     def test_caps_on_another_group_are_rejected(self):
+        # walked at rank 4, the C_2^5 chain gives a lower cap 3
         chain = davenport_k(C25, 3).upper_chain
         assert invariants._check_caps(C24, chain) == [
-            "chain[7] ub.squarefree_caps: caps are only derived on C_2^5"
+            "chain[7] ub.squarefree_caps: caps [(0, 0), (1, 6), (2, 10), (3, 14)] "
+            "do not follow from the chain, which gives "
+            "[(0, 0), (1, 6), (2, 10), (3, 12)]"
         ]
+
+    def test_caps_outside_elementary_two_groups_are_rejected(self):
+        # two elements per extra block holds only where every element has order 2
+        chain = davenport_k(C25, 3).upper_chain
+        assert invariants._check_caps(C33, chain) == [
+            "chain[7] ub.squarefree_caps: caps are only derived on C_2^r"
+        ]
+
+    def test_lowered_rank_four_cap_is_rejected(self):
+        # cap 4 of D_4(C_2^4) lowered from 12 to 11 leaves the row's value 13
+        def edit(data):
+            data["upper_chain"][-1]["inputs"]["caps"]["value"][-1] = [4, 11]
+
+        problems = _verify_edited(davenport_k(C24, 4), edit)
+        assert problems == (
+            "chain[8] ub.squarefree_caps: caps [(0, 0), (1, 5), (2, 8), (3, 11), (4, 11)] "
+            "do not follow from the chain, which gives "
+            "[(0, 0), (1, 5), (2, 8), (3, 11), (4, 12)]",
+        )
 
 
 class TestFailureArms:
@@ -1049,7 +1155,7 @@ class TestFailureArms:
     def fresh_rows(self):
         # memoised rows and errors built under a patch must not outlive it
         def clear():
-            invariants._rank5.cache_clear()
+            invariants._engine.cache_clear()
             invariants._generic_rows.cache_clear()
             davenport_k.cache_clear()
 
@@ -1111,8 +1217,8 @@ class TestTamperedFields:
         (lambda: davenport_k(C25, 7), _setting(k=1),
          ("witness: pairs and zeros alone exceed 1 blocks",
           _unbound(17, "ub.squarefree_caps", 1))),
-        (lambda: davenport_k(C25, 2), _witness_rule("mask-maxl"),
-         "witness: mask-maxl rule only covers rank <= 4"),
+        (lambda: davenport_k(C24, 2), _witness_rule("mask-maxl"),
+         "witness: unknown rule 'mask-maxl'"),
         (lambda: davenport_k(C32, 2), _witness_rule("squarefree-third"),
          "witness: rule 'squarefree-third' needs an elementary 2-group"),
         (lambda: davenport(C22), _setting(witness_check=None),
@@ -1152,14 +1258,24 @@ class TestTamperedFields:
          _unbound(2, "ub.step", 9)),
         (lambda: s_le(C33, 3), _setting(k=2), _unbound(0, "search.sle", 2)),
         (lambda: s_le(C24, 4), _setting(k=3), _unbound(0, "search.sle", 3)),
+        (lambda: davenport_k(C33, 3), _step_input(2, "D", 0),
+         "chain[2] ub.recursion: re-evaluation failed (D and every ell must be positive)"),
+        (lambda: davenport_k(C33, 3), _step_input(2, "ell", [0]),
+         "chain[2] ub.recursion: re-evaluation failed (D and every ell must be positive)"),
+        (lambda: davenport_k(C24, 3), _step_field(6, "value", 10),
+         ("chain[6] ub.recursion: re-evaluates to 11, not 10",
+          "chain[7] ub.squarefree_caps: caps [(0, 0), (1, 5), (2, 8), (3, 11)] "
+          "do not follow from the chain, which gives [(0, 0), (1, 5), (2, 8), (3, 10)]")),
+        (lambda: davenport_k(C24, 3), _setting(k=4), _unbound(7, "ub.squarefree_caps", 4)),
     ], ids=[
         "zeros-nonzero", "zeros-count", "cyclic-support", "cyclic-blocks",
         "coset-functional", "coset-outside", "coset-quarter", "squarefree-third",
-        "pairs-and-zeros", "mask-maxl-rank", "non-2-group-rule", "no-rule",
+        "pairs-and-zeros", "mask-maxl-retired", "non-2-group-rule", "no-rule",
         "infinite-threshold", "threshold-length", "no-witness", "eta-k",
         "short-free", "atom-not-minimal", "max-disjoint-count",
         "search-digest", "search-input-missing", "zsf-value", "sle-value", "sweep-value", "sweep-failures",
         "zsf-relabel", "caps-relabel", "step-relabel", "sle-relabel", "sle-cap-relabel",
+        "recursion-d-zero", "recursion-ell-zero", "recursion-value", "rank4-caps-relabel",
     ])
     def test_edit_is_reported(self, build, edit, problem):
         # a relabelled k also leaves the chain bounding the old k

@@ -19,3 +19,12 @@ def test_tracer_install_finds_every_wrapped_name():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_worker_memo_names_expose_cache_info():
+    # the benchmark worker reports the memo counters of these by name
+    from zerosum import invariants
+
+    for name in ("davenport", "s_le", "davenport_k", "_engine"):
+        info = getattr(invariants, name).cache_info()
+        assert info.hits >= 0 and info.misses >= 0, name
