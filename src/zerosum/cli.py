@@ -69,7 +69,7 @@ def _cert_lines(cert: Certificate) -> list:
     if cert.constant == "D_k":
         label = "D_%d" % cert.k
     elif cert.constant == "s_le":
-        label = "s_le(%d)" % cert.k
+        label = "s_le_%d" % cert.k
     name = "%s(%s)" % (label, format_group(cert.group))
     lines = []
     if cert.value is not None:

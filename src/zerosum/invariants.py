@@ -92,11 +92,12 @@ GENERIC_ORDER_GUARD = 256
 DEFAULT_SEARCH_BUDGET = 8_000_000
 DEFAULT_VERIFY_BUDGET = 4_000_000
 # _generic_search tests prefixes up to this length for orbit minimality.
-# Deeper tests cost more in orbit BFS than they save in nodes, even with
-# the orbit flags shared by every search on a group: at depth 4 the four
-# C_3^3 searches behind davenport_k(C_3^3, 2) drop from 6,992 to 4,390
-# nodes but take 0.21-0.33 s against 0.05-0.08 s from cold, and the four
-# C_6^2 searches break even
+# On C_3^3 deeper tests cost more in orbit BFS than they save in nodes,
+# even with the orbit flags shared by every search on a group: at depth 4
+# the four searches behind davenport_k(C_3^3, 2) drop from 6,992 to 4,390
+# nodes but take 0.10-0.17 s against 0.03-0.05 s from cold (2 vCPUs).
+# The four C_6^2 searches behind davenport_k(C_6^2, 2) gain at depth 4
+# (187,429 -> 89,063 nodes, 0.76-0.84 s -> 0.58-0.59 s)
 ORBIT_PRUNE_DEPTH = 3
 
 
@@ -651,15 +652,83 @@ def _orbit_map(G: Group, generate, depth: int) -> Tuple[List[List[int]], bytearr
     """H = generate(G) as index maps, and a flag per prefix of length <= depth.
 
     Prefix (e_1, ..., e_L) has slot sum of (e_i + 1)(|G| + 1)^(L - i).
-    Its byte is 0 until _generic_search finds its orbit, then 1 if it is
-    the orbit's least sorted image and 2 if not. An orbit does not depend
-    on the cap, so every search on G shares the flags. They are keyed on
-    the generating function as well as on G, so they only serve searches
+    Slots of one length order as their prefixes do, since each digit
+    e_i + 1 lies in 1..|G|. A prefix's byte is 0 until _flag_orbit fills
+    its orbit, then 1 if it is the orbit's least sorted image and 2 if
+    not. An orbit does not depend on the cap, so every search on G shares
+    the flags: the four C_3^3 searches behind davenport_k(C_3^3, 2) fill
+    3,172 of them in 6 orbits, in any order. They are keyed on the
+    generating function as well as on G, so they only serve searches
     under the generators they were filled from. One byte per slot, with
     no object per prefix, keeps a group's flags at (|G| + 1)^depth bytes
     (22 KB on C_3^3 at depth 3) for as long as they are cached.
     """
     return generate(G), bytearray((G.order + 1) ** depth)
+
+
+def _slot(prefix, n: int) -> int:
+    """The index of a prefix's flag in _orbit_map, on a group of order n."""
+    key = 0
+    for e in prefix:
+        key = key * (n + 1) + e + 1
+    return key
+
+
+def _flag_orbit(generators: List[List[int]], prefix: List[int], n: int, flags: bytearray) -> None:
+    """Flag the H-orbit of a nondecreasing prefix in _orbit_map's flags.
+
+    H is generated by the index maps in generators, on a group of order
+    n; the orbit is the set of sorted images of the prefix. The BFS
+    applies every generator to every member and keeps the orbit as a set
+    of slots, so the least slot is the least sorted image. An image of
+    length 2 or 3 is sorted by compare-swaps, with the length chosen per
+    BFS level, not per image; length 1 (a few orbits per group) and
+    lengths past 3 (ORBIT_PRUNE_DEPTH raised, as some tests do) go
+    through sorted(). On C_3^3 this takes the BFS of the four searches
+    behind davenport_k(C_3^3, 2), 12,688 images, from 0.013-0.024 s with
+    a sorted tuple per image to 0.004-0.007 s (2 vCPUs).
+    """
+    m = n + 1
+    orbit = {_slot(prefix, n)}
+    frontier = [tuple(prefix)]
+    while frontier:
+        reached = []
+        if len(prefix) == 2:
+            for a, b in frontier:
+                for g in generators:
+                    x, y = g[a], g[b]
+                    if x > y:
+                        x, y = y, x
+                    key = (x + 1) * m + y + 1
+                    if key not in orbit:
+                        orbit.add(key)
+                        reached.append((x, y))
+        elif len(prefix) == 3:
+            for a, b, c in frontier:
+                for g in generators:
+                    x, y, z = g[a], g[b], g[c]
+                    if x > y:
+                        x, y = y, x
+                    if y > z:
+                        y, z = z, y
+                        if x > y:
+                            x, y = y, x
+                    key = ((x + 1) * m + y + 1) * m + z + 1
+                    if key not in orbit:
+                        orbit.add(key)
+                        reached.append((x, y, z))
+        else:
+            for t in frontier:
+                for g in generators:
+                    image = sorted([g[e] for e in t])
+                    key = _slot(image, n)
+                    if key not in orbit:
+                        orbit.add(key)
+                        reached.append(image)
+        frontier = reached
+    for key in orbit:
+        flags[key] = 2
+    flags[min(orbit)] = 1
 
 
 def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tuple, int]:
@@ -704,11 +773,12 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     prefix of S* to a smaller sorted image, the sorted image of S* under g
     would be a smaller sequence of the same length with the same
     property. So S* is never pruned: pruning moves node counts, not
-    results. H and the flags of the prefixes come from _orbit_map, so
-    each orbit is found once per process, not once per search. The BFS
-    that finds an orbit applies every generator to every member, so it
-    is given one generator per conjugacy class (4 maps on C_3^3): the
-    orbits, flags and node counts are those of the full list. A cyclic
+    results. H and the flags of the prefixes come from _orbit_map, and
+    _flag_orbit fills the flags of an orbit the first time a search meets
+    one of its members, so each orbit is found once per process, not
+    once per search. That BFS applies every generator to every member,
+    so it is given one generator per conjugacy class (4 maps on C_3^3):
+    the orbits, flags and node counts are those of the full list. A cyclic
     group is not pruned: its H is the unit scalings, which cut about 3%
     of the nodes (C_97: 4,657 -> 4,515) while the orbit BFS makes the
     search 2-6 times slower.
@@ -745,33 +815,12 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
     best_len = 0
     best_seq: List[int] = []
 
-    def slot(t) -> int:
-        key = 0
-        for e in t:
-            key = key * (n + 1) + e + 1
-        return key
-
     def canonical(seq: List[int]) -> bool:
         # seq is nondecreasing, so it is its own sorted form. The first
-        # time a multiset is met, its H-orbit is found by BFS and every
-        # member is flagged by whether it is the orbit's least sorted image.
-        key = slot(seq)
+        # time a multiset is met, its H-orbit is flagged.
+        key = _slot(seq, n)
         if not flags[key]:
-            start = tuple(seq)
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                reached = []
-                for t in frontier:
-                    for g in generators:
-                        image = tuple(sorted(g[e] for e in t))
-                        if image not in orbit:
-                            orbit.add(image)
-                            reached.append(image)
-                frontier = reached
-            for t in orbit:
-                flags[slot(t)] = 2
-            flags[slot(min(orbit))] = 1
+            _flag_orbit(generators, seq, n, flags)
         return flags[key] == 1
 
     def rec(seq: List[int], levels: List[int], lo: int):

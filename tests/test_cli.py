@@ -133,7 +133,7 @@ class TestCompute:
         code, out, _ = run_cli(capsys, "compute", "sle", "--group", "2^3", "--k", "2")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "s_le(2)(2^3) = 8"
+        assert lines[0] == "s_le_2(2^3) = 8"
         assert lines[1].endswith("(length 7, rule short-free)")
         assert lines[2:4] == ["chain: search.sle", "exhaustive: yes"]
 

@@ -21,6 +21,7 @@ from zerosum.invariants import (
     SearchError,
     _automorphism_generators,
     _dstar_witness,
+    _flag_orbit,
     _generic_search,
     certify_dk,
     davenport,
@@ -578,6 +579,27 @@ class TestGenericSearch:
             G, reference_generators(G), depth
         )
 
+    @pytest.mark.parametrize("factors", GENERATOR_GROUPS, ids=group_ids(GENERATOR_GROUPS))
+    def test_orbit_flags_match_tuple_orbits(self, factors):
+        # _flag_orbit, started from any member, flags exactly the members
+        # of the tuple BFS orbit: 1 on the least, 2 on the rest. Depth 4
+        # covers its sorted() fallback.
+        G = make_group(factors)
+        depth = 4 if G.order <= 16 else 3 if G.order <= 64 else 2
+        generators = _automorphism_generators(G)
+        least = orbit_partition(G, generators, depth)
+        flags = bytearray((G.order + 1) ** depth)
+
+        def slot(t):
+            return sum((e + 1) * (G.order + 1) ** (len(t) - 1 - i) for i, e in enumerate(t))
+
+        for prefix in sorted(least, reverse=True):
+            if not flags[slot(prefix)]:
+                _flag_orbit(generators, list(prefix), G.order, flags)
+        assert len(flags) - flags.count(0) == len(least)
+        for prefix, first in least.items():
+            assert flags[slot(prefix)] == (1 if prefix == first else 2), prefix
+
     def test_automorphism_generators_span_gl33(self):
         # on C_3^3 the generators reach every element of GL(3,3)
         generators = _automorphism_generators(C33)
@@ -688,6 +710,11 @@ class TestGenericSearch:
         invariants._orbit_map.cache_clear()
         pins = {cap: nodes for f, cap, _, nodes in SEARCH_PINS if f == (3, 3, 3)}
         assert {cap: _generic_search(C33, cap, None)[2] for cap in caps} == pins
+        # and they leave the same flags: 3,172 prefixes in 6 orbits
+        flags = invariants._orbit_map(
+            C33, _automorphism_generators, invariants.ORBIT_PRUNE_DEPTH
+        )[1]
+        assert (len(flags) - flags.count(0), flags.count(1)) == (3172, 6)
 
     def test_cap_below_exponent_rejected(self):
         # exp(G) copies of an element of order exp(G) are a zero-sum of

@@ -1,5 +1,7 @@
-"""The benchmark's tracer still finds every function it wraps by name."""
+"""The benchmark still runs against the library: its tracer finds every
+function it wraps by name, and a short run of a workload is correct."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,3 +30,18 @@ def test_worker_memo_names_expose_cache_info():
     for name in ("davenport", "s_le", "davenport_k", "_engine"):
         info = getattr(invariants, name).cache_info()
         assert info.hits >= 0 and info.misses >= 0, name
+
+
+def test_c3r3_dk2_smoke_run_is_correct():
+    # one short untraced run of the generic-search workload, end to end
+    done = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "c3r3_dk2",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    counters = next(line for line in lines if line.strip().startswith("counters:"))
+    assert json.loads(counters.split(":", 1)[1])["cert_digest"] == "05b2bf5960117167"
