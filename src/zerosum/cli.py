@@ -3,8 +3,10 @@
 Every computing command accepts --format json|text (tables add csv).
 JSON output is deterministic: keys are sorted and timing data is only
 included when --timing is passed, so identical inputs give identical
-bytes.  Exit codes: 0 for an exact result, 2 when the best obtainable
-answer is a bracket, 1 for usage errors or failed verification.
+bytes.  As text, a certificate prints its claim, witness, chain rule
+ids, notes and digest, one per line.  Exit codes: 0 for an exact
+result, 2 when the best obtainable answer is a bracket, 1 for usage
+errors, failed verification or an exhausted search budget.
 """
 
 import json
@@ -82,7 +84,6 @@ def _cert_lines(cert: Certificate) -> list:
             % (format_sequence(cert.witness), cert.witness.length, cert.witness_check["rule"])
         )
     lines.append("chain: %s" % " -> ".join(step.rule_id for step in cert.upper_chain))
-    lines.append("exhaustive: %s" % ("yes" if cert.exhaustive else "no"))
     for note in cert.notes:
         lines.append("note: %s" % note)
     lines.append("digest: %s" % cert.digest())

@@ -14,6 +14,19 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .bounds import evaluate_rule
+from .groups import format_group, make_group
+
+
+class SearchError(RuntimeError):
+    """A requested exhaustive search exceeded its feasibility guard."""
+
+
+def budget_exhausted(group: str, cap: int, zero_sum_free: bool, nodes: int) -> SearchError:
+    """The error of a search on `group` that ran out of its budget of `nodes`."""
+    return SearchError(
+        "%s search (cap %d) on %s exhausted its budget after %d nodes"
+        % ("zero-sum-free" if zero_sum_free else "short-zero-sum", cap, group, nodes)
+    )
 
 
 def reduce_mod_basis(v: int, basis: List[int]) -> int:
@@ -336,7 +349,7 @@ def max_independent_size(r: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 def max_set_without_short_zero_sums(
-    r: int, length_cap: int
+    r: int, length_cap: int, budget: Optional[int] = None
 ) -> Tuple[int, Tuple[int, ...]]:
     """Largest subset with no zero-sum subset of size <= length_cap.
 
@@ -349,15 +362,23 @@ def max_set_without_short_zero_sums(
     canonical_zero_sum_subsets. sums_by_size[j] holds the XORs of all
     j-element subsets of the chosen prefix; candidate x closes a
     (j+1)-term zero-sum iff x appears in sums_by_size[j].
+
+    Each DFS call is a node; past `budget` nodes (None: no limit) the
+    search raises SearchError, as the generic search does.
     """
-    length_cap = min(length_cap, r + 1)
+    cap, length_cap = length_cap, min(length_cap, r + 1)
     n_total = (1 << r) - 1
     best = [0]
     best_set: List[Tuple[int, ...]] = [()]
+    nodes = 0
 
     def dfs(
         chosen: List[int], last: int, rank: int, sums_by_size: List[FrozenSet[int]]
     ) -> None:
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise budget_exhausted(format_group(make_group((2,) * r)), cap, cap > n_total, budget)
         if len(chosen) > best[0]:
             best[0] = len(chosen)
             best_set[0] = tuple(chosen)

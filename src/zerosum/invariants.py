@@ -22,8 +22,9 @@ from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from . import gf2
+from .gf2 import SearchError  # raised by both searches; importable from here
 from .arith import ExtInt, ceil_div, is_finite, parse_value, serialize_value
-# cpr_upper, e2g_d2_upper, elb_lower, lower_dstar, remark_ub and
+# cpr_upper, e2g_d2_upper, elb_lower, lower_dstar, remark_ub, step_ub and
 # ub_recursion are unused here but stay importable from this module:
 # perfbench/tracer.py wraps the bound calculators and evaluate_rule in
 # this namespace by name
@@ -78,10 +79,6 @@ from .sequences import (
     sequence_to_json,
     shortest_zero_sum_length,
 )
-
-
-class SearchError(RuntimeError):
-    """A requested exhaustive search exceeded its feasibility guard."""
 
 
 class CertificateError(ValueError):
@@ -225,7 +222,6 @@ class Certificate:
     witness: Optional[Sequence]
     witness_check: Optional[dict]
     upper_chain: Tuple[BoundReport, ...]
-    exhaustive: bool
     notes: Tuple[str, ...] = ()
     stored_digest: Optional[str] = None
 
@@ -261,7 +257,6 @@ class Certificate:
             "witness": None if self.witness is None else sequence_to_json(self.witness),
             "witness_check": self.witness_check,
             "upper_chain": [step.to_json() for step in self.upper_chain],
-            "exhaustive": self.exhaustive,
         }
         if self.value is not None:
             out["value"] = serialize_value(self.value)
@@ -306,7 +301,6 @@ class Certificate:
             witness=witness,
             witness_check=data.get("witness_check"),
             upper_chain=tuple(BoundReport.from_json(s) for s in data.get("upper_chain", [])),
-            exhaustive=bool(data.get("exhaustive", False)),
             notes=tuple(data.get("notes", ())),
             stored_digest=data.get("digest"),
         )
@@ -566,8 +560,8 @@ def verify_certificate(cert: Certificate, budget: Optional[int] = None) -> Check
                 % (serialize_value(final.value), serialize_value(cert.upper))
             )
     elif is_finite(cert.upper) and G.order > 1:
-        # exhaustive excuses nothing: a search backs a side only through
-        # the digest-stamped step it leaves in the chain
+        # a search backs a side only through the digest-stamped step it
+        # leaves in the chain
         problems.append("no chain backing the upper side")
 
     if cert.stored_digest is not None and cert.stored_digest != cert.digest():
@@ -827,15 +821,7 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
         nonlocal nodes, best_len, best_seq
         nodes += 1
         if nodes > limit:
-            raise SearchError(
-                "%s search (cap %d) on %s exhausted its budget after %d nodes"
-                % (
-                    "zero-sum-free" if zero_sum_free else "short-zero-sum",
-                    cap,
-                    format_group(G),
-                    limit,
-                )
-            )
+            raise gf2.budget_exhausted(format_group(G), cap, zero_sum_free, limit)
         depth = len(seq)
         if depth > best_len:
             best_len = depth
@@ -908,10 +894,12 @@ def _short_free(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Sequenc
 
     The one search behind D and s_le: the bitmask search on C_2^r, the
     generic element-index search everywhere else. With cap >= |G| the
-    sequence is a longest zero-sum-free one.
+    sequence is a longest zero-sum-free one. Both searches raise
+    SearchError past the budget, DEFAULT_SEARCH_BUDGET nodes when None.
     """
     if G.is_elementary_2:
-        size, ids = gf2.max_set_without_short_zero_sums(profile(G).rank, cap)
+        limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+        size, ids = gf2.max_set_without_short_zero_sums(profile(G).rank, cap, limit)
         return size, _ids_to_sequence(G, ids)
     size, seq, _nodes = _generic_search(G, cap, budget)
     return size, Sequence.from_elements(G, seq)
@@ -935,7 +923,6 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
             witness=witness,
             witness_check={"rule": "atom", "params": {}},
             upper_chain=(),
-            exhaustive=True,
             notes=("the identity element is the only minimal zero-sum",),
         )
     size, free = _short_free(G, G.order, budget)
@@ -951,7 +938,6 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
             _search_step("search.zsf", "D", "exhaustive zero-sum-free maximum",
                          group=format_group(G), max_free=size),
         ),
-        exhaustive=True,
     )
 
 
@@ -960,8 +946,9 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
 
 
 def _sle_search_feasible(G: Group, cap: int) -> bool:
-    """Whether s_le(G, cap) is searched. C_2^r past rank 5 with cap >= 3
-    falls back to formulas; elsewhere the search applies its own guard."""
+    """Whether s_le(G, cap) is searched. C_2^r past rank 5 with cap >= 4
+    falls back to the counting bound; elsewhere the search applies its
+    own guard."""
     return not G.is_elementary_2 or cap <= 2 or profile(G).rank <= 5
 
 
@@ -971,19 +958,19 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     if k < 1:
         raise ValueError("k must be positive")
     prof = profile(G)
+
+    def threshold(chain, witness, lo=None, notes=()) -> Certificate:
+        # s_le(G, k) <= the chain's last value; a witness has no short zero-sum
+        hi = chain[-1].value
+        check = None if witness is None else {"rule": "short-free", "params": {}}
+        return Certificate.from_bracket(
+            hi if lo is None else lo, hi, constant="s_le", group=G, k=k, witness=witness,
+            witness_check=check, upper_chain=tuple(chain), notes=notes,
+        )
+
     if G.order == 1:
         step = report("sle.trivial_group", "upper", [("order", 1, COMPUTED)], constant="s_le")
-        return Certificate(
-            constant="s_le",
-            group=G,
-            k=k,
-            value=step.value,
-            interval=None,
-            witness=Sequence.empty(G),
-            witness_check={"rule": "short-free", "params": {}},
-            upper_chain=(step,),
-            exhaustive=True,
-        )
+        return threshold([step], Sequence.empty(G))
     if k < prof.exponent:
         step = report(
             "sle.infinite",
@@ -992,88 +979,32 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             constant="s_le",
             note="powers of a maximal-order element never close a short block",
         )
-        return Certificate(
-            constant="s_le",
-            group=G,
-            k=k,
-            value=step.value,
-            interval=None,
-            witness=None,
-            witness_check=None,
-            upper_chain=(step,),
-            exhaustive=False,
-        )
+        return threshold([step], None)
     d_cert = davenport(G, budget)
     D = d_cert.value
     if k >= D:
-        witness = _strip_closing(d_cert.witness)
         step = report(
             "sle.equals_davenport", "upper", [("k", k, SUPPLIED), ("D", D, SEARCH)], constant="s_le"
         )
-        return Certificate(
-            constant="s_le",
-            group=G,
-            k=k,
-            value=step.value,
-            interval=None,
-            witness=witness,
-            witness_check={"rule": "short-free", "params": {}},
-            upper_chain=(d_cert.upper_chain + (step,)) if d_cert.upper_chain else (step,),
-            exhaustive=d_cert.exhaustive,
-        )
+        return threshold(d_cert.upper_chain + (step,), _strip_closing(d_cert.witness))
     # exponent <= k < D
+    if G.is_elementary_2 and k == 3:
+        # exact at every rank, with the top coset as its witness
+        coset = _ids_to_sequence(G, gf2.top_coset_ids(prof.rank))
+        return threshold([_sle3_step(prof.rank)], coset)
     if _sle_search_feasible(G, k):
         size, witness = _short_free(G, k, budget)
-        return Certificate(
-            constant="s_le",
-            group=G,
-            k=k,
-            value=size + 1,
-            interval=None,
-            witness=witness,
-            witness_check={"rule": "short-free", "params": {}},
-            upper_chain=(
-                _search_step("search.sle", "s_le",
-                             "exhaustive maximum without zero-sums of length <= cap",
-                             group=format_group(G), cap=k, max_free=size),
-            ),
-            exhaustive=True,
-            notes=("matches e2g.sle3 formula",) if G.is_elementary_2 and k == 3 else (),
-        )
-    # only C_2^r past rank 5 gets here: formulas stand in for the search
-    r = prof.rank
-    if k == 3:
-        step = _sle3_step(r)
-        return Certificate(
-            constant="s_le",
-            group=G,
-            k=k,
-            value=step.value,
-            interval=None,
-            witness=_ids_to_sequence(G, gf2.top_coset_ids(r)),
-            witness_check={"rule": "short-free", "params": {}},
-            upper_chain=(step,),
-            exhaustive=False,
-        )
-    # k >= 4: the counting bound for blocks <= 2m, with 2m = k rounded down
-    # to even; it bounds s_le(G, k) too, as s_le is nonincreasing in the cap
-    step = e2g_s2m_upper(r, k // 2)
-    lo = D  # a longest zero-sum-free sequence has no zero-sum at all
-    hi = step.value
-    return Certificate.from_bracket(
-        lo,
-        hi,
-        constant="s_le",
-        group=G,
-        k=k,
-        witness=_strip_closing(d_cert.witness),
-        witness_check={"rule": "short-free", "params": {}},
-        upper_chain=(step,),
-        exhaustive=False,
-        notes=("the cap-%d bound applies: s_le is nonincreasing in the cap" % (k - 1),)
-        if k % 2
-        else (),
-    )
+        step = _search_step("search.sle", "s_le",
+                            "exhaustive maximum without zero-sums of length <= cap",
+                            group=format_group(G), cap=k, max_free=size)
+        return threshold([step], witness)
+    # only C_2^r past rank 5 gets here, with k >= 4: the counting bound for
+    # blocks <= 2m, with 2m = k rounded down to even; it bounds s_le(G, k)
+    # too, as s_le is nonincreasing in the cap. A longest zero-sum-free
+    # sequence has no zero-sum at all, so D is the lower side.
+    note = "the cap-%d bound applies: s_le is nonincreasing in the cap" % (k - 1)
+    return threshold([e2g_s2m_upper(prof.rank, k // 2)], _strip_closing(d_cert.witness),
+                     lo=D, notes=(note,) if k % 2 else ())
 
 
 def _strip_closing(witness: Sequence) -> Sequence:
@@ -1173,7 +1104,13 @@ def _e2_witnesses(r: int) -> Dict[int, Tuple[Tuple[int, ...], str, dict]]:
 class _E2Pipeline:
     """Shared state for the D_k rows of C_2^r, 2 <= r <= 5: thresholds,
     caps, and sweep records. Only rank 5 has sweeps to run: the caps of
-    r <= 4 come out exact from the thresholds alone."""
+    r <= 4 come out exact from the thresholds alone.
+
+    A row's chain holds only what its closing ub.squarefree_caps step
+    reads, the ub.recursion and search.sweep steps, and the evidence for
+    the recursions' inputs: search.zsf for D, and the threshold step of
+    each level ell some recursion uses.
+    """
 
     def __init__(self, r: int):
         self.G = make_group((2,) * r)
@@ -1184,10 +1121,13 @@ class _E2Pipeline:
         d_cert = davenport(self.G)
         self.D1 = d_cert.value
         self.zsf_step = d_cert.upper_chain[0]
-        self.s2_step = s_le(self.G, 2).upper_chain[0]
-        self.s3_step = _sle3_step(r)
-        self.s4_step = e2g_s2m_upper(r, 2)
-        self.s_values = {2: self.s2_step.value, 3: self.s3_step.value, 4: self.s4_step.value}
+        # the threshold step of each level a ub.recursion step may use
+        self.s_steps = {
+            2: s_le(self.G, 2).upper_chain[0],
+            3: _sle3_step(r),
+            4: e2g_s2m_upper(r, 2),
+        }
+        self.s_values = {ell: step.value for ell, step in self.s_steps.items()}
         self.witnesses = _e2_witnesses(r)
 
     def sweep(self, c: int) -> gf2.SweepRecord:
@@ -1220,8 +1160,10 @@ class _E2Pipeline:
         full = (1 << self.r) - 1
         most = full // 3
         m_bounds = {j: self.m_bound(j).value for j in range(1, min(k, most - 1) + 1)}
-        steps: List[BoundReport] = [self.zsf_step, self.s2_step, self.s3_step, self.s4_step]
-        steps += [self.m_bound(j) for j in m_bounds]
+        recursions = [self.m_bound(j) for j in m_bounds]
+        levels = sorted({ell for step in recursions for ell in step.input_value("ell")})
+        steps = [self.zsf_step] if recursions else []
+        steps += [self.s_steps[ell] for ell in levels] + recursions
         every = _e2_caps(self.r, k, m_bounds, self.pieces)
         bound = max(cap + 2 * (k - j) for j, cap in every.items())
         sweeps = sorted(
@@ -1243,11 +1185,6 @@ class _E2Pipeline:
 
     def upper(self, k: int) -> Tuple[int, List[BoundReport]]:
         caps, steps = self.caps_for(k)
-        if k == 2:
-            # corroborating one-step route through the threshold for blocks <= 4
-            steps.append(
-                step_ub(self.D1, 4, self.s4_step.value, dk_prov=SEARCH, s_prov=COMPUTED)
-            )
         final = report(
             "ub.squarefree_caps",
             "upper",
@@ -1279,7 +1216,6 @@ class _E2Pipeline:
             witness=witness,
             witness_check=check,
             upper_chain=_dedupe_steps(steps),
-            exhaustive=False,
         )
 
 
@@ -1401,7 +1337,6 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
                 witness=witness,
                 witness_check=check,
                 upper_chain=_dedupe_steps(hi_steps),
-                exhaustive=False,
             )
         )
     return rows[k - 1]
@@ -1424,7 +1359,6 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             witness=witness,
             witness_check={"rule": "zeros", "params": {}},
             upper_chain=(k_times_d(k, 1, d_prov=COMPUTED),),
-            exhaustive=True,
         )
     if k == 1:
         d_cert = davenport(G, budget)
@@ -1446,7 +1380,6 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             witness=witness,
             witness_check={"rule": "cyclic-power", "params": {}},
             upper_chain=chain,
-            exhaustive=False,
         )
     if G.is_elementary_2 and prof.rank <= 5:
         return _engine(prof.rank).row(k)

@@ -104,7 +104,8 @@ class TestCriteria:
             assert cert.witness is not None
             assert cert.upper_chain
         short = s_le(C25, 4)
-        assert short.exhaustive  # the brute search completed
+        # the brute search completed
+        assert [step.rule_id for step in short.upper_chain] == ["search.sle"]
         assert short.value <= 9
         assert time.monotonic() - started < 7200
 
@@ -260,11 +261,11 @@ class TestStretchTargets:
         assert (attained[4].lower, attained[4].upper) == (16, 17)
 
     def test_rank_three_of_threes_exact_status(self):
-        # the sandwich closes at 11; a standalone exhaustive enumeration
-        # is not run, so the certificate is exact but not exhaustive
+        # the sandwich closes at 11 on a bound rule; no standalone
+        # exhaustive enumeration of D_2 is run
         cert = davenport_k(C33, 2)
         assert cert.value == 11
-        assert not cert.exhaustive
+        assert not cert.upper_chain[-1].rule_id.startswith("search.")
 
 
 class TestAsymptoticsCoverage:

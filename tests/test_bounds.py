@@ -307,7 +307,7 @@ class TestEvaluateRule:
         row5 = {step.rule_id: step for step in davenport_k(C25, 5).upper_chain}
         moved = {
             "search.zsf": (row5["search.zsf"], 6),
-            "search.sle": (row5["search.sle"], 32),
+            "search.sle": (s_le(C25, 2).upper_chain[-1], 32),
             "search.sweep": (row5["search.sweep"], 20),
             "e2g.sle3": (s_le(C2_6, 3).upper_chain[-1], 33),
             "sle.infinite": (s_le(make_group((3,)), 2).upper_chain[-1], INFINITE),

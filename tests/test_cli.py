@@ -99,6 +99,12 @@ class TestCompute:
         assert "zero-sum-free search (cap 27) on 3^3" in err
         assert "after 50 nodes" in err
 
+    def test_exhausted_elementary_two_budget_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "compute", "davenport", "--group", "2^6",
+                               "--budget", "1")
+        assert code == 1
+        assert "zero-sum-free search (cap 64) on 2^6 exhausted its budget after 1 nodes" in err
+
     def test_missing_k_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "dk", "--group", "2^3")
         assert code == 1
@@ -124,10 +130,10 @@ class TestCompute:
         assert lines[0] == "D_3(2^5) in [13, 14]"
         assert lines[1].endswith("(length 13, rule max-disjoint)")
         assert lines[2] == (
-            "chain: search.zsf -> search.sle -> e2g.sle3 -> ub.e2g_s2m -> ub.recursion"
-            " -> ub.recursion -> ub.recursion -> ub.squarefree_caps"
+            "chain: search.zsf -> ub.e2g_s2m -> ub.recursion -> ub.recursion"
+            " -> ub.recursion -> ub.squarefree_caps"
         )
-        assert lines[3:] == ["exhaustive: no", "digest: 37dd2cb702e15e37"]
+        assert lines[3:] == ["digest: e16cb78137d29b1c"]
 
     def test_text_threshold_label(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "sle", "--group", "2^3", "--k", "2")
@@ -135,7 +141,7 @@ class TestCompute:
         lines = out.splitlines()
         assert lines[0] == "s_le_2(2^3) = 8"
         assert lines[1].endswith("(length 7, rule short-free)")
-        assert lines[2:4] == ["chain: search.sle", "exhaustive: yes"]
+        assert lines[2:] == ["chain: search.sle", "digest: 01fc3dde893fa52e"]
 
     def test_json_output_is_byte_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "compute", "dk", "--group", "2^4", "--k", "3",

@@ -599,20 +599,18 @@ class TestSweeps:
             assert (rec.instances, rec.failures) == (instances, 0), c
 
 
-# digests of the C_2^5 certificates for k = 1..10. Rows 1-4 are unchanged
-# since the sweeps ran on frozenset circuits; rows 5-10 were re-pinned when
-# each row came to run only the sweeps its bound needs
+# digests of the C_2^5 certificates for k = 1..10
 RANK5_CERT_DIGESTS = {
-    1: "deecc2044395696a",
-    2: "91ef9de0477f2dfc",
-    3: "37dd2cb702e15e37",
-    4: "821846df7f99e9e4",
-    5: "2dc81101d8542382",
-    6: "237e075f55661a7b",
-    7: "c640fcb548876048",
-    8: "1e1add1dd8437e56",
-    9: "ffb776ebaacb5f56",
-    10: "f89c0bcc25fb338d",
+    1: "191bcfbf238a4fbe",
+    2: "2681ffda42d82d2b",
+    3: "e16cb78137d29b1c",
+    4: "ac1ae587ca0a4157",
+    5: "2db78dd4929e771f",
+    6: "5493454b196a0a80",
+    7: "074d5fdfc52fe7be",
+    8: "3cf170cea85a05d3",
+    9: "41e2adf7faceb0ba",
+    10: "4cc24bf203ac7916",
 }
 
 # complement sizes of the sweeps in each C_2^5 row's chain

@@ -73,7 +73,7 @@ class TestDavenport:
     def test_elementary_two_groups(self, r, value):
         cert = davenport(make_group((2,) * r))
         assert cert.value == value
-        assert cert.exhaustive
+        assert [s.rule_id for s in cert.upper_chain] == ["search.zsf"]
         assert_verifies(cert)
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -85,7 +85,7 @@ class TestDavenport:
     def test_rank_two_of_threes(self):
         cert = davenport(C32)
         assert cert.value == 5
-        assert cert.exhaustive
+        assert [s.rule_id for s in cert.upper_chain] == ["search.zsf"]
         assert_verifies(cert)
 
     def test_rank_three_of_threes(self):
@@ -102,7 +102,7 @@ class TestDavenport:
     def test_trivial_group(self):
         cert = davenport(make_group(()))
         assert cert.value == 1
-        assert cert.exhaustive
+        assert cert.upper_chain == ()
         assert_verifies(cert)
 
     def test_witness_length_matches_value(self):
@@ -150,7 +150,7 @@ class TestSle:
         # exact by complete search; the sum-set formula only gives <= 9
         cert = s_le(C25, 4)
         assert cert.value == 7
-        assert cert.exhaustive
+        assert [s.rule_id for s in cert.upper_chain] == ["search.sle"]
         assert_verifies(cert)
 
     @pytest.mark.parametrize("r,cap,bracket", [(6, 5, (7, 13)), (7, 5, (8, 17)), (7, 7, (8, 12))])
@@ -173,19 +173,20 @@ class TestElementaryTwoSearchDigests:
     """Certificates of the C_2^r search, pinned bit for bit."""
 
     D_DIGESTS = {
-        1: "c40eb8fb131e6342", 2: "660d09f6a7660ca5", 3: "4ca15b7e149aecb7",
-        4: "148c9441c91ab35d", 5: "6349811e1cf0ea62", 6: "af4e175ac04204f0",
-        7: "3e147bde02b38cd8", 8: "32d7e94de7a5f0dc", 9: "c896cb66bbc2aed3",
-        10: "2f21f7c99b5f831e", 11: "ddfc4a02a76bd564", 12: "cad1f407218a11b4",
+        1: "928c79a84b34a4d3", 2: "07563fb07f492ac3", 3: "6edf48e22dd4313d",
+        4: "6a5a816973fda9ca", 5: "0f8d9f2d748cc2b3", 6: "fa77f590dc42fcfc",
+        7: "81456ab4a553f77c", 8: "1b37765c9473cc5e", 9: "eeddd92267adbadd",
+        10: "3e9689318310dd68", 11: "8e08a5140ff4d31a", 12: "d47f2ef3cd21cb99",
     }
-    # every cap exponent <= cap < D that the search serves at rank <= 5
+    # every cap exponent <= cap < D at rank <= 5: cap 3 from e2g.sle3,
+    # the others from the search
     SLE_DIGESTS = {
-        (2, 2): "5cce7129fc675dab",
-        (3, 2): "4473727973963ac8", (3, 3): "4bb2988fedcb51fa",
-        (4, 2): "2db24b97eb1b2132", (4, 3): "d91c17f929c021aa",
-        (4, 4): "2f039f15477cb44d",
-        (5, 2): "90b6b733b5b57caa", (5, 3): "173f037a9fbfc5dd",
-        (5, 4): "00c05a6d8e7364d2", (5, 5): "b43edc2c909b38d7",
+        (2, 2): "adbc5a715ff24c0b",
+        (3, 2): "01fc3dde893fa52e", (3, 3): "31b9f659364017b9",
+        (4, 2): "828c491b9085dbd0", (4, 3): "d863dd02b4e3d701",
+        (4, 4): "49d17a35cff1cb08",
+        (5, 2): "e251548d65b80406", (5, 3): "d6d83360b7004f67",
+        (5, 4): "4d8545466d05b487", (5, 5): "762b892025d12646",
     }
 
     def test_davenport_digests_pinned(self):
@@ -200,28 +201,29 @@ class TestElementaryTwoSearchDigests:
         assert got == self.SLE_DIGESTS
 
     def test_sle_steps_are_searches(self):
+        # but cap 3, which e2g.sle3 gives at every rank
         for r, cap in self.SLE_DIGESTS:
             cert = s_le(make_group((2,) * r), cap)
-            assert [s.rule_id for s in cert.upper_chain] == ["search.sle"]
-            assert cert.exhaustive
+            rule = "e2g.sle3" if cap == 3 else "search.sle"
+            assert [s.rule_id for s in cert.upper_chain] == [rule]
             assert_verifies(cert)
 
 
 class TestDkSmallRank:
-    # row 1 is the exhaustive zero-sum-free search; later rows are
+    # row 1 closes on the zero-sum-free search; later rows are
     # sandwiched from thresholds and rules, as rank 5 and C_3^3 are
     @pytest.mark.parametrize("k,value", [(1, 4), (2, 7), (3, 9), (4, 11), (5, 13)])
     def test_rank_three_table(self, k, value):
         cert = davenport_k(C23, k)
         assert cert.value == value
-        assert cert.exhaustive == (k == 1)
+        assert cert.upper_chain[-1].rule_id == ("search.zsf" if k == 1 else "ub.squarefree_caps")
         assert_verifies(cert)
 
     @pytest.mark.parametrize("k,value", [(1, 5), (2, 8), (3, 11), (4, 13), (5, 15)])
     def test_rank_four_table(self, k, value):
         cert = davenport_k(C24, k)
         assert cert.value == value
-        assert cert.exhaustive == (k == 1)
+        assert cert.upper_chain[-1].rule_id == ("search.zsf" if k == 1 else "ub.squarefree_caps")
         assert_verifies(cert)
 
     def test_witness_packs_to_claimed_value(self):
@@ -231,23 +233,22 @@ class TestDkSmallRank:
         assert max_length(cert.witness) <= 3
 
 
-# digests of the C_2^r rows k = 2..12, pinned when the rows came to close
-# on the caps walk instead of the full subset enumeration
+# digests of the C_2^r rows k = 2..12, which close on the caps walk
 E2_SMALL_DK_DIGESTS = {
     2: (
-        "0bd4f3783bef5e7c", "980f295247980ed9", "a11f7b17efb5d681", "c8dfbfe2bc3b84c7",
-        "28d40c4be08d0714", "a0384c57a0558ae5", "dcba0e31f29aee49", "bae04bcde8bb7532",
-        "d44e4f83ae8337b2", "0127b44082d71ecf", "9bb4a97142d463bb",
+        "26e2b4d2912938b0", "a98f34e713c4e3b5", "cc88c6e8ab9caad3", "49bb2f6df440eda4",
+        "6624a870bdc904e0", "106f164778f81d4e", "14f9e57ee77a0bb8", "bd7189032bbda1be",
+        "9a917954811fd588", "e17d32e8110f4480", "ccfcc069819f584c",
     ),
     3: (
-        "6f428e6ef6790bb0", "e943fab8efa838c2", "ddb50490d39fb3b2", "73ee3a081f49055b",
-        "cae909c1980c1296", "a2a92802a50a7297", "75b3a129f52bcf09", "941e6bca55727fff",
-        "b86c3a2b4cb4a996", "5fd1daf508a8e1ab", "63b786865f34f112",
+        "968893be4349fe5b", "796291088b653aec", "ef1a1ca1bf419448", "6574b698d64a806b",
+        "a5e55cdcf7864150", "1fa112b1882bdd27", "3f087c4ab63fe548", "feb0f73ff084f2ec",
+        "068d8644be5aa19b", "27de107d8fdf1486", "217b7e0ed544c74f",
     ),
     4: (
-        "2c45baca650523d5", "60dfac265398947e", "95b443c20743bbb9", "7ac3f62c1fd853ec",
-        "f2ff5c603ed935d1", "f920012fae1c08ee", "ce10b51562860b82", "e6d457753bb373ea",
-        "7fe186bef673b187", "c7269464a3141901", "4201d2f5b8003724",
+        "2a90d2d9723a9ac9", "298937e9e2741cf2", "b07e086ccb9b8a55", "c41e621797afc931",
+        "48eeeda9a4947b61", "70d1c6bdfb2d44d5", "17f5e6bc2ecff37e", "7acc0e66e2e3e937",
+        "d10454cef05b96c3", "20657f91814ef907", "77944516bbc1540d",
     ),
 }
 
@@ -289,6 +290,47 @@ class TestElementaryTwoRowsMatchEnumeration:
                 step["value"] -= 1
 
 
+def threshold_level(step):
+    """The level ell whose threshold a step of a C_2^r row gives, else None."""
+    inputs = step.plain_inputs()
+    if step.rule_id == "search.sle" and inputs["cap"] == 2:
+        return 2
+    if step.rule_id == "e2g.sle3":
+        return 3
+    if step.rule_id == "ub.e2g_s2m" and inputs["m"] == 2:
+        return 4
+    return None
+
+
+class TestElementaryTwoRowsCarryOnlyWhatIsRead:
+    """A C_2^r row's chain holds what its ub.squarefree_caps step reads
+    (ub.recursion and search.sweep steps) and the evidence for the
+    recursions' inputs: search.zsf for D, one threshold step per level."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_every_step_is_read(self, r):
+        G = make_group((2,) * r)
+        for k in range(1, 13):
+            cert = davenport_k(G, k)
+            chain = cert.upper_chain
+            if k == 1:
+                assert [s.rule_id for s in chain] == ["search.zsf"]
+                continue
+            assert chain[-1].rule_id == "ub.squarefree_caps"
+            recursions = [s for s in chain if s.rule_id == "ub.recursion"]
+            used = sorted({ell for s in recursions for ell in s.input_value("ell")})
+            cited = [threshold_level(s) for s in chain if threshold_level(s) is not None]
+            assert cited == used, k
+            assert [s.rule_id for s in chain].count("search.zsf") == (1 if recursions else 0)
+            for step in chain[:-1]:
+                assert (
+                    step.rule_id in ("ub.recursion", "search.zsf")
+                    or threshold_level(step) is not None
+                    or step.rule_id == "search.sweep" and step.input_value("r") == r
+                ), (k, step.rule_id)
+            assert_verifies(Certificate.from_json(json.loads(json.dumps(cert.to_json()))))
+
+
 class TestDkCyclic:
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("k", range(1, 5))
@@ -303,40 +345,39 @@ class TestDkCyclic:
         assert cert.value == davenport(make_group((7,))).value
 
 
-# digests of the generic D_k rows k = 1..8, computed when each call rebuilt
-# rows 2..k for itself
+# digests of the generic D_k rows k = 1..8
 GENERIC_DK_DIGESTS = {
     (3, 3): (
-        "2d6f0011e43fb2b4", "13e3e4bbedf6f5f4", "f6d7d2b0eff01f59", "f7adb1da388e4bac",
-        "219e2dbaee4c2e8a", "a14cff1c41532910", "674b306944055019", "fd4b21585ba6447a",
+        "e58e31d3ea719994", "f0808d74093a8658", "722d6df4456482dd", "e338616851071465",
+        "79b93c626fed647e", "3937c000febe7c86", "fcf08a07d531ff88", "0f54cb13023cf8d6",
     ),
     (2, 4): (
-        "a3d1143ac0872383", "ea682cd1a152ec53", "dc2f0f159eb45e4b", "9f4887e2282832d7",
-        "60ea5fc7d902a683", "7de2907a5f437108", "1620c6ce2a7f53e9", "1d8eba61d226940e",
+        "a0502e2028312755", "0f8387b3bea222f2", "2fa0adfb8bd53f4e", "d87ff276f8804f8e",
+        "693f6971115bb88d", "d9b4860493a59734", "969080a4567b3488", "d00a88a343c560b8",
     ),
     (2, 6): (
-        "1e523ab2233a59f3", "926afe23ff86f0ce", "c64a7cdda91e93b7", "e517f3bf169f92b7",
-        "7c11b75d34fe5a59", "fce81b53a1f06cc3", "6df16273aebf33aa", "4414548ab8bb8223",
+        "45a1dc099ad55b48", "e2c8306bdc7fcdc4", "bafa8fd993fe5167", "97cdcc6047850b1c",
+        "f2bf69d3b60dad04", "c6c7d323c391b800", "a2a62529f56232e0", "fd008f8e8cacd8fc",
     ),
     (4, 4): (
-        "b53fa7d92ef61b16", "9e1c18507c713309", "6da8be7a6e8ab540", "3470c1fb7c917643",
-        "65c6ef7060fd54fc", "fed3b27ec56ba721", "57f268b5784af610", "96e8b323ef31a4cb",
+        "6f562cf25ee83b68", "41e8710d20dea709", "74af35ca8f0f9c22", "bc0fd19bdeabadf6",
+        "260da4bd86b05f56", "706e17c3ed618e73", "469409a2c3bb5045", "5218b71c9fec44b7",
     ),
     (3, 6): (
-        "4d8581da5cb9ed6b", "a135152dbae9ffb1", "11ec6b604b4234d0", "18f5a039e947d516",
-        "acf591e59c0f6792", "13299f50f9409026", "56df666560253249", "93f51493ba9f84e4",
+        "9f601b8dea12a00d", "6144b8d613f31e68", "811af975204c4869", "9fea648278b0a599",
+        "5ec93b90c42ab9dd", "a4578147d85c45d8", "c14eacaf2f32a590", "9ea3dd1998e61a81",
     ),
     (2, 2, 4): (
-        "97703fffb5e2fe28", "19c312b982346c77", "928b2b3ecb6a5f39", "8e6397856992abae",
-        "87136e85017273b9", "4c4da5b6f4a9e857", "901532e9bb8fa3ca", "c2c7a8b8e1a738c8",
+        "f5744e599685feae", "5761329c31e592df", "a10dd44f5ecd8244", "758902381b6172bd",
+        "ad8ae916184838b8", "7bf5303feff686fa", "315e1b23bb804938", "a77f4b53519363fa",
     ),
     (2, 8): (
-        "a8ae0ce3813b7275", "a023377bed9cbc0c", "c3d23919e57d4668", "2a6fbdf2dac3d89d",
-        "5018406d2c424154", "ee9c2f7b01057f99", "b375b1195e99d099", "d7929ed82c1d758e",
+        "70921223527a64ed", "9c64ea8a18ef382e", "4653be6bf0599543", "c86e17c8dbbb10ff",
+        "a18353d3d8fc76fe", "cb7eb55f08bd1bb2", "56a9d2589e4c4ef5", "7131081de948647c",
     ),
     (2, 2, 2, 2, 2, 2): (
-        "5ae171110cb8621c", "79e13b116b9ea93e", "04f23ad5480dc809", "9a462fd808d6792e",
-        "596a274274d40732", "d1b1541f40297928", "ee9e56bc9b79226e", "382068409ed785b4",
+        "e08c017d702be29a", "98d4401bc77ac1b7", "cee4716ed2d9075d", "837b1c215628cd0f",
+        "d3d99355fc26706a", "c430f3cb8044fcec", "2ea783f64af83756", "25dc0f9ae6aaa94d",
     ),
 }
 
@@ -390,19 +431,18 @@ class TestDkGeneric:
         assert cert.value == 3 * 120 + 2
 
 
-# digests of D and s_le(ell) certificates, exp <= ell < D and ell <= exp + 2,
-# computed when zero-sum-free and short-zero-sum searches were separate
+# digests of D and s_le(ell) certificates, exp <= ell < D and ell <= exp + 2
 GENERIC_CERT_DIGESTS = {
-    (3, 3): {"D": "ffcfc3cd4fb958b0", 3: "2e1df3978a81ded3", 4: "50675cc279b2ff9d"},
-    (2, 4): {"D": "ba57541139d420fc", 4: "d1baa20a50ed706a"},
-    (2, 6): {"D": "c16c6876dcb40509", 6: "02983ee68bd020a3"},
-    (4, 4): {"D": "7eb47ecab6c07761", 4: "7b5eb502b24ddcef", 5: "860cf9a839a54cfa",
-             6: "a1a84884a3bf5396"},
-    (3, 6): {"D": "48603e174ac6b781", 6: "cd40ce2b88397076", 7: "3e23c9615526568f"},
-    (2, 2, 4): {"D": "3bc74eedd8bb942b", 4: "64bcbd1a51f9e36e", 5: "e5d5eaaac8792a09"},
-    (2, 8): {"D": "d4fbb53d546ab93e", 8: "dbf6fe11190b231b"},
-    (3, 3, 3): {"D": "8903b2a217027fe2", 3: "f74acdf10307998a", 4: "ce8cbf96ca403430",
-                5: "1a9da101de1305ce"},
+    (3, 3): {"D": "23885d15af12b2b3", 3: "efeb2e53fabd435f", 4: "c264d54c6f7842e5"},
+    (2, 4): {"D": "ad073e077cefec2c", 4: "96462a881390f76c"},
+    (2, 6): {"D": "6355f48ce201ff96", 6: "6e8989b63fbffa9f"},
+    (4, 4): {"D": "c3c3d78d7d973471", 4: "0128647fe3bf35e4", 5: "e99f103b304ff94e",
+             6: "e0c6b0b5332e04d6"},
+    (3, 6): {"D": "a01d9b702a152706", 6: "b8b97be826296a1b", 7: "1eda319852b0fb13"},
+    (2, 2, 4): {"D": "b893d94e4ce95628", 4: "7986c35d7a1aa030", 5: "87c54df66bd394eb"},
+    (2, 8): {"D": "079b1abda08d3316", 8: "f2d6a2be1ffa15db"},
+    (3, 3, 3): {"D": "07fb90c62116d880", 3: "c55e55e742056098", 4: "72f516b82aa05197",
+                5: "a7ca1c979ae62c3c"},
 }
 
 # (factors, cap, size, nodes) of _generic_search
@@ -540,14 +580,14 @@ class TestGenericSearch:
         assert got == pinned
 
     def test_dk_rank_three_of_threes_digest_pinned(self):
-        assert davenport_k(C33, 2).digest() == "d8023cca7ca3af01"
+        assert davenport_k(C33, 2).digest() == "65a925d88c127df3"
 
     def test_eta_rank_three_of_threes_digest_pinned(self):
-        assert eta(C33).digest() == "868ad0f8e5a50874"
+        assert eta(C33).digest() == "2e45808c0386f803"
 
     def test_dk_six_six_digest_pinned(self):
         cert = davenport_k(make_group((6, 6)), 2)
-        assert (cert.value, cert.digest()) == (17, "5639f64f0cf56e2c")
+        assert (cert.value, cert.digest()) == (17, "e3291ef1f8ba833a")
 
     @pytest.mark.parametrize("factors", GENERATOR_GROUPS)
     def test_automorphism_generators(self, factors):
@@ -671,6 +711,25 @@ class TestGenericSearch:
         assert str(excinfo.value) == (
             "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 2000 nodes"
         )
+
+    def test_budget_bounds_the_elementary_two_search(self):
+        # the bitmask search on C_2^r counts nodes as the generic one does:
+        # D(C_2^6) takes 7 nodes, s_le(C_2^5, 4) 13 after D's 6
+        with pytest.raises(SearchError) as excinfo:
+            davenport(make_group((2,) * 6), 1)
+        assert str(excinfo.value) == (
+            "zero-sum-free search (cap 64) on 2^6 exhausted its budget after 1 nodes"
+        )
+        assert davenport(make_group((2,) * 6), 7).value == 7
+        with pytest.raises(SearchError) as excinfo:
+            s_le(C25, 4, 12)
+        assert str(excinfo.value) == (
+            "short-zero-sum search (cap 4) on 2^5 exhausted its budget after 12 nodes"
+        )
+        assert s_le(C25, 4, 13).value == 7
+        # cap 3 is a rule, but s_le first needs D
+        with pytest.raises(SearchError, match="zero-sum-free search"):
+            s_le(C25, 3, 1)
 
     def test_exhausted_search_is_not_rerun(self, monkeypatch):
         # the second call raises the remembered SearchError at once
@@ -845,14 +904,22 @@ class TestCertificateSerialization:
     def test_value_and_interval_are_exclusive(self):
         with pytest.raises(ValueError):
             Certificate(constant="D", group=C22, k=1, value=3, interval=(3, 4),
-                        witness=None, witness_check=None, upper_chain=(),
-                        exhaustive=False)
+                        witness=None, witness_check=None, upper_chain=())
 
     def test_interval_must_be_ordered(self):
         with pytest.raises(ValueError):
             Certificate(constant="D", group=C22, k=1, value=None, interval=(5, 4),
-                        witness=None, witness_check=None, upper_chain=(),
-                        exhaustive=False)
+                        witness=None, witness_check=None, upper_chain=())
+
+    def test_json_has_no_exhaustive_key(self):
+        certs = [
+            davenport(C22), davenport(make_group(())), davenport_k(C25, 2),
+            davenport_k(C33, 2), davenport_k(make_group((6,)), 3), s_le(C24, 3),
+            s_le(make_group((5,)), 2), s_le(make_group((2,) * 6), 5), eta(C32),
+        ]
+        for cert in certs:
+            assert "exhaustive" not in cert.to_json()
+            assert not hasattr(cert, "exhaustive")
 
     def test_certify_raises_on_broken_certificate(self):
         cert = davenport_k(C23, 2)
@@ -902,7 +969,7 @@ class TestRuleStepsRecheckPreconditions:
             constant="D_k", group=C33, k=2, value=10, interval=None,
             witness=_dstar_witness(C33, 2),
             witness_check={"rule": "max-disjoint", "params": {}},
-            upper_chain=(step,), exhaustive=False,
+            upper_chain=(step,),
         )
 
     def test_forged_cpr_certificate_is_rejected(self):
@@ -933,7 +1000,7 @@ class TestRuleStepsRecheckPreconditions:
         assert any("ub.extension: re-evaluation failed" in p for p in result.problems)
 
     def test_infinite_threshold_in_step_is_reported(self):
-        result = _tamper(davenport_k(C25, 2), "ub.step", {"s_value": "inf"})
+        result = _tamper(davenport_k(make_group((2,) * 6), 8), "ub.step", {"s_value": "inf"})
         assert any("ub.step: re-evaluation failed" in p for p in result.problems)
 
     def test_infinite_threshold_in_remark_is_reported(self):
@@ -1075,11 +1142,11 @@ class TestForgedUpperSide:
     @pytest.mark.parametrize(
         "factors,value", [((2,) * 5, 13), ((3, 3, 3), 14)], ids=["2^5", "3^3"]
     )
-    def test_exhaustive_flag_backs_nothing(self, factors, value):
-        # a bracketed row claims its lower end, with no chain, as exhaustive
+    def test_finite_upper_side_without_chain_is_refused(self, factors, value):
+        # a bracketed row claims its lower end, with its chain removed
         def forge(data):
             del data["interval"]
-            data.update(value=value, upper_chain=[], exhaustive=True)
+            data.update(value=value, upper_chain=[])
 
         problems = _verify_edited(davenport_k(make_group(factors), 3), forge)
         assert problems == ("no chain backing the upper side",)
@@ -1128,7 +1195,7 @@ class TestRank5Caps:
     def test_lowered_cap_is_rejected(self):
         problems = _verify_edited(davenport_k(C25, 3), _lowered_cap)
         assert problems == (
-            "chain[7] ub.squarefree_caps: caps [(0, 0), (1, 6), (2, 10), (3, 13)] "
+            "chain[5] ub.squarefree_caps: caps [(0, 0), (1, 6), (2, 10), (3, 13)] "
             "do not follow from the chain, which gives "
             "[(0, 0), (1, 6), (2, 10), (3, 14)]",
         )
@@ -1137,20 +1204,20 @@ class TestRank5Caps:
     def test_row_without_one_of_its_sweeps_is_rejected(self, c):
         problems = _verify_edited(davenport_k(C25, 8), _without_sweep(c))
         assert len(problems) == 1
-        assert problems[0].startswith("chain[16] ub.squarefree_caps: caps ")
+        assert problems[0].startswith("chain[15] ub.squarefree_caps: caps ")
 
     def test_unreadable_caps_are_rejected(self):
         def edit(data):
             del data["upper_chain"][-1]["inputs"]["k"]
 
         problems = _verify_edited(davenport_k(C25, 3), edit)
-        assert "chain[7] ub.squarefree_caps: caps cannot be re-derived ('k')" in problems
+        assert "chain[5] ub.squarefree_caps: caps cannot be re-derived ('k')" in problems
 
     def test_caps_on_another_group_are_rejected(self):
         # walked at rank 4, the C_2^5 chain gives a lower cap 3
         chain = davenport_k(C25, 3).upper_chain
         assert invariants._check_caps(C24, chain) == [
-            "chain[7] ub.squarefree_caps: caps [(0, 0), (1, 6), (2, 10), (3, 14)] "
+            "chain[5] ub.squarefree_caps: caps [(0, 0), (1, 6), (2, 10), (3, 14)] "
             "do not follow from the chain, which gives "
             "[(0, 0), (1, 6), (2, 10), (3, 12)]"
         ]
@@ -1159,7 +1226,7 @@ class TestRank5Caps:
         # two elements per extra block holds only where every element has order 2
         chain = davenport_k(C25, 3).upper_chain
         assert invariants._check_caps(C33, chain) == [
-            "chain[7] ub.squarefree_caps: caps are only derived on C_2^r"
+            "chain[5] ub.squarefree_caps: caps are only derived on C_2^r"
         ]
 
     def test_lowered_rank_four_cap_is_rejected(self):
@@ -1169,7 +1236,7 @@ class TestRank5Caps:
 
         problems = _verify_edited(davenport_k(C24, 4), edit)
         assert problems == (
-            "chain[8] ub.squarefree_caps: caps [(0, 0), (1, 5), (2, 8), (3, 11), (4, 11)] "
+            "chain[6] ub.squarefree_caps: caps [(0, 0), (1, 5), (2, 8), (3, 11), (4, 11)] "
             "do not follow from the chain, which gives "
             "[(0, 0), (1, 5), (2, 8), (3, 11), (4, 12)]",
         )
@@ -1237,13 +1304,13 @@ class TestTamperedFields:
          "witness: core element 16 lies outside the selected coset"),
         (lambda: davenport_k(C25, 4), _setting(k=3),
          ("witness: quarter-bound 4 exceeds remaining 3 blocks",
-          _unbound(8, "ub.squarefree_caps", 3))),
+          _unbound(7, "ub.squarefree_caps", 3))),
         (lambda: davenport_k(C25, 8), _setting(k=7),
          ("witness: third-bound 8 exceeds remaining 7 blocks",
-          _unbound(17, "ub.squarefree_caps", 7))),
+          _unbound(16, "ub.squarefree_caps", 7))),
         (lambda: davenport_k(C25, 7), _setting(k=1),
          ("witness: pairs and zeros alone exceed 1 blocks",
-          _unbound(17, "ub.squarefree_caps", 1))),
+          _unbound(16, "ub.squarefree_caps", 1))),
         (lambda: davenport_k(C24, 2), _witness_rule("mask-maxl"),
          "witness: unknown rule 'mask-maxl'"),
         (lambda: davenport_k(C32, 2), _witness_rule("squarefree-third"),
@@ -1273,14 +1340,14 @@ class TestTamperedFields:
          "chain[0] search.zsf: cannot be digested ('max_free')"),
         (lambda: davenport_k(make_group((6,)), 2), _step_field(0, "value", 5),
          "chain[0] search.zsf: re-evaluates to 6, not 5"),
-        (lambda: davenport_k(C25, 2), _step_field(1, "value", 31),
+        (lambda: davenport_k(C25, 9), _step_field(1, "value", 31),
          "chain[1] search.sle: re-evaluates to 32, not 31"),
-        (lambda: davenport_k(C25, 5), _step_field(9, "value", 19),
-         "chain[9] search.sweep: re-evaluates to 20, not 19"),
-        (lambda: davenport_k(C25, 5), _failed_sweep(9),
-         "chain[9] search.sweep: re-evaluation failed (sweep recorded failures)"),
+        (lambda: davenport_k(C25, 5), _step_field(8, "value", 19),
+         "chain[8] search.sweep: re-evaluates to 20, not 19"),
+        (lambda: davenport_k(C25, 5), _failed_sweep(8),
+         "chain[8] search.sweep: re-evaluation failed (sweep recorded failures)"),
         (lambda: davenport_k(C33, 1), _setting(k=2), _unbound(0, "search.zsf", 2)),
-        (lambda: davenport_k(C25, 3), _setting(k=4), _unbound(7, "ub.squarefree_caps", 4)),
+        (lambda: davenport_k(C25, 3), _setting(k=4), _unbound(5, "ub.squarefree_caps", 4)),
         (lambda: davenport_k(make_group((2,) * 6), 8), _setting(k=9),
          _unbound(2, "ub.step", 9)),
         (lambda: s_le(C33, 3), _setting(k=2), _unbound(0, "search.sle", 2)),
@@ -1289,11 +1356,11 @@ class TestTamperedFields:
          "chain[2] ub.recursion: re-evaluation failed (D and every ell must be positive)"),
         (lambda: davenport_k(C33, 3), _step_input(2, "ell", [0]),
          "chain[2] ub.recursion: re-evaluation failed (D and every ell must be positive)"),
-        (lambda: davenport_k(C24, 3), _step_field(6, "value", 10),
-         ("chain[6] ub.recursion: re-evaluates to 11, not 10",
-          "chain[7] ub.squarefree_caps: caps [(0, 0), (1, 5), (2, 8), (3, 11)] "
+        (lambda: davenport_k(C24, 3), _step_field(4, "value", 10),
+         ("chain[4] ub.recursion: re-evaluates to 11, not 10",
+          "chain[5] ub.squarefree_caps: caps [(0, 0), (1, 5), (2, 8), (3, 11)] "
           "do not follow from the chain, which gives [(0, 0), (1, 5), (2, 8), (3, 10)]")),
-        (lambda: davenport_k(C24, 3), _setting(k=4), _unbound(7, "ub.squarefree_caps", 4)),
+        (lambda: davenport_k(C24, 3), _setting(k=4), _unbound(5, "ub.squarefree_caps", 4)),
     ], ids=[
         "zeros-nonzero", "zeros-count", "cyclic-support", "cyclic-blocks",
         "coset-functional", "coset-outside", "coset-quarter", "squarefree-third",
