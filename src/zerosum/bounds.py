@@ -216,11 +216,11 @@ def _layer_count(levels: List[Tuple[int, int]], D: int, m: int) -> int:
     """lower_max_length on checked (ell[i], s_values[i]) pairs."""
     used = total = 0
     for l_i, s_i in levels:
-        k_i = max(0, ceil_div(m - used - s_i + 1, l_i))
-        total += k_i
-        used += k_i * l_i
-    total += max(0, ceil_div(m - used, D))
-    return total
+        k_i = (m - used - s_i + l_i) // l_i  # ceil((m - used - s_i + 1) / l_i)
+        if k_i > 0:
+            total += k_i
+            used += k_i * l_i
+    return total + max(0, (m - used + D - 1) // D)
 
 
 def _extension_m(n: int, D_ext: int, D_G: int) -> int:
@@ -246,14 +246,36 @@ def _k_times_d(i):
 
 @_rule("ub.recursion")
 def _recursion(i):
+    """The largest m such that no length 1..m forces more than k blocks.
+
+    Needs every ell <= D: then the forced count c(m) is nondecreasing in
+    m, and m is found by bisection on c. Compare the greedy layers on
+    m + 1 and on m, level by level. Before a level, with L the last
+    level passed (1 before the first), either both have counted the same
+    blocks and m + 1 has 0..L more ids left, or m + 1 has counted one
+    more block and has at most L - 1 fewer left. A level ell >= L (the
+    levels increase) changes its count by at most one between the two,
+    and only in the direction that keeps this so, with ell as the new L.
+    The final layer, of blocks of length D, then counts at least as many
+    blocks for m + 1, or, one block ahead and at most L - 1 <= D - 1 ids
+    short, at most one fewer. With ell > D that last step fails: D = 1,
+    ell = 3, s = 3 gives c(2) = 2 and c(3) = 1.
+    """
     D, k = i["D"], i["k"]
     levels = _checked_levels(i["ell"], i["s_values"], D)
-    m = 0
-    while _layer_count(levels, D, m + 1) <= k:
-        m += 1
-        if m > k * D:
-            raise BoundError("scan escaped its ceiling; inputs inconsistent")
-    return m
+    _require(all(l <= D for l, _ in levels), "every ell must be at most D")
+    # c(1) >= 1 > k when k < 1; otherwise every block is at most D long,
+    # so c(kD + 1) > k and the ceiling check below never fires
+    lo, hi = 0, max(1, k * D + 1)
+    if _layer_count(levels, D, hi) <= k:
+        raise BoundError("scan escaped its ceiling; inputs inconsistent")
+    while hi - lo > 1:  # c(lo) <= k or lo = 0, and c(hi) > k
+        mid = (lo + hi) // 2
+        if _layer_count(levels, D, mid) <= k:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @_rule("ub.remark")

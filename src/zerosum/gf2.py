@@ -87,7 +87,9 @@ class CircuitTable:
     subset that contains the subset's lowest id v has v as its lowest
     id, so one bucket is all a search pinned at v needs to scan. A
     bucket of size >= 3 is None until it is first read, through bucket()
-    or a partition search, and is then filled for good.
+    or a partition search, and is then filled for good. `refuted` holds
+    the residuals (avail, pieces) that partition searches passed it have
+    found to have no partition; like the buckets, it only grows.
     """
 
     def __init__(self, ids, r: int):
@@ -100,6 +102,7 @@ class CircuitTable:
         self.by_low: List[List[Optional[List[int]]]] = [
             [[], [], []] + [None] * (r - 1) for _ in range(1 << r)
         ]
+        self.refuted: Set[Tuple[int, int]] = set()
 
     def bucket(self, v: int, size: int) -> List[int]:
         """by_low[v][size]: the circuits of `size` ids with lowest id v, in
@@ -139,7 +142,7 @@ class CircuitTable:
         return out
 
     def partition(
-        self, avail: int, pieces: int, fail: Set[Tuple[int, int]]
+        self, avail: int, pieces: int, fail: Optional[Set[Tuple[int, int]]] = None
     ) -> Optional[List[int]]:
         """Split the subset mask `avail` into exactly `pieces` circuits.
 
@@ -150,13 +153,16 @@ class CircuitTable:
         tree, so only the buckets a question can use are ever filled.
 
         Pinning the lowest remaining id keeps the search exact. `fail`
-        is the caller's set of residuals (avail, pieces) known to have no
-        partition; the search skips them and adds the ones it refutes.
-        Those answers depend only on the table, so one set may serve
-        every question a caller asks of the table. It only prunes
-        subtrees that fail: it never turns a failure into a success, and
-        the first partition found is the same with or without it.
+        is a set of residuals (avail, pieces) known to have no partition;
+        the search skips them and adds the ones it refutes. Those answers
+        depend only on the table, so one set may serve every question
+        asked of the table, for as long as the table lives: when None,
+        it is self.refuted. The set only prunes subtrees that fail: it
+        never turns a failure into a success, and the first partition
+        found is the same with or without it.
         """
+        if fail is None:
+            fail = self.refuted
         by_low = self.by_low
         top = self.r + 1
 
@@ -419,9 +425,8 @@ def find_circuit_partition(
     Returns the parts, or None when no such partition exists. Only the
     circuits inside the id set that the search scans are enumerated.
     """
-    ids = set(ids)
     table = CircuitTable(ids, r)
-    parts = table.partition(table.mask, pieces, set())
+    parts = table.partition(table.mask, pieces)
     if parts is None:
         return None
     return [frozenset(i + 1 for i in range(1 << r) if (circ >> i) & 1) for circ in parts]
@@ -442,10 +447,9 @@ def squarefree_max_length_at_most(ids, bound: int, r: int) -> bool:
     counts = range(bound + 1, len(ids) // 3 + 1)
     if not counts:
         return True
-    table = CircuitTable(ids, r)
-    fail: Set[Tuple[int, int]] = set()  # shared by the counts, dropped on return
+    table = CircuitTable(ids, r)  # its refuted set serves every count
     for k in counts:
-        if table.partition(table.mask, k, fail) is not None:
+        if table.partition(table.mask, k) is not None:
             return False
     return True
 
@@ -497,16 +501,17 @@ def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
     The instances are canonical_zero_sum_subsets(r, complement_size),
     which meet every GL(r, 2) orbit; failures counts the complements
     with no partition into exactly `pieces` circuits. The search uses
-    the kept universe table and one failure memo that all instances
-    share and that is dropped when the sweep returns.
+    the kept universe table and its refuted set, so a residual refuted
+    by one instance, or by an earlier sweep of the same rank, is not
+    searched again. The record is the same as with a fresh set; only
+    the work to reach it shrinks.
     """
     started = time.monotonic()
     table = universe_table(r)
     instances = canonical_zero_sum_subsets(r, complement_size)
-    fail: Set[Tuple[int, int]] = set()
     failures = 0
     for inst in instances:
-        if table.partition(table.mask ^ ids_to_mask(inst), pieces, fail) is None:
+        if table.partition(table.mask ^ ids_to_mask(inst), pieces) is None:
             failures += 1
     elapsed = int((time.monotonic() - started) * 1000)
     return SweepRecord(

@@ -271,7 +271,7 @@ class Certificate:
 
     def to_json(self, elapsed_ms: Optional[int] = None) -> dict:
         out = self.payload_json()
-        out["digest"] = self.digest()
+        out["digest"] = _digest16(json.dumps(out, sort_keys=True))  # as digest() does
         if elapsed_ms is not None:
             out["elapsed_ms"] = elapsed_ms
         return out
@@ -1112,18 +1112,18 @@ class _E2Pipeline:
     each level ell some recursion uses.
     """
 
-    def __init__(self, r: int):
+    def __init__(self, r: int, budget: Optional[int]):
         self.G = make_group((2,) * r)
         self.r = r
         self.pieces = gf2.RANK5_SWEEP_PIECES if r == 5 else {}
         self._sweeps: Dict[int, gf2.SweepRecord] = {}
         self._m_steps: Dict[int, BoundReport] = {}
-        d_cert = davenport(self.G)
+        d_cert = davenport(self.G, budget)
         self.D1 = d_cert.value
         self.zsf_step = d_cert.upper_chain[0]
         # the threshold step of each level a ub.recursion step may use
         self.s_steps = {
-            2: s_le(self.G, 2).upper_chain[0],
+            2: s_le(self.G, 2, budget).upper_chain[0],
             3: _sle3_step(r),
             4: e2g_s2m_upper(r, 2),
         }
@@ -1219,10 +1219,14 @@ class _E2Pipeline:
         )
 
 
-@lru_cache(maxsize=16)
-def _engine(r: int) -> _E2Pipeline:
-    """The one D_k row pipeline of C_2^r per rank, 2 <= r <= 5."""
-    return _E2Pipeline(r)
+@_memoized(maxsize=16)
+def _engine(r: int, budget: Optional[int] = None) -> _E2Pipeline:
+    """The one D_k row pipeline of C_2^r per rank and budget, 2 <= r <= 5.
+
+    The budget bounds the searches for D and s_le(G, 2); the sweeps run
+    without one.
+    """
+    return _E2Pipeline(r, budget)
 
 
 def _dstar_witness(G: Group, k: int) -> Sequence:
@@ -1382,7 +1386,7 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             upper_chain=chain,
         )
     if G.is_elementary_2 and prof.rank <= 5:
-        return _engine(prof.rank).row(k)
+        return _engine(prof.rank, budget).row(k)
     return _generic_dk(G, k, budget)
 
 

@@ -4,9 +4,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerosum.arith import INFINITE
 from zerosum.bounds import (
+    _layer_count,
     BoundConsistencyError,
     BoundError,
     KnownValues,
@@ -48,6 +51,9 @@ C32 = make_group((3, 3))
 
 def reference_recursion(ell, s_values, D, k):
     """The ub.recursion scan with every step checked by lower_max_length."""
+    lower_max_length(ell, s_values, D, 0)  # the input checks come first
+    if any(l > D for l in ell):
+        raise BoundError("every ell must be at most D")
     m = 0
     while lower_max_length(ell, s_values, D, m + 1) <= k:
         m += 1
@@ -65,7 +71,7 @@ def outcome(fn, *args):
 
 class TestRecursion:
     def test_scan_matches_checked_reference(self):
-        # the rule checks its inputs once, then scans unchecked; values and
+        # the rule checks its inputs once, then bisects unchecked; values and
         # errors must be those of a scan that checks at every step
         seen = set()
         for ell in ((), (0,), (2,), (3,), (10,), (2, 4), (4, 2), (2, 2), (2, 3, 5)):
@@ -81,9 +87,46 @@ class TestRecursion:
             "ell and s_values must align",
             "threshold values must be finite",
             "ell must be strictly increasing",
-            "scan escaped its ceiling; inputs inconsistent",
-            "D and every ell must be positive",  # D = 0, before ceil_div sees it
+            "D and every ell must be positive",  # D = 0, before the count divides by it
+            # refused before the scan, whose ceiling only ell > D reached
+            "every ell must be at most D",
         }
+
+    @pytest.mark.parametrize("D", range(1, 7))
+    def test_bisection_matches_linear_scan(self, D):
+        # the rule bisects on the forced count; a linear scan over m is
+        # the oracle on every input the rule accepts: up to three levels
+        # ell <= D, s in [-2, 2D + 2], k = 1..6. One pass over m = 1, 2,
+        # ... is the scan for every k at once, as the scan for k + 1
+        # passes wherever the scan for k stopped.
+        for n_levels in range(4):
+            for ell in itertools.combinations(range(1, D + 1), n_levels):
+                for s_values in itertools.product(range(-2, 2 * D + 3), repeat=n_levels):
+                    levels = list(zip(ell, s_values))
+                    scanned, m = [], 0
+                    for k in range(1, 7):
+                        while _layer_count(levels, D, m + 1) <= k:
+                            m += 1
+                        scanned.append(m)
+                    inputs = {"ell": ell, "s_values": s_values, "D": D}
+                    got = [evaluate_rule("ub.recursion", dict(inputs, k=k)) for k in range(1, 7)]
+                    assert got == scanned, inputs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_forced_count_non_decreasing_with_levels_at_most_d(self, data):
+        D = data.draw(st.integers(1, 12), label="D")
+        ell = sorted(data.draw(st.sets(st.integers(1, D), max_size=3), label="ell"))
+        s_values = [data.draw(st.integers(-2, 2 * D + 2), label="s") for _ in ell]
+        m = data.draw(st.integers(0, 6 * D + 2), label="m")
+        assert lower_max_length(ell, s_values, D, m) <= lower_max_length(ell, s_values, D, m + 1)
+
+    def test_level_above_d_refused(self):
+        # with ell > D the forced count can fall as m grows, so bisection
+        # would not find the scan's m: here c(2) = 2 and c(3) = 1
+        assert [lower_max_length([3], [3], 1, m) for m in (2, 3)] == [2, 1]
+        with pytest.raises(BoundError, match="every ell must be at most D"):
+            evaluate_rule("ub.recursion", {"ell": (3,), "s_values": (3,), "D": 1, "k": 2})
 
     def test_empty_level_list_gives_k_times_d(self):
         assert ub_recursion(C23, [], [], 4, 3).value == 12

@@ -105,6 +105,14 @@ class TestCompute:
         assert code == 1
         assert "zero-sum-free search (cap 64) on 2^6 exhausted its budget after 1 nodes" in err
 
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_rank5_dk_budget_is_kept(self, capsys, k):
+        # row 2 reads the pipeline's search for D, which runs under the budget
+        code, _, err = run_cli(capsys, "compute", "dk", "--group", "2^5", "--k", k,
+                               "--budget", "1")
+        assert code == 1
+        assert "zero-sum-free search (cap 32) on 2^5 exhausted its budget after 1 nodes" in err
+
     def test_missing_k_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "dk", "--group", "2^3")
         assert code == 1

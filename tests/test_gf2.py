@@ -557,6 +557,28 @@ class TestSweeps:
         assert outcomes == {True, False}
         assert bool(fail) == (r == 5)
 
+    def test_kept_refutations_leave_records_unchanged(self, monkeypatch):
+        # the universe table keeps every residual a sweep refutes, so a
+        # sweep's work depends on the sweeps before it; its record must
+        # not, in either order, against each sweep on a fresh table
+        sweeps = range(3, 12)
+        fresh = {}
+        for c in sweeps:
+            monkeypatch.setattr(gf2, "_UNIVERSE", {})
+            fresh[c] = run_sweep(5, c, RANK5_SWEEP_PIECES[c])
+        for order in (sweeps, reversed(sweeps)):
+            monkeypatch.setattr(gf2, "_UNIVERSE", {})
+            for c in order:
+                rec = run_sweep(5, c, RANK5_SWEEP_PIECES[c])
+                got = (rec.instances, rec.failures, rec.digest)
+                assert got == (fresh[c].instances, fresh[c].failures, fresh[c].digest), c
+        kept = gf2._UNIVERSE[5].refuted
+        assert kept
+        # a sample of them still has no partition when asked afresh
+        table = CircuitTable(range(1, 32), 5)
+        for avail, pieces in random.Random(25).sample(sorted(kept), 200):
+            assert table.partition(avail, pieces, set()) is None, (avail, pieces)
+
     @pytest.mark.parametrize("c", range(3, 9))
     def test_lazy_table_searches_as_eager_cut_table(self, c):
         # a sweep's parts hold at most L = 31 - c - 3(pieces - 1) ids; the

@@ -579,6 +579,15 @@ class TestGenericSearch:
         }
         assert got == pinned
 
+    def test_to_json_digest_is_the_certificate_digest(self):
+        # to_json digests the payload it has just built, not a second one
+        certs = [davenport_k(C25, k) for k in range(1, 14)]
+        for factors, pinned in GENERIC_CERT_DIGESTS.items():
+            G = make_group(factors)
+            certs += [davenport(G, None) if key == "D" else s_le(G, key, None) for key in pinned]
+        for cert in certs:
+            assert cert.to_json()["digest"] == cert.digest()
+
     def test_dk_rank_three_of_threes_digest_pinned(self):
         assert davenport_k(C33, 2).digest() == "65a925d88c127df3"
 
@@ -981,6 +990,19 @@ class TestRuleStepsRecheckPreconditions:
         revived = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
         assert verify_certificate(revived).problems == result.problems
 
+    def test_recursion_level_above_d_is_rejected(self):
+        # the rule bisects on a block count that grows with the length
+        # only when every level is at most D, which is 7 here
+        cert = davenport_k(C33, 3)
+        step = cert.upper_chain[2]
+        assert (step.rule_id, step.input_value("D")) == ("ub.recursion", 7)
+        inputs = tuple((n, replace(iv, value=(8,)) if n == "ell" else iv) for n, iv in step.inputs)
+        forged = replace(cert, upper_chain=cert.upper_chain[:2] + (replace(step, inputs=inputs),))
+        expected = ("chain[2] ub.recursion: re-evaluation failed (every ell must be at most D)",)
+        assert verify_certificate(forged).problems == expected
+        revived = Certificate.from_json(json.loads(json.dumps(forged.to_json())))
+        assert verify_certificate(revived).problems == expected
+
     def test_tampered_s2m_root_is_rejected(self):
         result = _tamper(davenport_k(C25, 2), "ub.e2g_s2m", {"root": 10})
         assert not result.ok
@@ -1221,6 +1243,12 @@ class TestRank5Caps:
             "do not follow from the chain, which gives "
             "[(0, 0), (1, 6), (2, 10), (3, 12)]"
         ]
+
+    def test_rank5_row_keeps_the_budget(self):
+        # the C_2^r pipeline runs its search for D under the row's budget
+        with pytest.raises(SearchError, match="on 2\\^5 exhausted its budget after 1 nodes"):
+            davenport_k(C25, 2, 1)
+        assert davenport_k(C25, 2).value == 10
 
     def test_caps_outside_elementary_two_groups_are_rejected(self):
         # two elements per extra block holds only where every element has order 2
