@@ -4,7 +4,7 @@ search cannot reach.
 C_2^5 has 32 elements; brute-forcing its k-block constants directly is
 hopeless beyond tiny k. Each row here is instead certified by a
 sandwich: an explicit witness sequence gives the lower bound, and a
-chain of bound rules (searches over squarefree cores, sum-set caps,
+chain of bound rules (the independence and sphere-packing caps,
 recursion over short-zero-sum thresholds) gives the matching upper
 bound. The partition sweeps behind the upper bounds search one table of
 circuit bitmasks and finish in well under a second, even with an empty

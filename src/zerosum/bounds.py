@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 from typing import Callable, Dict, List, Optional, Sequence as Seq, Tuple
 
 from .arith import (
@@ -408,10 +408,37 @@ def _e2g_s2m(i):
     return (i["m"] - 1) + root
 
 
-@_rule("e2g.sle3")
-def _e2g_sle3(i):
-    _require(i["r"] >= 2, "rank must be at least 2")
-    return 1 + (1 << (i["r"] - 1))
+@_rule("ub.e2g_d")
+def _e2g_d(i):
+    """D(C_2^r) <= r + 1: a zero-sum-free sequence over C_2^r has no
+    repeat and no nonempty sum 0, so its elements are independent."""
+    return _rank(i) + 1
+
+
+@_rule("ub.e2g_sphere")
+def _e2g_sphere(i):
+    """s_le(C_2^r, cap) <= 1 + the largest n with sum_{j <= cap // 2}
+    C(n, j) <= 2^r (the Hamming bound).
+
+    A sequence with no zero-sum of length <= cap, cap >= 2, has no 0 and
+    no repeat. Its n elements are the parity-check columns of a binary
+    code of length n, dimension >= n - r and minimum distance > cap,
+    whose balls of radius cap // 2 are disjoint. For odd cap the code
+    punctured at one coordinate keeps its dimension and has distance
+    > cap - 1, so the same test applies to n - 1 and r - 1.
+    """
+    r, cap = _rank(i), i["cap"]
+    _require(cap >= 2, "cap must be at least 2")
+    t, odd = cap // 2, cap % 2
+    room = 1 << (r - odd)
+    lo, hi = 0, room  # sum_{j <= t} C(n, j) >= 1 + n, so hi is too long
+    while hi - lo > 1:  # lo fits, hi does not
+        mid = (lo + hi) // 2
+        if sum(comb(mid, j) for j in range(t + 1)) <= room:
+            lo = mid
+        else:
+            hi = mid
+    return 1 + lo + odd
 
 
 @_rule("ub.e2g_split")
@@ -682,6 +709,22 @@ def e2g_d2_upper(r: int) -> BoundReport:
     return report("ub.e2g_d2", "upper", [("r", r, SUPPLIED)])
 
 
+def e2g_d_upper(r: int) -> BoundReport:
+    """Independence cap on the Davenport constant of C_2^r."""
+    return report("ub.e2g_d", "upper", [("r", r, COMPUTED)], constant="D")
+
+
+def e2g_sphere_upper(r: int, cap: int) -> BoundReport:
+    """Sphere-packing cap on the threshold of C_2^r for blocks <= cap."""
+    return report(
+        "ub.e2g_sphere",
+        "upper",
+        [("r", r, COMPUTED), ("cap", cap, SUPPLIED)],
+        constant="s_le",
+        note="parity-check columns of a code with distance above cap",
+    )
+
+
 def e2g_s2m_upper(r: int, m: int) -> BoundReport:
     """Counting bound on the threshold for blocks of length <= 2m."""
     return report(
@@ -782,7 +825,7 @@ def best_recursion(
     return best
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
@@ -816,7 +859,7 @@ def dk_upper_bounds(
                 out.append(remark_ub(G, k, ell, s, D, s_prov=prov, d_prov=prov))
             if prev_dk is not None:
                 out.append(step_ub(prev_dk, ell, s, dk_prov=COMPUTED, s_prov=prov))
-    if prof.rank >= 2 and len(set(factors)) == 1 and _is_prime(factors[0]):
+    if prof.rank >= 2 and len(set(factors)) == 1 and is_prime(factors[0]):
         p, r = factors[0], prof.rank
         m = 1
         while r * (p - 1) + 1 >= 2 * p**m:

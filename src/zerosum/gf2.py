@@ -1,9 +1,14 @@
-"""Search engines for elementary 2-groups on integer bitmasks.
+"""Circuit tables, partition sweeps and code witnesses for elementary
+2-groups, on integer bitmasks.
 
 Elements of C_2^r are ids 1..2^r-1 (the coordinate vector read as a
 big-endian binary number, matching element_index). A squarefree
 sequence is a set of ids; its sum is the XOR. Minimal zero-sum supports
 of size >= 3 are called circuits here.
+
+The library searches no C_2^r threshold here: D and s_le of C_2^r come
+from counting rules met by the code witnesses of code_ids, and
+invariants' generic search covers the one threshold they leave open.
 """
 
 from __future__ import annotations
@@ -359,7 +364,8 @@ def max_set_without_short_zero_sums(
 ) -> Tuple[int, Tuple[int, ...]]:
     """Largest subset with no zero-sum subset of size <= length_cap.
 
-    This is the one exhaustive C_2^r search behind D and s_le. A cap
+    No library code calls it: the tests check D and s_le of C_2^r
+    against it, and perfbench's tracer wraps it by name. A cap
     above r + 1 is clipped to r + 1: every zero-sum set of nonzero ids
     contains a circuit, and a circuit has at most r + 1 ids, so with the
     cap at r + 1 the result is a largest zero-sum-free (independent) set.
@@ -525,7 +531,58 @@ def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
 
 
 # ---------------------------------------------------------------------------
-# Named witness sets over C_2^5
+# Named witness sets
+
+
+def _golay_columns() -> Tuple[int, ...]:
+    """x^i mod g(x) for i = 0..22, with g(x) = x^11 + x^10 + x^6 + x^5 +
+    x^4 + x^2 + 1, a degree-11 factor of x^23 + 1 over F_2: the
+    parity-check columns of the binary Golay code."""
+    g, v, out = 0b110001110101, 1, []
+    for _ in range(23):
+        out.append(v)
+        v <<= 1
+        if v >> 11:
+            v ^= g
+    return tuple(out)
+
+
+GOLAY_IDS = _golay_columns()
+
+
+def basis_plus_sum(r: int) -> Tuple[int, ...]:
+    """The basis ids 1, 2, 4, ..., 2^(r-1) and their sum: the parity-check
+    columns of the repetition code of length r + 1, whose one zero-sum is
+    the whole set."""
+    return tuple(1 << i for i in range(r)) + ((1 << r) - 1,)
+
+
+def code_ids(r: int, cap: int) -> List[Tuple[int, ...]]:
+    """Id sets of C_2^r with no zero-sum of length <= cap, for cap >= 2.
+
+    Each is the set of parity-check columns of a binary code of minimum
+    distance > cap, since a zero-sum of the columns is the support of a
+    codeword (MacWilliams-Sloane, The Theory of Error-Correcting Codes,
+    1977, ch. 1). One set per code that applies:
+      - every nonzero id: the Hamming code, distance 3, cap 2;
+      - the top coset: the extended Hamming code, distance 4, cap <= 3;
+      - GOLAY_IDS: the Golay code, distance 7, cap <= 6 and r >= 11;
+      - GOLAY_IDS shifted up one bit with the parity bit 1 set, plus the
+        id 1: the extended Golay code, distance 8, cap <= 7 and r >= 12;
+      - basis_plus_sum: the repetition code, distance r + 1, cap <= r.
+    """
+    out: List[Tuple[int, ...]] = []
+    if cap <= 2:
+        out.append(tuple(range(1, 1 << r)))
+    if cap <= 3:
+        out.append(top_coset_ids(r))
+    if cap <= 6 and r >= 11:
+        out.append(GOLAY_IDS)
+    if cap <= 7 and r >= 12:
+        out.append((1,) + tuple(v << 1 | 1 for v in GOLAY_IDS))
+    if cap <= r:
+        out.append(basis_plus_sum(r))
+    return out
 
 
 def top_coset_ids(r: int) -> Tuple[int, ...]:

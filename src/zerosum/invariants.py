@@ -22,12 +22,12 @@ from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from . import gf2
-from .gf2 import SearchError  # raised by both searches; importable from here
+from .gf2 import SearchError  # raised by the search; importable from here
 from .arith import ExtInt, ceil_div, is_finite, parse_value, serialize_value
-# cpr_upper, e2g_d2_upper, elb_lower, lower_dstar, remark_ub, step_ub and
-# ub_recursion are unused here but stay importable from this module:
-# perfbench/tracer.py wraps the bound calculators and evaluate_rule in
-# this namespace by name
+# cpr_upper, e2g_d2_upper, e2g_s2m_upper, elb_lower, lower_dstar,
+# remark_ub, step_ub and ub_recursion are unused here but stay importable
+# from this module: perfbench/tracer.py wraps the bound calculators and
+# evaluate_rule in this namespace by name
 from .bounds import (
     COMPUTED,
     SEARCH,
@@ -38,10 +38,13 @@ from .bounds import (
     cpr_upper,
     dk_upper_bounds,
     e2g_d2_upper,
+    e2g_d_upper,
     e2g_s2m_upper,
+    e2g_sphere_upper,
     elb_lower,
     elb_settings,
     evaluate_rule,
+    is_prime,
     k_times_d,
     lower_dstar,
     remark_ub,
@@ -193,16 +196,6 @@ def _search_step(rule_id: str, constant: str, note: str, **record) -> BoundRepor
     """The digest-stamped step of a search, its value ruled from the record."""
     pairs = [(name, value, SEARCH) for name, value in record.items()]
     return _sealed(report(rule_id, "upper", pairs, constant=constant, note=note))
-
-
-def _sle3_step(r: int) -> BoundReport:
-    return report(
-        "e2g.sle3",
-        "upper",
-        [("r", r, SUPPLIED)],
-        constant="s_le",
-        note="coset construction meets the counting bound for blocks <= 3",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +417,38 @@ def _check_witness(
     return problems
 
 
-def _check_chain(steps: Tuple[BoundReport, ...]) -> List[str]:
+def _group_properties(G: Group) -> Dict[str, object]:
+    """What a step input of each of these names must equal on G. p is the
+    exponent when G is C_p^r with p prime, and None otherwise."""
+    prof = profile(G)
+    elementary = len(set(G.invariant_factors)) == 1 and is_prime(prof.exponent)
+    return {
+        "r": prof.rank,
+        "p": prof.exponent if elementary else None,
+        "group": format_group(G),
+        "exponent": prof.exponent,
+        "order": prof.order,
+        "d_star": prof.d_star,
+    }
+
+
+def _check_chain(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
     """Re-evaluate every step by its rule; a search step must also match
-    its digest."""
+    its digest. A step's inputs that name a property of the group must
+    match G's, and an ub.e2g_* rule needs G to be an elementary 2-group,
+    so no step of another group can be spliced in."""
     problems: List[str] = []
+    properties = _group_properties(G)
     for i, step in enumerate(steps):
         label = "chain[%d] %s" % (i, step.rule_id)
+        inputs = step.plain_inputs()
+        for name, value in properties.items():
+            if name in inputs and inputs[name] != value:
+                problems.append(
+                    label + ": input %s = %r is not the group's %r" % (name, inputs[name], value)
+                )
+        if step.rule_id.startswith("ub.e2g_") and not G.is_elementary_2:
+            problems.append(label + ": the rule needs an elementary 2-group")
         if step.rule_id.startswith("search."):
             try:
                 expected = _expected_digest(step)
@@ -439,7 +458,7 @@ def _check_chain(steps: Tuple[BoundReport, ...]) -> List[str]:
             if step.digest != expected:
                 problems.append(label + ": digest mismatch")
         try:
-            value = evaluate_rule(step.rule_id, step.plain_inputs())
+            value = evaluate_rule(step.rule_id, inputs)
         except (BoundError, KeyError, TypeError, ValueError) as err:
             problems.append(label + ": re-evaluation failed (%s)" % err)
             continue
@@ -473,7 +492,7 @@ def _check_caps(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
 
 
 # the k each of these rules bounds, whatever its inputs
-_FIXED_K = {"search.zsf": 1, "ub.e2g_d2": 2, "e2g.sle3": 3}
+_FIXED_K = {"search.zsf": 1, "ub.e2g_d": 1, "ub.e2g_d2": 2}
 
 
 def _closes(steps: Tuple[BoundReport, ...], i: int, k: int, constants) -> bool:
@@ -486,8 +505,6 @@ def _closes(steps: Tuple[BoundReport, ...], i: int, k: int, constants) -> bool:
         return False
     if rule in _FIXED_K:
         return k == _FIXED_K[rule]
-    if rule == "ub.e2g_s2m":
-        return k // 2 == inp.get("m")  # blocks <= 2m bound caps 2m and 2m + 1
     if rule == "ub.step":
         return any(
             steps[j].value == inp.get("dk") and _closes(steps, j, k - 1, constants)
@@ -541,7 +558,7 @@ def verify_certificate(cert: Certificate, budget: Optional[int] = None) -> Check
     elif cert.constant in ("D", "D_k") and is_finite(cert.lower) and cert.lower > 0:
         problems.append("no witness for a positive lower side")
 
-    problems.extend(_check_chain(cert.upper_chain))
+    problems.extend(_check_chain(G, cert.upper_chain))
 
     if cert.upper_chain:
         final = cert.upper_chain[-1]
@@ -892,15 +909,10 @@ def _with_closing(S: Sequence) -> Sequence:
 def _short_free(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Sequence]:
     """A longest sequence with no nonempty zero-sum of length <= cap, with its length.
 
-    The one search behind D and s_le: the bitmask search on C_2^r, the
-    generic element-index search everywhere else. With cap >= |G| the
-    sequence is a longest zero-sum-free one. Both searches raise
-    SearchError past the budget, DEFAULT_SEARCH_BUDGET nodes when None.
+    The one search behind D and s_le, on every group. With cap >= |G| the
+    sequence is a longest zero-sum-free one. Raises SearchError past the
+    budget, DEFAULT_SEARCH_BUDGET nodes when None.
     """
-    if G.is_elementary_2:
-        limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-        size, ids = gf2.max_set_without_short_zero_sums(profile(G).rank, cap, limit)
-        return size, _ids_to_sequence(G, ids)
     size, seq, _nodes = _generic_search(G, cap, budget)
     return size, Sequence.from_elements(G, seq)
 
@@ -911,7 +923,8 @@ def _short_free(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Sequenc
 
 @_memoized(maxsize=128)
 def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
-    """Exact longest-minimal-zero-sum constant, by exhaustive search."""
+    """Exact longest-minimal-zero-sum constant: on C_2^r from ub.e2g_d,
+    met by a basis and its sum, elsewhere by exhaustive search."""
     if G.order == 1:
         witness = Sequence.from_counts(G, {zero(G): 1})
         return Certificate(
@@ -925,19 +938,23 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
             upper_chain=(),
             notes=("the identity element is the only minimal zero-sum",),
         )
-    size, free = _short_free(G, G.order, budget)
+    if G.is_elementary_2:
+        witness = _ids_to_sequence(G, gf2.basis_plus_sum(G.rank))
+        step = e2g_d_upper(G.rank)
+    else:
+        size, free = _short_free(G, G.order, budget)
+        witness = _with_closing(free)
+        step = _search_step("search.zsf", "D", "exhaustive zero-sum-free maximum",
+                            group=format_group(G), max_free=size)
     return Certificate(
         constant="D",
         group=G,
         k=None,
-        value=size + 1,
+        value=step.value,
         interval=None,
-        witness=_with_closing(free),
+        witness=witness,
         witness_check={"rule": "atom", "params": {}},
-        upper_chain=(
-            _search_step("search.zsf", "D", "exhaustive zero-sum-free maximum",
-                         group=format_group(G), max_free=size),
-        ),
+        upper_chain=(step,),
     )
 
 
@@ -945,27 +962,27 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
 # Short-block thresholds
 
 
-def _sle_search_feasible(G: Group, cap: int) -> bool:
-    """Whether s_le(G, cap) is searched. C_2^r past rank 5 with cap >= 4
-    falls back to the counting bound; elsewhere the search applies its
-    own guard."""
-    return not G.is_elementary_2 or cap <= 2 or profile(G).rank <= 5
-
-
 @_memoized(maxsize=128)
 def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
-    """Threshold forcing a nonempty zero-sum of length at most k."""
+    """Threshold forcing a nonempty zero-sum of length at most k.
+
+    On C_2^r with 2 <= k < D the upper side is ub.e2g_sphere and the
+    lower side the longest of gf2.code_ids. Where they differ the search
+    decides up to rank 5, which happens only for k = 4 at rank 5; past
+    rank 5 the two give a bracket, since the search is too slow there
+    (s_le(C_2^6, 4) takes 53,389 nodes).
+    """
     if k < 1:
         raise ValueError("k must be positive")
     prof = profile(G)
 
-    def threshold(chain, witness, lo=None, notes=()) -> Certificate:
+    def threshold(chain, witness, lo=None) -> Certificate:
         # s_le(G, k) <= the chain's last value; a witness has no short zero-sum
         hi = chain[-1].value
         check = None if witness is None else {"rule": "short-free", "params": {}}
         return Certificate.from_bracket(
             hi if lo is None else lo, hi, constant="s_le", group=G, k=k, witness=witness,
-            witness_check=check, upper_chain=tuple(chain), notes=notes,
+            witness_check=check, upper_chain=tuple(chain),
         )
 
     if G.order == 1:
@@ -988,23 +1005,16 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         )
         return threshold(d_cert.upper_chain + (step,), _strip_closing(d_cert.witness))
     # exponent <= k < D
-    if G.is_elementary_2 and k == 3:
-        # exact at every rank, with the top coset as its witness
-        coset = _ids_to_sequence(G, gf2.top_coset_ids(prof.rank))
-        return threshold([_sle3_step(prof.rank)], coset)
-    if _sle_search_feasible(G, k):
-        size, witness = _short_free(G, k, budget)
-        step = _search_step("search.sle", "s_le",
-                            "exhaustive maximum without zero-sums of length <= cap",
-                            group=format_group(G), cap=k, max_free=size)
-        return threshold([step], witness)
-    # only C_2^r past rank 5 gets here, with k >= 4: the counting bound for
-    # blocks <= 2m, with 2m = k rounded down to even; it bounds s_le(G, k)
-    # too, as s_le is nonincreasing in the cap. A longest zero-sum-free
-    # sequence has no zero-sum at all, so D is the lower side.
-    note = "the cap-%d bound applies: s_le is nonincreasing in the cap" % (k - 1)
-    return threshold([e2g_s2m_upper(prof.rank, k // 2)], _strip_closing(d_cert.witness),
-                     lo=D, notes=(note,) if k % 2 else ())
+    if G.is_elementary_2:
+        step = e2g_sphere_upper(prof.rank, k)
+        ids = max(gf2.code_ids(prof.rank, k), key=len)
+        if len(ids) + 1 == step.value or prof.rank > 5:
+            return threshold([step], _ids_to_sequence(G, ids), lo=len(ids) + 1)
+    size, witness = _short_free(G, k, budget)
+    step = _search_step("search.sle", "s_le",
+                        "exhaustive maximum without zero-sums of length <= cap",
+                        group=format_group(G), cap=k, max_free=size)
+    return threshold([step], witness)
 
 
 def _strip_closing(witness: Sequence) -> Sequence:
@@ -1108,25 +1118,21 @@ class _E2Pipeline:
 
     A row's chain holds only what its closing ub.squarefree_caps step
     reads, the ub.recursion and search.sweep steps, and the evidence for
-    the recursions' inputs: search.zsf for D, and the threshold step of
-    each level ell some recursion uses.
+    the recursions' inputs: ub.e2g_d for D, and the ub.e2g_sphere step of
+    each level ell some recursion uses. No step is a search that takes a
+    budget.
     """
 
-    def __init__(self, r: int, budget: Optional[int]):
+    def __init__(self, r: int):
         self.G = make_group((2,) * r)
         self.r = r
         self.pieces = gf2.RANK5_SWEEP_PIECES if r == 5 else {}
         self._sweeps: Dict[int, gf2.SweepRecord] = {}
         self._m_steps: Dict[int, BoundReport] = {}
-        d_cert = davenport(self.G, budget)
-        self.D1 = d_cert.value
-        self.zsf_step = d_cert.upper_chain[0]
+        self.d_step = e2g_d_upper(r)
+        self.D1 = self.d_step.value
         # the threshold step of each level a ub.recursion step may use
-        self.s_steps = {
-            2: s_le(self.G, 2, budget).upper_chain[0],
-            3: _sle3_step(r),
-            4: e2g_s2m_upper(r, 2),
-        }
+        self.s_steps = {ell: e2g_sphere_upper(r, ell) for ell in (2, 3, 4)}
         self.s_values = {ell: step.value for ell, step in self.s_steps.items()}
         self.witnesses = _e2_witnesses(r)
 
@@ -1162,7 +1168,7 @@ class _E2Pipeline:
         m_bounds = {j: self.m_bound(j).value for j in range(1, min(k, most - 1) + 1)}
         recursions = [self.m_bound(j) for j in m_bounds]
         levels = sorted({ell for step in recursions for ell in step.input_value("ell")})
-        steps = [self.zsf_step] if recursions else []
+        steps = [self.d_step] if recursions else []
         steps += [self.s_steps[ell] for ell in levels] + recursions
         every = _e2_caps(self.r, k, m_bounds, self.pieces)
         bound = max(cap + 2 * (k - j) for j, cap in every.items())
@@ -1219,14 +1225,11 @@ class _E2Pipeline:
         )
 
 
-@_memoized(maxsize=16)
-def _engine(r: int, budget: Optional[int] = None) -> _E2Pipeline:
-    """The one D_k row pipeline of C_2^r per rank and budget, 2 <= r <= 5.
-
-    The budget bounds the searches for D and s_le(G, 2); the sweeps run
-    without one.
-    """
-    return _E2Pipeline(r, budget)
+@lru_cache(maxsize=16)
+def _engine(r: int) -> _E2Pipeline:
+    """The one D_k row pipeline of C_2^r per rank, 2 <= r <= 5. It runs no
+    search that takes a budget, and its sweeps run without one."""
+    return _E2Pipeline(r)
 
 
 def _dstar_witness(G: Group, k: int) -> Sequence:
@@ -1386,7 +1389,7 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
             upper_chain=chain,
         )
     if G.is_elementary_2 and prof.rank <= 5:
-        return _engine(prof.rank, budget).row(k)
+        return _engine(prof.rank).row(k)
     return _generic_dk(G, k, budget)
 
 

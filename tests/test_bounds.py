@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,10 @@ from zerosum.bounds import (
     e2g_bounds,
     e2g_d0_bounds,
     e2g_d2_upper,
+    e2g_d_upper,
     e2g_kd_upper,
     e2g_s2m_upper,
+    e2g_sphere_upper,
     e2g_split_upper,
     elb_lower,
     evaluate_rule,
@@ -39,7 +42,7 @@ from zerosum.bounds import (
 )
 from zerosum.gf2 import SmallRankEngine
 from zerosum.groups import make_group
-from zerosum.invariants import davenport_k, s_le
+from zerosum.invariants import davenport, davenport_k, s_le
 
 C2 = make_group((2,))
 C23 = make_group((2, 2, 2))
@@ -296,6 +299,38 @@ class TestElementary2Group:
         assert e2g_s2m_upper(5, 2).value == 9
         assert e2g_s2m_upper(4, 2).value == 7
 
+    def test_independence_cap(self):
+        assert [e2g_d_upper(r).value for r in (1, 5, 12)] == [2, 6, 13]
+
+    def test_sphere_packing_values(self):
+        # the Hamming bound at levels 4 and 6 for r = 5..8, and the Hamming
+        # and extended Hamming codes at levels 2 and 3 on every rank
+        assert [e2g_sphere_upper(r, 4).value for r in range(5, 9)] == [8, 11, 16, 23]
+        assert [e2g_sphere_upper(r, 6).value for r in range(5, 9)] == [6, 8, 9, 12]
+        for r in range(1, 13):
+            assert e2g_sphere_upper(r, 2).value == 2**r
+            assert e2g_sphere_upper(r, 3).value == 2 ** (r - 1) + 1
+        # the Golay codes meet it
+        assert e2g_sphere_upper(11, 6).value == 24
+        assert e2g_sphere_upper(12, 7).value == 25
+
+    @pytest.mark.parametrize("r", range(1, 10))
+    def test_sphere_packing_bisection_matches_a_scan(self, r):
+        def scan(room, t):
+            n = 0
+            while sum(comb(n + 1, j) for j in range(t + 1)) <= room:
+                n += 1
+            return n
+
+        for cap in range(2, 12):
+            t, odd = cap // 2, cap % 2
+            assert e2g_sphere_upper(r, cap).value == 1 + scan(2 ** (r - odd), t) + odd, cap
+
+    def test_sphere_packing_is_never_weaker_than_the_counting_bound(self):
+        for r in range(3, 10):
+            for m in (2, 3, 4):
+                assert e2g_sphere_upper(r, 2 * m).value <= e2g_s2m_upper(r, m).value, (r, m)
+
     def test_counting_threshold_root_is_exact(self):
         rep = e2g_s2m_upper(10, 3)
         u = rep.input_value("root")
@@ -339,20 +374,20 @@ class TestEvaluateRule:
             elb_lower(C25, 3, 1, 2),
             step_append_lower(6),
             e2g_d2_upper(5),
+            e2g_d_upper(5),
             e2g_s2m_upper(5, 2),
+            e2g_sphere_upper(5, 4),
             e2g_split_upper(2, 3, 9),
             e2g_d0_bounds(5)[0],
             e2g_d0_bounds(5)[1],
             e2g_kd_upper(5),
         ]
         # rules whose steps s_le, davenport and the rank-5 rows build
-        C2_6 = make_group((2,) * 6)
         row5 = {step.rule_id: step for step in davenport_k(C25, 5).upper_chain}
         moved = {
-            "search.zsf": (row5["search.zsf"], 6),
-            "search.sle": (s_le(C25, 2).upper_chain[-1], 32),
+            "search.zsf": (davenport(C32).upper_chain[-1], 5),
+            "search.sle": (s_le(C25, 4).upper_chain[-1], 7),
             "search.sweep": (row5["search.sweep"], 20),
-            "e2g.sle3": (s_le(C2_6, 3).upper_chain[-1], 33),
             "sle.infinite": (s_le(make_group((3,)), 2).upper_chain[-1], INFINITE),
             "sle.equals_davenport": (s_le(C23, 4).upper_chain[-1], 4),
             "sle.trivial_group": (s_le(make_group(()), 1).upper_chain[-1], 1),
@@ -391,12 +426,14 @@ class TestEvaluateRule:
         ("ub.e2g_s2m", {"r": 5, "m": 1, "root": 6}),
         ("ub.e2g_s2m", {"r": 0, "m": 2, "root": 2}),
         ("ub.e2g_s2m", {"r": 5, "m": 2, "root": 9}),
-        ("e2g.sle3", {"r": 1}),
+        ("ub.e2g_sphere", {"r": 5, "cap": 1}),
         ("ub.e2g_split", {"s": -1, "sub_dk": 3, "rest": 9}),
         ("lb.e2g_d0", {"r": 0}),
         ("ub.e2g_d0", {"r": 0}),
         ("ub.e2g_kd", {"r": 0}),
         ("search.sweep", {"r": 5, "complement_size": 11, "pieces": 6, "instances": 20, "failures": 1}),
+        ("ub.e2g_d", {"r": 0}),
+        ("ub.e2g_sphere", {"r": 0, "cap": 2}),
     ]
 
     @pytest.mark.parametrize("rule_id,inputs", VIOLATIONS)
@@ -412,6 +449,7 @@ class TestEvaluateRule:
         ) == 9
         assert evaluate_rule("ub.extension", {"n": 2, "D_ext": 6, "D_G": 5, "m": 4}) == 6
         assert evaluate_rule("ub.e2g_s2m", {"r": 5, "m": 2, "root": 8}) == 9
+        assert evaluate_rule("ub.e2g_sphere", {"r": 5, "cap": 2}) == 32
 
     def test_recursion_evaluator_matches_rule_on_grid(self):
         # the verifier's re-evaluation and the rule share one scan

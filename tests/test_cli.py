@@ -100,18 +100,39 @@ class TestCompute:
         assert "after 50 nodes" in err
 
     def test_exhausted_elementary_two_budget_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "compute", "davenport", "--group", "2^6",
+        # s_le(C_2^5, 4) is the one C_2^r threshold that is searched
+        code, _, err = run_cli(capsys, "compute", "sle", "--group", "2^5", "--k", "4",
                                "--budget", "1")
         assert code == 1
-        assert "zero-sum-free search (cap 64) on 2^6 exhausted its budget after 1 nodes" in err
+        assert "short-zero-sum search (cap 4) on 2^5 exhausted its budget after 1 nodes" in err
 
-    @pytest.mark.parametrize("k", ["1", "2"])
-    def test_rank5_dk_budget_is_kept(self, capsys, k):
-        # row 2 reads the pipeline's search for D, which runs under the budget
-        code, _, err = run_cli(capsys, "compute", "dk", "--group", "2^5", "--k", k,
-                               "--budget", "1")
+    @pytest.mark.parametrize("budget", ["1", "2"])
+    def test_rank5_dk_budget_is_kept(self, capsys, budget):
+        # the C_2^5 rows run no search that takes a budget; the search
+        # behind s_le(C_2^5, 4) keeps the one it is given
+        code, _, err = run_cli(capsys, "compute", "sle", "--group", "2^5", "--k", "4",
+                               "--budget", budget)
         assert code == 1
-        assert "zero-sum-free search (cap 32) on 2^5 exhausted its budget after 1 nodes" in err
+        assert "(cap 4) on 2^5 exhausted its budget after %s nodes" % budget in err
+
+    @pytest.mark.parametrize("k,value", [("1", 6), ("2", 10)])
+    def test_rank5_dk_rows_take_no_budget(self, capsys, k, value):
+        code, out, _ = run_cli(capsys, "compute", "dk", "--group", "2^5", "--k", k,
+                               "--budget", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "D_%s(2^5) = %d" % (k, value)
+
+    def test_eta_past_rank_nine_is_a_rule(self, capsys, tmp_path):
+        # eta(C_2^10) = 2^10 from the Hamming code, with no search to overflow
+        code, out, _ = run_cli(capsys, "compute", "eta", "--group", "2^10")
+        assert code == 0
+        assert out.splitlines()[0] == "eta(2^10) = 1024"
+        code, out, _ = run_cli(capsys, "compute", "eta", "--group", "2^10", "--format", "json")
+        assert code == 0
+        path = tmp_path / "eta.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "verify", "--cert", str(path))
+        assert (code, out.strip()) == (0, "ok")
 
     def test_missing_k_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "compute", "dk", "--group", "2^3")
@@ -138,10 +159,10 @@ class TestCompute:
         assert lines[0] == "D_3(2^5) in [13, 14]"
         assert lines[1].endswith("(length 13, rule max-disjoint)")
         assert lines[2] == (
-            "chain: search.zsf -> ub.e2g_s2m -> ub.recursion -> ub.recursion"
+            "chain: ub.e2g_d -> ub.e2g_sphere -> ub.recursion -> ub.recursion"
             " -> ub.recursion -> ub.squarefree_caps"
         )
-        assert lines[3:] == ["digest: e16cb78137d29b1c"]
+        assert lines[3:] == ["digest: cc0ee01207055375"]
 
     def test_text_threshold_label(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "sle", "--group", "2^3", "--k", "2")
@@ -149,7 +170,7 @@ class TestCompute:
         lines = out.splitlines()
         assert lines[0] == "s_le_2(2^3) = 8"
         assert lines[1].endswith("(length 7, rule short-free)")
-        assert lines[2:] == ["chain: search.sle", "digest: 01fc3dde893fa52e"]
+        assert lines[2:] == ["chain: ub.e2g_sphere", "digest: 778e886495fb217b"]
 
     def test_json_output_is_byte_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "compute", "dk", "--group", "2^4", "--k", "3",

@@ -1,4 +1,4 @@
-"""Tests for the bitmask search engines on elementary 2-groups."""
+"""Tests for the bitmask engines and code witnesses on elementary 2-groups."""
 
 import itertools
 import random
@@ -390,6 +390,46 @@ class TestShortZeroSumFreeSearch:
                 assert xor_all(sub) != 0
 
 
+def shortest_zero_sum(ids, cap):
+    """Brute force: the least j <= cap with a j-subset of XOR 0, else None."""
+    for j in range(1, cap + 1):
+        if any(xor_all(sub) == 0 for sub in itertools.combinations(ids, j)):
+            return j
+    return None
+
+
+class TestCodeIds:
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_sets_have_no_short_zero_sum(self, r):
+        # brute force up to length 4; the s_le certificates that cite these
+        # sets check every cap through their short-free witness rule
+        for cap in range(2, r + 2):
+            for ids in gf2.code_ids(r, cap):
+                assert len(set(ids)) == len(ids) and 0 < min(ids) and max(ids) < 1 << r
+                assert shortest_zero_sum(ids, min(cap, 4)) is None, (cap, ids)
+
+    def test_codes_by_cap(self):
+        assert [len(ids) for ids in gf2.code_ids(5, 2)] == [31, 16, 6]
+        assert [len(ids) for ids in gf2.code_ids(5, 3)] == [16, 6]
+        assert [len(ids) for ids in gf2.code_ids(12, 6)] == [23, 24, 13]
+        assert [len(ids) for ids in gf2.code_ids(12, 7)] == [24, 13]
+        assert gf2.code_ids(12, 8) == [gf2.basis_plus_sum(12)]
+        assert gf2.code_ids(5, 6) == []
+
+    def test_golay_distances(self):
+        # the Golay code has distance 7 and its extension 8
+        golay = gf2.GOLAY_IDS
+        extended = gf2.code_ids(12, 7)[0]
+        assert len(set(golay)) == 23 and max(golay) < 1 << 11
+        assert shortest_zero_sum(golay, 7) == 7
+        assert shortest_zero_sum(extended, 8) == 8
+
+    def test_basis_plus_sum_is_one_circuit(self):
+        for r in range(2, 9):
+            ids = gf2.basis_plus_sum(r)
+            assert is_circuit(ids) and len(ids) == r + 1
+
+
 class TestCircuitPartitions:
     def test_full_rank3_splits_in_two(self):
         parts = find_circuit_partition(range(1, 8), 2, 3)
@@ -623,16 +663,16 @@ class TestSweeps:
 
 # digests of the C_2^5 certificates for k = 1..10
 RANK5_CERT_DIGESTS = {
-    1: "191bcfbf238a4fbe",
-    2: "2681ffda42d82d2b",
-    3: "e16cb78137d29b1c",
-    4: "ac1ae587ca0a4157",
-    5: "2db78dd4929e771f",
-    6: "5493454b196a0a80",
-    7: "074d5fdfc52fe7be",
-    8: "3cf170cea85a05d3",
-    9: "41e2adf7faceb0ba",
-    10: "4cc24bf203ac7916",
+    1: "5b3980ba081585a5",
+    2: "ea17afdd24bb0cba",
+    3: "cc0ee01207055375",
+    4: "0f5b3b88aff92a99",
+    5: "33479c59d212fc89",
+    6: "73e0a6ba3cabea8c",
+    7: "0b7a0ec0ff355d38",
+    8: "ca6e37433e9d15df",
+    9: "62d3fbcc81d7c615",
+    10: "5da24d8f8800077a",
 }
 
 # complement sizes of the sweeps in each C_2^5 row's chain

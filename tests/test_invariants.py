@@ -11,7 +11,14 @@ import pytest
 
 from zerosum import gf2, invariants
 from zerosum.arith import INFINITE
-from zerosum.bounds import BoundReport, InputValue, elb_lower, remark_ub, s_le_from_extension
+from zerosum.bounds import (
+    BoundReport,
+    InputValue,
+    e2g_s2m_upper,
+    elb_lower,
+    remark_ub,
+    s_le_from_extension,
+)
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
 from zerosum.groups import add, element_index, enumerate_elements, make_group, profile
 from zerosum.invariants import (
@@ -71,9 +78,10 @@ def assert_verifies(cert):
 class TestDavenport:
     @pytest.mark.parametrize("r,value", [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])
     def test_elementary_two_groups(self, r, value):
+        # the independence cap, met by a basis and its sum
         cert = davenport(make_group((2,) * r))
         assert cert.value == value
-        assert [s.rule_id for s in cert.upper_chain] == ["search.zsf"]
+        assert [s.rule_id for s in cert.upper_chain] == ["ub.e2g_d"]
         assert_verifies(cert)
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -153,14 +161,22 @@ class TestSle:
         assert [s.rule_id for s in cert.upper_chain] == ["search.sle"]
         assert_verifies(cert)
 
-    @pytest.mark.parametrize("r,cap,bracket", [(6, 5, (7, 13)), (7, 5, (8, 17)), (7, 7, (8, 12))])
+    @pytest.mark.parametrize("r,cap,bracket", [(6, 5, (8, 9)), (7, 5, (9, 12)), (8, 5, (10, 17))])
     def test_odd_cap_past_rank_five_is_bracketed(self, r, cap, bracket):
-        # s_le is nonincreasing in the cap, so the counting bound for cap - 1 applies
+        # the punctured sphere-packing bound against the repetition code
         cert = s_le(make_group((2,) * r), cap)
         assert cert.interval == bracket
-        assert [(s.rule_id, s.input_value("m")) for s in cert.upper_chain] == [
-            ("ub.e2g_s2m", (cap - 1) // 2)
+        assert [(s.rule_id, s.input_value("cap")) for s in cert.upper_chain] == [
+            ("ub.e2g_sphere", cap)
         ]
+        assert_verifies(Certificate.from_json(cert.to_json()))
+
+    @pytest.mark.parametrize("r,bracket", [(6, (8, 11)), (7, (9, 16))])
+    def test_cap_four_past_rank_five_is_bracketed(self, r, bracket):
+        # the sphere-packing bound against the repetition code; the
+        # search that would close it stops at rank 5
+        cert = s_le(make_group((2,) * r), 4)
+        assert cert.interval == bracket
         assert_verifies(Certificate.from_json(cert.to_json()))
 
     def test_witness_is_extremal(self):
@@ -170,23 +186,23 @@ class TestSle:
 
 
 class TestElementaryTwoSearchDigests:
-    """Certificates of the C_2^r search, pinned bit for bit."""
+    """D and s_le certificates of C_2^r, pinned bit for bit."""
 
     D_DIGESTS = {
-        1: "928c79a84b34a4d3", 2: "07563fb07f492ac3", 3: "6edf48e22dd4313d",
-        4: "6a5a816973fda9ca", 5: "0f8d9f2d748cc2b3", 6: "fa77f590dc42fcfc",
-        7: "81456ab4a553f77c", 8: "1b37765c9473cc5e", 9: "eeddd92267adbadd",
-        10: "3e9689318310dd68", 11: "8e08a5140ff4d31a", 12: "d47f2ef3cd21cb99",
+        1: "5289067e80382f0b", 2: "75a8b7e72ff07f66", 3: "486c3845dc7d3b9d",
+        4: "77963d4d7aa502ea", 5: "45086d405d4ac50e", 6: "8d97a1dd0d3dbee7",
+        7: "bebee715e912f763", 8: "1ffd502396195e89", 9: "d2c0173d50d9c496",
+        10: "3578a9d899588946", 11: "4bda5f689041eac4", 12: "d510aeeaff84a715",
     }
-    # every cap exponent <= cap < D at rank <= 5: cap 3 from e2g.sle3,
-    # the others from the search
+    # every cap exponent <= cap < D at rank <= 5: each from ub.e2g_sphere
+    # but cap 4 at rank 5, from the search
     SLE_DIGESTS = {
-        (2, 2): "adbc5a715ff24c0b",
-        (3, 2): "01fc3dde893fa52e", (3, 3): "31b9f659364017b9",
-        (4, 2): "828c491b9085dbd0", (4, 3): "d863dd02b4e3d701",
-        (4, 4): "49d17a35cff1cb08",
-        (5, 2): "e251548d65b80406", (5, 3): "d6d83360b7004f67",
-        (5, 4): "4d8545466d05b487", (5, 5): "762b892025d12646",
+        (2, 2): "7b36b311fe05affb",
+        (3, 2): "778e886495fb217b", (3, 3): "c5c997b9ffaa1181",
+        (4, 2): "3f19fcee745c8430", (4, 3): "84584f5bbf3b88a4",
+        (4, 4): "107cb42072f0a0da",
+        (5, 2): "a43607ca55f1154f", (5, 3): "63f0b946a82613dd",
+        (5, 4): "4d8545466d05b487", (5, 5): "8710558c2d5ecc7a",
     }
 
     def test_davenport_digests_pinned(self):
@@ -200,30 +216,30 @@ class TestElementaryTwoSearchDigests:
         }
         assert got == self.SLE_DIGESTS
 
-    def test_sle_steps_are_searches(self):
-        # but cap 3, which e2g.sle3 gives at every rank
+    def test_sle_steps_cite_the_sphere_rule(self):
+        # but s_le(C_2^5, 4) = 7, where no code meets the rule's 8
         for r, cap in self.SLE_DIGESTS:
             cert = s_le(make_group((2,) * r), cap)
-            rule = "e2g.sle3" if cap == 3 else "search.sle"
+            rule = "search.sle" if (r, cap) == (5, 4) else "ub.e2g_sphere"
             assert [s.rule_id for s in cert.upper_chain] == [rule]
             assert_verifies(cert)
 
 
 class TestDkSmallRank:
-    # row 1 closes on the zero-sum-free search; later rows are
+    # row 1 closes on the independence cap; later rows are
     # sandwiched from thresholds and rules, as rank 5 and C_3^3 are
     @pytest.mark.parametrize("k,value", [(1, 4), (2, 7), (3, 9), (4, 11), (5, 13)])
     def test_rank_three_table(self, k, value):
         cert = davenport_k(C23, k)
         assert cert.value == value
-        assert cert.upper_chain[-1].rule_id == ("search.zsf" if k == 1 else "ub.squarefree_caps")
+        assert cert.upper_chain[-1].rule_id == ("ub.e2g_d" if k == 1 else "ub.squarefree_caps")
         assert_verifies(cert)
 
     @pytest.mark.parametrize("k,value", [(1, 5), (2, 8), (3, 11), (4, 13), (5, 15)])
     def test_rank_four_table(self, k, value):
         cert = davenport_k(C24, k)
         assert cert.value == value
-        assert cert.upper_chain[-1].rule_id == ("search.zsf" if k == 1 else "ub.squarefree_caps")
+        assert cert.upper_chain[-1].rule_id == ("ub.e2g_d" if k == 1 else "ub.squarefree_caps")
         assert_verifies(cert)
 
     def test_witness_packs_to_claimed_value(self):
@@ -241,14 +257,14 @@ E2_SMALL_DK_DIGESTS = {
         "9a917954811fd588", "e17d32e8110f4480", "ccfcc069819f584c",
     ),
     3: (
-        "968893be4349fe5b", "796291088b653aec", "ef1a1ca1bf419448", "6574b698d64a806b",
-        "a5e55cdcf7864150", "1fa112b1882bdd27", "3f087c4ab63fe548", "feb0f73ff084f2ec",
-        "068d8644be5aa19b", "27de107d8fdf1486", "217b7e0ed544c74f",
+        "3ba32ea7a4a7fec6", "88fd8c0a217e427e", "56babb8c5a682b63", "12ba70677d7461c4",
+        "c427e202c39ebf42", "93c7d3866959310f", "360618134e5ecbd3", "51d3d9c5e8e75fca",
+        "20bd557f5b21535e", "15d4d89f8955aa41", "6997f315d0db280d",
     ),
     4: (
-        "2a90d2d9723a9ac9", "298937e9e2741cf2", "b07e086ccb9b8a55", "c41e621797afc931",
-        "48eeeda9a4947b61", "70d1c6bdfb2d44d5", "17f5e6bc2ecff37e", "7acc0e66e2e3e937",
-        "d10454cef05b96c3", "20657f91814ef907", "77944516bbc1540d",
+        "5c7ee82077b9ff06", "e0b065f19adee0c1", "f83e9553e407ac48", "83768840d614aaf4",
+        "31f3c7c77fa7effa", "e4dc7e643a15f429", "f1ec7362d892839a", "1f5d543c08ceac96",
+        "4f9429b6d23e270b", "644e603d32cb14bd", "fda770fc815c3ec0",
     ),
 }
 
@@ -292,20 +308,15 @@ class TestElementaryTwoRowsMatchEnumeration:
 
 def threshold_level(step):
     """The level ell whose threshold a step of a C_2^r row gives, else None."""
-    inputs = step.plain_inputs()
-    if step.rule_id == "search.sle" and inputs["cap"] == 2:
-        return 2
-    if step.rule_id == "e2g.sle3":
-        return 3
-    if step.rule_id == "ub.e2g_s2m" and inputs["m"] == 2:
-        return 4
+    if step.rule_id == "ub.e2g_sphere":
+        return step.input_value("cap")
     return None
 
 
 class TestElementaryTwoRowsCarryOnlyWhatIsRead:
     """A C_2^r row's chain holds what its ub.squarefree_caps step reads
     (ub.recursion and search.sweep steps) and the evidence for the
-    recursions' inputs: search.zsf for D, one threshold step per level."""
+    recursions' inputs: ub.e2g_d for D, one threshold step per level."""
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_every_step_is_read(self, r):
@@ -314,17 +325,17 @@ class TestElementaryTwoRowsCarryOnlyWhatIsRead:
             cert = davenport_k(G, k)
             chain = cert.upper_chain
             if k == 1:
-                assert [s.rule_id for s in chain] == ["search.zsf"]
+                assert [s.rule_id for s in chain] == ["ub.e2g_d"]
                 continue
             assert chain[-1].rule_id == "ub.squarefree_caps"
             recursions = [s for s in chain if s.rule_id == "ub.recursion"]
             used = sorted({ell for s in recursions for ell in s.input_value("ell")})
             cited = [threshold_level(s) for s in chain if threshold_level(s) is not None]
             assert cited == used, k
-            assert [s.rule_id for s in chain].count("search.zsf") == (1 if recursions else 0)
+            assert [s.rule_id for s in chain].count("ub.e2g_d") == (1 if recursions else 0)
             for step in chain[:-1]:
                 assert (
-                    step.rule_id in ("ub.recursion", "search.zsf")
+                    step.rule_id in ("ub.recursion", "ub.e2g_d")
                     or threshold_level(step) is not None
                     or step.rule_id == "search.sweep" and step.input_value("r") == r
                 ), (k, step.rule_id)
@@ -376,8 +387,8 @@ GENERIC_DK_DIGESTS = {
         "a18353d3d8fc76fe", "cb7eb55f08bd1bb2", "56a9d2589e4c4ef5", "7131081de948647c",
     ),
     (2, 2, 2, 2, 2, 2): (
-        "e08c017d702be29a", "98d4401bc77ac1b7", "cee4716ed2d9075d", "837b1c215628cd0f",
-        "d3d99355fc26706a", "c430f3cb8044fcec", "2ea783f64af83756", "25dc0f9ae6aaa94d",
+        "8d48086b4ca9c8e6", "98d4401bc77ac1b7", "cee4716ed2d9075d", "837b1c215628cd0f",
+        "d3d99355fc26706a", "c430f3cb8044fcec", "2ea783f64af83756", "c640493c46ecf09b",
     ),
 }
 
@@ -722,23 +733,16 @@ class TestGenericSearch:
         )
 
     def test_budget_bounds_the_elementary_two_search(self):
-        # the bitmask search on C_2^r counts nodes as the generic one does:
-        # D(C_2^6) takes 7 nodes, s_le(C_2^5, 4) 13 after D's 6
+        # s_le(C_2^5, 4), the one C_2^r threshold the rules leave open, is
+        # the generic search's, 93 nodes; D and the other caps take none
         with pytest.raises(SearchError) as excinfo:
-            davenport(make_group((2,) * 6), 1)
+            s_le(C25, 4, 92)
         assert str(excinfo.value) == (
-            "zero-sum-free search (cap 64) on 2^6 exhausted its budget after 1 nodes"
+            "short-zero-sum search (cap 4) on 2^5 exhausted its budget after 92 nodes"
         )
-        assert davenport(make_group((2,) * 6), 7).value == 7
-        with pytest.raises(SearchError) as excinfo:
-            s_le(C25, 4, 12)
-        assert str(excinfo.value) == (
-            "short-zero-sum search (cap 4) on 2^5 exhausted its budget after 12 nodes"
-        )
-        assert s_le(C25, 4, 13).value == 7
-        # cap 3 is a rule, but s_le first needs D
-        with pytest.raises(SearchError, match="zero-sum-free search"):
-            s_le(C25, 3, 1)
+        assert s_le(C25, 4, 93).value == 7
+        assert davenport(make_group((2,) * 6), 1).value == 7
+        assert s_le(C25, 3, 1).value == 17
 
     def test_exhausted_search_is_not_rerun(self, monkeypatch):
         # the second call raises the remembered SearchError at once
@@ -903,7 +907,7 @@ class TestCertificateSerialization:
         assert not result.ok
 
     def test_tampered_chain_step_is_rejected(self):
-        data = davenport_k(C25, 2).to_json()
+        data = davenport_k(C25, 5).to_json()
         for step in data["upper_chain"]:
             if step["rule"].startswith("search."):
                 step["value"] = step["value"] - 1
@@ -1004,14 +1008,15 @@ class TestRuleStepsRecheckPreconditions:
         assert verify_certificate(revived).problems == expected
 
     def test_tampered_s2m_root_is_rejected(self):
-        result = _tamper(davenport_k(C25, 2), "ub.e2g_s2m", {"root": 10})
+        cert = _with_step(davenport_k(C25, 2), e2g_s2m_upper(5, 2))
+        result = _tamper(cert, "ub.e2g_s2m", {"root": 10})
         assert not result.ok
         assert any("ub.e2g_s2m: re-evaluation failed" in p for p in result.problems)
 
     def test_tampered_elb_delta_is_rejected(self):
-        cert = _with_step(davenport_k(C24, 2), elb_lower(C25, 3, 1, 2))
-        # delta 0 -> 1 with d_star 6 -> 5 keeps the recorded value 9
-        result = _tamper(cert, "lb.elb", {"delta": 1, "d_star": 5})
+        cert = _with_step(davenport_k(C24, 2), elb_lower(C24, 3, 1, 2))
+        # delta 0 -> 1 with d_star 5 -> 4 keeps the recorded value 8
+        result = _tamper(cert, "lb.elb", {"delta": 1, "d_star": 4})
         assert not result.ok
         assert any("lb.elb: re-evaluation failed" in p for p in result.problems)
 
@@ -1245,10 +1250,11 @@ class TestRank5Caps:
         ]
 
     def test_rank5_row_keeps_the_budget(self):
-        # the C_2^r pipeline runs its search for D under the row's budget
+        # the C_2^r pipeline runs no search that takes a budget; s_le(C_2^5,
+        # 4), the one C_2^5 search left, keeps its own
+        assert davenport_k(C25, 2, 1).value == 10
         with pytest.raises(SearchError, match="on 2\\^5 exhausted its budget after 1 nodes"):
-            davenport_k(C25, 2, 1)
-        assert davenport_k(C25, 2).value == 10
+            s_le(C25, 4, 1)
 
     def test_caps_outside_elementary_two_groups_are_rejected(self):
         # two elements per extra block holds only where every element has order 2
@@ -1362,14 +1368,14 @@ class TestTamperedFields:
          _setting(witness=[{"coords": [1, 0], "mult": 3}, {"coords": [0, 1], "mult": 3},
                            {"coords": [1, 1], "mult": 1}, {"coords": [2, 2], "mult": 1}]),
          "witness: maximum block count 3 exceeds 2"),
-        (lambda: davenport(C22), _step_field(0, "digest", "0" * 16),
+        (lambda: davenport(C32), _step_field(0, "digest", "0" * 16),
          "chain[0] search.zsf: digest mismatch"),
-        (lambda: davenport(C22), _drop_input(0, "max_free"),
+        (lambda: davenport(C32), _drop_input(0, "max_free"),
          "chain[0] search.zsf: cannot be digested ('max_free')"),
         (lambda: davenport_k(make_group((6,)), 2), _step_field(0, "value", 5),
          "chain[0] search.zsf: re-evaluates to 6, not 5"),
-        (lambda: davenport_k(C25, 9), _step_field(1, "value", 31),
-         "chain[1] search.sle: re-evaluates to 32, not 31"),
+        (lambda: davenport_k(C33, 3), _step_field(1, "value", 9),
+         "chain[1] search.sle: re-evaluates to 10, not 9"),
         (lambda: davenport_k(C25, 5), _step_field(8, "value", 19),
          "chain[8] search.sweep: re-evaluates to 20, not 19"),
         (lambda: davenport_k(C25, 5), _failed_sweep(8),
@@ -1379,7 +1385,7 @@ class TestTamperedFields:
         (lambda: davenport_k(make_group((2,) * 6), 8), _setting(k=9),
          _unbound(2, "ub.step", 9)),
         (lambda: s_le(C33, 3), _setting(k=2), _unbound(0, "search.sle", 2)),
-        (lambda: s_le(C24, 4), _setting(k=3), _unbound(0, "search.sle", 3)),
+        (lambda: s_le(C24, 4), _setting(k=3), _unbound(0, "ub.e2g_sphere", 3)),
         (lambda: davenport_k(C33, 3), _step_input(2, "D", 0),
          "chain[2] ub.recursion: re-evaluation failed (D and every ell must be positive)"),
         (lambda: davenport_k(C33, 3), _step_input(2, "ell", [0]),
@@ -1449,3 +1455,145 @@ class TestTableShape:
         for k in range(1, 13):
             cert = davenport_k(C25, k)
             assert cert.lower <= cert.upper
+
+
+def _problems_in_memory_and_from_json(cert):
+    """verify_certificate's problems for cert, which a JSON round trip keeps."""
+    problems = verify_certificate(cert).problems
+    revived = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert verify_certificate(revived).problems == problems
+    return problems
+
+
+class TestChainBoundToGroup:
+    """A step whose inputs name another group's rank, order or label is
+    refused, so no sound step of a smaller group can be spliced in."""
+
+    def test_sphere_step_of_a_smaller_rank_is_rejected(self):
+        # s_le(C_2^5, 3) is 17; the rank-4 step claims 9, next to the
+        # rank-4 top coset, which has no zero-sum of length <= 3
+        cert = Certificate(
+            constant="s_le", group=C25, k=3, value=9, interval=None,
+            witness=invariants._ids_to_sequence(C25, gf2.top_coset_ids(4)),
+            witness_check={"rule": "short-free", "params": {}},
+            upper_chain=(invariants.e2g_sphere_upper(4, 3),),
+        )
+        assert _problems_in_memory_and_from_json(cert) == (
+            "chain[0] ub.e2g_sphere: input r = 4 is not the group's 5",
+        )
+
+    def test_search_step_of_a_subgroup_is_rejected(self):
+        # D(C_3^3) is 7; this cites D(C_3^2)'s search, next to its atom
+        # with a third coordinate 0
+        sub = davenport(C32)
+        atom = Sequence.from_elements(C33, [e + (0,) for e in sub.witness.as_list()])
+        cert = Certificate(
+            constant="D", group=C33, k=None, value=5, interval=None, witness=atom,
+            witness_check={"rule": "atom", "params": {}}, upper_chain=sub.upper_chain,
+        )
+        assert _problems_in_memory_and_from_json(cert) == (
+            "chain[0] search.zsf: input group = '3^2' is not the group's '3^3'",
+        )
+
+    def test_two_block_cap_of_a_smaller_rank_is_rejected(self):
+        # D_2(C_2^5) is 10; ub.e2g_d2 at r = 3 claims 7, next to D_2(C_2^3)'s
+        # witness, whose ids keep their values in C_2^5
+        row = davenport_k(C23, 2)
+        ids = [element_index(C23, e) for e in row.witness.as_list()]
+        cert = Certificate(
+            constant="D_k", group=C25, k=2, value=7, interval=None,
+            witness=invariants._ids_to_sequence(C25, ids), witness_check=row.witness_check,
+            upper_chain=(invariants.e2g_d2_upper(3),),
+        )
+        assert _problems_in_memory_and_from_json(cert) == (
+            "chain[0] ub.e2g_d2: input r = 3 is not the group's 5",
+        )
+
+    def test_elementary_two_rule_on_another_group_is_rejected(self):
+        # D(C_3^2) is 5; ub.e2g_d at its rank 2 would claim 3
+        atom = Sequence.from_elements(C32, [(1, 0), (0, 1), (2, 2)])
+        cert = Certificate(
+            constant="D", group=C32, k=None, value=3, interval=None, witness=atom,
+            witness_check={"rule": "atom", "params": {}},
+            upper_chain=(invariants.e2g_d_upper(2),),
+        )
+        assert _problems_in_memory_and_from_json(cert) == (
+            "chain[0] ub.e2g_d: the rule needs an elementary 2-group",
+        )
+
+    def test_p_is_a_prime_exponent_or_none(self):
+        assert invariants._group_properties(C32)["p"] == 3
+        assert invariants._group_properties(make_group((4, 4)))["p"] is None
+        assert invariants._group_properties(make_group((2, 4)))["p"] is None
+
+
+def _assert_verifies_from_json(cert):
+    assert_verifies(Certificate.from_json(json.loads(json.dumps(cert.to_json()))))
+
+
+class TestElementaryTwoRules:
+    """D and s_le of C_2^r from ub.e2g_d and ub.e2g_sphere, against the
+    bitmask search kept as the tests' oracle and the coding literature."""
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_sle_holds_the_bitmask_search(self, r):
+        G = make_group((2,) * r)
+        for cap in range(2, r + 2):
+            if (r, cap) == (6, 3):
+                continue  # 13.6 s for the oracle; 33 is pinned from the extended Hamming code
+            size, _ids = gf2.max_set_without_short_zero_sums(r, cap)
+            cert = s_le(G, cap)
+            assert cert.lower <= size + 1 <= cert.upper, cap
+            if r <= 5:
+                assert cert.value == size + 1, cap
+
+    def test_davenport_is_the_bitmask_search(self):
+        for r in range(1, 9):
+            assert davenport(make_group((2,) * r)).value == 1 + gf2.max_independent_size(r)[0]
+
+    @pytest.mark.parametrize("r,cap,value", [(6, 6, 8), (7, 6, 9), (7, 7, 9), (11, 6, 24), (12, 7, 25)])
+    def test_codes_close_the_threshold(self, r, cap, value):
+        # repetition codes at ranks 6 and 7, Golay codes at 11 and 12
+        cert = s_le(make_group((2,) * r), cap)
+        assert cert.value == value
+        assert [s.rule_id for s in cert.upper_chain] == ["ub.e2g_sphere"]
+        _assert_verifies_from_json(cert)
+
+    @pytest.mark.parametrize("r", range(1, 13))
+    def test_hamming_thresholds(self, r):
+        G = make_group((2,) * r)
+        for cert, value in ((eta(G), 2**r), (s_le(G, 3), 2 ** (r - 1) + 1)):
+            assert cert.value == value
+            _assert_verifies_from_json(cert)
+
+    def test_no_library_path_calls_the_bitmask_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bitmask search ran")
+
+        monkeypatch.setattr(gf2, "max_set_without_short_zero_sums", refuse)
+        for fn in (davenport, s_le, davenport_k, invariants._engine):
+            fn.cache_clear()
+        for r in range(1, 13):
+            G = make_group((2,) * r)
+            davenport(G)
+            eta(G)
+            for cap in range(1, 9):
+                s_le(G, cap)
+        assert [davenport_k(C25, k).upper for k in range(1, 11)] == [
+            6, 10, 14, 17, 19, 21, 23, 26, 28, 31
+        ]
+
+    def test_rows_under_two_budgets_share_their_sweeps(self, monkeypatch):
+        calls = []
+        real = gf2.run_sweep
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gf2, "run_sweep", counted)
+        invariants._engine.cache_clear()
+        davenport_k.cache_clear()
+        first = davenport_k(C25, 7)
+        assert davenport_k(C25, 7, 10**7).digest() == first.digest()
+        assert len(calls) == 6
