@@ -27,7 +27,7 @@ from .arith import (
     parse_value,
     serialize_value,
 )
-from .groups import Group, profile
+from .groups import Group, format_group, parse_group, profile
 
 
 class BoundError(ValueError):
@@ -229,6 +229,19 @@ def _extension_m(n: int, D_ext: int, D_G: int) -> int:
     return max((D_ext // n) * n // 2, (D_G // n) * n)
 
 
+def _labelled_group(i) -> Group:
+    """The group an input labelled group names."""
+    _require(isinstance(i["group"], str), "group must be a label")
+    return parse_group(i["group"])
+
+
+def _rank_two(i) -> Tuple[int, int]:
+    """The invariant factors (m, n) of the labelled group, which must have rank 2."""
+    G = _labelled_group(i)
+    _require(G.rank == 2, "the rule needs a group of rank 2")
+    return G.invariant_factors
+
+
 def _s2m_root(r: int, m: int) -> int:
     """Least u with u^m >= m! 2^r, for the counting bound on blocks <= 2m."""
     _require(m >= 2, "need m >= 2")
@@ -378,6 +391,36 @@ def _sle_equals_davenport(i):
     return i["D"]
 
 
+# Theorems on families of groups. Each reads its group off the input
+# group, which the verifier binds to the certificate's group
+
+
+@_rule("ub.olson")
+def _olson(i):
+    """D(G) = D*(G) for a p-group (Olson, J. Number Theory 1, 1969, part I)
+    and for rank <= 2 (part II, same volume; van Emde Boas 1969)."""
+    G = _labelled_group(i)
+    _require(olson_applies(G), "the rule needs a p-group or a group of rank at most 2")
+    return profile(G).d_star
+
+
+@_rule("ub.halter_koch")
+def _halter_koch(i):
+    """D_k(C_m + C_n) = m + kn - 1 for m | n (Halter-Koch, Colloq. Math. 63, 1992)."""
+    m, n = _rank_two(i)
+    _require(i["k"] >= 1, "k must be positive")
+    return m + i["k"] * n - 1
+
+
+@_rule("ub.eta_rank2")
+def _eta_rank2(i):
+    """eta(C_m + C_n) = 2m + n - 2 for m | n (Gao and Geroldinger,
+    Expo. Math. 24, 2006), the threshold at cap n."""
+    m, n = _rank_two(i)
+    _require(i["cap"] == n, "cap must be the exponent %d" % n)
+    return 2 * m + n - 2
+
+
 # Search records
 
 
@@ -464,6 +507,37 @@ def _e2g_kd(i):
 
 # ---------------------------------------------------------------------------
 # Calculators: upper bounds
+
+
+def olson_applies(G: Group) -> bool:
+    """Whether ub.olson holds on G: G is a p-group or has rank <= 2."""
+    order = G.order
+    p = next((f for f in range(2, isqrt(order) + 1) if order % f == 0), order)
+    while order > 1 and order % p == 0:
+        order //= p
+    return G.rank <= 2 or order == 1
+
+
+def olson_upper(G: Group) -> BoundReport:
+    """D(G) = D*(G) on a p-group or rank <= 2."""
+    return report("ub.olson", "upper", [("group", format_group(G), COMPUTED)], constant="D")
+
+
+def halter_koch_upper(G: Group, k: int) -> BoundReport:
+    """D_k(G) = D*(G) + (k - 1) exp(G) on rank 2."""
+    return report(
+        "ub.halter_koch", "upper", [("group", format_group(G), COMPUTED), ("k", k, SUPPLIED)]
+    )
+
+
+def eta_rank2_upper(G: Group, cap: int) -> BoundReport:
+    """eta(G) = 2m + n - 2 on G = C_m + C_n with m | n, at cap n."""
+    return report(
+        "ub.eta_rank2",
+        "upper",
+        [("group", format_group(G), COMPUTED), ("cap", cap, SUPPLIED)],
+        constant="s_le",
+    )
 
 
 def k_times_d(k: int, D: int, d_prov: str = SUPPLIED) -> BoundReport:
@@ -835,36 +909,40 @@ def dk_upper_bounds(
     D: Optional[int],
     s_values: Dict[int, ExtInt],
     prev_dk: Optional[int] = None,
-    prov: str = SUPPLIED,
+    d_prov: str = SUPPLIED,
+    s_prov: str = SUPPLIED,
 ) -> List[BoundReport]:
     """Every upper bound rule on D_k(G) the inputs allow, in a fixed order.
 
     Given D: k * D, best_recursion when it uses a level, then per usable
     level ub.remark and, given prev_dk = D_{k-1}, ub.step. Then ub.cpr on
-    C_p^r with r >= 2, at the least m its precondition accepts, and
-    ub.e2g_d2 at k = 2 on C_2^r. D and the thresholds are recorded with
-    provenance prov, prev_dk as computed.
+    C_p^r with r >= 2, at the least m its precondition accepts,
+    ub.halter_koch on rank 2, and ub.e2g_d2 at k = 2 on C_2^r. D is
+    recorded with provenance d_prov, the thresholds with s_prov, and
+    prev_dk as computed.
     """
     prof = profile(G)
     factors = G.invariant_factors
     out: List[BoundReport] = []
     if D is not None:
-        out.append(k_times_d(k, D, d_prov=prov))
-        rec = best_recursion(G, s_values, D, k, prov, prov)
+        out.append(k_times_d(k, D, d_prov=d_prov))
+        rec = best_recursion(G, s_values, D, k, s_prov, d_prov)
         if rec.input_value("ell"):
             out.append(rec)
         for ell in _usable_levels(G, s_values, D):
             s = s_values[ell]
             if ell <= max(prof.exponent, D - 1):
-                out.append(remark_ub(G, k, ell, s, D, s_prov=prov, d_prov=prov))
+                out.append(remark_ub(G, k, ell, s, D, s_prov=s_prov, d_prov=d_prov))
             if prev_dk is not None:
-                out.append(step_ub(prev_dk, ell, s, dk_prov=COMPUTED, s_prov=prov))
+                out.append(step_ub(prev_dk, ell, s, dk_prov=COMPUTED, s_prov=s_prov))
     if prof.rank >= 2 and len(set(factors)) == 1 and is_prime(factors[0]):
         p, r = factors[0], prof.rank
         m = 1
         while r * (p - 1) + 1 >= 2 * p**m:
             m += 1
         out.append(cpr_upper(p, r, k, m))
+    if prof.rank == 2:
+        out.append(halter_koch_upper(G, k))
     if prof.exponent == 2 and k == 2:
         out.append(e2g_d2_upper(prof.rank))
     return out

@@ -43,10 +43,14 @@ from .bounds import (
     e2g_sphere_upper,
     elb_lower,
     elb_settings,
+    eta_rank2_upper,
     evaluate_rule,
+    halter_koch_upper,
     is_prime,
     k_times_d,
     lower_dstar,
+    olson_applies,
+    olson_upper,
     remark_ub,
     report,
     step_ub,
@@ -196,6 +200,12 @@ def _search_step(rule_id: str, constant: str, note: str, **record) -> BoundRepor
     """The digest-stamped step of a search, its value ruled from the record."""
     pairs = [(name, value, SEARCH) for name, value in record.items()]
     return _sealed(report(rule_id, "upper", pairs, constant=constant, note=note))
+
+
+def _provenance(chain) -> str:
+    """How a value backed by chain was found: by a search when some step
+    of the chain is one, else computed by rules."""
+    return SEARCH if any(step.rule_id.startswith("search.") for step in chain) else COMPUTED
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +446,9 @@ def _check_chain(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
     """Re-evaluate every step by its rule; a search step must also match
     its digest. A step's inputs that name a property of the group must
     match G's, and an ub.e2g_* rule needs G to be an elementary 2-group,
-    so no step of another group can be spliced in."""
+    so no step of another group can be spliced in. The theorem rules
+    ub.olson, ub.halter_koch and ub.eta_rank2 read their group off the
+    input group, so their preconditions are checked on G."""
     problems: List[str] = []
     properties = _group_properties(G)
     for i, step in enumerate(steps):
@@ -492,7 +504,7 @@ def _check_caps(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
 
 
 # the k each of these rules bounds, whatever its inputs
-_FIXED_K = {"search.zsf": 1, "ub.e2g_d": 1, "ub.e2g_d2": 2}
+_FIXED_K = {"search.zsf": 1, "ub.e2g_d": 1, "ub.olson": 1, "ub.e2g_d2": 2}
 
 
 def _closes(steps: Tuple[BoundReport, ...], i: int, k: int, constants) -> bool:
@@ -924,7 +936,9 @@ def _short_free(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Sequenc
 @_memoized(maxsize=128)
 def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
     """Exact longest-minimal-zero-sum constant: on C_2^r from ub.e2g_d,
-    met by a basis and its sum, elsewhere by exhaustive search."""
+    met by a basis and its sum; on other p-groups and on rank <= 2 from
+    ub.olson, met by the D* atom; elsewhere by exhaustive search, which
+    alone spends the budget."""
     if G.order == 1:
         witness = Sequence.from_counts(G, {zero(G): 1})
         return Certificate(
@@ -941,6 +955,9 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
     if G.is_elementary_2:
         witness = _ids_to_sequence(G, gf2.basis_plus_sum(G.rank))
         step = e2g_d_upper(G.rank)
+    elif olson_applies(G):
+        witness = _dstar_witness(G, 1)
+        step = olson_upper(G)
     else:
         size, free = _short_free(G, G.order, budget)
         witness = _with_closing(free)
@@ -970,7 +987,10 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     lower side the longest of gf2.code_ids. Where they differ the search
     decides up to rank 5, which happens only for k = 4 at rank 5; past
     rank 5 the two give a bracket, since the search is too slow there
-    (s_le(C_2^6, 4) takes 53,389 nodes).
+    (s_le(C_2^6, 4) takes 53,389 nodes). On C_m + C_n with m | n the
+    case k = n is ub.eta_rank2, met by f^(n-1) e^(m-1) (e+f)^(m-1) with e
+    and f the unit vectors: a zero-sum f^a e^b (e+f)^c has n | a + c and
+    m | b + c, so a + c = n and then b >= 1.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -1001,7 +1021,10 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     D = d_cert.value
     if k >= D:
         step = report(
-            "sle.equals_davenport", "upper", [("k", k, SUPPLIED), ("D", D, SEARCH)], constant="s_le"
+            "sle.equals_davenport",
+            "upper",
+            [("k", k, SUPPLIED), ("D", D, _provenance(d_cert.upper_chain))],
+            constant="s_le",
         )
         return threshold(d_cert.upper_chain + (step,), _strip_closing(d_cert.witness))
     # exponent <= k < D
@@ -1010,6 +1033,10 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         ids = max(gf2.code_ids(prof.rank, k), key=len)
         if len(ids) + 1 == step.value or prof.rank > 5:
             return threshold([step], _ids_to_sequence(G, ids), lo=len(ids) + 1)
+    elif prof.rank == 2 and k == prof.exponent:
+        m, n = G.invariant_factors
+        witness = Sequence.from_counts(G, {(0, 1): n - 1, (1, 0): m - 1, (1, 1): m - 1})
+        return threshold([eta_rank2_upper(G, k)], witness)
     size, witness = _short_free(G, k, budget)
     step = _search_step("search.sle", "s_le",
                         "exhaustive maximum without zero-sums of length <= cap",
@@ -1149,7 +1176,9 @@ class _E2Pipeline:
     def m_bound(self, j: int) -> BoundReport:
         """Best one-row recursion cap on zero-sum sizes with maxl <= j."""
         if j not in self._m_steps:
-            self._m_steps[j] = best_recursion(self.G, self.s_values, self.D1, j, SEARCH, SEARCH)
+            self._m_steps[j] = best_recursion(
+                self.G, self.s_values, self.D1, j, COMPUTED, COMPUTED
+            )
         return self._m_steps[j]
 
     def caps_for(self, k: int) -> Tuple[Dict[int, int], List[BoundReport]]:
@@ -1283,9 +1312,10 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
     side is the least of bounds.dk_upper_bounds, fed D, the thresholds
     s_le(G, ell) for exp <= ell < min(D, exp + 3) and row kk - 1's upper
     side; a rule step rests on the chains of the inputs it names (dk, D,
-    ell, ell_1). Its lower candidates include row kk - 1's witness plus
-    a pair g, -g. Raises SearchError when no lower witness re-verifies
-    within the budget.
+    ell, ell_1). D and the thresholds are labelled search only when their
+    certificates rest on a search step. Its lower candidates include row
+    kk - 1's witness plus a pair g, -g. Raises SearchError when no lower
+    witness re-verifies within the budget.
     """
     rows = _generic_rows(G, budget)
     if k <= len(rows):
@@ -1304,12 +1334,14 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
         if cert.value is not None and is_finite(cert.value):
             s_map[ell] = cert.value
             s_steps[ell] = cert.upper_chain[-1]
+    d_prov = _provenance(d_cert.upper_chain)
+    s_prov = _provenance(s_steps.values())
 
     while len(rows) < k:
         kk = len(rows) + 1
         prev = rows[-1]
         chains: List[List[BoundReport]] = []
-        for step in dk_upper_bounds(G, kk, D, s_map, prev.upper, SEARCH):
+        for step in dk_upper_bounds(G, kk, D, s_map, prev.upper, d_prov, s_prov):
             inputs = step.plain_inputs()
             chain = list(prev.upper_chain) if "dk" in inputs else []
             if "D" in inputs:
@@ -1376,7 +1408,7 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         g = element_at(G, 1)
         witness = Sequence.from_counts(G, {g: k * n})
         chain = tuple(d_cert.upper_chain) + (
-            k_times_d(k, d_cert.value, d_prov=SEARCH),
+            k_times_d(k, d_cert.value, d_prov=_provenance(d_cert.upper_chain)),
         )
         return Certificate(
             constant="D_k",
@@ -1390,6 +1422,19 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         )
     if G.is_elementary_2 and prof.rank <= 5:
         return _engine(prof.rank).row(k)
+    if prof.rank == 2:
+        # the D* sequence with k - 1 more periods of the top coordinate
+        step = halter_koch_upper(G, k)
+        return Certificate(
+            constant="D_k",
+            group=G,
+            k=k,
+            value=step.value,
+            interval=None,
+            witness=_dstar_witness(G, k),
+            witness_check={"rule": "max-disjoint", "params": {}},
+            upper_chain=(step,),
+        )
     return _generic_dk(G, k, budget)
 
 

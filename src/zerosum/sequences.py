@@ -261,6 +261,29 @@ def shortest_zero_sum_length(S: Sequence, cap: int) -> Optional[int]:
     Returns None when every nonempty subsequence of length <= cap has a
     nonzero sum.
 
+    A cap of 1 or 2 is answered from the support: a zero-sum of length 1
+    is the element 0, and one of length 2 is e twice with 2e = 0 or a pair
+    e, -e with -e != e. Larger caps go through _shortest_by_levels.
+    """
+    if cap < 1:
+        raise SequenceError("cap must be >= 1")
+    if cap > 2:
+        return _shortest_by_levels(S, cap)
+    G = S.group
+    counts = dict(S.items)
+    if zero(G) in counts:
+        return 1
+    if cap == 2:
+        for e, m in S.items:
+            minus = neg(G, e)
+            if m >= 2 if minus == e else minus in counts:
+                return 2
+    return None
+
+
+def _shortest_by_levels(S: Sequence, cap: int) -> Optional[int]:
+    """shortest_zero_sum_length by sum levels, for any cap >= 1.
+
     The elements are taken one at a time. Level j holds the sums of the
     subsequences of length <= j of the elements taken so far, the empty
     sum included, as an int bitset over enumerate_elements positions
@@ -271,8 +294,6 @@ def shortest_zero_sum_length(S: Sequence, cap: int) -> Optional[int]:
     is found only a shorter one matters, so only the levels below L - 1
     are kept.
     """
-    if cap < 1:
-        raise SequenceError("cap must be >= 1")
     G = S.group
     best = None
     levels = [1]  # level 0 holds the empty sum: bit 0

@@ -27,13 +27,16 @@ from zerosum.bounds import (
     e2g_sphere_upper,
     e2g_split_upper,
     elb_lower,
+    eta_rank2_upper,
     evaluate_rule,
+    halter_koch_upper,
     inductive_ub,
     k_times_d,
     kd_upper,
     lower_direct_sum,
     lower_dstar,
     lower_max_length,
+    olson_upper,
     remark_ub,
     s_le_from_extension,
     step_append_lower,
@@ -381,11 +384,14 @@ class TestEvaluateRule:
             e2g_d0_bounds(5)[0],
             e2g_d0_bounds(5)[1],
             e2g_kd_upper(5),
+            olson_upper(C33),
+            halter_koch_upper(C32, 3),
+            eta_rank2_upper(make_group((2, 4)), 4),
         ]
         # rules whose steps s_le, davenport and the rank-5 rows build
         row5 = {step.rule_id: step for step in davenport_k(C25, 5).upper_chain}
         moved = {
-            "search.zsf": (davenport(C32).upper_chain[-1], 5),
+            "search.zsf": (davenport(make_group((2, 2, 6))).upper_chain[-1], 8),
             "search.sle": (s_le(C25, 4).upper_chain[-1], 7),
             "search.sweep": (row5["search.sweep"], 20),
             "sle.infinite": (s_le(make_group((3,)), 2).upper_chain[-1], INFINITE),
@@ -434,6 +440,12 @@ class TestEvaluateRule:
         ("search.sweep", {"r": 5, "complement_size": 11, "pieces": 6, "instances": 20, "failures": 1}),
         ("ub.e2g_d", {"r": 0}),
         ("ub.e2g_sphere", {"r": 0, "cap": 2}),
+        ("ub.olson", {"group": "2^2,6"}),
+        ("ub.olson", {"group": 6}),
+        ("ub.halter_koch", {"group": "2^3", "k": 2}),
+        ("ub.halter_koch", {"group": "3^2", "k": 0}),
+        ("ub.eta_rank2", {"group": "3,6", "cap": 7}),
+        ("ub.eta_rank2", {"group": "6", "cap": 6}),
     ]
 
     @pytest.mark.parametrize("rule_id,inputs", VIOLATIONS)
@@ -448,6 +460,9 @@ class TestEvaluateRule:
             "lb.elb", {"k": 2, "s": 3, "t": 1, "d_star": 6, "n_t": 2, "n_r": 2, "delta": 0}
         ) == 9
         assert evaluate_rule("ub.extension", {"n": 2, "D_ext": 6, "D_G": 5, "m": 4}) == 6
+        assert evaluate_rule("ub.olson", {"group": "2^2,4"}) == 6
+        assert evaluate_rule("ub.halter_koch", {"group": "3^2", "k": 2}) == 8
+        assert evaluate_rule("ub.eta_rank2", {"group": "3,6", "cap": 6}) == 10
         assert evaluate_rule("ub.e2g_s2m", {"r": 5, "m": 2, "root": 8}) == 9
         assert evaluate_rule("ub.e2g_sphere", {"r": 5, "cap": 2}) == 32
 

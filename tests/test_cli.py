@@ -93,10 +93,12 @@ class TestCompute:
         assert "--budget" in err
 
     def test_exhausted_budget_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "compute", "davenport", "--group", "3^3",
+        # C_2 + C_2 + C_6 is neither a p-group nor of rank <= 2, so its D
+        # is searched
+        code, _, err = run_cli(capsys, "compute", "davenport", "--group", "2,2,6",
                                "--budget", "50")
         assert code == 1
-        assert "zero-sum-free search (cap 27) on 3^3" in err
+        assert "zero-sum-free search (cap 24) on 2^2,6" in err
         assert "after 50 nodes" in err
 
     def test_exhausted_elementary_two_budget_is_usage_error(self, capsys):
@@ -162,7 +164,7 @@ class TestCompute:
             "chain: ub.e2g_d -> ub.e2g_sphere -> ub.recursion -> ub.recursion"
             " -> ub.recursion -> ub.squarefree_caps"
         )
-        assert lines[3:] == ["digest: cc0ee01207055375"]
+        assert lines[3:] == ["digest: f929bd1e1aeb10d2"]
 
     def test_text_threshold_label(self, capsys):
         code, out, _ = run_cli(capsys, "compute", "sle", "--group", "2^3", "--k", "2")

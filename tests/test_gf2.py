@@ -664,15 +664,15 @@ class TestSweeps:
 # digests of the C_2^5 certificates for k = 1..10
 RANK5_CERT_DIGESTS = {
     1: "5b3980ba081585a5",
-    2: "ea17afdd24bb0cba",
-    3: "cc0ee01207055375",
-    4: "0f5b3b88aff92a99",
-    5: "33479c59d212fc89",
-    6: "73e0a6ba3cabea8c",
-    7: "0b7a0ec0ff355d38",
-    8: "ca6e37433e9d15df",
-    9: "62d3fbcc81d7c615",
-    10: "5da24d8f8800077a",
+    2: "b0d955efbecb2021",
+    3: "f929bd1e1aeb10d2",
+    4: "1fc9e5792b2b4a30",
+    5: "0a420aaf8989fcf8",
+    6: "1a19f3c4964f6f98",
+    7: "dfb3769ede0f630b",
+    8: "af273dbca4ce046a",
+    9: "4a13f0677ca24fdc",
+    10: "85ac662a163eb81c",
 }
 
 # complement sizes of the sweeps in each C_2^5 row's chain

@@ -12,10 +12,13 @@ import pytest
 from zerosum import gf2, invariants
 from zerosum.arith import INFINITE
 from zerosum.bounds import (
+    COMPUTED,
+    SEARCH,
     BoundReport,
     InputValue,
     e2g_s2m_upper,
     elb_lower,
+    olson_applies,
     remark_ub,
     s_le_from_extension,
 )
@@ -46,6 +49,8 @@ C24 = make_group((2, 2, 2, 2))
 C25 = make_group((2, 2, 2, 2, 2))
 C32 = make_group((3, 3))
 C33 = make_group((3, 3, 3))
+# neither a p-group nor of rank <= 2, so its D is searched: 4,430 nodes
+C226 = make_group((2, 2, 6))
 
 
 # every abelian group of order <= 8, the trivial one included, then C_3^2
@@ -93,6 +98,12 @@ class TestDavenport:
     def test_rank_two_of_threes(self):
         cert = davenport(C32)
         assert cert.value == 5
+        assert [s.rule_id for s in cert.upper_chain] == ["ub.olson"]
+        assert_verifies(cert)
+
+    def test_rank_three_mixed_group_is_searched(self):
+        cert = davenport(C226)
+        assert cert.value == 8
         assert [s.rule_id for s in cert.upper_chain] == ["search.zsf"]
         assert_verifies(cert)
 
@@ -257,14 +268,14 @@ E2_SMALL_DK_DIGESTS = {
         "9a917954811fd588", "e17d32e8110f4480", "ccfcc069819f584c",
     ),
     3: (
-        "3ba32ea7a4a7fec6", "88fd8c0a217e427e", "56babb8c5a682b63", "12ba70677d7461c4",
-        "c427e202c39ebf42", "93c7d3866959310f", "360618134e5ecbd3", "51d3d9c5e8e75fca",
-        "20bd557f5b21535e", "15d4d89f8955aa41", "6997f315d0db280d",
+        "e7ac19e5bb2dd360", "857a612af73e4569", "9ffedcda8d048478", "5fb195eab64663ae",
+        "af2b4d9fcf25b891", "f04e3d37e305e61c", "90938348a36bf32a", "25a20f3af9ef2f70",
+        "3ad9d656dfda7868", "385bf3af8f2886ed", "b1288c79c78a4444",
     ),
     4: (
-        "5c7ee82077b9ff06", "e0b065f19adee0c1", "f83e9553e407ac48", "83768840d614aaf4",
-        "31f3c7c77fa7effa", "e4dc7e643a15f429", "f1ec7362d892839a", "1f5d543c08ceac96",
-        "4f9429b6d23e270b", "644e603d32cb14bd", "fda770fc815c3ec0",
+        "d7fafafec72a778f", "2b64fe9d0fc22e27", "2a1e9f3e0f78aede", "a562a208120ccc5c",
+        "708ed229165c38cb", "9db296a8f0ad8cc2", "b2bd1dcddf686956", "54b57979e87ebff8",
+        "c2dd5f690059b67b", "540dca4b8221a13d", "ef7595b49ed35985",
     ),
 }
 
@@ -359,36 +370,36 @@ class TestDkCyclic:
 # digests of the generic D_k rows k = 1..8
 GENERIC_DK_DIGESTS = {
     (3, 3): (
-        "e58e31d3ea719994", "f0808d74093a8658", "722d6df4456482dd", "e338616851071465",
-        "79b93c626fed647e", "3937c000febe7c86", "fcf08a07d531ff88", "0f54cb13023cf8d6",
+        "1accc3c9b72be571", "bcb7cada0d58c03e", "7905cb677d10da9b", "9b9315c81672ad9e",
+        "d2835ea22c0c0bc9", "1003b071f3290a44", "965a905f755de557", "d90aefede952c233",
     ),
     (2, 4): (
-        "a0502e2028312755", "0f8387b3bea222f2", "2fa0adfb8bd53f4e", "d87ff276f8804f8e",
-        "693f6971115bb88d", "d9b4860493a59734", "969080a4567b3488", "d00a88a343c560b8",
+        "62483bfdbc152819", "4b4de98ed3a85889", "4da9d4c35ca358a1", "d17a1311ed54f6dd",
+        "9fd1bcf8402e9ce5", "22df370307b6e88c", "bbd4572ce456c8e0", "70d5efe4044a3585",
     ),
     (2, 6): (
-        "45a1dc099ad55b48", "e2c8306bdc7fcdc4", "bafa8fd993fe5167", "97cdcc6047850b1c",
-        "f2bf69d3b60dad04", "c6c7d323c391b800", "a2a62529f56232e0", "fd008f8e8cacd8fc",
+        "c7a40d715640fd03", "8d92d25eedf75657", "e83caf5f6cbb7442", "6fc259324db1ce0d",
+        "c17fa88ce65d6fdd", "9b304d0b5f22989b", "a3ea17eafaea4a0d", "d84efbbc04afd297",
     ),
     (4, 4): (
-        "6f562cf25ee83b68", "41e8710d20dea709", "74af35ca8f0f9c22", "bc0fd19bdeabadf6",
-        "260da4bd86b05f56", "706e17c3ed618e73", "469409a2c3bb5045", "5218b71c9fec44b7",
+        "ec20985ba0e84981", "46c6343d0d2031f4", "35e97f87cd3d7531", "58dd0da6f7158db5",
+        "269d7f338ba44e4d", "9ceb405066cfd15d", "a70cd5bf5690015a", "18ccd98cb9b1319c",
     ),
     (3, 6): (
-        "9f601b8dea12a00d", "6144b8d613f31e68", "811af975204c4869", "9fea648278b0a599",
-        "5ec93b90c42ab9dd", "a4578147d85c45d8", "c14eacaf2f32a590", "9ea3dd1998e61a81",
+        "a79c0076e2a47883", "032bd425bbd5b31c", "463e25f7f6760b08", "8ef438d4f72d3118",
+        "d72e304beadec6f8", "46feb4bb603b1f08", "5c7e6948164e30fb", "0d07cebf8aa250ac",
     ),
     (2, 2, 4): (
-        "f5744e599685feae", "5761329c31e592df", "a10dd44f5ecd8244", "758902381b6172bd",
-        "ad8ae916184838b8", "7bf5303feff686fa", "315e1b23bb804938", "a77f4b53519363fa",
+        "07624fd289d6633d", "285713092fda5d10", "f077807ae3915d02", "caa4a08b36b63f01",
+        "87b50f2746aac880", "31bea9135c566564", "78fa153ac3428959", "4c8418f524596c7c",
     ),
     (2, 8): (
-        "70921223527a64ed", "9c64ea8a18ef382e", "4653be6bf0599543", "c86e17c8dbbb10ff",
-        "a18353d3d8fc76fe", "cb7eb55f08bd1bb2", "56a9d2589e4c4ef5", "7131081de948647c",
+        "81885355c369f763", "fba274cd490aa96e", "26689750a6f87231", "744f60985fba47bf",
+        "37bba35a10882501", "3557b55057a7ff9a", "e4e5fdf679a52522", "bb80542d016401b6",
     ),
     (2, 2, 2, 2, 2, 2): (
         "8d48086b4ca9c8e6", "98d4401bc77ac1b7", "cee4716ed2d9075d", "837b1c215628cd0f",
-        "d3d99355fc26706a", "c430f3cb8044fcec", "2ea783f64af83756", "c640493c46ecf09b",
+        "d3d99355fc26706a", "c430f3cb8044fcec", "2ea783f64af83756", "371f34b21fc675c5",
     ),
 }
 
@@ -423,36 +434,39 @@ class TestDkGeneric:
         assert got == GENERIC_DK_DIGESTS[factors]
 
     def test_unverified_lower_side_raises(self):
-        # no D_2(C_3^2) witness verifies within 20 nodes, and a row with
-        # no witness would fail verify_certificate
-        with pytest.raises(SearchError, match=r"D_2\(3\^2\).* budget 20$"):
-            davenport_k(C32, 2, 20)
+        # no D_2(C_3^3) witness verifies within 20 nodes, and a row with
+        # no witness would fail verify_certificate. D comes from ub.olson
+        # and the threshold searches that run out of the budget are
+        # skipped, so the row gets as far as its witness
+        with pytest.raises(SearchError, match=r"D_2\(3\^3\).* budget 20$"):
+            davenport_k(C33, 2, 20)
 
     def test_cold_rows_need_no_recursion_per_row(self):
         # rows 2..120 are built in a loop; the depth needed is the
         # verifier's factorization search, about one frame per block
         invariants.davenport_k.cache_clear()
         invariants._generic_rows.cache_clear()
+        # rank 3, as rank-2 rows are ub.halter_koch's and built alone
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 200)
         try:
-            cert = davenport_k(C32, 120)
+            cert = davenport_k(make_group((2, 2, 4)), 120)
         finally:
             sys.setrecursionlimit(limit)
-        assert cert.value == 3 * 120 + 2
+        assert cert.value == 4 * 120 + 2
 
 
 # digests of D and s_le(ell) certificates, exp <= ell < D and ell <= exp + 2
 GENERIC_CERT_DIGESTS = {
-    (3, 3): {"D": "23885d15af12b2b3", 3: "efeb2e53fabd435f", 4: "c264d54c6f7842e5"},
-    (2, 4): {"D": "ad073e077cefec2c", 4: "96462a881390f76c"},
-    (2, 6): {"D": "6355f48ce201ff96", 6: "6e8989b63fbffa9f"},
-    (4, 4): {"D": "c3c3d78d7d973471", 4: "0128647fe3bf35e4", 5: "e99f103b304ff94e",
+    (3, 3): {"D": "75ad627e04dbb5bd", 3: "9bdbee08d1a014f4", 4: "c264d54c6f7842e5"},
+    (2, 4): {"D": "15467264a748bb38", 4: "136a6e66ef3f8e84"},
+    (2, 6): {"D": "52cda05dc02125c6", 6: "ea9e7321742525a0"},
+    (4, 4): {"D": "f1c45e7c8ac6772b", 4: "4a29364666099ef3", 5: "e99f103b304ff94e",
              6: "e0c6b0b5332e04d6"},
-    (3, 6): {"D": "a01d9b702a152706", 6: "b8b97be826296a1b", 7: "1eda319852b0fb13"},
-    (2, 2, 4): {"D": "b893d94e4ce95628", 4: "7986c35d7a1aa030", 5: "87c54df66bd394eb"},
-    (2, 8): {"D": "079b1abda08d3316", 8: "f2d6a2be1ffa15db"},
-    (3, 3, 3): {"D": "07fb90c62116d880", 3: "c55e55e742056098", 4: "72f516b82aa05197",
+    (3, 6): {"D": "8c46db1b4d2450d5", 6: "ee9ce575e4a1f1fd", 7: "1eda319852b0fb13"},
+    (2, 2, 4): {"D": "34eaa637413362e2", 4: "7986c35d7a1aa030", 5: "87c54df66bd394eb"},
+    (2, 8): {"D": "a3cff21d195b4b2b", 8: "1b36e3f49c62874b"},
+    (3, 3, 3): {"D": "661f267c3d15cddd", 3: "c55e55e742056098", 4: "72f516b82aa05197",
                 5: "a7ca1c979ae62c3c"},
 }
 
@@ -600,14 +614,14 @@ class TestGenericSearch:
             assert cert.to_json()["digest"] == cert.digest()
 
     def test_dk_rank_three_of_threes_digest_pinned(self):
-        assert davenport_k(C33, 2).digest() == "65a925d88c127df3"
+        assert davenport_k(C33, 2).digest() == "8351c9cc98ff8baf"
 
     def test_eta_rank_three_of_threes_digest_pinned(self):
         assert eta(C33).digest() == "2e45808c0386f803"
 
     def test_dk_six_six_digest_pinned(self):
         cert = davenport_k(make_group((6, 6)), 2)
-        assert (cert.value, cert.digest()) == (17, "e3291ef1f8ba833a")
+        assert (cert.value, cert.digest()) == (17, "1ac7c965cd4bf74e")
 
     @pytest.mark.parametrize("factors", GENERATOR_GROUPS)
     def test_automorphism_generators(self, factors):
@@ -725,7 +739,7 @@ class TestGenericSearch:
             assert _generic_search(G, cap, None)[:2] == (longest, least), cap
 
     def test_budget_exhaustion_names_the_search(self):
-        # enough for D (1,110 nodes), not for s_le(3) (4,080)
+        # not enough for s_le(3) (4,080 nodes); D is ub.olson's
         with pytest.raises(SearchError) as excinfo:
             s_le(C33, 3, 2_000)
         assert str(excinfo.value) == (
@@ -754,13 +768,13 @@ class TestGenericSearch:
             return search(*args)
 
         monkeypatch.setattr(invariants, "_generic_search", counted)
-        message = "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 2001 nodes"
-        for _ in range(2):
+        message = "zero-sum-free search (cap 24) on 2^2,6 exhausted its budget after 2001 nodes"
+        for call in (s_le, s_le, lambda G, cap, budget: davenport(G, budget)):
             with pytest.raises(SearchError) as excinfo:
-                s_le(C33, 3, 2_001)
+                call(C226, 6, 2_001)
             assert str(excinfo.value) == message
-        # D once (1,110 nodes) and s_le(3) once
-        assert [args[1:] for args in calls] == [(27, 2_001), (3, 2_001)]
+        # s_le asks for D (4,430 nodes) first; the D search runs once
+        assert [args[1:] for args in calls] == [(24, 2_001)]
 
     def test_orbit_map_not_shared_across_generators(self, monkeypatch):
         # full-H searches, then swap-only ones, then full-H again, on the
@@ -798,11 +812,12 @@ class TestGenericSearch:
 
     def test_zero_budget_searches_nothing(self):
         with pytest.raises(SearchError, match="zero-sum-free search .* after 0 nodes"):
-            davenport(C32, 0)
+            davenport(C226, 0)
 
     def test_order_guard(self):
+        # C_2 + C_6^3, of order 432, is neither a p-group nor of rank <= 2
         with pytest.raises(SearchError, match="exceeds the exhaustive-search guard"):
-            davenport(make_group((3,) * 6))
+            davenport(make_group((2, 6, 6, 6)))
 
 
 class TestLiteratureValues:
@@ -1036,8 +1051,8 @@ class TestRuleStepsRecheckPreconditions:
         assert any("ub.remark: re-evaluation failed" in p for p in result.problems)
 
     def test_wrongly_typed_input_is_reported(self):
-        result = _tamper(davenport_k(C32, 2), "ub.cpr", {"k": "2"})
-        assert any("ub.cpr: re-evaluation failed" in p for p in result.problems)
+        result = _tamper(davenport_k(C32, 2), "ub.halter_koch", {"k": "2"})
+        assert any("ub.halter_koch: re-evaluation failed" in p for p in result.problems)
 
     def test_untampered_steps_verify(self):
         for cert in (davenport_k(C25, 2), davenport_k(C32, 2)):
@@ -1358,7 +1373,7 @@ class TestTamperedFields:
         (lambda: davenport(C22), _setting(witness=None),
          "no witness for a positive lower side"),
         (lambda: eta(C32), _setting(k=2),
-         ("eta certificate must use k = exponent", _unbound(0, "search.sle", 2))),
+         ("eta certificate must use k = exponent", _unbound(0, "ub.eta_rank2", 2))),
         (lambda: s_le(C24, 3), _witness_element(0, [0, 0, 0, 0]),
          "witness: sequence contains a zero-sum of length at most 3"),
         (lambda: davenport(C22),
@@ -1368,19 +1383,19 @@ class TestTamperedFields:
          _setting(witness=[{"coords": [1, 0], "mult": 3}, {"coords": [0, 1], "mult": 3},
                            {"coords": [1, 1], "mult": 1}, {"coords": [2, 2], "mult": 1}]),
          "witness: maximum block count 3 exceeds 2"),
-        (lambda: davenport(C32), _step_field(0, "digest", "0" * 16),
+        (lambda: davenport(C226), _step_field(0, "digest", "0" * 16),
          "chain[0] search.zsf: digest mismatch"),
-        (lambda: davenport(C32), _drop_input(0, "max_free"),
+        (lambda: davenport(C226), _drop_input(0, "max_free"),
          "chain[0] search.zsf: cannot be digested ('max_free')"),
-        (lambda: davenport_k(make_group((6,)), 2), _step_field(0, "value", 5),
-         "chain[0] search.zsf: re-evaluates to 6, not 5"),
+        (lambda: davenport_k(C226, 2), _step_field(0, "value", 7),
+         "chain[0] search.zsf: re-evaluates to 8, not 7"),
         (lambda: davenport_k(C33, 3), _step_field(1, "value", 9),
          "chain[1] search.sle: re-evaluates to 10, not 9"),
         (lambda: davenport_k(C25, 5), _step_field(8, "value", 19),
          "chain[8] search.sweep: re-evaluates to 20, not 19"),
         (lambda: davenport_k(C25, 5), _failed_sweep(8),
          "chain[8] search.sweep: re-evaluation failed (sweep recorded failures)"),
-        (lambda: davenport_k(C33, 1), _setting(k=2), _unbound(0, "search.zsf", 2)),
+        (lambda: davenport_k(C226, 1), _setting(k=2), _unbound(0, "search.zsf", 2)),
         (lambda: davenport_k(C25, 3), _setting(k=4), _unbound(5, "ub.squarefree_caps", 4)),
         (lambda: davenport_k(make_group((2,) * 6), 8), _setting(k=9),
          _unbound(2, "ub.step", 9)),
@@ -1483,16 +1498,17 @@ class TestChainBoundToGroup:
         )
 
     def test_search_step_of_a_subgroup_is_rejected(self):
-        # D(C_3^3) is 7; this cites D(C_3^2)'s search, next to its atom
-        # with a third coordinate 0
-        sub = davenport(C32)
-        atom = Sequence.from_elements(C33, [e + (0,) for e in sub.witness.as_list()])
+        # D(C_2^3 + C_6) is at least D* = 9; this cites D(C_2^2 + C_6)'s
+        # search, next to its atom with a first coordinate 0
+        G = make_group((2, 2, 2, 6))
+        sub = davenport(C226)
+        atom = Sequence.from_elements(G, [(0,) + e for e in sub.witness.as_list()])
         cert = Certificate(
-            constant="D", group=C33, k=None, value=5, interval=None, witness=atom,
+            constant="D", group=G, k=None, value=8, interval=None, witness=atom,
             witness_check={"rule": "atom", "params": {}}, upper_chain=sub.upper_chain,
         )
         assert _problems_in_memory_and_from_json(cert) == (
-            "chain[0] search.zsf: input group = '3^2' is not the group's '3^3'",
+            "chain[0] search.zsf: input group = '2^2,6' is not the group's '2^3,6'",
         )
 
     def test_two_block_cap_of_a_smaller_rank_is_rejected(self):
@@ -1597,3 +1613,159 @@ class TestElementaryTwoRules:
         first = davenport_k(C25, 7)
         assert davenport_k(C25, 7, 10**7).digest() == first.digest()
         assert len(calls) == 6
+
+
+def abelian_groups(max_order):
+    """Invariant factors of every nontrivial abelian group of order <= max_order."""
+    out = []
+
+    def grow(factors, order):
+        if factors:
+            out.append(tuple(factors))
+        m = factors[-1] if factors else 2
+        while order * m <= max_order:
+            grow(factors + [m], order * m)
+            m += factors[-1] if factors else 1
+
+    grow([], 1)
+    return sorted(out)
+
+
+THEOREM_GROUPS = [f for f in abelian_groups(32) if olson_applies(make_group(f))]
+RANK_TWO_GROUPS = [f for f in abelian_groups(32) if len(f) == 2]
+
+
+class TestTheoremRules:
+    """ub.olson, ub.halter_koch and ub.eta_rank2 against the exhaustive
+    search they replace, and forged steps of each."""
+
+    def test_the_search_groups_are_the_ones_left_out(self):
+        assert [f for f in abelian_groups(32) if f not in THEOREM_GROUPS] == [(2, 2, 6)]
+
+    @pytest.mark.parametrize("factors", THEOREM_GROUPS, ids=group_ids(THEOREM_GROUPS))
+    def test_olson_is_the_zero_sum_free_search(self, factors):
+        G = make_group(factors)
+        cert = davenport(G)
+        if not G.is_elementary_2:
+            assert [s.rule_id for s in cert.upper_chain] == ["ub.olson"]
+        assert cert.value == 1 + invariants._short_free(G, G.order, None)[0]
+        _assert_verifies_from_json(cert)
+
+    @pytest.mark.parametrize(
+        "factors", [f for f in RANK_TWO_GROUPS if f[0] * f[1] <= 18],
+        ids=group_ids([f for f in RANK_TWO_GROUPS if f[0] * f[1] <= 18]),
+    )
+    def test_halter_koch_is_the_generic_row(self, monkeypatch, factors):
+        # the generic rows close on every rank-2 group here without the rule
+        real = invariants.dk_upper_bounds
+
+        def without_theorem(*args):
+            return [step for step in real(*args) if step.rule_id != "ub.halter_koch"]
+
+        G = make_group(factors)
+        invariants._generic_rows.cache_clear()
+        monkeypatch.setattr(invariants, "dk_upper_bounds", without_theorem)
+        try:
+            rows = [invariants._generic_dk(G, k, None) for k in range(1, 5)]
+        finally:
+            invariants._generic_rows.cache_clear()
+        m, n = factors
+        for k, row in enumerate(rows, start=1):
+            assert (row.lower, row.upper) == (m + k * n - 1,) * 2, k
+            if k >= 2 and not G.is_elementary_2:
+                cert = davenport_k(G, k)
+                assert [s.rule_id for s in cert.upper_chain] == ["ub.halter_koch"]
+                assert cert.value == row.value
+                _assert_verifies_from_json(cert)
+
+    @pytest.mark.parametrize("factors", RANK_TWO_GROUPS, ids=group_ids(RANK_TWO_GROUPS))
+    def test_eta_rank2_is_the_short_search(self, factors):
+        G = make_group(factors)
+        cert = eta(G)
+        if not G.is_elementary_2:
+            assert [s.rule_id for s in cert.upper_chain] == ["ub.eta_rank2"]
+        assert cert.value == 1 + invariants._short_free(G, G.exponent, None)[0]
+        _assert_verifies_from_json(cert)
+
+    def test_davenport_of_eight_eight(self):
+        # the D search ran out of its 8,000,000 nodes here
+        cert = davenport(make_group((8, 8)))
+        assert cert.value == 15
+        _assert_verifies_from_json(cert)
+
+    def test_olson_on_a_group_it_does_not_cover(self):
+        # D(C_2 + C_2 + C_6) is 8 by search, but no theorem step may say so
+        step = BoundReport("ub.olson", "upper", 8, (("group", InputValue("2^2,6", COMPUTED)),),
+                           constant="D")
+        cert = replace(davenport(C226), upper_chain=(step,))
+        assert _problems_in_memory_and_from_json(cert) == (
+            "chain[0] ub.olson: re-evaluation failed "
+            "(the rule needs a p-group or a group of rank at most 2)",
+        )
+
+    def test_halter_koch_on_rank_three(self):
+        # D_2(C_3^3) is 11; this claims D* + exp = 10 next to the D* witness
+        inputs = (("group", InputValue("3^3", COMPUTED)), ("k", InputValue(2)))
+        cert = Certificate(
+            constant="D_k", group=C33, k=2, value=10, interval=None,
+            witness=_dstar_witness(C33, 2),
+            witness_check={"rule": "max-disjoint", "params": {}},
+            upper_chain=(BoundReport("ub.halter_koch", "upper", 10, inputs),),
+        )
+        assert _problems_in_memory_and_from_json(cert) == (
+            "chain[0] ub.halter_koch: re-evaluation failed (the rule needs a group of rank 2)",
+        )
+
+    def test_eta_rank2_below_the_exponent_cap(self):
+        # s_le(C_3^2, 4) is 6; this claims eta's 7 at cap 4
+        inputs = (("cap", InputValue(4)), ("group", InputValue("3^2", COMPUTED)))
+        cert = Certificate(
+            constant="s_le", group=C32, k=4, value=7, interval=None, witness=None,
+            witness_check=None,
+            upper_chain=(BoundReport("ub.eta_rank2", "upper", 7, inputs, constant="s_le"),),
+        )
+        assert s_le(C32, 4).value == 6
+        assert _problems_in_memory_and_from_json(cert) == (
+            "chain[0] ub.eta_rank2: re-evaluation failed (cap must be the exponent 3)",
+        )
+
+    def test_theorem_step_of_a_subgroup_is_rejected(self):
+        # D(C_3^3) is 7; this cites D(C_3^2)'s theorem step, next to its
+        # atom with a third coordinate 0
+        sub = davenport(C32)
+        atom = Sequence.from_elements(C33, [e + (0,) for e in sub.witness.as_list()])
+        cert = Certificate(
+            constant="D", group=C33, k=None, value=5, interval=None, witness=atom,
+            witness_check={"rule": "atom", "params": {}}, upper_chain=sub.upper_chain,
+        )
+        assert _problems_in_memory_and_from_json(cert) == (
+            "chain[0] ub.olson: input group = '3^2' is not the group's '3^3'",
+        )
+
+
+class TestProvenance:
+    """An input is labelled search only when its certificate rests on a
+    search step."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: davenport_k(C25, 2),
+        lambda: davenport_k(make_group((6,)), 3),
+        lambda: davenport_k(make_group((2,) * 6), 8),
+        lambda: s_le(C23, 4),
+        lambda: s_le(make_group((4,)), 5),
+    ], ids=["2^5-k2", "6-k3", "2^6-k8", "2^3-sle4", "4-sle5"])
+    def test_no_search_label_without_a_search_step(self, build):
+        chain = build().upper_chain
+        assert not any(step.rule_id.startswith("search.") for step in chain)
+        labels = {iv.provenance for step in chain for _, iv in step.inputs}
+        assert COMPUTED in labels and SEARCH not in labels
+
+    @pytest.mark.parametrize("group,d_label", [(C33, COMPUTED), (C226, SEARCH)],
+                             ids=["3^3", "2^2,6"])
+    def test_searched_thresholds_keep_their_label(self, group, d_label):
+        # D_2(C_3^3) takes D from ub.olson and s_le from searches
+        steps = [s for s in davenport_k(group, 2).upper_chain if s.rule_id == "ub.recursion"]
+        assert steps
+        for step in steps:
+            labels = {name: iv.provenance for name, iv in step.inputs}
+            assert (labels["D"], labels["s_values"]) == (d_label, SEARCH)

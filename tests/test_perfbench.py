@@ -44,4 +44,4 @@ def test_c3r3_dk2_smoke_run_is_correct():
     result = json.loads(lines[-1])
     assert result["correct"] is True and result["failed"] == 0
     counters = next(line for line in lines if line.strip().startswith("counters:"))
-    assert json.loads(counters.split(":", 1)[1])["cert_digest"] == "cd17067eeff639b2"
+    assert json.loads(counters.split(":", 1)[1])["cert_digest"] == "7d4c01a838eafe74"

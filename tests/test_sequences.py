@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerosum import sequences
 from zerosum.groups import add, element_at, make_group, zero
 from zerosum.sequences import (
     DavydovTombakClass,
@@ -251,6 +252,37 @@ class TestShortestZeroSum:
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
             shortest_zero_sum_length(Sequence.empty(C2_3), 0)
+
+    def test_short_caps_never_translate(self, monkeypatch):
+        # caps 1 and 2 are read off the support: no sum levels are built
+        def refuse(*args):
+            raise AssertionError("translation was called")
+
+        monkeypatch.setattr(sequences, "translation", refuse)
+        S = Sequence.from_elements(C2_5, [element_at(C2_5, i) for i in range(1, 32)])
+        assert shortest_zero_sum_length(S, 2) is None
+        assert shortest_zero_sum_length(S, 1) is None
+        for S in EDGE_CASES:
+            for cap in (1, 2):
+                shortest_zero_sum_length(S, cap)
+
+
+# groups with elements of order 2 and of larger orders, C_2^5 and the
+# trivial group
+SHORT_CAP_GROUPS = (TRIVIAL, C6, C9, C2_C4, C3_2, C3_C6, C2_2_C4, C2_5)
+
+
+@given(
+    st.sampled_from(SHORT_CAP_GROUPS),
+    st.lists(st.integers(min_value=0, max_value=71), max_size=9),
+    st.sampled_from((1, 2)),
+)
+@settings(max_examples=300, deadline=None)
+def test_short_caps_agree_with_the_levels(G, idx, cap):
+    S = Sequence.from_elements(G, [element_at(G, i % G.order) for i in idx])
+    direct = shortest_zero_sum_length(S, cap)
+    assert direct == sequences._shortest_by_levels(S, cap)
+    assert direct == oracle_shortest_zero_sum(S, cap)
 
 
 class TestSetPredicates:
