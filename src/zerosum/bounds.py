@@ -14,6 +14,7 @@ preconditions included, and never repeats a search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, isqrt
 from typing import Callable, Dict, List, Optional, Sequence as Seq, Tuple
@@ -232,7 +233,14 @@ def _extension_m(n: int, D_ext: int, D_G: int) -> int:
 def _labelled_group(i) -> Group:
     """The group an input labelled group names."""
     _require(isinstance(i["group"], str), "group must be a label")
-    return parse_group(i["group"])
+    return _parsed_group(i["group"])
+
+
+@lru_cache(maxsize=256)
+def _parsed_group(label: str) -> Group:
+    # a verifier evaluates the theorem rules of every certificate of a
+    # group; parsing the label each time cost 8-16 us per step
+    return parse_group(label)
 
 
 def _rank_two(i) -> Tuple[int, int]:
@@ -511,11 +519,13 @@ def _e2g_kd(i):
 
 def olson_applies(G: Group) -> bool:
     """Whether ub.olson holds on G: G is a p-group or has rank <= 2."""
+    if G.rank <= 2:
+        return True
     order = G.order
-    p = next((f for f in range(2, isqrt(order) + 1) if order % f == 0), order)
-    while order > 1 and order % p == 0:
+    p = next(f for f in range(2, order + 1) if order % f == 0)
+    while order % p == 0:
         order //= p
-    return G.rank <= 2 or order == 1
+    return order == 1
 
 
 def olson_upper(G: Group) -> BoundReport:

@@ -367,7 +367,8 @@ class TestDkCyclic:
         assert cert.value == davenport(make_group((7,))).value
 
 
-# digests of the generic D_k rows k = 1..8
+# digests of the D_k rows k = 1..8 of groups outside the cyclic and C_2^r
+# (r <= 5) paths: ub.halter_koch rows on rank 2, generic rows elsewhere
 GENERIC_DK_DIGESTS = {
     (3, 3): (
         "1accc3c9b72be571", "bcb7cada0d58c03e", "7905cb677d10da9b", "9b9315c81672ad9e",
