@@ -230,22 +230,18 @@ def _extension_m(n: int, D_ext: int, D_G: int) -> int:
     return max((D_ext // n) * n // 2, (D_G // n) * n)
 
 
-def _labelled_group(i) -> Group:
-    """The group an input labelled group names."""
-    _require(isinstance(i["group"], str), "group must be a label")
-    return _parsed_group(i["group"])
-
-
 @lru_cache(maxsize=256)
-def _parsed_group(label: str) -> Group:
-    # a verifier evaluates the theorem rules of every certificate of a
-    # group; parsing the label each time cost 8-16 us per step
+def _labelled_group(label) -> Group:
+    """The group a step's group input names. Memoised: a verifier
+    evaluates the theorem rules of every certificate of a group, and
+    parsing the label each time cost 8-16 us per step."""
+    _require(isinstance(label, str), "group must be a label")
     return parse_group(label)
 
 
 def _rank_two(i) -> Tuple[int, int]:
     """The invariant factors (m, n) of the labelled group, which must have rank 2."""
-    G = _labelled_group(i)
+    G = _labelled_group(i["group"])
     _require(G.rank == 2, "the rule needs a group of rank 2")
     return G.invariant_factors
 
@@ -407,7 +403,7 @@ def _sle_equals_davenport(i):
 def _olson(i):
     """D(G) = D*(G) for a p-group (Olson, J. Number Theory 1, 1969, part I)
     and for rank <= 2 (part II, same volume; van Emde Boas 1969)."""
-    G = _labelled_group(i)
+    G = _labelled_group(i["group"])
     _require(olson_applies(G), "the rule needs a p-group or a group of rank at most 2")
     return profile(G).d_star
 
