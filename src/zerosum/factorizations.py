@@ -7,8 +7,16 @@ topped by a guard bit, so that "atom A fits in counts C" is one
 subtraction and one mask test. While the DFS grows a zero-sum-free
 prefix, the sums of its nonempty subsequences are an int bitset over
 ``enumerate_elements`` positions, translated by a new element through
-the masked rotates of ``groups.translation``. Element tuples appear only
-at the API boundary.
+the masked rotates of ``groups.translation``; ``_table`` keeps, per
+group, each element's bit, its negative's bit and both rotates. Element
+tuples appear only at the API boundary.
+
+The DFS prunes on reachable sums: a prefix grows only if the slots from
+its last one on, at S's full counts, can still sum to the negative of
+its sum (see ``_Kernel``). The test drops no atom and keeps the atom
+order. A node is one slot tried on a prefix, and the pruned DFS tries a
+subset of the slots the unpruned one did, so a budget that let a query
+finish without the test lets it finish with it.
 
 There is one memoised search, ``_lengths``, keyed on the packed counts.
 It pins the least slot left and branches over the atoms through the pin:
@@ -71,28 +79,32 @@ class BudgetExhausted(RuntimeError):
 class _Budget:
     """Node budget of one query: a node is one step of the atom DFS (one
     slot tried on a prefix) or one search node (one memo miss, or one
-    partial factorization when enumerating). spent counts the nodes even
-    when limit is None, so the length-mask memo can record what a full
-    search costs."""
+    partial factorization when enumerating).
 
-    __slots__ = ("limit", "spent", "search")
+    A search counts its nodes in a local variable, checks it against
+    stop (-1 when there is no limit, which no count reaches) and writes
+    it back to spent when it ends or raises, so spent also counts the
+    nodes of an unlimited search: the length-mask memo records what a
+    full search costs.
+    """
+
+    __slots__ = ("stop", "spent", "search")
 
     def __init__(self, limit: Optional[int], search: str):
         # a negative budget runs out at the first node, as a zero one does
-        self.limit = None if limit is None else max(limit, 0)
+        self.stop = -1 if limit is None else max(limit, 0)
         self.spent = 0
         self.search = search
 
-    def spend(self) -> None:
-        if self.spent == self.limit:
-            raise BudgetExhausted(self.spent, self.search)
-        self.spent += 1
+    def exhausted(self, spent: int) -> BudgetExhausted:
+        self.spent = spent
+        return BudgetExhausted(spent, self.search)
 
 
 class _Memo:
     """Mapping with FIFO eviction; lookups stay value-correct."""
 
-    def __init__(self, limit: int = MEMO_LIMIT):
+    def __init__(self, limit: int):
         self.data: "OrderedDict" = OrderedDict()
         self.limit = limit
 
@@ -127,10 +139,30 @@ def is_minimal_zero_sum(S: Sequence) -> bool:
 # The packed-count kernel
 
 
-@lru_cache(maxsize=1024)
-def _bits(G: Group, e: Element) -> Tuple[int, int, tuple]:
-    """The bits of e and -e, and the rotates that translate by e."""
-    return 1 << element_index(G, e), 1 << element_index(G, neg(G, e)), translation(G, e)
+class _Table(dict):
+    """The slots of one group, filled as elements are first asked for:
+    e -> (bit of e, bit of -e, rotates that translate by e, rotates that
+    translate by -e)."""
+
+    __slots__ = ("group",)
+
+    def __init__(self, G: Group):
+        super().__init__()
+        self.group = G
+
+    def __missing__(self, e: Element) -> tuple:
+        G = self.group
+        m = neg(G, e)
+        row = self[e] = (
+            1 << element_index(G, e),
+            1 << element_index(G, m),
+            translation(G, e),
+            translation(G, m),
+        )
+        return row
+
+
+_table = lru_cache(maxsize=64)(_Table)
 
 
 class _Kernel:
@@ -147,12 +179,19 @@ class _Kernel:
     are the ones whose least slot is i. An atom of a sub-multiset of S is
     an atom of S, so the atoms of a sub-multiset C whose least slot is i
     are the ones in that range that fit in C.
+
+    The DFS grows zero-sum-free prefixes in slot order. Before it starts,
+    reach[j] is set, through the rotates by -e, to the negatives of the
+    sums of the nonempty sub-multisets of slots j..k-1 at S's full
+    counts. A prefix with sum s whose last slot is j grows only if s is
+    in reach[j]: an atom through it adds such a sub-multiset summing to
+    -s, so the test drops no atom. A node is one slot tried on a prefix
+    (or as a first element); no slot is tried on a prefix the test drops.
     """
 
     __slots__ = ("support", "width", "guards", "counts", "atoms", "first")
 
     def __init__(self, S: Sequence, max_len: Optional[int], budget: _Budget):
-        G = S.group
         support = self.support = S.support
         left = [m for _, m in S.items]
         k = len(left)
@@ -160,8 +199,20 @@ class _Kernel:
         unit = [1 << j * w for j in range(k)]
         self.guards = sum(unit) << (w - 1)
         self.counts = sum(m * u for m, u in zip(left, unit))
-        bit, minus, moves = zip(*(_bits(G, e) for e in support)) if k else ((), (), ())
-        spend = budget.spend
+        table = _table(S.group)
+        bit, minus, moves, back = zip(*map(table.__getitem__, support)) if k else ((),) * 4
+        reach = [0] * k
+        r = 0
+        for j in range(k - 1, -1, -1):
+            for _ in range(left[j]):
+                t = r | 1  # the zero element is bit 0
+                for low, high, up, down in back[j]:
+                    t = (t & low) << up | (t & high) >> down
+                if t | r == r:
+                    break  # one more copy of slot j reaches nothing new
+                r |= t
+            reach[j] = r
+        stop, spent = budget.stop, budget.spent
         atoms: List[int] = []
 
         def extend(start: int, atom: int, room: int, sums: int, total: int) -> None:
@@ -171,10 +222,13 @@ class _Kernel:
             # subsequence sums to total (the rest would be a zero-sum), so
             # adding e closes an atom iff e = -total, and is refused iff
             # some other subsequence sums to -e.
+            nonlocal spent
             for j in range(start, k):
                 if not left[j]:
                     continue
-                spend()
+                if spent == stop:
+                    raise budget.exhausted(spent)
+                spent += 1
                 if total == minus[j]:
                     atoms.append(atom + unit[j])
                 elif room > 1 and not sums & minus[j]:
@@ -182,23 +236,27 @@ class _Kernel:
                     for low, high, up, down in moves[j]:
                         t = (t & low) << up | (t & high) >> down
                         u = (u & low) << up | (u & high) >> down
-                    left[j] -= 1
-                    extend(j, atom + unit[j], room - 1, sums | t | bit[j], u)
-                    left[j] += 1
+                    if u & reach[j]:
+                        left[j] -= 1
+                        extend(j, atom + unit[j], room - 1, sums | t | bit[j], u)
+                        left[j] += 1
 
         room = S.length if max_len is None else max_len - 1
         first = []
         for i in range(k):
             first.append(len(atoms))
-            spend()
+            if spent == stop:
+                raise budget.exhausted(spent)
+            spent += 1
             if bit[i] == 1:  # the zero element is an atom on its own
                 atoms.append(unit[i])
-            elif room > 0:
+            elif room > 0 and bit[i] & reach[i]:
                 left[i] -= 1
                 extend(i, unit[i], room, bit[i], bit[i])
                 left[i] += 1
         first.append(len(atoms))
         del extend  # a recursive closure is a reference cycle; free it now
+        budget.spent = spent
         self.atoms = atoms
         self.first = first
 
@@ -269,22 +327,26 @@ def _lengths(
     hit = _MASKS.get(key)
     if hit is not None:
         lengths, nodes = hit
-        if b.limit is not None and b.limit < nodes:
-            raise BudgetExhausted(b.limit, entry)  # where the search stops
+        if b.stop != -1 and b.stop < nodes:
+            raise BudgetExhausted(b.stop, entry)  # where the search stops
         return lengths
     kernel = _Kernel(S, atom_cap, b)
     w, guards, first = kernel.width, kernel.guards, kernel.first
     buckets = [kernel.atoms[first[i]:first[i + 1]] for i in range(len(first) - 1)]
-    memo = _Memo()
-    spend = b.spend
+    # bounded, not evicting: past MEMO_LIMIT entries new ones are not kept
+    memo: Dict[int, int] = {}
+    stop, spent = b.stop, b.spent
 
     def search(counts: int) -> int:
+        nonlocal spent
         if not counts:
             return 1
         hit = memo.get(counts)
         if hit is not None:
             return hit
-        spend()
+        if spent == stop:
+            raise b.exhausted(spent)
+        spent += 1
         i = ((counts & -counts).bit_length() - 1) // w
         out = search(counts - (1 << i * w)) if discard else 0
         high = counts | guards
@@ -292,12 +354,13 @@ def _lengths(
             rest = high - atom
             if rest & guards == guards:
                 out |= search(rest ^ guards) << 1
-        memo.put(counts, out)
+        if len(memo) < MEMO_LIMIT:
+            memo[counts] = out
         return out
 
     lengths = search(kernel.counts)
     del search  # a recursive closure is a reference cycle; free it now
-    _MASKS.put(key, (lengths, b.spent))
+    _MASKS.put(key, (lengths, spent))
     return lengths
 
 
@@ -454,12 +517,17 @@ def enumerate_factorizations(
     # the kernel yields only minimal zero-sums, so from_atoms' check is skipped
     parts = [Sequence(G, kernel.items(atom)) for atom in atoms]
 
+    stop, spent = b.stop, b.spent
+
     def search(counts: int, lo: int) -> Iterator[List[int]]:
         # lo is the index of the last atom taken; atoms are listed in order
+        nonlocal spent
         if not counts:
             yield []
             return
-        b.spend()
+        if spent == stop:
+            raise b.exhausted(spent)
+        spent += 1
         i = ((counts & -counts).bit_length() - 1) // w
         high = counts | guards
         for x in range(max(lo, first[i]), first[i + 1]):

@@ -76,7 +76,7 @@ class Sequence:
         for e in elements:
             el = validate_element(G, e)
             counts[el] = counts.get(el, 0) + 1
-        return Sequence.from_counts(G, counts)
+        return Sequence(G, tuple(sorted(counts.items())))
 
     @staticmethod
     def empty(G: Group) -> "Sequence":
@@ -113,12 +113,22 @@ class Sequence:
         return any(e == z for e, _ in self.items)
 
     def sum(self) -> Element:
+        # computed once per instance and kept outside the fields, so
+        # equality, hashing, repr and pickling never see it
+        try:
+            return self.__dict__["_sum"]
+        except KeyError:
+            pass
         # the elements were validated when the sequence was built
         items = self.items
-        return tuple(
+        total = self.__dict__["_sum"] = tuple(
             sum(e[i] * m for e, m in items) % n
             for i, n in enumerate(self.group.invariant_factors)
         )
+        return total
+
+    def __getstate__(self) -> dict:
+        return {"group": self.group, "items": self.items}
 
     def cross_number(self) -> Fraction:
         total = Fraction(0)

@@ -23,7 +23,13 @@ from zerosum.factorizations import (
     minimal_divisors,
     successive_distance_of,
 )
-from zerosum.sequences import Sequence, format_sequence, parse_sequence
+from zerosum.sequences import (
+    Sequence,
+    SequenceError,
+    format_sequence,
+    is_zero_sum_free_brute,
+    parse_sequence,
+)
 
 C2_2 = make_group([2, 2])
 C2_3 = make_group([2, 2, 2])
@@ -36,7 +42,12 @@ C2_C4 = make_group([2, 4])
 C2_C6 = make_group([2, 6])
 C3_C6 = make_group([3, 6])
 C2_2_C4 = make_group([2, 2, 4])
+C4_2 = make_group([4, 4])
+C5 = make_group([5])
+C8 = make_group([8])
 TRIVIAL = make_group([])
+# the group shapes of the benchmark's factorization queries
+QUERY_GROUPS = (C2_4, C3_2, C6, C2_C4, C4_2, C2_3, C5, C8, C3_C6, C2_C6)
 
 
 def mask_el(G, m):
@@ -159,6 +170,63 @@ def _oracle_count_above(S, floor_items):
     return total
 
 
+def oracle_kernel_nodes(S, pruned):
+    """Nodes of the atom DFS, counted from their definition.
+
+    The DFS grows prefixes: multisets of slots taken in nondecreasing
+    order. It tries each slot as a first element, and each slot from a
+    grown prefix's last one on that S has left; a prefix grows when it is
+    zero-sum free and, if pruned, when the negative of its sum is the sum
+    of a nonempty sub-multiset of the slots from its last one on, at S's
+    full counts.
+    """
+    G = S.group
+    items = S.items
+    k = len(items)
+    z = zero(G)
+
+    def reach(j):
+        out = set()
+        for counts in itertools.product(*(range(m + 1) for _, m in items[j:])):
+            total = z
+            for (e, _), c in zip(items[j:], counts):
+                for _ in range(c):
+                    total = add(G, total, e)
+            if any(counts):
+                out.add(total)
+        return out
+
+    reaches = [reach(j) for j in range(k)]
+
+    def grows(used, j):
+        P = Sequence(G, tuple((e, c) for (e, _), c in zip(items, used) if c))
+        return is_zero_sum_free_brute(P) and (not pruned or neg(G, P.sum()) in reaches[j])
+
+    def tried(used, last):
+        nodes = 0
+        for j in range(last, k):
+            if used[j] < items[j][1]:
+                nodes += 1
+                used[j] += 1
+                if grows(used, j):
+                    nodes += tried(used, j)
+                used[j] -= 1
+        return nodes
+
+    nodes = 0
+    for i in range(k):
+        used = [0] * k
+        used[i] = 1
+        nodes += 1 + (tried(used, i) if grows(used, i) else 0)
+    return nodes
+
+
+def kernel_nodes(S, max_len=None):
+    budget = fz._Budget(None, "kernel")
+    fz._Kernel(S, max_len, budget)
+    return budget.spent
+
+
 def memo_asks():
     """Two ways to run a length query: on a length-mask memo cleared
     first (cold), or twice, returning the second answer, which the memo
@@ -275,6 +343,141 @@ class TestAgainstOracles:
         S = parse_sequence(G, text)
         assert [format_sequence(a) for a in minimal_divisors(S)] == atoms
         assert [repr(f) for f in enumerate_factorizations(S)] == factorizations
+
+
+class TestPrunedKernel:
+    """The reach test of the atom DFS drops nodes but no atom."""
+
+    # Per group, a zero-sum input and one that is not (the discard branch),
+    # each with prefixes the test drops. In C_6, "1; 2^3; 4^2" has the
+    # prefix 4^2 of sum 2, whose negative 4 no sub-multiset of the last
+    # slot (4, 4^2 = 2) reaches, so the slot 4 is never tried on it.
+    PRUNED = tuple(
+        parse_sequence(G, text)
+        for G, texts in (
+            (C2_4, ("0,0,0,1; 0,1,1,0; 0,1,1,1; 1,0,0,0; 1,0,1,1; 1,1,0,0; 1,1,1,1",
+                    "0,0,0,1; 0,0,1,1; 0,1,0,0; 1,0,1,0; 1,1,0,1; 1,1,1,0")),
+            (C3_2, ("0,1; 0,2; 1,0; 1,1^2; 1,2; 2,2", "0,2^2; 1,0; 1,1^2; 2,2")),
+            (C6, ("1^2; 2^2; 4^3", "1; 2^3; 4^2")),
+            (C2_C4, ("0,1; 0,2; 0,3; 1,0; 1,1; 1,2; 1,3", "0,1; 0,2; 0,3; 1,0; 1,2^2")),
+            (C4_2, ("0,1; 0,2; 1,0; 1,2; 1,3; 2,3; 3,1", "0,1; 1,0; 1,1; 2,0; 2,1; 3,0")),
+            (C2_3, ("0,0,1; 0,1,0; 0,1,1; 1,0,1^2; 1,1,0^2",
+                    "0,0,1; 0,1,0; 0,1,1; 1,0,1^2; 1,1,0")),
+            (C5, ("1^3; 2^2; 3", "1^2; 2^2; 3")),
+            (C8, ("1^2; 2; 4^2; 5; 7", "1^2; 2; 4; 5; 7")),
+            (C3_C6, ("0,4; 0,5; 1,3; 2,0; 2,1; 2,2; 2,3", "0,5; 1,1; 1,2; 2,2; 2,3; 2,4")),
+            (C2_C6, ("0,2; 0,3; 0,5; 1,1; 1,4^2; 1,5", "0,1; 0,3; 0,4; 1,1; 1,2; 1,4")),
+        )
+        for text in texts
+    )
+
+    @staticmethod
+    def pool(seed, per_group, max_len):
+        """Seeded inputs over the query groups, each also closed to a zero-sum."""
+        rng = random.Random(seed)
+        out = []
+        for G in QUERY_GROUPS:
+            for _ in range(per_group):
+                S = random_sequence(G, rng, max_len)
+                out += [S, S.times(Sequence.from_elements(G, [neg(G, S.sum())]))]
+        return out
+
+    def test_prune_fires_on_these_inputs(self):
+        for S in self.PRUNED:
+            nodes = kernel_nodes(S)
+            assert nodes == oracle_kernel_nodes(S, pruned=True), S
+            assert nodes < oracle_kernel_nodes(S, pruned=False), S
+        assert {S.sum() == zero(S.group) for S in self.PRUNED} == {True, False}
+
+    def test_nodes_match_their_definition(self):
+        for S in self.pool(2811, 4, 6):
+            nodes = kernel_nodes(S)
+            assert nodes == oracle_kernel_nodes(S, pruned=True), S
+            assert nodes <= oracle_kernel_nodes(S, pruned=False), S
+
+    def test_atoms_match_oracle_in_lexicographic_order(self):
+        for S in self.pool(2812, 4, 7) + list(self.PRUNED):
+            atoms = oracle_atoms(S)
+            for cap in (None, 2, 3):
+                found = [a.items for a in minimal_divisors(S, max_len=cap)]
+                assert set(found) == {
+                    a for a in atoms if cap is None or sum(m for _, m in a) <= cap
+                }, (S, cap)
+                # sorted slots, as tuples, strictly increase along the list
+                slots = [
+                    tuple(S.support.index(e) for e, m in a for _ in range(m)) for a in found
+                ]
+                assert slots == sorted(set(slots)), (S, cap)
+
+    def test_lengths_match_oracle(self):
+        for ask in memo_asks():
+            for S in self.pool(2813, 4, 7) + list(self.PRUNED):
+                assert ask(max_disjoint_zero_sums, S) == oracle_max_disjoint(S), S
+                lengths = tuple(sorted(oracle_length_set(S)))
+                if S.sum() != zero(S.group):
+                    for query in (max_length, length_set):
+                        with pytest.raises(SequenceError):
+                            ask(query, S)
+                    continue
+                assert ask(length_set, S).lengths == lengths, S
+                assert ask(max_length, S) == lengths[-1], S
+
+    def test_total_nodes_pinned(self):
+        # Losing the reach test raises the kernel's total: the unpruned DFS
+        # spends 15,656 nodes on the same pool. The search after it spends
+        # what it did before the test, and more without its memo.
+        kernel = search = 0
+        for S in self.pool(2814, 20, 10):
+            fz._MASKS.data.clear()
+            max_disjoint_zero_sums(S)
+            (_, nodes), = fz._MASKS.data.values()
+            kernel += kernel_nodes(S)
+            search += nodes - kernel_nodes(S)
+        assert (kernel, search) == (11_180, 2_720)
+
+
+class TestKernelBudgets:
+    """A budget counts the kernel's nodes, then the search's, from a cold memo."""
+
+    SEQUENCES = (
+        parse_sequence(C3_C6, "0,4; 0,5; 1,3; 2,0; 2,1; 2,2; 2,3"),
+        parse_sequence(C4_2, "0,1; 0,2; 1,0; 1,2; 1,3; 2,3; 3,1"),
+        parse_sequence(C2_C6, "0,1; 0,3; 0,4; 1,1; 1,2; 1,4"),
+        parse_sequence(C6, "1; 2^3; 4^2"),
+    )
+
+    @staticmethod
+    def run_cold(query, S, budget):
+        fz._MASKS.data.clear()
+        return query(S, budget=budget)
+
+    @pytest.mark.parametrize("S", SEQUENCES, ids=format_sequence)
+    def test_every_limit_below_the_count_raises(self, S):
+        queries = [max_disjoint_zero_sums]
+        if S.sum() == zero(S.group):
+            queries += [max_length, length_set]
+        discard = S.sum() != zero(S.group)
+        for query in queries:
+            answer = self.run_cold(query, S, None)
+            _, nodes = fz._MASKS.get((S, None, discard))
+            assert nodes > kernel_nodes(S)  # some limits stop the kernel, some the search
+            for limit in range(nodes):
+                with pytest.raises(BudgetExhausted) as spent:
+                    self.run_cold(query, S, limit)
+                assert spent.value.nodes == limit
+                assert str(spent.value) == "%s: budget exhausted after %d nodes" % (
+                    query.__name__, limit)
+            assert self.run_cold(query, S, nodes) == answer
+
+    @pytest.mark.parametrize("S", SEQUENCES, ids=format_sequence)
+    def test_atom_listing_needs_the_kernel_count(self, S):
+        nodes = kernel_nodes(S)
+        for limit in range(nodes):
+            with pytest.raises(BudgetExhausted) as spent:
+                list(minimal_divisors(S, budget=limit))
+            assert spent.value.nodes == limit
+            assert str(spent.value) == "minimal_divisors: budget exhausted after %d nodes" % limit
+        assert list(minimal_divisors(S, budget=nodes)) == list(minimal_divisors(S))
 
 
 class TestMinimality:

@@ -32,10 +32,10 @@ def test_worker_memo_names_expose_cache_info():
         assert info.hits >= 0 and info.misses >= 0, name
 
 
-def test_c3r3_dk2_smoke_run_is_correct():
-    # one short untraced run of the generic-search workload, end to end
+def smoke_counters(workload):
+    """Counters of one short untraced run of a workload, end to end."""
     done = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", "c3r3_dk2",
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -44,4 +44,16 @@ def test_c3r3_dk2_smoke_run_is_correct():
     result = json.loads(lines[-1])
     assert result["correct"] is True and result["failed"] == 0
     counters = next(line for line in lines if line.strip().startswith("counters:"))
-    assert json.loads(counters.split(":", 1)[1])["cert_digest"] == "7d4c01a838eafe74"
+    return json.loads(counters.split(":", 1)[1])
+
+
+def test_c3r3_dk2_smoke_run_is_correct():
+    # the generic-search workload
+    assert smoke_counters("c3r3_dk2")["cert_digest"] == "7d4c01a838eafe74"
+
+
+def test_small_queries_smoke_run_is_correct():
+    # the factorization queries and the certificate table
+    counters = smoke_counters("small_queries")
+    assert counters["cert_digest"] == "47bb92c93e6d58bf"
+    assert counters["factorization_digest"] == "19fb6001d9bed3f0"

@@ -1,6 +1,7 @@
 """Tests for the sequence multiset layer and its structural predicates."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerosum import sequences
-from zerosum.groups import add, element_at, make_group, zero
+from zerosum.groups import GroupError, add, element_at, make_group, zero
 from zerosum.sequences import (
     DavydovTombakClass,
     NonDivisibleError,
@@ -134,6 +135,44 @@ class TestConstruction:
                 for e in elems:
                     total = add(G, total, e)
                 assert Sequence.from_elements(G, elems).sum() == total
+
+    @pytest.mark.parametrize(
+        "elements,message",
+        [
+            ([(1, 0), (2, 1)], "coordinate 2 out of range [0, 2)"),
+            ([(0, 1), (1, 4)], "coordinate 4 out of range [0, 4)"),
+            ([(0, -1)], "coordinate -1 out of range [0, 4)"),
+            ([(1, 1), (1,)], "element (1,) has 1 coordinates, group has rank 2"),
+            ([(True, 1)], "coordinate True out of range [0, 2)"),
+        ],
+    )
+    def test_from_elements_rejects_bad_elements(self, elements, message):
+        with pytest.raises(GroupError) as err:
+            Sequence.from_elements(C2_C4, elements)
+        assert str(err.value) == message
+
+    def test_from_elements_equals_from_counts(self):
+        rng = random.Random(2821)
+        for G in (TRIVIAL, C6, C3_2, C2_C4, C3_C6, C2_2_C4, C2_5):
+            for _ in range(20):
+                elems = [element_at(G, rng.randrange(G.order)) for _ in range(rng.randint(0, 9))]
+                counts = {}
+                for e in elems:
+                    counts[e] = counts.get(e, 0) + 1
+                S = Sequence.from_elements(G, [list(e) for e in elems])
+                assert S == Sequence.from_counts(G, counts)
+                assert S.items == tuple(sorted(counts.items()))
+
+    def test_kept_sum_is_invisible(self):
+        # the sum is kept on the instance once asked for, outside the fields
+        S = parse_sequence(C3_C6, "0,4; 1,3^2; 2,5")
+        T = parse_sequence(C3_C6, "0,4; 1,3^2; 2,5")
+        before = (pickle.dumps(S), repr(S), hash(S))
+        assert S.sum() == (1, 3) and S.sum() is S.sum()
+        assert (pickle.dumps(S), repr(S), hash(S)) == before
+        assert S == T and T == S
+        back = pickle.loads(pickle.dumps(S))
+        assert back == S and back.sum() == (1, 3)
 
     def test_divide_and_times(self):
         S = parse_sequence(C2_3, "1,0,0^2; 0,1,0")
