@@ -9,6 +9,10 @@ in the step, then returns report(...). A search is a rule too, giving
 its step's value from the search's record. verify_certificate
 re-evaluates a recorded step through the same rule with evaluate_rule,
 preconditions included, and never repeats a search.
+
+RULES also says what a rule bounds: the constant registered with it,
+from below for an lb. rule and from above for every other family. A
+step takes both from its rule, so no certificate can relabel them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, isqrt
-from typing import Callable, Dict, List, Optional, Sequence as Seq, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence as Seq, Tuple
 
 from .arith import (
     INFINITE,
@@ -66,20 +70,26 @@ class InputValue:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One bound step: a rule applied to recorded inputs. A search step
-    also carries a digest of its inputs."""
+    """One bound step: a rule applied to recorded inputs. Its direction
+    and constant are its rule's. A search step also carries a digest of
+    its inputs."""
 
     rule_id: str
-    direction: str  # "lower" | "upper"
     value: ExtInt
     inputs: Tuple[Tuple[str, InputValue], ...]
-    constant: str = "D_k"  # which quantity the bound constrains
     note: str = ""
     digest: Optional[str] = None
 
-    def __post_init__(self):
-        if self.direction not in ("lower", "upper"):
-            raise ValueError("direction must be lower or upper")
+    @property
+    def direction(self) -> str:
+        """lower for an lb. rule, upper for every other family."""
+        return "lower" if self.rule_id.startswith("lb.") else "upper"
+
+    @property
+    def constant(self) -> Optional[str]:
+        """The quantity the step's rule bounds; None for an unknown rule."""
+        rule = RULES.get(self.rule_id)
+        return None if rule is None else rule.constant
 
     def input_value(self, name: str):
         for key, iv in self.inputs:
@@ -106,6 +116,9 @@ class BoundReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "BoundReport":
+        """The step data records. Raises ValueError when a step of a known
+        rule is labelled with another direction or constant than its rule's."""
+
         def revive(raw):
             if isinstance(raw, list):
                 return tuple(revive(x) for x in raw)
@@ -119,29 +132,42 @@ class BoundReport:
             inputs.append(
                 (name, InputValue(revive(entry["value"]), entry.get("provenance", SUPPLIED)))
             )
-        return cls(
+        step = cls(
             rule_id=data["rule"],
-            direction=data["direction"],
-            constant=data.get("constant", "D_k"),
             value=parse_value(data["value"]),
             inputs=tuple(inputs),
             note=data.get("note", ""),
             digest=data.get("digest"),
         )
+        labels = (data["direction"], data.get("constant", step.constant))
+        ruled = (step.direction, step.constant)
+        if step.rule_id in RULES and labels != ruled:
+            raise ValueError(
+                "step %s is labelled %s %s, not its rule's %s %s" % (step.rule_id, *labels, *ruled)
+            )
+        return step
 
 
 # ---------------------------------------------------------------------------
 # The rule registry
 
 
-RULES: Dict[str, Callable[[Dict[str, object]], ExtInt]] = {}
+class Rule(NamedTuple):
+    """A registered rule: its value on named inputs and what it bounds."""
+
+    evaluate: Callable[[Dict[str, object]], ExtInt]
+    constant: str  # D, D_k, s_le, split, D_0, k_D or delta
 
 
-def _rule(rule_id: str):
-    """Register the decorated function as the one definition of rule_id."""
+RULES: Dict[str, Rule] = {}
+
+
+def _rule(rule_id: str, constant: str):
+    """Register the decorated function as the one definition of rule_id,
+    a bound on constant."""
 
     def register(fn):
-        RULES[rule_id] = fn
+        RULES[rule_id] = Rule(fn, constant)
         return fn
 
     return register
@@ -154,23 +180,17 @@ def evaluate_rule(rule_id: str, inputs: Dict[str, object]) -> ExtInt:
     A search rule reads the value off the search's record, which it
     trusts; every step kind a certificate holds has a rule here.
     """
-    fn = RULES.get(rule_id)
-    if fn is None:
+    rule = RULES.get(rule_id)
+    if rule is None:
         raise BoundError("no evaluator for rule %r" % rule_id)
-    return fn(inputs)
+    return rule.evaluate(inputs)
 
 
-def report(
-    rule_id: str,
-    direction: str,
-    pairs: Seq[Tuple[str, object, str]],
-    constant: str = "D_k",
-    note: str = "",
-) -> BoundReport:
+def report(rule_id: str, pairs: Seq[Tuple[str, object, str]], note: str = "") -> BoundReport:
     """The step applying rule_id to (name, value, provenance) triples."""
     value = evaluate_rule(rule_id, {name: v for name, v, _prov in pairs})
     inputs = tuple((name, InputValue(v, prov)) for name, v, prov in pairs)
-    return BoundReport(rule_id, direction, value, inputs, constant, note)
+    return BoundReport(rule_id, value, inputs, note)
 
 
 def _require(holds: bool, message: str) -> None:
@@ -255,13 +275,13 @@ def _s2m_root(r: int, m: int) -> int:
 # Upper bounds on D_k
 
 
-@_rule("ub.k_times_d")
+@_rule("ub.k_times_d", "D_k")
 def _k_times_d(i):
     _require(i["k"] >= 1 and i["D"] >= 1, "k and D must be positive")
     return i["k"] * i["D"]
 
 
-@_rule("ub.recursion")
+@_rule("ub.recursion", "D_k")
 def _recursion(i):
     """The largest m such that no length 1..m forces more than k blocks.
 
@@ -295,18 +315,18 @@ def _recursion(i):
     return lo
 
 
-@_rule("ub.remark")
+@_rule("ub.remark", "D_k")
 def _remark(i):
     s = _finite(i["s_value"])
     return (i["k"] - 1) * i["ell_1"] + max(i["D"], s - i["ell_1"])
 
 
-@_rule("ub.step")
+@_rule("ub.step", "D_k")
 def _step(i):
     return max(i["dk"] + i["ell"], _finite(i["s_value"]) - 1)
 
 
-@_rule("ub.cpr")
+@_rule("ub.cpr", "D_k")
 def _cpr(i):
     p, r, k, m = i["p"], i["r"], i["k"], i["m"]
     _require(r >= 2 and k >= 1 and m >= 1, "need r >= 2, k >= 1, m >= 1")
@@ -314,7 +334,7 @@ def _cpr(i):
     return min((k * (r - 1) + 1) * p - r + 1, (k - 1) * p**m + r * (p - 1) + 1)
 
 
-@_rule("ub.inductive")
+@_rule("ub.inductive", "D_k")
 def _inductive(i):
     if "quotient_dk" in i:
         return i["quotient_dk"]
@@ -322,7 +342,7 @@ def _inductive(i):
     return (i["sub_dk"] - 1) * i["ell"] + max(i["D_quot"], s - i["ell"])
 
 
-@_rule("ub.squarefree_caps")
+@_rule("ub.squarefree_caps", "D_k")
 def _squarefree_caps(i):
     k = i["k"]
     usable = [cap + 2 * (k - j) for j, cap in i["caps"] if j <= k]
@@ -330,12 +350,12 @@ def _squarefree_caps(i):
     return max(usable)
 
 
-@_rule("ub.delta")
+@_rule("ub.delta", "delta")
 def _delta(i):
     return (2 * i["order"]) ** (3 * i["order"] + 1)
 
 
-@_rule("ub.kd")
+@_rule("ub.kd", "k_D")
 def _kd(i):
     if "delta" in i:
         return i["delta"] * i["exponent"] * i["atoms"] + i["eta"] - i["d_minus"]
@@ -345,24 +365,24 @@ def _kd(i):
 # Lower bounds on D_k
 
 
-@_rule("lb.direct_sum")
+@_rule("lb.direct_sum", "D_k")
 def _direct_sum(i):
     return i["dk1"] + i["dk2"] - 1
 
 
-@_rule("lb.dstar")
+@_rule("lb.dstar", "D_k")
 def _dstar(i):
     return i["d_star"] + (i["k"] - 1) * i["exponent"]
 
 
-@_rule("lb.elb")
+@_rule("lb.elb", "D_k")
 def _elb(i):
     _require(i["s"] >= 2 and i["k"] >= 2 and i["t"] >= 1, "need s >= 2, k >= 2, t >= 1")
     _require(i["delta"] == i["n_t"] % 2, "delta must be n_t mod 2")
     return i["d_star"] + i["s"] * (i["n_t"] // 2) + i["delta"] + (i["k"] - 2) * i["n_r"]
 
 
-@_rule("lb.step_append")
+@_rule("lb.step_append", "D_k")
 def _step_append(i):
     return i["dk"] + 2
 
@@ -370,26 +390,26 @@ def _step_append(i):
 # Thresholds s_le
 
 
-@_rule("ub.extension")
+@_rule("ub.extension", "s_le")
 def _extension(i):
     m = _extension_m(i["n"], i["D_ext"], i["D_G"])
     _require(i["m"] == m, "recorded m differs from the derived %d" % m)
     return i["D_ext"]
 
 
-@_rule("sle.trivial_group")
+@_rule("sle.trivial_group", "s_le")
 def _sle_trivial(i):
     _require(i["order"] == 1, "the group is not trivial")
     return 1
 
 
-@_rule("sle.infinite")
+@_rule("sle.infinite", "s_le")
 def _sle_infinite(i):
     _require(i["k"] < i["exponent"], "threshold is finite at or above the exponent")
     return INFINITE
 
 
-@_rule("sle.equals_davenport")
+@_rule("sle.equals_davenport", "s_le")
 def _sle_equals_davenport(i):
     _require(i["k"] >= i["D"], "threshold equals D only from k = D on")
     return i["D"]
@@ -399,7 +419,7 @@ def _sle_equals_davenport(i):
 # group, which the verifier binds to the certificate's group
 
 
-@_rule("ub.olson")
+@_rule("ub.olson", "D")
 def _olson(i):
     """D(G) = D*(G) for a p-group (Olson, J. Number Theory 1, 1969, part I)
     and for rank <= 2 (part II, same volume; van Emde Boas 1969)."""
@@ -408,7 +428,7 @@ def _olson(i):
     return profile(G).d_star
 
 
-@_rule("ub.halter_koch")
+@_rule("ub.halter_koch", "D_k")
 def _halter_koch(i):
     """D_k(C_m + C_n) = m + kn - 1 for m | n (Halter-Koch, Colloq. Math. 63, 1992)."""
     m, n = _rank_two(i)
@@ -416,7 +436,7 @@ def _halter_koch(i):
     return m + i["k"] * n - 1
 
 
-@_rule("ub.eta_rank2")
+@_rule("ub.eta_rank2", "s_le")
 def _eta_rank2(i):
     """eta(C_m + C_n) = 2m + n - 2 for m | n (Gao and Geroldinger,
     Expo. Math. 24, 2006), the threshold at cap n."""
@@ -428,13 +448,13 @@ def _eta_rank2(i):
 # Search records
 
 
-@_rule("search.zsf")
-@_rule("search.sle")
+@_rule("search.zsf", "D")
+@_rule("search.sle", "s_le")
 def _max_free_plus_one(i):
     return i["max_free"] + 1
 
 
-@_rule("search.sweep")
+@_rule("search.sweep", "split")
 def _sweep(i):
     _require(i["failures"] == 0, "sweep recorded failures")
     return (1 << _rank(i)) - 1 - i["complement_size"]
@@ -443,26 +463,30 @@ def _sweep(i):
 # Elementary 2-groups
 
 
-@_rule("ub.e2g_d2")
+# the one k ub.e2g_d2 bounds D_k at; its inputs record none
+E2G_D2_K = 2
+
+
+@_rule("ub.e2g_d2", "D_k")
 def _e2g_d2(i):
     return (3 * _rank(i) + 5) // 2
 
 
-@_rule("ub.e2g_s2m")
+@_rule("ub.e2g_s2m", "s_le")
 def _e2g_s2m(i):
     root = _s2m_root(_rank(i), i["m"])
     _require(i["root"] == root, "recorded root differs from the least root %d" % root)
     return (i["m"] - 1) + root
 
 
-@_rule("ub.e2g_d")
+@_rule("ub.e2g_d", "D")
 def _e2g_d(i):
     """D(C_2^r) <= r + 1: a zero-sum-free sequence over C_2^r has no
     repeat and no nonempty sum 0, so its elements are independent."""
     return _rank(i) + 1
 
 
-@_rule("ub.e2g_sphere")
+@_rule("ub.e2g_sphere", "s_le")
 def _e2g_sphere(i):
     """s_le(C_2^r, cap) <= 1 + the largest n with sum_{j <= cap // 2}
     C(n, j) <= 2^r (the Hamming bound).
@@ -488,23 +512,23 @@ def _e2g_sphere(i):
     return 1 + lo + odd
 
 
-@_rule("ub.e2g_split")
+@_rule("ub.e2g_split", "D_k")
 def _e2g_split(i):
     _require(i["s"] >= 0, "s must be nonnegative")
     return i["rest"] + i["s"]
 
 
-@_rule("lb.e2g_d0")
+@_rule("lb.e2g_d0", "D_0")
 def _e2g_d0_lower(i):
     return ceil_div((1 << _rank(i)) - 1, 3)
 
 
-@_rule("ub.e2g_d0")
+@_rule("ub.e2g_d0", "D_0")
 def _e2g_d0_upper(i):
     return _e2g_d0_lower(i) + isqrt(1 << i["r"])
 
 
-@_rule("ub.e2g_kd")
+@_rule("ub.e2g_kd", "k_D")
 def _e2g_kd(i):
     return ((1 << _rank(i)) - 1) // 3
 
@@ -526,29 +550,22 @@ def olson_applies(G: Group) -> bool:
 
 def olson_upper(G: Group) -> BoundReport:
     """D(G) = D*(G) on a p-group or rank <= 2."""
-    return report("ub.olson", "upper", [("group", format_group(G), COMPUTED)], constant="D")
+    return report("ub.olson", [("group", format_group(G), COMPUTED)])
 
 
 def halter_koch_upper(G: Group, k: int) -> BoundReport:
     """D_k(G) = D*(G) + (k - 1) exp(G) on rank 2."""
-    return report(
-        "ub.halter_koch", "upper", [("group", format_group(G), COMPUTED), ("k", k, SUPPLIED)]
-    )
+    return report("ub.halter_koch", [("group", format_group(G), COMPUTED), ("k", k, SUPPLIED)])
 
 
 def eta_rank2_upper(G: Group, cap: int) -> BoundReport:
     """eta(G) = 2m + n - 2 on G = C_m + C_n with m | n, at cap n."""
-    return report(
-        "ub.eta_rank2",
-        "upper",
-        [("group", format_group(G), COMPUTED), ("cap", cap, SUPPLIED)],
-        constant="s_le",
-    )
+    return report("ub.eta_rank2", [("group", format_group(G), COMPUTED), ("cap", cap, SUPPLIED)])
 
 
 def k_times_d(k: int, D: int, d_prov: str = SUPPLIED) -> BoundReport:
     """Each of the k blocks is at most a longest minimal zero-sum."""
-    return report("ub.k_times_d", "upper", [("k", k, SUPPLIED), ("D", D, d_prov)])
+    return report("ub.k_times_d", [("k", k, SUPPLIED), ("D", D, d_prov)])
 
 
 def ub_recursion(
@@ -571,7 +588,6 @@ def ub_recursion(
         raise BoundError("ell must stay within [exponent, D]")
     return report(
         "ub.recursion",
-        "upper",
         [
             ("k", k, SUPPLIED),
             ("ell", tuple(ell), SUPPLIED),
@@ -600,7 +616,6 @@ def remark_ub(
         raise BoundError("ell_1 must lie in [exponent, D-1]")
     return report(
         "ub.remark",
-        "upper",
         [
             ("k", k, SUPPLIED),
             ("ell_1", ell_1, SUPPLIED),
@@ -615,9 +630,7 @@ def step_ub(
 ) -> BoundReport:
     """One more block: either it fits in ell, or few elements remain."""
     return report(
-        "ub.step",
-        "upper",
-        [("dk", dk, dk_prov), ("ell", ell, SUPPLIED), ("s_value", s_value, s_prov)],
+        "ub.step", [("dk", dk, dk_prov), ("ell", ell, SUPPLIED), ("s_value", s_value, s_prov)]
     )
 
 
@@ -627,25 +640,20 @@ def s_le_from_extension(
     """Short-block threshold bounded through a cyclic extension."""
     return report(
         "ub.extension",
-        "upper",
         [
             ("n", n, SUPPLIED),
             ("D_ext", D_ext, ext_prov),
             ("D_G", D_G, d_prov),
             ("m", _extension_m(n, D_ext, D_G), COMPUTED),
         ],
-        constant="s_le",
         note="bounds the threshold for blocks of length at most m",
     )
 
 
 def cpr_upper(p: int, r: int, k: int, m: int) -> BoundReport:
     """Homogeneous-group bound via the two layer strategies."""
-    return report(
-        "ub.cpr",
-        "upper",
-        [("p", p, SUPPLIED), ("r", r, SUPPLIED), ("k", k, SUPPLIED), ("m", m, SUPPLIED)],
-    )
+    pairs = [("p", p, SUPPLIED), ("r", r, SUPPLIED), ("k", k, SUPPLIED), ("m", m, SUPPLIED)]
+    return report("ub.cpr", pairs)
 
 
 def inductive_ub(
@@ -673,7 +681,7 @@ def inductive_ub(
             ("D_quot", D_quot, quot_prov),
             ("s_quot", s_quot, quot_prov),
         ]
-    return report("ub.inductive", "upper", pairs)
+    return report("ub.inductive", pairs)
 
 
 def delta_upper(G: Group) -> BoundReport:
@@ -682,9 +690,7 @@ def delta_upper(G: Group) -> BoundReport:
     note = ""
     if order <= 2:
         note = "vacuous: groups of order at most 2 have no length jumps"
-    return report(
-        "ub.delta", "upper", [("order", order, COMPUTED)], constant="delta", note=note
-    )
+    return report("ub.delta", [("order", order, COMPUTED)], note=note)
 
 
 def kd_upper(
@@ -704,7 +710,6 @@ def kd_upper(
     if all(v is not None for v in refined):
         return report(
             "ub.kd",
-            "upper",
             [
                 ("delta", delta_val, SUPPLIED),
                 ("exponent", prof.exponent, COMPUTED),
@@ -712,17 +717,10 @@ def kd_upper(
                 ("eta", eta_val, SUPPLIED),
                 ("d_minus", d_minus, SUPPLIED),
             ],
-            constant="k_D",
         )
     if any(v is not None for v in refined):
         raise BoundError("supply all refined inputs or none")
-    return report(
-        "ub.kd",
-        "upper",
-        [("order", prof.order, COMPUTED)],
-        constant="k_D",
-        note="crude closed form",
-    )
+    return report("ub.kd", [("order", prof.order, COMPUTED)], note="crude closed form")
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +729,7 @@ def kd_upper(
 
 def lower_direct_sum(dk1: int, dk2: int, prov1: str = SUPPLIED, prov2: str = SUPPLIED) -> BoundReport:
     """Concatenate extremal sequences of two summands."""
-    return report("lb.direct_sum", "lower", [("dk1", dk1, prov1), ("dk2", dk2, prov2)])
+    return report("lb.direct_sum", [("dk1", dk1, prov1), ("dk2", dk2, prov2)])
 
 
 def lower_dstar(G: Group, k: int) -> BoundReport:
@@ -739,7 +737,6 @@ def lower_dstar(G: Group, k: int) -> BoundReport:
     prof = profile(G)
     return report(
         "lb.dstar",
-        "lower",
         [
             ("k", k, SUPPLIED),
             ("d_star", prof.d_star, COMPUTED),
@@ -762,7 +759,6 @@ def elb_lower(G: Group, s: int, t: int, k: int) -> BoundReport:
     n_t = factors[t - 1]
     return report(
         "lb.elb",
-        "lower",
         [
             ("k", k, SUPPLIED),
             ("s", s, SUPPLIED),
@@ -777,7 +773,7 @@ def elb_lower(G: Group, s: int, t: int, k: int) -> BoundReport:
 
 def step_append_lower(dk: int, dk_prov: str = SUPPLIED) -> BoundReport:
     """Append an element and its inverse to any extremal sequence."""
-    return report("lb.step_append", "lower", [("dk", dk, dk_prov)])
+    return report("lb.step_append", [("dk", dk, dk_prov)])
 
 
 # ---------------------------------------------------------------------------
@@ -786,21 +782,19 @@ def step_append_lower(dk: int, dk_prov: str = SUPPLIED) -> BoundReport:
 
 def e2g_d2_upper(r: int) -> BoundReport:
     """Strict half-integer cap on the 2-block constant."""
-    return report("ub.e2g_d2", "upper", [("r", r, SUPPLIED)])
+    return report("ub.e2g_d2", [("r", r, SUPPLIED)])
 
 
 def e2g_d_upper(r: int) -> BoundReport:
     """Independence cap on the Davenport constant of C_2^r."""
-    return report("ub.e2g_d", "upper", [("r", r, COMPUTED)], constant="D")
+    return report("ub.e2g_d", [("r", r, COMPUTED)])
 
 
 def e2g_sphere_upper(r: int, cap: int) -> BoundReport:
     """Sphere-packing cap on the threshold of C_2^r for blocks <= cap."""
     return report(
         "ub.e2g_sphere",
-        "upper",
         [("r", r, COMPUTED), ("cap", cap, SUPPLIED)],
-        constant="s_le",
         note="parity-check columns of a code with distance above cap",
     )
 
@@ -809,9 +803,7 @@ def e2g_s2m_upper(r: int, m: int) -> BoundReport:
     """Counting bound on the threshold for blocks of length <= 2m."""
     return report(
         "ub.e2g_s2m",
-        "upper",
         [("r", r, SUPPLIED), ("m", m, SUPPLIED), ("root", _s2m_root(r, m), COMPUTED)],
-        constant="s_le",
         note="bounds the threshold for blocks of length at most 2m",
     )
 
@@ -822,7 +814,6 @@ def e2g_split_upper(
     """Split off s coordinates and recurse on the rest."""
     return report(
         "ub.e2g_split",
-        "upper",
         [("s", s, SUPPLIED), ("sub_dk", sub_dk, sub_prov), ("rest", rest_value, rest_prov)],
     )
 
@@ -830,21 +821,18 @@ def e2g_split_upper(
 def e2g_d0_bounds(r: int) -> Tuple[BoundReport, BoundReport]:
     """Bracket on the eventual offset of the progression."""
     pairs = [("r", r, SUPPLIED)]
-    return (
-        report("lb.e2g_d0", "lower", pairs, constant="D_0"),
-        report("ub.e2g_d0", "upper", pairs, constant="D_0"),
-    )
+    return report("lb.e2g_d0", pairs), report("ub.e2g_d0", pairs)
 
 
 def e2g_kd_upper(r: int) -> BoundReport:
     """Onset index bounded by the largest full-support block count."""
-    return report("ub.e2g_kd", "upper", [("r", r, SUPPLIED)], constant="k_D")
+    return report("ub.e2g_kd", [("r", r, SUPPLIED)])
 
 
 def e2g_bounds(r: int, k: int, split_inputs=None) -> List[BoundReport]:
     """All elementary-2-group special bounds that apply to (r, k)."""
     out: List[BoundReport] = []
-    if k == 2:
+    if k == E2G_D2_K:
         out.append(e2g_d2_upper(r))
     out.append(e2g_s2m_upper(r, 2))
     if split_inputs is not None:
@@ -923,7 +911,7 @@ def dk_upper_bounds(
     Given D: k * D, best_recursion when it uses a level, then per usable
     level ub.remark and, given prev_dk = D_{k-1}, ub.step. Then ub.cpr on
     C_p^r with r >= 2, at the least m its precondition accepts,
-    ub.halter_koch on rank 2, and ub.e2g_d2 at k = 2 on C_2^r. D is
+    ub.halter_koch on rank 2, and ub.e2g_d2 at k = E2G_D2_K on C_2^r. D is
     recorded with provenance d_prov, the thresholds with s_prov, and
     prev_dk as computed.
     """
@@ -949,7 +937,7 @@ def dk_upper_bounds(
         out.append(cpr_upper(p, r, k, m))
     if prof.rank == 2:
         out.append(halter_koch_upper(G, k))
-    if prof.exponent == 2 and k == 2:
+    if prof.exponent == 2 and k == E2G_D2_K:
         out.append(e2g_d2_upper(prof.rank))
     return out
 

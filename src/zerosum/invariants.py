@@ -32,6 +32,7 @@ from .bounds import (
     COMPUTED,
     SEARCH,
     SUPPLIED,
+    E2G_D2_K,
     BoundError,
     BoundReport,
     best_recursion,
@@ -196,10 +197,10 @@ def _dedupe_steps(steps) -> Tuple[BoundReport, ...]:
     return tuple(chain)
 
 
-def _search_step(rule_id: str, constant: str, note: str, **record) -> BoundReport:
+def _search_step(rule_id: str, note: str, **record) -> BoundReport:
     """The digest-stamped step of a search, its value ruled from the record."""
     pairs = [(name, value, SEARCH) for name, value in record.items()]
-    return _sealed(report(rule_id, "upper", pairs, constant=constant, note=note))
+    return _sealed(report(rule_id, pairs, note=note))
 
 
 def _provenance(chain) -> str:
@@ -237,6 +238,11 @@ class Certificate:
             lo, hi = self.interval
             if not lo <= hi:
                 raise CertificateError("interval must satisfy lo <= hi")
+        if self.constant == "D":
+            if self.k is not None:
+                raise CertificateError("a D certificate has no k")
+        elif type(self.k) is not int or self.k < 1:
+            raise CertificateError("k must be a positive int, not %r" % (self.k,))
 
     @classmethod
     def from_bracket(cls, lo: int, hi: int, **fields) -> "Certificate":
@@ -503,23 +509,24 @@ def _check_caps(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
     return []
 
 
-# the k each of these rules bounds, whatever its inputs
-_FIXED_K = {"search.zsf": 1, "ub.e2g_d": 1, "ub.olson": 1, "ub.e2g_d2": 2}
-
-
-def _closes(steps: Tuple[BoundReport, ...], i: int, k: int, constants) -> bool:
-    """Whether steps[i] bounds a constant in constants at k (the cap, for
-    s_le). ub.step bounds k when an earlier step of its value dk bounds
-    k - 1; a recorded k or cap must equal k."""
+def _closes(steps: Tuple[BoundReport, ...], i: int, k: int, constant: str) -> bool:
+    """Whether steps[i] bounds constant, D_k or s_le, from above at k (the
+    cap, for s_le). A D step bounds D_k at k = 1 only, and ub.e2g_d2 at
+    k = E2G_D2_K only. ub.step bounds k when an earlier step of its value
+    dk bounds k - 1; any other step's recorded k or cap must equal k."""
     step = steps[i]
     rule, inp = step.rule_id, step.plain_inputs()
-    if step.constant not in constants:
+    if step.direction != "upper":
         return False
-    if rule in _FIXED_K:
-        return k == _FIXED_K[rule]
+    if step.constant == "D":  # D = D_1
+        return constant == "D_k" and k == 1
+    if step.constant != constant:
+        return False
+    if rule == "ub.e2g_d2":
+        return k == E2G_D2_K
     if rule == "ub.step":
         return any(
-            steps[j].value == inp.get("dk") and _closes(steps, j, k - 1, constants)
+            steps[j].value == inp.get("dk") and _closes(steps, j, k - 1, constant)
             for j in range(i)
         )
     return rule == "sle.trivial_group" or inp.get("cap", inp.get("k")) == k
@@ -575,8 +582,9 @@ def verify_certificate(cert: Certificate, budget: Optional[int] = None) -> Check
     if cert.upper_chain:
         final = cert.upper_chain[-1]
         last = len(cert.upper_chain) - 1
-        constants = ("s_le",) if cert.constant in ("s_le", "eta") else ("D", "D_k")
-        if not _closes(cert.upper_chain, last, k_eff, constants):
+        constant = "s_le" if cert.constant in ("s_le", "eta") else "D_k"
+        # _check_chain refuses a step of an unknown rule, which bounds no constant
+        if final.constant is not None and not _closes(cert.upper_chain, last, k_eff, constant):
             problems.append(
                 "chain[%d] %s does not bound the certificate's k = %d"
                 % (last, final.rule_id, k_eff)
@@ -961,7 +969,7 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
     else:
         size, free = _short_free(G, G.order, budget)
         witness = _with_closing(free)
-        step = _search_step("search.zsf", "D", "exhaustive zero-sum-free maximum",
+        step = _search_step("search.zsf", "exhaustive zero-sum-free maximum",
                             group=format_group(G), max_free=size)
     return Certificate(
         constant="D",
@@ -1006,14 +1014,12 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         )
 
     if G.order == 1:
-        step = report("sle.trivial_group", "upper", [("order", 1, COMPUTED)], constant="s_le")
+        step = report("sle.trivial_group", [("order", 1, COMPUTED)])
         return threshold([step], Sequence.empty(G))
     if k < prof.exponent:
         step = report(
             "sle.infinite",
-            "upper",
             [("k", k, SUPPLIED), ("exponent", prof.exponent, COMPUTED)],
-            constant="s_le",
             note="powers of a maximal-order element never close a short block",
         )
         return threshold([step], None)
@@ -1021,10 +1027,7 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     D = d_cert.value
     if k >= D:
         step = report(
-            "sle.equals_davenport",
-            "upper",
-            [("k", k, SUPPLIED), ("D", D, _provenance(d_cert.upper_chain))],
-            constant="s_le",
+            "sle.equals_davenport", [("k", k, SUPPLIED), ("D", D, _provenance(d_cert.upper_chain))]
         )
         return threshold(d_cert.upper_chain + (step,), _strip_closing(d_cert.witness))
     # exponent <= k < D
@@ -1038,8 +1041,7 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         witness = Sequence.from_counts(G, {(0, 1): n - 1, (1, 0): m - 1, (1, 1): m - 1})
         return threshold([eta_rank2_upper(G, k)], witness)
     size, witness = _short_free(G, k, budget)
-    step = _search_step("search.sle", "s_le",
-                        "exhaustive maximum without zero-sums of length <= cap",
+    step = _search_step("search.sle", "exhaustive maximum without zero-sums of length <= cap",
                         group=format_group(G), cap=k, max_free=size)
     return threshold([step], witness)
 
@@ -1212,7 +1214,7 @@ class _E2Pipeline:
             rec = self.sweep(c)
             note = "sets of this size split into at least %d disjoint blocks" % rec.pieces
             steps.append(
-                _search_step("search.sweep", "split", note, r=rec.r,
+                _search_step("search.sweep", note, r=rec.r,
                              complement_size=rec.complement_size, pieces=rec.pieces,
                              instances=rec.instances, failures=rec.failures)
             )
@@ -1222,7 +1224,6 @@ class _E2Pipeline:
         caps, steps = self.caps_for(k)
         final = report(
             "ub.squarefree_caps",
-            "upper",
             [("k", k, SUPPLIED), ("caps", tuple(sorted(caps.items())), COMPUTED)],
             note="squarefree caps plus two elements per extra block",
         )

@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import hashlib
 import json
 
 import pytest
@@ -246,6 +247,23 @@ class TestBound:
         assert "upper ub.recursion       7" in lines
         assert lines[-1] == "upper ub.e2g_d2          7"
 
+    @pytest.mark.parametrize("args,inputs,digest", [
+        (("--group", "2^5", "--k", "2"), {"D": 6, "s_le": {"2": 32, "3": 17}},
+         "de4a632580c2b50e"),
+        (("--group", "3^3", "--k", "3"), None, "5c30395a70e2ef5c"),
+        (("--group", "2,4,8", "--k", "4"), None, "8167d144f2ad5cd4"),
+    ], ids=["2^5-k2-inputs", "3^3-k3", "2,4,8-k4"])
+    def test_json_bytes_pinned(self, capsys, tmp_path, args, inputs, digest):
+        # the first 16 hex digits of the sha256 of stdout, which every
+        # calculator's step and its labels feed
+        if inputs is not None:
+            path = tmp_path / "known.json"
+            path.write_text(json.dumps(inputs))
+            args += ("--inputs", str(path))
+        code, out, _ = run_cli(capsys, "bound", "all", *args, "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
     def test_without_inputs_still_reports_floor(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "all", "--group", "3^3", "--k", "2",
                                "--format", "json")
@@ -391,8 +409,8 @@ class TestTable:
 
 
 class TestVerify:
-    def make_cert_file(self, capsys, tmp_path, tamper=None):
-        _, out, _ = run_cli(capsys, "compute", "dk", "--group", "2^4", "--k", "2",
+    def make_cert_file(self, capsys, tmp_path, tamper=None, group="2^4", k="2"):
+        _, out, _ = run_cli(capsys, "compute", "dk", "--group", group, "--k", k,
                             "--format", "json")
         data = json.loads(out)
         if tamper:
@@ -417,6 +435,33 @@ class TestVerify:
         data = json.loads(out)
         assert data["ok"] is False
         assert data["problems"]
+
+    @pytest.mark.parametrize("field,label", [("direction", "lower"), ("constant", "s_le")])
+    def test_relabelled_step_is_malformed(self, capsys, tmp_path, field, label):
+        # a step's direction and constant are its rule's, whatever the file says
+        def relabel(data):
+            del data["digest"]  # so only the label can object
+            data["upper_chain"][-1][field] = label
+
+        path = self.make_cert_file(capsys, tmp_path, tamper=relabel)
+        code, out, err = run_cli(capsys, "verify", "--cert", path)
+        assert code == 1
+        assert out == ""
+        assert "malformed certificate" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["1", None, 1.0, True], ids=["str", "null", "float", "bool"])
+    def test_k_of_another_type_is_malformed(self, capsys, tmp_path, k):
+        # D_1(C_3^2) with its k retyped and its digest dropped: each once
+        # verified or died in a traceback
+        def retype(data):
+            del data["digest"]
+            data["k"] = k
+
+        path = self.make_cert_file(capsys, tmp_path, tamper=retype, group="3^2", k="1")
+        code, out, err = run_cli(capsys, "verify", "--cert", path)
+        assert code == 1
+        assert out == ""
+        assert "malformed certificate" in err and "Traceback" not in err
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -13,11 +13,14 @@ from zerosum import gf2, invariants
 from zerosum.arith import INFINITE
 from zerosum.bounds import (
     COMPUTED,
+    RULES,
     SEARCH,
     BoundReport,
     InputValue,
     e2g_s2m_upper,
+    e2g_sphere_upper,
     elb_lower,
+    lower_dstar,
     olson_applies,
     remark_ub,
     s_le_from_extension,
@@ -940,6 +943,23 @@ class TestCertificateSerialization:
             Certificate(constant="D", group=C22, k=1, value=None, interval=(5, 4),
                         witness=None, witness_check=None, upper_chain=())
 
+    @pytest.mark.parametrize("constant,k", [
+        ("D_k", "1"), ("D_k", None), ("D_k", 1.0), ("D_k", True), ("D_k", 0),
+        ("s_le", True), ("eta", None), ("D", 1),
+    ])
+    def test_k_must_be_a_positive_int_or_none_on_d(self, constant, k):
+        with pytest.raises(CertificateError):
+            Certificate(constant=constant, group=C32, k=k, value=3, interval=None,
+                        witness=None, witness_check=None, upper_chain=())
+
+    @pytest.mark.parametrize("k", ["1", None, 1.0, True], ids=["str", "null", "float", "bool"])
+    def test_k_of_another_type_is_refused_from_json(self, k):
+        data = davenport_k(C32, 1).to_json()
+        del data["digest"]
+        data["k"] = k
+        with pytest.raises(CertificateError):
+            Certificate.from_json(data)
+
     def test_json_has_no_exhaustive_key(self):
         certs = [
             davenport(C22), davenport(make_group(())), davenport_k(C25, 2),
@@ -984,22 +1004,26 @@ def _with_step(cert, step):
     return extended
 
 
+def _forged_c33_dk2(step):
+    """D_2(C_3^3), which is 11, claimed as 10 from step alone, next to the
+    length-10 D* witness."""
+    return Certificate(
+        constant="D_k", group=C33, k=2, value=10, interval=None,
+        witness=_dstar_witness(C33, 2),
+        witness_check={"rule": "max-disjoint", "params": {}},
+        upper_chain=(step,),
+    )
+
+
 class TestRuleStepsRecheckPreconditions:
     def forged_c33_dk2(self):
-        # D_2(C_3^3) is 11; this claims 10 from one ub.cpr step whose
-        # inputs break r(p-1)+1 < 2 p^m, next to a sound length-10 witness
+        # one ub.cpr step whose inputs break r(p-1)+1 < 2 p^m
         step = BoundReport(
             "ub.cpr",
-            "upper",
             10,
             tuple((name, InputValue(v)) for name, v in (("p", 3), ("r", 3), ("k", 2), ("m", 1))),
         )
-        return Certificate(
-            constant="D_k", group=C33, k=2, value=10, interval=None,
-            witness=_dstar_witness(C33, 2),
-            witness_check={"rule": "max-disjoint", "params": {}},
-            upper_chain=(step,),
-        )
+        return _forged_c33_dk2(step)
 
     def test_forged_cpr_certificate_is_rejected(self):
         cert = self.forged_c33_dk2()
@@ -1211,6 +1235,98 @@ class TestForgedUpperSide:
             "chain[0] search.full_enum: re-evaluation failed "
             "(no evaluator for rule 'search.full_enum')",
         )
+
+
+def _relabelled(cert, i, field, label):
+    """cert's JSON, digest dropped, with chain step i's field set to label."""
+    data = cert.to_json()
+    del data["digest"]  # so only the label can object
+    data["upper_chain"][i][field] = label
+    return data
+
+
+class TestLowerStepsNeverClose:
+    """A step bounds only what its rule in bounds.RULES bounds: a lower
+    step may sit in a chain but never closes it, and a step relabelled in
+    JSON is malformed."""
+
+    @pytest.mark.parametrize("step", [
+        lower_dstar(C33, 2), elb_lower(C33, 2, 1, 2),
+    ], ids=["dstar", "elb"])
+    def test_lower_step_does_not_close(self, step):
+        assert (step.direction, step.value) == ("lower", 10)
+        cert = _forged_c33_dk2(step)
+        assert _problems_in_memory_and_from_json(cert) == (_unbound(0, step.rule_id, 2),)
+        with pytest.raises(ValueError, match="labelled upper"):
+            Certificate.from_json(_relabelled(cert, 0, "direction", "upper"))
+
+    def test_threshold_step_does_not_close_a_row(self):
+        # D_4(C_2^5) lies in [16, 17]; s_le(C_2^5, 4) <= 8 is no bound on it
+        step = e2g_sphere_upper(5, 4)
+        assert (step.constant, step.value) == ("s_le", 8)
+        g = (1, 0, 0, 0, 0)
+        cert = Certificate(
+            constant="D_k", group=C25, k=4, value=8, interval=None,
+            witness=Sequence.from_counts(C25, {g: 8}),
+            witness_check={"rule": "cyclic-power", "params": {}},
+            upper_chain=(step,),
+        )
+        assert _problems_in_memory_and_from_json(cert) == (_unbound(0, "ub.e2g_sphere", 4),)
+        with pytest.raises(ValueError, match="labelled upper D_k"):
+            Certificate.from_json(_relabelled(cert, 0, "constant", "D_k"))
+
+    def test_lower_step_inside_a_chain_still_verifies(self):
+        cert = _with_step(davenport_k(C33, 2), lower_dstar(C33, 2))
+        _assert_verifies_from_json(cert)
+
+    @pytest.mark.parametrize("build", [
+        lambda: davenport_k(C25, 3),
+        lambda: davenport_k(C33, 2),
+        lambda: s_le(C25, 4),
+        lambda: eta(C32),
+        lambda: davenport(C226),
+    ], ids=["D_3(2^5)", "D_2(3^3)", "s_le4(2^5)", "eta(3^2)", "D(2^2,6)"])
+    def test_every_relabelled_step_is_refused(self, build):
+        cert = build()
+        assert_verifies(cert)
+        others = {"lower": "upper", "upper": "lower"}
+        constants = ("D", "D_k", "s_le", "split", "D_0", "k_D", "delta")
+        for i, step in enumerate(cert.upper_chain):
+            edits = [("direction", others[step.direction])]
+            edits += [("constant", c) for c in constants if c != step.constant]
+            for field, label in edits:
+                data = _relabelled(cert, i, field, label)
+                try:
+                    revived = Certificate.from_json(data)
+                except ValueError:
+                    continue
+                assert not verify_certificate(revived).ok, (i, field, label)
+
+    def test_rule_labels_pinned(self):
+        # the verifier's soundness rests on this table: a step closes a
+        # chain only as an upper bound on its rule's constant
+        up, low = "upper", "lower"
+        expected = {
+            "ub.k_times_d": (up, "D_k"), "ub.recursion": (up, "D_k"),
+            "ub.remark": (up, "D_k"), "ub.step": (up, "D_k"), "ub.cpr": (up, "D_k"),
+            "ub.inductive": (up, "D_k"), "ub.squarefree_caps": (up, "D_k"),
+            "ub.halter_koch": (up, "D_k"), "ub.e2g_d2": (up, "D_k"),
+            "ub.e2g_split": (up, "D_k"),
+            "lb.direct_sum": (low, "D_k"), "lb.dstar": (low, "D_k"),
+            "lb.elb": (low, "D_k"), "lb.step_append": (low, "D_k"),
+            "ub.olson": (up, "D"), "search.zsf": (up, "D"), "ub.e2g_d": (up, "D"),
+            "ub.extension": (up, "s_le"), "sle.trivial_group": (up, "s_le"),
+            "sle.infinite": (up, "s_le"), "sle.equals_davenport": (up, "s_le"),
+            "ub.eta_rank2": (up, "s_le"), "search.sle": (up, "s_le"),
+            "ub.e2g_s2m": (up, "s_le"), "ub.e2g_sphere": (up, "s_le"),
+            "search.sweep": (up, "split"),
+            "lb.e2g_d0": (low, "D_0"), "ub.e2g_d0": (up, "D_0"),
+            "ub.kd": (up, "k_D"), "ub.e2g_kd": (up, "k_D"),
+            "ub.delta": (up, "delta"),
+        }
+        assert len(expected) == 31
+        steps = [BoundReport(rule, 0, ()) for rule in RULES]
+        assert {step.rule_id: (step.direction, step.constant) for step in steps} == expected
 
 
 def _lowered_cap(data):
@@ -1696,8 +1812,7 @@ class TestTheoremRules:
 
     def test_olson_on_a_group_it_does_not_cover(self):
         # D(C_2 + C_2 + C_6) is 8 by search, but no theorem step may say so
-        step = BoundReport("ub.olson", "upper", 8, (("group", InputValue("2^2,6", COMPUTED)),),
-                           constant="D")
+        step = BoundReport("ub.olson", 8, (("group", InputValue("2^2,6", COMPUTED)),))
         cert = replace(davenport(C226), upper_chain=(step,))
         assert _problems_in_memory_and_from_json(cert) == (
             "chain[0] ub.olson: re-evaluation failed "
@@ -1705,14 +1820,9 @@ class TestTheoremRules:
         )
 
     def test_halter_koch_on_rank_three(self):
-        # D_2(C_3^3) is 11; this claims D* + exp = 10 next to the D* witness
+        # this claims D* + exp = 10
         inputs = (("group", InputValue("3^3", COMPUTED)), ("k", InputValue(2)))
-        cert = Certificate(
-            constant="D_k", group=C33, k=2, value=10, interval=None,
-            witness=_dstar_witness(C33, 2),
-            witness_check={"rule": "max-disjoint", "params": {}},
-            upper_chain=(BoundReport("ub.halter_koch", "upper", 10, inputs),),
-        )
+        cert = _forged_c33_dk2(BoundReport("ub.halter_koch", 10, inputs))
         assert _problems_in_memory_and_from_json(cert) == (
             "chain[0] ub.halter_koch: re-evaluation failed (the rule needs a group of rank 2)",
         )
@@ -1723,7 +1833,7 @@ class TestTheoremRules:
         cert = Certificate(
             constant="s_le", group=C32, k=4, value=7, interval=None, witness=None,
             witness_check=None,
-            upper_chain=(BoundReport("ub.eta_rank2", "upper", 7, inputs, constant="s_le"),),
+            upper_chain=(BoundReport("ub.eta_rank2", 7, inputs),),
         )
         assert s_le(C32, 4).value == 6
         assert _problems_in_memory_and_from_json(cert) == (
