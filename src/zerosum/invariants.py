@@ -180,27 +180,10 @@ def _expected_digest(step: BoundReport) -> Optional[str]:
     return _digest16(text)
 
 
-def _sealed(step: BoundReport) -> BoundReport:
-    """Stamp a search step with its canonical digest."""
-    return replace(step, digest=_expected_digest(step))
-
-
-def _dedupe_steps(steps) -> Tuple[BoundReport, ...]:
-    """Steps in order, each (rule, inputs, value) kept at its first use."""
-    seen = set()
-    chain: List[BoundReport] = []
-    for step in steps:
-        key = (step.rule_id, step.inputs, serialize_value(step.value))
-        if key not in seen:
-            seen.add(key)
-            chain.append(step)
-    return tuple(chain)
-
-
 def _search_step(rule_id: str, note: str, **record) -> BoundReport:
     """The digest-stamped step of a search, its value ruled from the record."""
-    pairs = [(name, value, SEARCH) for name, value in record.items()]
-    return _sealed(report(rule_id, pairs, note=note))
+    step = report(rule_id, [(name, value, SEARCH) for name, value in record.items()], note=note)
+    return replace(step, digest=_expected_digest(step))
 
 
 def _provenance(chain) -> str:
@@ -214,6 +197,18 @@ def _provenance(chain) -> str:
 
 
 _CONSTANTS = ("D", "D_k", "s_le", "eta")
+
+
+def _check(rule: str, **params) -> dict:
+    """A witness_check: the rule a witness re-verifies under, with its params."""
+    return {"rule": rule, "params": params}
+
+
+def _witness_lower(constant: str, witness: Sequence) -> int:
+    """The lower end a witness backs. A D or D_k witness is a zero-sum of
+    its length; an s_le or eta witness avoids short zero-sums, so the
+    threshold is one more than its length."""
+    return witness.length + (constant in ("s_le", "eta"))
 
 
 @dataclass(frozen=True)
@@ -235,6 +230,8 @@ class Certificate:
         if (self.value is None) == (self.interval is None):
             raise CertificateError("exactly one of value/interval must be set")
         if self.interval is not None:
+            if any(isinstance(end, bool) or not isinstance(end, int) for end in self.interval):
+                raise CertificateError("interval ends must be ints, not %r" % (self.interval,))
             lo, hi = self.interval
             if not lo <= hi:
                 raise CertificateError("interval must satisfy lo <= hi")
@@ -245,10 +242,30 @@ class Certificate:
             raise CertificateError("k must be a positive int, not %r" % (self.k,))
 
     @classmethod
-    def from_bracket(cls, lo: int, hi: int, **fields) -> "Certificate":
-        """lo <= c <= hi: the value when the bounds meet, else the interval."""
+    def from_evidence(
+        cls, constant: str, group: Group, k: Optional[int], witness: Optional[Sequence],
+        witness_check: Optional[dict], upper_chain, notes=(),
+    ) -> "Certificate":
+        """The certificate whose claim is what its evidence backs.
+
+        The upper end is the chain's last value (the witness length with no
+        chain, on the trivial group's D), the lower end what the witness
+        backs (the upper end with no witness). The claim is the value when
+        the two meet, else the interval. Each chain step is kept at its
+        first use.
+        """
+        first: Dict = {}
+        for step in upper_chain:
+            first.setdefault((step.rule_id, step.inputs, serialize_value(step.value)), step)
+        chain = tuple(first.values())
+        hi = chain[-1].value if chain else witness.length
+        lo = hi if witness is None else _witness_lower(constant, witness)
         exact = lo == hi
-        return cls(value=lo if exact else None, interval=None if exact else (lo, hi), **fields)
+        return cls(
+            constant=constant, group=group, k=k, value=lo if exact else None,
+            interval=None if exact else (lo, hi), witness=witness,
+            witness_check=witness_check, upper_chain=chain, notes=tuple(notes),
+        )
 
     @property
     def lower(self) -> ExtInt:
@@ -295,7 +312,7 @@ class Certificate:
         if "value" in data:
             value = parse_value(data["value"])
         elif "interval" in data:
-            interval = (int(data["interval"]["lo"]), int(data["interval"]["hi"]))
+            interval = (data["interval"]["lo"], data["interval"]["hi"])
         else:
             raise CertificateError("certificate carries neither value nor interval")
         witness = None
@@ -551,28 +568,26 @@ def verify_certificate(cert: Certificate, budget: Optional[int] = None) -> Check
         if cert.witness.group != G:
             problems.append("witness lives in a different group")
         else:
+            # s_le and eta witnesses avoid short zero-sums, under the
+            # short-free rule alone; D and D_k witnesses are zero-sums,
+            # which that rule does not even check
+            threshold = cert.constant in ("s_le", "eta")
             expected = cert.lower
-            if cert.constant in ("D", "D_k"):
-                if cert.witness.length != expected:
-                    problems.append(
-                        "witness length %d differs from claimed %s"
-                        % (cert.witness.length, serialize_value(expected))
-                    )
-                if cert.witness_check is None:
-                    problems.append("witness present without a check rule")
-                else:
-                    problems.extend(
-                        _check_witness(G, cert.witness, k_eff, cert.witness_check, budget)
-                    )
-            else:  # s_le / eta: extremal sequence avoiding short zero-sums
-                if not is_finite(expected):
-                    problems.append("infinite threshold should carry no witness")
-                elif cert.witness.length != expected - 1:
-                    problems.append(
-                        "witness length %d differs from claimed %s - 1"
-                        % (cert.witness.length, serialize_value(expected))
-                    )
-                check = cert.witness_check or {"rule": "short-free"}
+            check = cert.witness_check or (_check("short-free") if threshold else None)
+            if threshold and not is_finite(expected):
+                problems.append("infinite threshold should carry no witness")
+            elif _witness_lower(cert.constant, cert.witness) != expected:
+                problems.append(
+                    "witness length %d differs from claimed %s%s"
+                    % (cert.witness.length, serialize_value(expected), " - 1" if threshold else "")
+                )
+            if check is None:
+                problems.append("witness present without a check rule")
+            elif (check.get("rule") == "short-free") != threshold:
+                problems.append(
+                    "witness: rule %r does not bound %s" % (check.get("rule"), cert.constant)
+                )
+            else:
                 problems.extend(_check_witness(G, cert.witness, k_eff, check, budget))
     elif cert.constant in ("D", "D_k") and is_finite(cert.lower) and cert.lower > 0:
         problems.append("no witness for a positive lower side")
@@ -948,16 +963,8 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
     ub.olson, met by the D* atom; elsewhere by exhaustive search, which
     alone spends the budget."""
     if G.order == 1:
-        witness = Sequence.from_counts(G, {zero(G): 1})
-        return Certificate(
-            constant="D",
-            group=G,
-            k=None,
-            value=1,
-            interval=None,
-            witness=witness,
-            witness_check={"rule": "atom", "params": {}},
-            upper_chain=(),
+        return Certificate.from_evidence(
+            "D", G, None, Sequence.from_counts(G, {zero(G): 1}), _check("atom"), (),
             notes=("the identity element is the only minimal zero-sum",),
         )
     if G.is_elementary_2:
@@ -971,16 +978,7 @@ def davenport(G: Group, budget: Optional[int] = None) -> Certificate:
         witness = _with_closing(free)
         step = _search_step("search.zsf", "exhaustive zero-sum-free maximum",
                             group=format_group(G), max_free=size)
-    return Certificate(
-        constant="D",
-        group=G,
-        k=None,
-        value=step.value,
-        interval=None,
-        witness=witness,
-        witness_check={"rule": "atom", "params": {}},
-        upper_chain=(step,),
-    )
+    return Certificate.from_evidence("D", G, None, witness, _check("atom"), (step,))
 
 
 # ---------------------------------------------------------------------------
@@ -1004,14 +1002,9 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         raise ValueError("k must be positive")
     prof = profile(G)
 
-    def threshold(chain, witness, lo=None) -> Certificate:
-        # s_le(G, k) <= the chain's last value; a witness has no short zero-sum
-        hi = chain[-1].value
-        check = None if witness is None else {"rule": "short-free", "params": {}}
-        return Certificate.from_bracket(
-            hi if lo is None else lo, hi, constant="s_le", group=G, k=k, witness=witness,
-            witness_check=check, upper_chain=tuple(chain),
-        )
+    def threshold(chain, witness) -> Certificate:
+        check = None if witness is None else _check("short-free")
+        return Certificate.from_evidence("s_le", G, k, witness, check, chain)
 
     if G.order == 1:
         step = report("sle.trivial_group", [("order", 1, COMPUTED)])
@@ -1035,7 +1028,7 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         step = e2g_sphere_upper(prof.rank, k)
         ids = max(gf2.code_ids(prof.rank, k), key=len)
         if len(ids) + 1 == step.value or prof.rank > 5:
-            return threshold([step], _ids_to_sequence(G, ids), lo=len(ids) + 1)
+            return threshold([step], _ids_to_sequence(G, ids))
     elif prof.rank == 2 and k == prof.exponent:
         m, n = G.invariant_factors
         witness = Sequence.from_counts(G, {(0, 1): n - 1, (1, 0): m - 1, (1, 1): m - 1})
@@ -1220,39 +1213,24 @@ class _E2Pipeline:
             )
         return _e2_chain_caps(self.r, k, steps), steps
 
-    def upper(self, k: int) -> Tuple[int, List[BoundReport]]:
+    def upper(self, k: int) -> List[BoundReport]:
         caps, steps = self.caps_for(k)
-        final = report(
+        steps.append(report(
             "ub.squarefree_caps",
             [("k", k, SUPPLIED), ("caps", tuple(sorted(caps.items())), COMPUTED)],
             note="squarefree caps plus two elements per extra block",
-        )
-        steps.append(final)
-        return final.value, steps
+        ))
+        return steps
 
     def witness(self, k: int) -> Tuple[Sequence, dict]:
         """Row k's witness: past the table's last row, that row plus a pair
         of id 1 per extra block."""
         last = max(self.witnesses)
         ids, rule, params = self.witnesses[min(k, last)]
-        return (
-            _ids_to_sequence(self.G, ids + (1,) * 2 * max(k - last, 0)),
-            {"rule": rule, "params": dict(params)},
-        )
+        return _ids_to_sequence(self.G, ids + (1,) * 2 * max(k - last, 0)), _check(rule, **params)
 
     def row(self, k: int) -> Certificate:
-        hi, steps = self.upper(k)
-        witness, check = self.witness(k)
-        return Certificate.from_bracket(
-            witness.length,
-            hi,
-            constant="D_k",
-            group=self.G,
-            k=k,
-            witness=witness,
-            witness_check=check,
-            upper_chain=_dedupe_steps(steps),
-        )
+        return Certificate.from_evidence("D_k", self.G, k, *self.witness(k), self.upper(k))
 
 
 @lru_cache(maxsize=16)
@@ -1263,23 +1241,14 @@ def _engine(r: int) -> _E2Pipeline:
 
 
 def _dstar_witness(G: Group, k: int) -> Sequence:
-    """Independent layers over the lower coordinates plus top-order powers."""
-    prof = profile(G)
-    factors = G.invariant_factors
-    r = prof.rank
-    counts: Dict = {}
-    for i, n in enumerate(factors[:-1]):
-        coords = [0] * r
-        coords[i] = 1
-        counts[tuple(coords)] = n - 1
-    top = [0] * r
-    top[r - 1] = 1
-    counts[tuple(top)] = counts.get(tuple(top), 0) + k * prof.exponent - 1
-    items: List = []
-    for coords, m in counts.items():
-        if m > 0:
-            items.extend([coords] * m)
-    return _with_closing(Sequence.from_elements(G, items))
+    """e_i^(n_i - 1) for each lower coordinate i, e_r^(k exp - 1) and the
+    closing element (1, ..., 1): a zero-sum of length D*(G) + (k - 1) exp."""
+    r = G.rank
+    unit = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    counts = {unit[i]: n - 1 for i, n in enumerate(G.invariant_factors[:-1])}
+    counts[unit[-1]] = k * G.exponent - 1
+    counts[(1,) * r] = counts.get((1,) * r, 0) + 1  # on a cyclic group, e_r itself
+    return Sequence.from_counts(G, counts)
 
 
 def _verified_lower(
@@ -1354,7 +1323,7 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
             chains.append(chain + [step])
         hi_steps = min(chains, key=lambda chain: (chain[-1].value, len(chain)))
 
-        disjoint = {"rule": "max-disjoint", "params": {}}
+        disjoint = _check("max-disjoint")
         lower_candidates: List[Tuple[Sequence, dict]] = [(_dstar_witness(G, kk), disjoint)]
         for s, t in elb_settings(G):
             lower_candidates.append((_with_closing(elb_witness(G, s, t, kk)), disjoint))
@@ -1367,18 +1336,7 @@ def _generic_dk(G: Group, k: int, budget: Optional[int]) -> Certificate:
                 "no lower witness for D_%d(%s) verified within the budget %d"
                 % (kk, format_group(G), DEFAULT_VERIFY_BUDGET if budget is None else budget)
             )
-        rows.append(
-            Certificate.from_bracket(
-                witness.length,
-                hi_steps[-1].value,
-                constant="D_k",
-                group=G,
-                k=kk,
-                witness=witness,
-                witness_check=check,
-                upper_chain=_dedupe_steps(hi_steps),
-            )
-        )
+        rows.append(Certificate.from_evidence("D_k", G, kk, witness, check, hi_steps))
     return rows[k - 1]
 
 
@@ -1389,52 +1347,26 @@ def davenport_k(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         raise ValueError("k must be positive")
     prof = profile(G)
     if G.order == 1:
-        witness = Sequence.from_counts(G, {zero(G): k})
-        return Certificate(
-            constant="D_k",
-            group=G,
-            k=k,
-            value=k,
-            interval=None,
-            witness=witness,
-            witness_check={"rule": "zeros", "params": {}},
-            upper_chain=(k_times_d(k, 1, d_prov=COMPUTED),),
+        return Certificate.from_evidence(
+            "D_k", G, k, Sequence.from_counts(G, {zero(G): k}), _check("zeros"),
+            (k_times_d(k, 1, d_prov=COMPUTED),),
         )
     if k == 1:
         d_cert = davenport(G, budget)
         return replace(d_cert, constant="D_k", k=1)
     if prof.rank == 1:
-        n = G.order
         d_cert = davenport(G, budget)
-        g = element_at(G, 1)
-        witness = Sequence.from_counts(G, {g: k * n})
-        chain = tuple(d_cert.upper_chain) + (
-            k_times_d(k, d_cert.value, d_prov=_provenance(d_cert.upper_chain)),
-        )
-        return Certificate(
-            constant="D_k",
-            group=G,
-            k=k,
-            value=k * n,
-            interval=None,
-            witness=witness,
-            witness_check={"rule": "cyclic-power", "params": {}},
-            upper_chain=chain,
+        witness = Sequence.from_counts(G, {element_at(G, 1): k * G.order})
+        step = k_times_d(k, d_cert.value, d_prov=_provenance(d_cert.upper_chain))
+        return Certificate.from_evidence(
+            "D_k", G, k, witness, _check("cyclic-power"), d_cert.upper_chain + (step,)
         )
     if G.is_elementary_2 and prof.rank <= 5:
         return _engine(prof.rank).row(k)
     if prof.rank == 2:
         # the D* sequence with k - 1 more periods of the top coordinate
-        step = halter_koch_upper(G, k)
-        return Certificate(
-            constant="D_k",
-            group=G,
-            k=k,
-            value=step.value,
-            interval=None,
-            witness=_dstar_witness(G, k),
-            witness_check={"rule": "max-disjoint", "params": {}},
-            upper_chain=(step,),
+        return Certificate.from_evidence(
+            "D_k", G, k, _dstar_witness(G, k), _check("max-disjoint"), (halter_koch_upper(G, k),)
         )
     return _generic_dk(G, k, budget)
 

@@ -463,6 +463,30 @@ class TestVerify:
         assert out == ""
         assert "malformed certificate" in err and "Traceback" not in err
 
+    def test_forgery_is_refused(self, capsys, tmp_path, forged):
+        # a witness rule that does not bound the constant, under a digest
+        # recomputed for the forged claim
+        cert, problem = forged
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert.to_json()))
+        code, out, _ = run_cli(capsys, "verify", "--cert", str(path), "--format", "json")
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "problems": [problem]}
+
+    @pytest.mark.parametrize("end", ["13", 13.0, 13.7, True], ids=["str", "float", "fraction", "bool"])
+    def test_interval_end_of_another_type_is_malformed(self, capsys, tmp_path, end):
+        # D_3(C_2^5) = [13, 14] with its lower end retyped and its digest
+        # dropped: each was once read as int(end), so all but true verified
+        def retype(data):
+            del data["digest"]
+            data["interval"]["lo"] = end
+
+        path = self.make_cert_file(capsys, tmp_path, tamper=retype, group="2^5", k="3")
+        code, out, err = run_cli(capsys, "verify", "--cert", path)
+        assert code == 1
+        assert out == ""
+        assert "malformed certificate" in err and "Traceback" not in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("[1, 2]")

@@ -1,11 +1,14 @@
 """Tests for certified invariant computation."""
 
+import ast
+import hashlib
 import inspect
 import json
 import sys
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -1235,6 +1238,91 @@ class TestForgedUpperSide:
             "chain[0] search.full_enum: re-evaluation failed "
             "(no evaluator for rule 'search.full_enum')",
         )
+
+
+# the 25 abelian groups of order <= 16, the trivial one first
+PINNED_GROUPS = [()] + [(n,) for n in range(2, 17)] + [
+    (2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (4, 4), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_certificates():
+    """D, eta, s_le at 1..exp + 3 and D_k at k = 1..5 of each pinned group:
+    421 certificates, every builder site of the library among them."""
+    certs = []
+    for factors in PINNED_GROUPS:
+        G = make_group(factors)
+        exp = profile(G).exponent if G.order > 1 else 1
+        certs += [davenport(G), eta(G)]
+        certs += [s_le(G, ell) for ell in range(1, exp + 4)]
+        certs += [davenport_k(G, k) for k in range(1, 6)]
+    return certs
+
+
+class TestCertificatesFromEvidence:
+    def test_pinned_certificates_are_byte_identical(self, pinned_certificates):
+        digest = hashlib.sha256()
+        for cert in pinned_certificates:
+            digest.update(json.dumps(cert.to_json(), sort_keys=True).encode())
+        assert len(pinned_certificates) == 421
+        assert digest.hexdigest()[:16] == "8cd2fafba95aa168"
+
+    def test_every_witness_rule_bounds_its_constant(self, pinned_certificates):
+        for cert in pinned_certificates:
+            if cert.witness is not None:
+                threshold = cert.constant in ("s_le", "eta")
+                assert (cert.witness_check["rule"] == "short-free") == threshold
+            assert verify_certificate(cert).ok
+
+    def test_no_certificate_is_built_by_hand(self):
+        # every certificate comes from Certificate.from_evidence, from
+        # Certificate.from_json or from dataclasses.replace of one of those
+        found = []
+        for path in sorted(Path(invariants.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "Certificate":
+                        found.append("%s:%d Certificate(...)" % (path.name, node.lineno))
+                if "from_bracket" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                      getattr(node, "name", None)):
+                    found.append("%s:%d from_bracket" % (path.name, node.lineno))
+        assert found == []
+
+    @pytest.mark.parametrize("constant,k,witness,check,chain,claim", [
+        ("D", None, (0, 0), "atom", (), (2, None)),
+        ("D_k", 2, (1, 1), "max-disjoint", (3,), (None, (2, 3))),
+        ("s_le", 2, (1, 2), "short-free", (3, 3), (3, None)),
+        ("s_le", 2, None, None, (4,), (4, None)),
+    ], ids=["no-chain", "bracket", "deduped", "no-witness"])
+    def test_claim_comes_from_the_evidence(self, constant, k, witness, check, chain, claim):
+        # witness is ids of C_2^2 and chain the values of ub.k_times_d(1, D)
+        # steps, the equal ones deduplicated; no chain closes here
+        steps = [invariants.k_times_d(1, d, d_prov=COMPUTED) for d in chain]
+        cert = Certificate.from_evidence(
+            constant, C22, k, witness and invariants._ids_to_sequence(C22, witness),
+            check and invariants._check(check), steps,
+        )
+        assert (cert.value, cert.interval) == claim
+        assert cert.upper_chain == tuple(steps[:1])
+
+    def test_forgery_is_refused(self, forged):
+        cert, problem = forged
+        assert _problems_in_memory_and_from_json(cert) == (problem,)
+
+    @pytest.mark.parametrize("end", ["13", 13.0, 13.7, True], ids=["str", "float", "fraction", "bool"])
+    def test_interval_end_of_another_type_is_refused(self, end):
+        cert = davenport_k(C25, 3)
+        assert cert.interval == (13, 14)
+        with pytest.raises(CertificateError, match="interval ends must be ints"):
+            replace(cert, interval=(end, 14))
+        data = cert.to_json()
+        del data["digest"]
+        data["interval"]["lo"] = end
+        with pytest.raises(CertificateError, match="interval ends must be ints"):
+            Certificate.from_json(data)
 
 
 def _relabelled(cert, i, field, label):
