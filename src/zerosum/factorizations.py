@@ -11,12 +11,15 @@ the masked rotates of ``groups.translation``; ``_table`` keeps, per
 group, each element's bit, its negative's bit and both rotates. Element
 tuples appear only at the API boundary.
 
-The DFS prunes on reachable sums: a prefix grows only if the slots from
-its last one on, at S's full counts, can still sum to the negative of
-its sum (see ``_Kernel``). The test drops no atom and keeps the atom
-order. A node is one slot tried on a prefix, and the pruned DFS tries a
-subset of the slots the unpruned one did, so a budget that let a query
-finish without the test lets it finish with it.
+The DFS prunes on reachable sums: a prefix grows only if the copies it
+has left of its last slot, with the slots after it at S's full counts,
+can still sum to the negative of its sum. Each slot keeps a row of
+reach sets, one per number of copies left (see ``_Kernel``), and the
+sums bitset is translated only for a prefix that passes. The test drops
+no atom and keeps the atom order. A node is one slot tried on a prefix,
+and the pruned DFS tries a subset of the slots the unpruned one did, so
+a budget that let a query finish without the test lets it finish with
+it.
 
 There is one memoised search, ``_lengths``, keyed on the packed counts.
 It pins the least slot left and branches over the atoms through the pin:
@@ -49,7 +52,6 @@ from .groups import (
     element_index,
     neg,
     translation,
-    zero,
 )
 from .sequences import (
     Sequence,
@@ -126,7 +128,7 @@ class _Memo:
 
 def is_minimal_zero_sum(S: Sequence) -> bool:
     """Nonempty, zero-sum, and no proper nonempty zero-sum subsequence."""
-    if S.length == 0 or S.sum() != zero(S.group):
+    if S.length == 0 or any(S.sum()):
         return False
     # a proper zero-sum part and its complement are both zero-sum, and one
     # of them misses any given element of S: so S is minimal iff S without
@@ -181,12 +183,16 @@ class _Kernel:
     are the ones in that range that fit in C.
 
     The DFS grows zero-sum-free prefixes in slot order. Before it starts,
-    reach[j] is set, through the rotates by -e, to the negatives of the
-    sums of the nonempty sub-multisets of slots j..k-1 at S's full
-    counts. A prefix with sum s whose last slot is j grows only if s is
-    in reach[j]: an atom through it adds such a sub-multiset summing to
-    -s, so the test drops no atom. A node is one slot tried on a prefix
-    (or as a first element); no slot is tried on a prefix the test drops.
+    reach[j][c] is set, through the rotates by -e, to the negatives of the
+    sums of the nonempty sub-multisets of slots j..k-1 with at most c
+    copies of slot j and S's full counts of the slots after it. A prefix
+    with sum s whose last slot is j, of which S has c copies left, grows
+    only if s is in reach[j][c]: an atom through it adds such a
+    sub-multiset summing to -s, so the test drops no atom. Only the bit
+    of s is translated before the test; the prefix's sums bitset is
+    translated once the test passes. A node is one slot tried on a
+    prefix (or as a first element); no slot is tried on a prefix the test
+    drops.
     """
 
     __slots__ = ("support", "width", "guards", "counts", "atoms", "first")
@@ -201,9 +207,12 @@ class _Kernel:
         self.counts = sum(m * u for m, u in zip(left, unit))
         table = _table(S.group)
         bit, minus, moves, back = zip(*map(table.__getitem__, support)) if k else ((),) * 4
-        reach = [0] * k
+        # reach[j][c]: the negatives of the sums of the nonempty
+        # sub-multisets of slots j..k-1 with at most c copies of slot j
+        reach: List[List[int]] = [[]] * k
         r = 0
         for j in range(k - 1, -1, -1):
+            row = reach[j] = [r]
             for _ in range(left[j]):
                 t = r | 1  # the zero element is bit 0
                 for low, high, up, down in back[j]:
@@ -211,7 +220,8 @@ class _Kernel:
                 if t | r == r:
                     break  # one more copy of slot j reaches nothing new
                 r |= t
-            reach[j] = r
+                row.append(r)
+            row += [r] * (left[j] + 1 - len(row))
         stop, spent = budget.stop, budget.spent
         atoms: List[int] = []
 
@@ -224,7 +234,8 @@ class _Kernel:
             # some other subsequence sums to -e.
             nonlocal spent
             for j in range(start, k):
-                if not left[j]:
+                c = left[j]
+                if not c:
                     continue
                 if spent == stop:
                     raise budget.exhausted(spent)
@@ -232,14 +243,16 @@ class _Kernel:
                 if total == minus[j]:
                     atoms.append(atom + unit[j])
                 elif room > 1 and not sums & minus[j]:
-                    t, u = sums, total
+                    u = total
                     for low, high, up, down in moves[j]:
-                        t = (t & low) << up | (t & high) >> down
                         u = (u & low) << up | (u & high) >> down
-                    if u & reach[j]:
-                        left[j] -= 1
+                    if u & reach[j][c - 1]:
+                        t = sums
+                        for low, high, up, down in moves[j]:
+                            t = (t & low) << up | (t & high) >> down
+                        left[j] = c - 1
                         extend(j, atom + unit[j], room - 1, sums | t | bit[j], u)
-                        left[j] += 1
+                        left[j] = c
 
         room = S.length if max_len is None else max_len - 1
         first = []
@@ -250,7 +263,7 @@ class _Kernel:
             spent += 1
             if bit[i] == 1:  # the zero element is an atom on its own
                 atoms.append(unit[i])
-            elif room > 0 and bit[i] & reach[i]:
+            elif room > 0 and bit[i] & reach[i][left[i] - 1]:
                 left[i] -= 1
                 extend(i, unit[i], room, bit[i], bit[i])
                 left[i] += 1
@@ -322,14 +335,14 @@ def _lengths(
     contains an atom. The search pins the least slot left and branches
     over the atoms through it, so every decomposition is visited once.
     """
-    b = _Budget(budget, entry)
     key = (S, atom_cap, discard)
     hit = _MASKS.get(key)
     if hit is not None:
         lengths, nodes = hit
-        if b.stop != -1 and b.stop < nodes:
-            raise BudgetExhausted(b.stop, entry)  # where the search stops
+        if budget is not None and max(budget, 0) < nodes:
+            raise BudgetExhausted(max(budget, 0), entry)  # where the search stops
         return lengths
+    b = _Budget(budget, entry)
     kernel = _Kernel(S, atom_cap, b)
     w, guards, first = kernel.width, kernel.guards, kernel.first
     buckets = [kernel.atoms[first[i]:first[i + 1]] for i in range(len(first) - 1)]
@@ -365,7 +378,7 @@ def _lengths(
 
 
 def _require_zero_sum(B: Sequence, caller: str) -> None:
-    if B.sum() != zero(B.group):
+    if any(B.sum()):
         raise SequenceError("%s requires a zero-sum sequence" % caller)
 
 
@@ -377,7 +390,7 @@ def max_disjoint_zero_sums(S: Sequence, budget: Optional[int] = None) -> int:
     blocks that exhaust S, and they refine into at least k atoms. So the
     discard branch runs only when S is not zero-sum.
     """
-    discard = S.sum() != zero(S.group)
+    discard = any(S.sum())
     return _lengths(S, None, discard, "max_disjoint_zero_sums", budget).bit_length() - 1
 
 

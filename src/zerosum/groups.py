@@ -193,7 +193,10 @@ def format_group(G: Group) -> str:
     return ",".join(parts)
 
 
+@lru_cache(maxsize=256)
 def profile(G: Group) -> GroupProfile:
+    """Order, exponent, rank, D* and the factors below the exponent; kept
+    per group, and frozen, so every caller may share one."""
     d_star = sum(n - 1 for n in G.invariant_factors) + 1
     minus = G.invariant_factors[:-1] if G.rank >= 1 else ()
     return GroupProfile(

@@ -318,6 +318,18 @@ class Certificate:
         witness = None
         if data.get("witness") is not None:
             witness = sequence_from_json(G, data["witness"])
+        check = data.get("witness_check")
+        if check is not None:
+            if not isinstance(check, dict):
+                raise CertificateError("witness_check must be an object, not %r" % (check,))
+            if not isinstance(check.get("params", {}), dict):
+                raise CertificateError(
+                    "witness_check params must be an object, not %r" % (check["params"],)
+                )
+        chain = data.get("upper_chain", [])
+        for i, step in enumerate(chain):
+            if not isinstance(step, dict):
+                raise CertificateError("upper_chain[%d] must be an object, not %r" % (i, step))
         return cls(
             constant=data["constant"],
             group=G,
@@ -325,8 +337,8 @@ class Certificate:
             value=value,
             interval=interval,
             witness=witness,
-            witness_check=data.get("witness_check"),
-            upper_chain=tuple(BoundReport.from_json(s) for s in data.get("upper_chain", [])),
+            witness_check=check,
+            upper_chain=tuple(BoundReport.from_json(step) for step in chain),
             notes=tuple(data.get("notes", ())),
             stored_digest=data.get("digest"),
         )

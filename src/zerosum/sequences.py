@@ -220,9 +220,8 @@ def sequence_to_json(S: Sequence) -> list:
 def sequence_from_json(G: Group, data: list) -> Sequence:
     counts: Dict[Element, int] = {}
     for entry in data:
-        el = validate_element(G, tuple(entry["coords"]))
-        m = entry["mult"]
-        counts[el] = counts.get(el, 0) + m
+        el = tuple(entry["coords"])  # from_counts validates it
+        counts[el] = counts.get(el, 0) + entry["mult"]
     return Sequence.from_counts(G, counts)
 
 

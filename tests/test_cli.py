@@ -487,6 +487,26 @@ class TestVerify:
         assert out == ""
         assert "malformed certificate" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("shape", ["witness_check", "params", "upper_chain"])
+    def test_object_of_another_type_is_malformed(self, capsys, tmp_path, shape):
+        # D_2(C_2^4) with one JSON object retyped and its digest dropped:
+        # each once died in an AttributeError traceback
+        def retype(data):
+            del data["digest"]
+            if shape == "witness_check":
+                data["witness_check"] = "atom"
+            elif shape == "params":
+                data["witness_check"]["params"] = [8]
+            else:
+                data["upper_chain"][0] = "ub.e2g_d"
+
+        path = self.make_cert_file(capsys, tmp_path, tamper=retype)
+        code, out, err = run_cli(capsys, "verify", "--cert", path)
+        assert code == 1
+        assert out == ""
+        assert "malformed certificate" in err and "Traceback" not in err
+        assert "must be an object" in err
+
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("[1, 2]")

@@ -8,7 +8,15 @@ import random
 import pytest
 
 from zerosum import factorizations as fz
-from zerosum.groups import add, element_at, make_group, neg, zero
+from zerosum.groups import (
+    add,
+    element_at,
+    element_index,
+    enumerate_elements,
+    make_group,
+    neg,
+    zero,
+)
 from zerosum.factorizations import (
     BudgetExhausted,
     Factorization,
@@ -170,24 +178,28 @@ def _oracle_count_above(S, floor_items):
     return total
 
 
-def oracle_kernel_nodes(S, pruned):
+def oracle_kernel_nodes(S, pruned, per_copy=True):
     """Nodes of the atom DFS, counted from their definition.
 
     The DFS grows prefixes: multisets of slots taken in nondecreasing
     order. It tries each slot as a first element, and each slot from a
     grown prefix's last one on that S has left; a prefix grows when it is
     zero-sum free and, if pruned, when the negative of its sum is the sum
-    of a nonempty sub-multiset of the slots from its last one on, at S's
-    full counts.
+    of a nonempty sub-multiset of the slots from its last one on: of the
+    copies S has left of that last slot, and of S's full counts of the
+    slots after it. With per_copy False the last slot too counts at S's
+    full count, as an earlier form of the reach test did.
     """
     G = S.group
     items = S.items
     k = len(items)
     z = zero(G)
 
-    def reach(j):
+    @functools.lru_cache(maxsize=None)
+    def reach(j, left):
         out = set()
-        for counts in itertools.product(*(range(m + 1) for _, m in items[j:])):
+        ranges = [range(left + 1)] + [range(m + 1) for _, m in items[j + 1:]]
+        for counts in itertools.product(*ranges):
             total = z
             for (e, _), c in zip(items[j:], counts):
                 for _ in range(c):
@@ -196,11 +208,10 @@ def oracle_kernel_nodes(S, pruned):
                 out.add(total)
         return out
 
-    reaches = [reach(j) for j in range(k)]
-
     def grows(used, j):
         P = Sequence(G, tuple((e, c) for (e, _), c in zip(items, used) if c))
-        return is_zero_sum_free_brute(P) and (not pruned or neg(G, P.sum()) in reaches[j])
+        left = items[j][1] - used[j] if per_copy else items[j][1]
+        return is_zero_sum_free_brute(P) and (not pruned or neg(G, P.sum()) in reach(j, left))
 
     def tried(used, last):
         nodes = 0
@@ -345,6 +356,30 @@ class TestAgainstOracles:
         assert [repr(f) for f in enumerate_factorizations(S)] == factorizations
 
 
+class TestTable:
+    """Each element's slot row, against groups.add and groups.neg."""
+
+    @staticmethod
+    def moved(u, moves):
+        for low, high, up, down in moves:
+            u = (u & low) << up | (u & high) >> down
+        return u
+
+    @pytest.mark.parametrize("G", QUERY_GROUPS + (make_group([2] * 6),), ids=repr)
+    def test_rows_match_group_arithmetic(self, G):
+        elements = list(enumerate_elements(G))
+        table = fz._table(G)
+        for e in elements:
+            bit, minus, moves, back = table[e]
+            assert bit == 1 << element_index(G, e)
+            assert minus == 1 << element_index(G, neg(G, e))
+            for x in elements:
+                u = 1 << element_index(G, x)
+                assert self.moved(u, moves) == 1 << element_index(G, add(G, x, e))
+                assert self.moved(u, back) == 1 << element_index(G, add(G, x, neg(G, e)))
+        assert fz._table(G) is table
+
+
 class TestPrunedKernel:
     """The reach test of the atom DFS drops nodes but no atom."""
 
@@ -352,7 +387,11 @@ class TestPrunedKernel:
     # each with prefixes the test drops. In C_6, "1; 2^3; 4^2" has the
     # prefix 4^2 of sum 2, whose negative 4 no sub-multiset of the last
     # slot (4, 4^2 = 2) reaches, so the slot 4 is never tried on it.
-    PRUNED = tuple(
+    # The squarefree "2; 3; 4" (SQUAREFREE) has the prefix 2, 3 of sum 5:
+    # the negative 1 is 3 + 4 only with the copy of 3 the prefix holds, so
+    # the row for the copies left drops it, where S's full counts did not.
+    SQUAREFREE = parse_sequence(C6, "2; 3; 4")
+    PRUNED = (SQUAREFREE,) + tuple(
         parse_sequence(G, text)
         for G, texts in (
             (C2_4, ("0,0,0,1; 0,1,1,0; 0,1,1,1; 1,0,0,0; 1,0,1,1; 1,1,0,0; 1,1,1,1",
@@ -389,6 +428,12 @@ class TestPrunedKernel:
             assert nodes < oracle_kernel_nodes(S, pruned=False), S
         assert {S.sum() == zero(S.group) for S in self.PRUNED} == {True, False}
 
+    def test_per_copy_rows_drop_what_full_counts_keep(self):
+        S = self.SQUAREFREE
+        unpruned = oracle_kernel_nodes(S, pruned=False)
+        assert oracle_kernel_nodes(S, pruned=True, per_copy=False) == unpruned
+        assert kernel_nodes(S) == oracle_kernel_nodes(S, pruned=True) < unpruned
+
     def test_nodes_match_their_definition(self):
         for S in self.pool(2811, 4, 6):
             nodes = kernel_nodes(S)
@@ -424,8 +469,10 @@ class TestPrunedKernel:
 
     def test_total_nodes_pinned(self):
         # Losing the reach test raises the kernel's total: the unpruned DFS
-        # spends 15,656 nodes on the same pool. The search after it spends
-        # what it did before the test, and more without its memo.
+        # spends 15,656 nodes on the same pool, and the reach test with the
+        # last slot at S's full count, not at the copies left, 11,180. The
+        # search after it spends what it did before the test, and more
+        # without its memo.
         kernel = search = 0
         for S in self.pool(2814, 20, 10):
             fz._MASKS.data.clear()
@@ -433,7 +480,7 @@ class TestPrunedKernel:
             (_, nodes), = fz._MASKS.data.values()
             kernel += kernel_nodes(S)
             search += nodes - kernel_nodes(S)
-        assert (kernel, search) == (11_180, 2_720)
+        assert (kernel, search) == (9_290, 2_720)
 
 
 class TestKernelBudgets:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -117,6 +118,14 @@ class TestProfile:
         p = profile(make_group([]))
         assert (p.order, p.exponent, p.rank, p.d_star) == (1, 1, 0, 1)
         assert p.minus_factors == ()
+
+    def test_equal_groups_share_one_frozen_profile(self):
+        # profile is kept per group, so a caller must not be able to change it
+        p = profile(make_group([4, 2]))
+        assert profile(parse_group("2,4")) is p
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.rank = 3
+        assert (p.order, p.exponent, p.rank, p.d_star) == (8, 4, 2, 5)
 
 
 class TestElements:

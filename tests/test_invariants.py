@@ -963,6 +963,29 @@ class TestCertificateSerialization:
         with pytest.raises(CertificateError):
             Certificate.from_json(data)
 
+    @pytest.mark.parametrize("shape,message", [
+        ("witness_check", "witness_check must be an object, not 'atom'"),
+        ("params", "witness_check params must be an object, not [8]"),
+        ("upper_chain", "upper_chain[0] must be an object, not 'ub.e2g_d'"),
+    ])
+    def test_object_of_another_type_is_refused_from_json(self, shape, message):
+        # D_2(C_2^4), digest dropped, with one JSON object retyped: each once
+        # died in from_json or verify_certificate with an AttributeError.
+        # The JSON goes through text, since to_json shares witness_check
+        # with the memoised certificate.
+        data = json.loads(json.dumps(davenport_k(C24, 2).to_json()))
+        assert data["witness_check"]["rule"] == "coset-quarter"
+        del data["digest"]
+        if shape == "witness_check":
+            data["witness_check"] = "atom"
+        elif shape == "params":
+            data["witness_check"]["params"] = [8]
+        else:
+            data["upper_chain"][0] = "ub.e2g_d"
+        with pytest.raises(CertificateError) as err:
+            Certificate.from_json(data)
+        assert str(err.value) == message
+
     def test_json_has_no_exhaustive_key(self):
         certs = [
             davenport(C22), davenport(make_group(())), davenport_k(C25, 2),

@@ -205,6 +205,22 @@ class TestParsing:
         S = parse_sequence(C3_2, "1,2^2")
         assert sequence_to_json(S) == [{"coords": [1, 2], "mult": 2}]
 
+    def test_json_bad_coordinate(self):
+        with pytest.raises(GroupError, match=r"^coordinate 3 out of range \[0, 3\)$"):
+            sequence_from_json(C3_2, [{"coords": [1, 2], "mult": 1}, {"coords": [3, 0], "mult": 1}])
+
+    @pytest.mark.parametrize(
+        "mult,message",
+        [
+            (1.5, r"^multiplicity must be an integer, got 1\.5$"),
+            (-2, r"^negative multiplicity -2 for \(1, 2\)$"),
+        ],
+    )
+    def test_json_bad_multiplicity(self, mult, message):
+        data = [{"coords": [2, 0], "mult": 1}, {"coords": [1, 2], "mult": mult}]
+        with pytest.raises(sequences.SequenceError, match=message):
+            sequence_from_json(C3_2, data)
+
     def test_bad_multiplicity(self):
         with pytest.raises(SequenceParseError):
             parse_sequence(C2_3, "1,0,0^x")
