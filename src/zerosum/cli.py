@@ -6,20 +6,24 @@ included when --timing is passed, so identical inputs give identical
 bytes.  As text, a certificate prints its claim, witness, chain rule
 ids, notes and digest, one per line.  Exit codes: 0 for an exact
 result, 2 when the best obtainable answer is a bracket, 1 for usage
-errors, failed verification or an exhausted search budget.
+errors, failed verification or an exhausted search budget.  Every
+error the library raises is a usage error: `Error: <message>` on
+stderr, with no traceback.  `bound all --inputs` reads D as a positive
+int and each threshold as an int or "inf", as certificates read values.
 """
 
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 import click
 
-from .arith import INFINITE, serialize_value
-from .bounds import BoundError, KnownValues, collect_bounds
+from .arith import parse_value, serialize_value
+from .bounds import BoundConsistencyError, KnownValues, collect_bounds
 from .constructions import elb_witness, maxfull_factorization, paige_bijection
-from .groups import GroupError, format_group, parse_group, profile
+from .groups import format_group, parse_group, profile
 from .invariants import (
     Certificate,
     SearchError,
@@ -30,7 +34,7 @@ from .invariants import (
     stabilization,
     verify_certificate,
 )
-from .sequences import SequenceError, format_sequence, sequence_to_json
+from .sequences import format_sequence, sequence_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,25 +45,56 @@ class _CliError(click.ClickException):
     exit_code = EXIT_USAGE
 
 
+# ValueError covers BoundError, CertificateError, GroupError and SequenceError
+_LIBRARY_ERRORS = (SearchError, BoundConsistencyError, ValueError)
+
+
+@contextmanager
+def _usage_errors(prefix: str = "", also: tuple = ()):
+    """Report a library error, or one of `also`, as a usage error: exit 1
+    and `Error: <prefix><message>` on stderr, with no traceback."""
+    try:
+        yield
+    except _LIBRARY_ERRORS + also as exc:
+        raise _CliError(prefix + str(exc))
+
+
+def _start_clock(ctx, param, timing: bool) -> Optional[float]:
+    """The value of --timing: when its command started, or None."""
+    return time.time() if timing else None
+
+
+def _respond(fmt: str, payload: dict, lines: list, started: Optional[float] = None,
+             code: int = EXIT_OK) -> int:
+    """Print payload as JSON, or lines as text (or csv), and return the exit code.
+
+    A payload's `verified` check prints as text too, with its problems,
+    and exits 1 when it failed; otherwise the exit code is `code`. Under
+    --timing, `elapsed_ms` joins the payload and ends the text lines.
+    """
+    if "verified" in payload:
+        lines.append("verified: %s" % ("yes" if payload["verified"] else "no"))
+        lines.extend("problem: %s" % item for item in payload.get("problems", ()))
+    if started is not None:
+        payload["elapsed_ms"] = int((time.time() - started) * 1000)
+        if fmt == "text":
+            lines.append("elapsed_ms: %d" % payload["elapsed_ms"])
+    if fmt == "json":
+        click.echo(json.dumps(payload, sort_keys=True))
+    else:
+        for line in lines:
+            click.echo(line)
+    return EXIT_USAGE if payload.get("verified") is False else code
+
+
 def _parse_group_arg(text: str):
-    if text.strip() == "1":
-        return parse_group("")
-    try:
-        return parse_group(text)
-    except GroupError as exc:
-        raise _CliError(str(exc))
+    return parse_group("" if text.strip() == "1" else text)
 
 
-def _load_json_file(path: str) -> dict:
-    try:
+def _load_json_file(path: str):
+    with _usage_errors("cannot read %s: " % path, (OSError,)):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise _CliError("cannot read %s: %s" % (path, exc))
-
-
-def _emit_json(payload) -> None:
-    click.echo(json.dumps(payload, sort_keys=True))
 
 
 def _span(lo: int, hi: int) -> str:
@@ -90,40 +125,23 @@ def _cert_lines(cert: Certificate) -> list:
     return lines
 
 
-def _finish_certificate(cert: Certificate, fmt: str, timing: bool, started: float,
-                        do_verify: bool) -> int:
-    verified: Optional[bool] = None
-    problems: list = []
+def _respond_certificate(cert: Certificate, fmt: str, started: Optional[float],
+                         do_verify: bool) -> int:
+    payload = cert.to_json()
     if do_verify:
         result = verify_certificate(cert)
-        verified = result.ok
-        problems = list(result.problems)
-    elapsed = int((time.time() - started) * 1000) if timing else None
-    if fmt == "json":
-        payload = cert.to_json(elapsed_ms=elapsed)
-        if verified is not None:
-            payload["verified"] = verified
-            if problems:
-                payload["problems"] = problems
-        _emit_json(payload)
-    else:
-        for line in _cert_lines(cert):
-            click.echo(line)
-        if verified is not None:
-            click.echo("verified: %s" % ("yes" if verified else "no"))
-            for item in problems:
-                click.echo("problem: %s" % item)
-        if elapsed is not None:
-            click.echo("elapsed_ms: %d" % elapsed)
-    if verified is False:
-        return EXIT_USAGE
-    return EXIT_OK if cert.value is not None else EXIT_BRACKET
+        payload["verified"] = result.ok
+        if result.problems:
+            payload["problems"] = list(result.problems)
+    return _respond(fmt, payload, _cert_lines(cert), started,
+                    EXIT_OK if cert.value is not None else EXIT_BRACKET)
 
 
 _FMT = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="text",
     show_default=True, help="Output format.")
-_TIMING = click.option("--timing", is_flag=True, help="Include wall-clock time.")
+_TIMING = click.option("--timing", "started", is_flag=True, callback=_start_clock,
+                       help="Include wall-clock time.")
 _BUDGET = click.option("--budget", type=click.IntRange(min=1), default=None,
                        help="Search node budget override.")
 _VERIFY = click.option("--verify", "do_verify", is_flag=True,
@@ -156,27 +174,12 @@ def info_cmd(group_text: str, fmt: str) -> int:
         "layered_lower": prof.d_star,
         "truncated_factors": list(prof.minus_factors),
     }
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        for key in ("group", "invariant_factors", "order", "exponent", "rank",
-                    "layered_lower", "truncated_factors"):
-            click.echo("%s: %s" % (key, payload[key]))
-    return EXIT_OK
+    return _respond(fmt, payload, ["%s: %s" % item for item in payload.items()])
 
 
 @cli.group("compute")
 def compute_group() -> None:
     """Compute a constant, returning a certificate."""
-
-
-def _run_certificate(fn, fmt: str, timing: bool, do_verify: bool) -> int:
-    started = time.time()
-    try:
-        cert = fn()
-    except (SearchError, BoundError, SequenceError, GroupError, ValueError) as exc:
-        raise _CliError(str(exc))
-    return _finish_certificate(cert, fmt, timing, started, do_verify)
 
 
 @compute_group.command("davenport")
@@ -186,10 +189,10 @@ def _run_certificate(fn, fmt: str, timing: bool, do_verify: bool) -> int:
 @_TIMING
 @_VERIFY
 def compute_davenport(group_text: str, budget: Optional[int], fmt: str,
-                      timing: bool, do_verify: bool) -> int:
+                      started: Optional[float], do_verify: bool) -> int:
     """Longest zero-sum sequence with no proper zero-sum prefix removed."""
     G = _parse_group_arg(group_text)
-    return _run_certificate(lambda: davenport(G, budget=budget), fmt, timing, do_verify)
+    return _respond_certificate(davenport(G, budget=budget), fmt, started, do_verify)
 
 
 @compute_group.command("dk")
@@ -201,12 +204,12 @@ def compute_davenport(group_text: str, budget: Optional[int], fmt: str,
 @_TIMING
 @_VERIFY
 def compute_dk(group_text: str, k: int, budget: Optional[int], fmt: str,
-               timing: bool, do_verify: bool) -> int:
+               started: Optional[float], do_verify: bool) -> int:
     """Longest sequence splittable into at most k disjoint zero-sum blocks."""
     if k < 1:
         raise _CliError("k must be at least 1")
     G = _parse_group_arg(group_text)
-    return _run_certificate(lambda: davenport_k(G, k, budget=budget), fmt, timing, do_verify)
+    return _respond_certificate(davenport_k(G, k, budget=budget), fmt, started, do_verify)
 
 
 @compute_group.command("sle")
@@ -218,12 +221,12 @@ def compute_dk(group_text: str, k: int, budget: Optional[int], fmt: str,
 @_TIMING
 @_VERIFY
 def compute_sle(group_text: str, k: int, budget: Optional[int], fmt: str,
-                timing: bool, do_verify: bool) -> int:
+                started: Optional[float], do_verify: bool) -> int:
     """Threshold length forcing a zero-sum subsequence of length <= k."""
     if k < 1:
         raise _CliError("k must be at least 1")
     G = _parse_group_arg(group_text)
-    return _run_certificate(lambda: s_le(G, k, budget=budget), fmt, timing, do_verify)
+    return _respond_certificate(s_le(G, k, budget=budget), fmt, started, do_verify)
 
 
 @compute_group.command("eta")
@@ -233,10 +236,10 @@ def compute_sle(group_text: str, k: int, budget: Optional[int], fmt: str,
 @_TIMING
 @_VERIFY
 def compute_eta(group_text: str, budget: Optional[int], fmt: str,
-                timing: bool, do_verify: bool) -> int:
+                started: Optional[float], do_verify: bool) -> int:
     """Threshold length forcing a zero-sum subsequence of length <= exponent."""
     G = _parse_group_arg(group_text)
-    return _run_certificate(lambda: eta(G, budget=budget), fmt, timing, do_verify)
+    return _respond_certificate(eta(G, budget=budget), fmt, started, do_verify)
 
 
 @compute_group.command("stabilize")
@@ -247,40 +250,46 @@ def compute_eta(group_text: str, budget: Optional[int], fmt: str,
 @_FMT
 @_TIMING
 def compute_stabilize(group_text: str, kmax: int, budget: Optional[int], fmt: str,
-                      timing: bool) -> int:
+                      started: Optional[float]) -> int:
     """Detect the onset of linear growth across a table of block constants."""
     if kmax < 1:
         raise _CliError("kmax must be at least 1")
     G = _parse_group_arg(group_text)
-    started = time.time()
-    try:
-        report = stabilization(G, kmax, budget=budget)
-    except (SearchError, BoundError, ValueError) as exc:
-        raise _CliError(str(exc))
-    elapsed = int((time.time() - started) * 1000) if timing else None
-    if fmt == "json":
-        payload = report.to_json()
-        if elapsed is not None:
-            payload["elapsed_ms"] = elapsed
-        _emit_json(payload)
-    else:
-        click.echo("group: %s" % format_group(report.group))
-        for k, lo, hi in report.rows:
-            click.echo("k=%d: %s" % (k, _span(lo, hi)))
-        click.echo("offset: %s" % report.d0)
-        click.echo("onset: %s" % report.k_onset)
-        click.echo("certified: %s" % ("yes" if report.certified else "no"))
-        click.echo("method: %s" % report.method)
-        if elapsed is not None:
-            click.echo("elapsed_ms: %d" % elapsed)
-    if any(lo != hi for _, lo, hi in report.rows):
-        return EXIT_BRACKET
-    return EXIT_OK
+    report = stabilization(G, kmax, budget=budget)
+    lines = ["group: %s" % format_group(report.group)]
+    lines += ["k=%d: %s" % (k, _span(lo, hi)) for k, lo, hi in report.rows]
+    lines += [
+        "offset: %s" % report.d0,
+        "onset: %s" % report.k_onset,
+        "certified: %s" % ("yes" if report.certified else "no"),
+        "method: %s" % report.method,
+    ]
+    exact = all(lo == hi for _, lo, hi in report.rows)
+    return _respond(fmt, report.to_json(), lines, started, EXIT_OK if exact else EXIT_BRACKET)
 
 
 @cli.group("bound")
 def bound_group() -> None:
     """Evaluate bound rules without running searches."""
+
+
+def _known_values(path: str) -> KnownValues:
+    """The --inputs file: D an int >= 1, each threshold an int or "inf"
+    under a decimal level, read as certificates read a value."""
+    raw = _load_json_file(path)
+    if not isinstance(raw, dict) or not isinstance(raw.get("s_le", {}), dict):
+        raise _CliError("--inputs must be an object whose s_le is an object")
+    known = KnownValues()
+    if "D" in raw:
+        if type(raw["D"]) is not int or raw["D"] < 1:
+            raise _CliError("--inputs D must be a positive int, not %r" % (raw["D"],))
+        known.D = raw["D"]
+    for key, val in raw.get("s_le", {}).items():
+        if not (key.isascii() and key.isdigit()):
+            raise _CliError("--inputs s_le level must be a decimal int, not %r" % (key,))
+        with _usage_errors("--inputs s_le level %s: " % key):
+            known.s_le[int(key)] = parse_value(val)
+    return known
 
 
 @bound_group.command("all")
@@ -291,40 +300,17 @@ def bound_group() -> None:
 @_FMT
 @_TIMING
 def bound_all(group_text: str, k: int, inputs_path: Optional[str], fmt: str,
-              timing: bool) -> int:
+              started: Optional[float]) -> int:
     """Every applicable bound on the k-block constant from supplied inputs."""
     if k < 1:
         raise _CliError("k must be at least 1")
     G = _parse_group_arg(group_text)
-    known = KnownValues()
-    if inputs_path is not None:
-        raw = _load_json_file(inputs_path)
-        if "D" in raw:
-            known.D = int(raw["D"])
-        for key, val in raw.get("s_le", {}).items():
-            known.s_le[int(key)] = INFINITE if val == "inf" else int(val)
-    started = time.time()
-    try:
-        reports = collect_bounds(G, k, known)
-    except (BoundError, ValueError) as exc:
-        raise _CliError(str(exc))
-    elapsed = int((time.time() - started) * 1000) if timing else None
-    if fmt == "json":
-        payload = {
-            "group": format_group(G),
-            "k": k,
-            "bounds": [rep.to_json() for rep in reports],
-        }
-        if elapsed is not None:
-            payload["elapsed_ms"] = elapsed
-        _emit_json(payload)
-    else:
-        for rep in reports:
-            click.echo("%-5s %-18s %s" % (rep.direction, rep.rule_id,
-                                          serialize_value(rep.value)))
-        if elapsed is not None:
-            click.echo("elapsed_ms: %d" % elapsed)
-    return EXIT_OK
+    known = KnownValues() if inputs_path is None else _known_values(inputs_path)
+    reports = collect_bounds(G, k, known)
+    payload = {"group": format_group(G), "k": k, "bounds": [rep.to_json() for rep in reports]}
+    lines = ["%-5s %-18s %s" % (rep.direction, rep.rule_id, serialize_value(rep.value))
+             for rep in reports]
+    return _respond(fmt, payload, lines, started)
 
 
 @cli.group("construct")
@@ -348,10 +334,7 @@ def construct_elb(group_text: str, s: int, t: int, k: int, do_verify: bool,
     from .factorizations import max_disjoint_zero_sums
 
     G = _parse_group_arg(group_text)
-    try:
-        witness = elb_witness(G, s, t, k)
-    except (BoundError, SequenceError, ValueError) as exc:
-        raise _CliError(str(exc))
+    witness = elb_witness(G, s, t, k)
     payload = {
         "group": format_group(G),
         "s": s,
@@ -365,17 +348,12 @@ def construct_elb(group_text: str, s: int, t: int, k: int, do_verify: bool,
         packing = max_disjoint_zero_sums(witness)
         payload["verified"] = packing <= k - 1
         payload["max_disjoint"] = packing
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        click.echo("witness: %s" % format_sequence(witness))
-        click.echo("length: %d" % witness.length)
-        click.echo("lower_bound: %d" % payload["lower_bound"])
-        if do_verify:
-            click.echo("verified: %s" % ("yes" if payload["verified"] else "no"))
-    if do_verify and not payload["verified"]:
-        return EXIT_USAGE
-    return EXIT_OK
+    lines = [
+        "witness: %s" % format_sequence(witness),
+        "length: %d" % witness.length,
+        "lower_bound: %d" % payload["lower_bound"],
+    ]
+    return _respond(fmt, payload, lines)
 
 
 @construct_group.command("paige")
@@ -385,26 +363,15 @@ def construct_elb(group_text: str, s: int, t: int, k: int, do_verify: bool,
 @_FMT
 def construct_paige(rank: int, do_verify: bool, fmt: str) -> int:
     """Self-map of a rank-r elementary 2-group with surjective doubling."""
-    try:
-        table = paige_bijection(rank)
-    except BoundError as exc:
-        raise _CliError(str(exc))
+    table = paige_bijection(rank)
     pairs = [[list(g), list(img)] for g, img in sorted(table.items())]
     payload = {"rank": rank, "pairs": pairs}
     if do_verify:
         images = {tuple(img) for _, img in pairs}
         doubled = {tuple(a ^ b for a, b in zip(g, img)) for g, img in pairs}
         payload["verified"] = len(images) == len(pairs) and len(doubled) == len(pairs)
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        for g, img in pairs:
-            click.echo("%s -> %s" % ("".join(map(str, g)), "".join(map(str, img))))
-        if do_verify:
-            click.echo("verified: %s" % ("yes" if payload["verified"] else "no"))
-    if do_verify and not payload["verified"]:
-        return EXIT_USAGE
-    return EXIT_OK
+    lines = ["%s -> %s" % ("".join(map(str, g)), "".join(map(str, img))) for g, img in pairs]
+    return _respond(fmt, payload, lines)
 
 
 @construct_group.command("maxfull")
@@ -414,10 +381,7 @@ def construct_paige(rank: int, do_verify: bool, fmt: str) -> int:
 @_FMT
 def construct_maxfull(rank: int, do_verify: bool, fmt: str) -> int:
     """Split the full squarefree sequence into the most zero-sum blocks."""
-    try:
-        fact = maxfull_factorization(rank)
-    except BoundError as exc:
-        raise _CliError(str(exc))
+    fact = maxfull_factorization(rank)
     payload = {"rank": rank, "blocks": fact.length, "atoms": fact.to_json()}
     if do_verify:
         # atom minimality is enforced on construction; re-check the product
@@ -427,18 +391,11 @@ def construct_maxfull(rank: int, do_verify: bool, fmt: str) -> int:
         ok = ok and not product.contains_zero()
         ok = ok and fact.length == full // 3
         payload["verified"] = ok
-    if fmt == "json":
-        _emit_json(payload)
-    else:
-        click.echo("blocks: %d" % fact.length)
-        for atom, mult in fact.atoms:
-            text = format_sequence(atom)
-            click.echo(text if mult == 1 else "%s  x%d" % (text, mult))
-        if do_verify:
-            click.echo("verified: %s" % ("yes" if payload["verified"] else "no"))
-    if do_verify and not payload["verified"]:
-        return EXIT_USAGE
-    return EXIT_OK
+    lines = ["blocks: %d" % fact.length]
+    for atom, mult in fact.atoms:
+        text = format_sequence(atom)
+        lines.append(text if mult == 1 else "%s  x%d" % (text, mult))
+    return _respond(fmt, payload, lines)
 
 
 @cli.group("table")
@@ -454,73 +411,46 @@ def table_group() -> None:
 @_BUDGET
 @_TIMING
 def table_dk(group_text: str, kmax: int, fmt: str, budget: Optional[int],
-             timing: bool) -> int:
+             started: Optional[float]) -> int:
     """Block constants for k = 1..kmax with growth steps."""
     if kmax < 1:
         raise _CliError("kmax must be at least 1")
     G = _parse_group_arg(group_text)
     exp = G.exponent
-    started = time.time()
     rows = []
-    prev = None
     for k in range(1, kmax + 1):
-        try:
-            cert = davenport_k(G, k, budget=budget)
-        except (SearchError, BoundError, ValueError) as exc:
-            raise _CliError(str(exc))
-        lo, hi = cert.lower, cert.upper
-        row = {"k": k, "lo": lo, "hi": hi, "certified": verify_certificate(cert).ok}
-        if prev is not None:
-            row["step_lo"] = lo - prev[1]
-            row["step_hi"] = hi - prev[0]
+        cert = davenport_k(G, k, budget=budget)
+        row = {"k": k, "lo": cert.lower, "hi": cert.upper,
+               "certified": verify_certificate(cert).ok}
+        if rows:
+            row["step_lo"] = cert.lower - rows[-1]["hi"]
+            row["step_hi"] = cert.upper - rows[-1]["lo"]
         rows.append(row)
-        prev = (lo, hi)
-    summary = stabilization(G, kmax, budget=budget)
-    elapsed = int((time.time() - started) * 1000) if timing else None
-
-    if fmt == "json":
-        payload = {
-            "group": format_group(G),
-            "exponent": exp,
-            "rows": rows,
-            "stabilization": {
-                "d0": summary.d0,
-                "k_onset": summary.k_onset,
-                "certified": summary.certified,
-                "method": summary.method,
-            },
-        }
-        if elapsed is not None:
-            payload["elapsed_ms"] = elapsed
-        _emit_json(payload)
-    elif fmt == "csv":
-        click.echo("k,dk,dk_minus_kexp,step,certified")
-        for row in rows:
-            value = _span(row["lo"], row["hi"])
-            shifted = _span(row["lo"] - row["k"] * exp, row["hi"] - row["k"] * exp)
-            step = ""
-            if "step_lo" in row:
-                step = _span(row["step_lo"], row["step_hi"])
-            click.echo("%d,%s,%s,%s,%s"
-                       % (row["k"], value, shifted, step,
-                          "true" if row["certified"] else "false"))
+    report = stabilization(G, kmax, budget=budget).to_json()
+    summary = {key: report[key] for key in ("d0", "k_onset", "certified", "method")}
+    payload = {"group": format_group(G), "exponent": exp, "rows": rows,
+               "stabilization": summary}
+    steps = [_span(row["step_lo"], row["step_hi"]) if "step_lo" in row else "" for row in rows]
+    if fmt == "csv":
+        lines = ["k,dk,dk_minus_kexp,step,certified"] + [
+            "%d,%s,%s,%s,%s"
+            % (row["k"], _span(row["lo"], row["hi"]),
+               _span(row["lo"] - row["k"] * exp, row["hi"] - row["k"] * exp), step,
+               "true" if row["certified"] else "false")
+            for row, step in zip(rows, steps)
+        ]
     else:
-        click.echo("group: %s  exponent: %d" % (format_group(G), exp))
-        for row in rows:
-            step = ""
-            if "step_lo" in row:
-                step = "  step %s" % _span(row["step_lo"], row["step_hi"])
-            click.echo("k=%d: %s%s%s"
-                       % (row["k"], _span(row["lo"], row["hi"]), step,
-                          "" if row["certified"] else "  [unverified]"))
-        click.echo("stabilization: offset %s from k=%s, certified %s"
-                   % (summary.d0, summary.k_onset,
-                      "yes" if summary.certified else "no"))
-        if elapsed is not None:
-            click.echo("elapsed_ms: %d" % elapsed)
-    if any(row["lo"] != row["hi"] for row in rows):
-        return EXIT_BRACKET
-    return EXIT_OK
+        lines = ["group: %s  exponent: %d" % (format_group(G), exp)] + [
+            "k=%d: %s%s%s"
+            % (row["k"], _span(row["lo"], row["hi"]), step and "  step " + step,
+               "" if row["certified"] else "  [unverified]")
+            for row, step in zip(rows, steps)
+        ]
+        lines.append("stabilization: offset %s from k=%s, certified %s"
+                     % (summary["d0"], summary["k_onset"],
+                        "yes" if summary["certified"] else "no"))
+    exact = all(row["lo"] == row["hi"] for row in rows)
+    return _respond(fmt, payload, lines, started, EXIT_OK if exact else EXIT_BRACKET)
 
 
 @cli.command("verify")
@@ -531,23 +461,18 @@ def table_dk(group_text: str, kmax: int, fmt: str, budget: Optional[int],
 def verify_cmd(cert_path: str, budget: Optional[int], fmt: str) -> int:
     """Re-verify a stored certificate from its serialized form alone."""
     raw = _load_json_file(cert_path)
-    try:
+    with _usage_errors("malformed certificate: ", (KeyError, TypeError)):
         cert = Certificate.from_json(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _CliError("malformed certificate: %s" % exc)
     result = verify_certificate(cert, budget=budget)
-    if fmt == "json":
-        _emit_json({"ok": result.ok, "problems": list(result.problems)})
-    else:
-        click.echo("ok" if result.ok else "FAILED")
-        for item in result.problems:
-            click.echo("problem: %s" % item)
-    return EXIT_OK if result.ok else EXIT_USAGE
+    lines = ["ok" if result.ok else "FAILED"] + ["problem: %s" % item for item in result.problems]
+    return _respond(fmt, {"ok": result.ok, "problems": list(result.problems)}, lines,
+                    code=EXIT_OK if result.ok else EXIT_USAGE)
 
 
 def main(argv=None) -> None:
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
+        with _usage_errors():
+            rv = cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:
         exc.show()
         sys.exit(EXIT_USAGE)

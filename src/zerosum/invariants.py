@@ -204,6 +204,14 @@ def _check(rule: str, **params) -> dict:
     return {"rule": rule, "params": params}
 
 
+def _copy_check(check: Optional[dict]) -> Optional[dict]:
+    """A witness_check rebuilt down to its params, so that a certificate
+    and the JSON it is written to or read from share no dict."""
+    if check is None:
+        return None
+    return {key: dict(val) if isinstance(val, dict) else val for key, val in check.items()}
+
+
 def _witness_lower(constant: str, witness: Sequence) -> int:
     """The lower end a witness backs. A D or D_k witness is a zero-sum of
     its length; an s_le or eta witness avoids short zero-sums, so the
@@ -281,7 +289,7 @@ class Certificate:
             "group": format_group(self.group),
             "k": self.k,
             "witness": None if self.witness is None else sequence_to_json(self.witness),
-            "witness_check": self.witness_check,
+            "witness_check": _copy_check(self.witness_check),
             "upper_chain": [step.to_json() for step in self.upper_chain],
         }
         if self.value is not None:
@@ -337,7 +345,7 @@ class Certificate:
             value=value,
             interval=interval,
             witness=witness,
-            witness_check=check,
+            witness_check=_copy_check(check),
             upper_chain=tuple(BoundReport.from_json(step) for step in chain),
             notes=tuple(data.get("notes", ())),
             stored_digest=data.get("digest"),

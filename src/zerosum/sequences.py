@@ -58,9 +58,14 @@ class Sequence:
     items: tuple
 
     @staticmethod
-    def from_counts(G: Group, counts: Dict[Element, int]) -> "Sequence":
+    def from_counts(
+        G: Group, counts: "Dict[Element, int] | Iterable[Tuple[Element, int]]"
+    ) -> "Sequence":
+        """The sequence with the given multiplicities: a dict, or
+        (element, multiplicity) pairs whose repeats add up. Each
+        multiplicity is checked on its own, before any sum."""
         norm: Dict[Element, int] = {}
-        for e, m in counts.items():
+        for e, m in counts.items() if isinstance(counts, dict) else counts:
             el = validate_element(G, e)
             if not isinstance(m, int) or isinstance(m, bool):
                 raise SequenceError("multiplicity must be an integer, got %r" % (m,))
@@ -218,11 +223,7 @@ def sequence_to_json(S: Sequence) -> list:
 
 
 def sequence_from_json(G: Group, data: list) -> Sequence:
-    counts: Dict[Element, int] = {}
-    for entry in data:
-        el = tuple(entry["coords"])  # from_counts validates it
-        counts[el] = counts.get(el, 0) + entry["mult"]
-    return Sequence.from_counts(G, counts)
+    return Sequence.from_counts(G, ((tuple(entry["coords"]), entry["mult"]) for entry in data))
 
 
 # ---------------------------------------------------------------------------

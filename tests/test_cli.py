@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+import sys
 
 import pytest
 
@@ -14,6 +16,197 @@ def run_cli(capsys, *args):
     out, err = capsys.readouterr()
     code = excinfo.value.code
     return (0 if code is None else code), out, err
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()[:16]
+
+# Every command in each format, with and without --verify, its usage
+# errors and its --help: (id, zs arguments, what the {inputs} file holds,
+# (exit code, first 16 hex digits of stdout's sha256, stderr's last line)).
+# The file holds json.dumps of a value, or the stdout of the zs command a
+# string names. Of the bound-* inputs after bound-missing-inputs, D = 0 was
+# refused by ub.k_times_d and level -2 was read; each other once died in a
+# traceback or was silently coerced.
+OUTPUT_PINS = [
+    ("info-json", "group info --group 2^4 --format json", None, (0, "fbcc253e2ae598f2", "")),
+    ("info-text", "group info --group 3,9", None, (0, "72b6a2f7bb1b476d", "")),
+    ("info-trivial-json", "group info --group 1 --format json", None, (0, "9bdaa99db0fa1ae4", "")),
+    ("info-trivial-text", "group info --group 1", None, (0, "c455a01bb698c2ce", "")),
+    ("info-bad-group", "group info --group banana", None,
+     (1, EMPTY, "Error: expected integer group factor (at position 0)")),
+    ("davenport-json", "compute davenport --group 3^2 --format json", None,
+     (0, "b5f420f0760f7385", "")),
+    ("davenport-json-verify", "compute davenport --group 3^2 --format json --verify", None,
+     (0, "2f45a63ac4bf2229", "")),
+    ("davenport-text", "compute davenport --group 3^2", None, (0, "f6f96c2164408383", "")),
+    ("davenport-text-verify", "compute davenport --group 3^2 --verify", None,
+     (0, "f45870750b6cfd51", "")),
+    ("davenport-zero-budget", "compute davenport --group 3^2 --budget 0", None,
+     (1, EMPTY, "Error: Invalid value for '--budget': 0 is not in the range x>=1.")),
+    ("davenport-exhausted", "compute davenport --group 2,2,6 --budget 50", None,
+     (1, EMPTY, "Error: zero-sum-free search (cap 24) on 2^2,6 exhausted its budget after 50 "
+                "nodes")),
+    ("dk-json", "compute dk --group 2^3 --k 4 --format json", None, (0, "55012e75915e5d06", "")),
+    ("dk-json-verify", "compute dk --group 2^3 --k 4 --format json --verify", None,
+     (0, "f1fff7466fbcfbac", "")),
+    ("dk-text", "compute dk --group 2^3 --k 4", None, (0, "f8f6d475b4b04d41", "")),
+    ("dk-text-verify", "compute dk --group 2^3 --k 4 --verify", None, (0, "27605bde68b2c9af", "")),
+    ("dk-bracket-json", "compute dk --group 2^5 --k 3 --format json", None,
+     (2, "38a2c6996700ad38", "")),
+    ("dk-bracket-json-verify", "compute dk --group 2^5 --k 3 --format json --verify", None,
+     (2, "1018b78796ea8250", "")),
+    ("dk-bracket-text", "compute dk --group 2^5 --k 3", None, (2, "d923e0f9e2268aa8", "")),
+    ("dk-bracket-text-verify", "compute dk --group 2^5 --k 3 --verify", None,
+     (2, "a3f7bf2a51f19a53", "")),
+    ("dk-missing-k", "compute dk --group 2^3", None, (1, EMPTY, "Error: Missing option '--k'.")),
+    ("dk-k0", "compute dk --group 2^3 --k 0", None, (1, EMPTY, "Error: k must be at least 1")),
+    ("sle-json", "compute sle --group 2^3 --k 2 --format json", None, (0, "29120d4917528e54", "")),
+    ("sle-json-verify", "compute sle --group 2^3 --k 2 --format json --verify", None,
+     (0, "568b681709846cdf", "")),
+    ("sle-text", "compute sle --group 2^3 --k 2", None, (0, "529409e1e906c8ca", "")),
+    ("sle-text-verify", "compute sle --group 2^3 --k 2 --verify", None,
+     (0, "4d1f79c4a3b5815a", "")),
+    ("sle-inf-json", "compute sle --group 5 --k 2 --format json", None,
+     (0, "616661d0496f2894", "")),
+    ("sle-exhausted", "compute sle --group 2^5 --k 4 --budget 1", None,
+     (1, EMPTY, "Error: short-zero-sum search (cap 4) on 2^5 exhausted its budget after 1 nodes")),
+    ("sle-k0", "compute sle --group 2^3 --k 0", None, (1, EMPTY, "Error: k must be at least 1")),
+    ("eta-json", "compute eta --group 2^3 --format json", None, (0, "7894e6aa56144c8b", "")),
+    ("eta-json-verify", "compute eta --group 2^3 --format json --verify", None,
+     (0, "296650c265f28123", "")),
+    ("eta-text", "compute eta --group 2^3", None, (0, "b16023262e63b4d3", "")),
+    ("eta-text-verify", "compute eta --group 2^3 --verify", None, (0, "a338a784d51c432b", "")),
+    ("stabilize-json", "compute stabilize --group 3^2 --kmax 3 --format json", None,
+     (0, "b2d1a7d3978bdc36", "")),
+    ("stabilize-text", "compute stabilize --group 3^2 --kmax 3", None,
+     (0, "eedcc8b9644acc25", "")),
+    ("stabilize-bracket-text", "compute stabilize --group 2^5 --kmax 4", None,
+     (2, "fae6dcb00195ecb0", "")),
+    ("stabilize-bracket-json", "compute stabilize --group 2^5 --kmax 4 --format json", None,
+     (2, "0ff6395f9a369d94", "")),
+    ("stabilize-kmax0", "compute stabilize --group 3^2 --kmax 0", None,
+     (1, EMPTY, "Error: kmax must be at least 1")),
+    ("stabilize-inputs-gone", "compute stabilize --group 2^3 --kmax 5 --inputs {inputs}", {"1": 5},
+     (1, EMPTY, "Error: No such option '--inputs'.")),
+    ("2^5-k2-inputs", "bound all --group 2^5 --k 2 --inputs {inputs} --format json",
+     {"D": 6, "s_le": {"2": 32, "3": 17}},
+     (0, "de4a632580c2b50e", "")),
+    ("3^3-k3", "bound all --group 3^3 --k 3 --format json", None, (0, "5c30395a70e2ef5c", "")),
+    ("2,4,8-k4", "bound all --group 2,4,8 --k 4 --format json", None, (0, "8167d144f2ad5cd4", "")),
+    ("bound-inputs-json", "bound all --group 2^3 --k 2 --inputs {inputs} --format json",
+     {"D": 4, "s_le": {"2": 8, "3": 8}},
+     (0, "f6e11fae2dbd3d01", "")),
+    ("bound-inputs-text", "bound all --group 2^3 --k 2 --inputs {inputs}",
+     {"D": 4, "s_le": {"2": 8, "3": 8}},
+     (0, "a7fd276bc6108523", "")),
+    ("bound-inf-inputs-text", "bound all --group 5 --k 3 --inputs {inputs}",
+     {"D": 5, "s_le": {"2": "inf", "5": 9}},
+     (0, "888adf9906e33ccf", "")),
+    ("bound-text", "bound all --group 3^3 --k 2", None, (0, "635d7fba524d26c9", "")),
+    ("bound-k0", "bound all --group 3^3 --k 0", None, (1, EMPTY, "Error: k must be at least 1")),
+    ("bound-trivial", "bound all --group 1 --k 2", None,
+     (1, EMPTY, "Error: trivial group is handled by direct computation")),
+    ("bound-missing-inputs", "bound all --group 2^3 --k 2 --inputs /nonexistent/known.json", None,
+     (1, EMPTY, "Error: cannot read /nonexistent/known.json: [Errno 2] No such file or directory: "
+                "'/nonexistent/known.json'")),
+    ("bound-D-str", "bound all --group 2^3 --k 2 --inputs {inputs}", {"D": "x"},
+     (1, EMPTY, "Error: --inputs D must be a positive int, not 'x'")),
+    ("bound-key-str", "bound all --group 2^3 --k 2 --inputs {inputs}", {"s_le": {"a": 3}},
+     (1, EMPTY, "Error: --inputs s_le level must be a decimal int, not 'a'")),
+    ("bound-s_le-list", "bound all --group 2^3 --k 2 --inputs {inputs}", {"s_le": [1]},
+     (1, EMPTY, "Error: --inputs must be an object whose s_le is an object")),
+    ("bound-list", "bound all --group 2^3 --k 2 --inputs {inputs}", [1],
+     (1, EMPTY, "Error: --inputs must be an object whose s_le is an object")),
+    ("bound-D-inconsistent", "bound all --group 2^3 --k 2 --inputs {inputs}", {"D": 1},
+     (1, EMPTY, "Error: D_k: lower lb.dstar=6 exceeds upper ub.k_times_d=2")),
+    ("bound-D-bool", "bound all --group 2^3 --k 2 --inputs {inputs}", {"D": True},
+     (1, EMPTY, "Error: --inputs D must be a positive int, not True")),
+    ("bound-D-float", "bound all --group 2^3 --k 2 --inputs {inputs}", {"D": 3.9},
+     (1, EMPTY, "Error: --inputs D must be a positive int, not 3.9")),
+    ("bound-value-str", "bound all --group 2^3 --k 2 --inputs {inputs}", {"s_le": {"2": "7"}},
+     (1, EMPTY, "Error: --inputs s_le level 2: expected an integer or the literal 'inf', got "
+                "'7'")),
+    ("bound-value-float", "bound all --group 2^3 --k 2 --inputs {inputs}", {"s_le": {"2": 7.5}},
+     (1, EMPTY, "Error: --inputs s_le level 2: expected an integer or the literal 'inf', got "
+                "7.5")),
+    ("bound-D-zero", "bound all --group 2^3 --k 2 --inputs {inputs}", {"D": 0},
+     (1, EMPTY, "Error: --inputs D must be a positive int, not 0")),
+    ("bound-D-inf", "bound all --group 2^3 --k 2 --inputs {inputs}", {"D": "inf"},
+     (1, EMPTY, "Error: --inputs D must be a positive int, not 'inf'")),
+    ("bound-key-signed", "bound all --group 2^3 --k 2 --inputs {inputs}", {"s_le": {"-2": 8}},
+     (1, EMPTY, "Error: --inputs s_le level must be a decimal int, not '-2'")),
+    ("elb-text", "construct elb-witness --group 3^3 --s 3 --t 1 --k 2", None,
+     (0, "e93d9ad82922e3b0", "")),
+    ("elb-text-verify", "construct elb-witness --group 3^3 --s 3 --t 1 --k 2 --verify", None,
+     (0, "e2a9612fe69fb48e", "")),
+    ("elb-json", "construct elb-witness --group 3^3 --s 3 --t 1 --k 2 --format json", None,
+     (0, "e4280fb62e7abcae", "")),
+    ("elb-json-verify",
+     "construct elb-witness --group 2^4 --s 2 --t 1 --k 2 --verify --format json",
+     None,
+     (0, "eec91fb81d43e75f", "")),
+    ("elb-infeasible", "construct elb-witness --group 3^3 --s 9 --t 1 --k 2", None,
+     (1, EMPTY, "Error: pair patterns exceed available coordinates")),
+    ("paige-text", "construct paige --rank 2", None, (0, "0f2eb2f501dba6f0", "")),
+    ("paige-text-verify", "construct paige --rank 2 --verify", None, (0, "2b3a0888eb8588b7", "")),
+    ("paige-json", "construct paige --rank 4 --format json", None, (0, "8bf184a319b7be52", "")),
+    ("paige-json-verify", "construct paige --rank 5 --verify --format json", None,
+     (0, "8a845616a552a10b", "")),
+    ("paige-rank1", "construct paige --rank 1", None, (1, EMPTY, "Error: need rank at least 2")),
+    ("maxfull-text", "construct maxfull --rank 3", None, (0, "d1bd939344990505", "")),
+    ("maxfull-text-verify", "construct maxfull --rank 3 --verify", None,
+     (0, "bb8f5c8993a95cb6", "")),
+    ("maxfull-json", "construct maxfull --rank 4 --format json", None,
+     (0, "65560c9b43537663", "")),
+    ("maxfull-json-verify", "construct maxfull --rank 4 --verify --format json", None,
+     (0, "83e5efa3c69b46c2", "")),
+    ("maxfull-rank1", "construct maxfull --rank 1", None,
+     (1, EMPTY, "Error: need rank at least 2")),
+    ("table-text", "table dk --group 2^3 --kmax 5", None, (0, "afb7f02b8a799f9c", "")),
+    ("table-csv", "table dk --group 2^3 --kmax 5 --format csv", None, (0, "d724a66690b867ef", "")),
+    ("table-json", "table dk --group 2^3 --kmax 5 --format json", None,
+     (0, "6b04235edf459273", "")),
+    ("table-bracket-text", "table dk --group 2^5 --kmax 4", None, (2, "e3f7507bbd033aa6", "")),
+    ("table-bracket-csv", "table dk --group 2^5 --kmax 4 --format csv", None,
+     (2, "70b8fe3d599871c6", "")),
+    ("table-bracket-json", "table dk --group 2^5 --kmax 4 --format json", None,
+     (2, "96c3fe34af25baa3", "")),
+    ("table-cyclic-json", "table dk --group 4 --kmax 3 --format json", None,
+     (0, "ccd562f98e997f2a", "")),
+    ("table-trivial-csv", "table dk --group 1 --kmax 3 --format csv", None,
+     (0, "bc7059e941176ddf", "")),
+    ("table-kmax0", "table dk --group 2^3 --kmax 0", None,
+     (1, EMPTY, "Error: kmax must be at least 1")),
+    ("verify-text", "verify --cert {inputs}", "compute dk --group 2^4 --k 2 --format json",
+     (0, "dc51b8c96c2d745d", "")),
+    ("verify-json", "verify --cert {inputs} --format json",
+     "compute dk --group 2^4 --k 2 --format json",
+     (0, "4781be4bc0d8289b", "")),
+    ("verify-list", "verify --cert {inputs}", [1, 2],
+     (1, EMPTY, "Error: malformed certificate: list indices must be integers or slices, not str")),
+    ("verify-missing", "verify --cert /nonexistent/cert.json", None,
+     (1, EMPTY, "Error: cannot read /nonexistent/cert.json: [Errno 2] No such file or directory: "
+                "'/nonexistent/cert.json'")),
+    ("unknown-command", "frobnicate", None, (1, EMPTY, "Error: No such command 'frobnicate'.")),
+    ("help", "--help", None, (0, "12ae7e26da805c6b", "")),
+    ("group-help", "group --help", None, (0, "b807b826f132a07e", "")),
+    ("compute-help", "compute --help", None, (0, "8a593fe55becd542", "")),
+    ("bound-help", "bound --help", None, (0, "d50110766179180d", "")),
+    ("construct-help", "construct --help", None, (0, "cd6a719eadf593f7", "")),
+    ("table-help", "table --help", None, (0, "1952fd59d543523b", "")),
+    ("info-help", "group info --help", None, (0, "9eeb7092638faaf9", "")),
+    ("davenport-help", "compute davenport --help", None, (0, "e4ecc3f8c526613c", "")),
+    ("dk-help", "compute dk --help", None, (0, "6ecc2873e1f74631", "")),
+    ("sle-help", "compute sle --help", None, (0, "9a21957ab28f3d16", "")),
+    ("eta-help", "compute eta --help", None, (0, "637ce685ffa82723", "")),
+    ("stabilize-help", "compute stabilize --help", None, (0, "fb241cc283d4967c", "")),
+    ("bound-all-help", "bound all --help", None, (0, "944747554f6e7830", "")),
+    ("elb-help", "construct elb-witness --help", None, (0, "a1136d0ca431d8a4", "")),
+    ("paige-help", "construct paige --help", None, (0, "e1962f5f0384147a", "")),
+    ("maxfull-help", "construct maxfull --help", None, (0, "0ea62d43618a5ab4", "")),
+    ("table-dk-help", "table dk --help", None, (0, "70ba9911ecae6b23", "")),
+    ("verify-help", "verify --help", None, (0, "e7a9b945e26106a1", "")),
+]
 
 
 class TestInfo:
@@ -247,22 +440,25 @@ class TestBound:
         assert "upper ub.recursion       7" in lines
         assert lines[-1] == "upper ub.e2g_d2          7"
 
-    @pytest.mark.parametrize("args,inputs,digest", [
-        (("--group", "2^5", "--k", "2"), {"D": 6, "s_le": {"2": 32, "3": 17}},
-         "de4a632580c2b50e"),
-        (("--group", "3^3", "--k", "3"), None, "5c30395a70e2ef5c"),
-        (("--group", "2,4,8", "--k", "4"), None, "8167d144f2ad5cd4"),
-    ], ids=["2^5-k2-inputs", "3^3-k3", "2,4,8-k4"])
-    def test_json_bytes_pinned(self, capsys, tmp_path, args, inputs, digest):
-        # the first 16 hex digits of the sha256 of stdout, which every
-        # calculator's step and its labels feed
+    @pytest.mark.parametrize("args,inputs,pin", [case[1:] for case in OUTPUT_PINS],
+                             ids=[case[0] for case in OUTPUT_PINS])
+    def test_json_bytes_pinned(self, capsys, tmp_path, monkeypatch, args, inputs, pin):
+        # bound all's JSON digests take every calculator's step and its
+        # labels; the other pins hold every command's output in place
+        monkeypatch.setattr(sys, "argv", ["zs"])  # so --help names the program zs
+        monkeypatch.setattr(sys.modules["__main__"], "__package__", None, raising=False)
+        args = args.split()
         if inputs is not None:
-            path = tmp_path / "known.json"
-            path.write_text(json.dumps(inputs))
-            args += ("--inputs", str(path))
-        code, out, _ = run_cli(capsys, "bound", "all", *args, "--format", "json")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+            path = tmp_path / "inputs.json"
+            if isinstance(inputs, str):
+                path.write_text(run_cli(capsys, *inputs.split())[1])
+            else:
+                path.write_text(json.dumps(inputs))
+            args = [str(path) if arg == "{inputs}" else arg for arg in args]
+        code, out, err = run_cli(capsys, *args)
+        assert "Traceback" not in err
+        last = err.splitlines()[-1] if err else ""
+        assert (code, hashlib.sha256(out.encode()).hexdigest()[:16], last) == pin
 
     def test_without_inputs_still_reports_floor(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "all", "--group", "3^3", "--k", "2",
@@ -270,6 +466,36 @@ class TestBound:
         assert code == 0
         rules = {b["rule"] for b in json.loads(out)["bounds"]}
         assert "lb.dstar" in rules
+
+
+TIMED = [
+    "compute davenport --group 2^2",
+    "compute dk --group 2^3 --k 2",
+    "compute sle --group 2^3 --k 2",
+    "compute eta --group 2^3",
+    "compute stabilize --group 3^2 --kmax 2",
+    "bound all --group 3^3 --k 2",
+    "table dk --group 2^3 --kmax 2",
+]
+
+
+class TestTiming:
+    @pytest.mark.parametrize("args", TIMED, ids=[" ".join(a.split()[:2]) for a in TIMED])
+    def test_elapsed_ms_comes_last(self, capsys, args):
+        args = args.split()
+        _, plain, _ = run_cli(capsys, *args)
+        _, timed, _ = run_cli(capsys, *args, "--timing")
+        assert re.fullmatch(r"elapsed_ms: \d+", timed.splitlines()[-1])
+        assert timed.splitlines()[:-1] == plain.splitlines()
+        _, plain, _ = run_cli(capsys, *args, "--format", "json")
+        _, timed, _ = run_cli(capsys, *args, "--format", "json", "--timing")
+        timed = json.loads(timed)
+        assert type(timed.pop("elapsed_ms")) is int
+        assert timed == json.loads(plain)
+
+    def test_csv_has_no_elapsed_line(self, capsys):
+        args = ("table", "dk", "--group", "2^3", "--kmax", "2", "--format", "csv")
+        assert run_cli(capsys, *args, "--timing") == run_cli(capsys, *args)
 
 
 class TestConstruct:
@@ -506,6 +732,24 @@ class TestVerify:
         assert out == ""
         assert "malformed certificate" in err and "Traceback" not in err
         assert "must be an object" in err
+
+    @pytest.mark.parametrize("split", [False, True], ids=["bool", "negative"])
+    def test_witness_multiplicity_is_checked(self, capsys, tmp_path, split):
+        # one copy of a witness element as "mult": true, or as -1 and 2
+        # copies: each was once read as one copy, and the certificate verified
+        def retype(data):
+            entry = next(e for e in data["witness"] if e["mult"] == 1)
+            if split:
+                entry["mult"] = -1
+                data["witness"].append({"coords": entry["coords"], "mult": 2})
+            else:
+                entry["mult"] = True
+
+        path = self.make_cert_file(capsys, tmp_path, tamper=retype)
+        code, out, err = run_cli(capsys, "verify", "--cert", path)
+        assert code == 1
+        assert out == ""
+        assert "malformed certificate" in err and "Traceback" not in err
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

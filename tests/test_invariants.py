@@ -970,10 +970,8 @@ class TestCertificateSerialization:
     ])
     def test_object_of_another_type_is_refused_from_json(self, shape, message):
         # D_2(C_2^4), digest dropped, with one JSON object retyped: each once
-        # died in from_json or verify_certificate with an AttributeError.
-        # The JSON goes through text, since to_json shares witness_check
-        # with the memoised certificate.
-        data = json.loads(json.dumps(davenport_k(C24, 2).to_json()))
+        # died in from_json or verify_certificate with an AttributeError
+        data = davenport_k(C24, 2).to_json()
         assert data["witness_check"]["rule"] == "coset-quarter"
         del data["digest"]
         if shape == "witness_check":
@@ -985,6 +983,19 @@ class TestCertificateSerialization:
         with pytest.raises(CertificateError) as err:
             Certificate.from_json(data)
         assert str(err.value) == message
+
+    def test_to_json_shares_no_witness_check_with_the_certificate(self):
+        # an edit to the JSON of a memoised certificate once reached every
+        # later caller: its coset-quarter rule then lost its functional
+        data = davenport_k(C24, 2).to_json()
+        data["witness_check"]["params"]["functional"] = 0
+        assert_verifies(davenport_k(C24, 2))
+
+    def test_from_json_shares_no_witness_check_with_its_source(self):
+        data = davenport_k(C24, 2).to_json()
+        revived = Certificate.from_json(data)
+        data["witness_check"]["params"]["functional"] = 0
+        assert_verifies(revived)
 
     def test_json_has_no_exhaustive_key(self):
         certs = [

@@ -117,6 +117,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Sequence.from_counts(C2_3, {(1, 0, 0): -1})
 
+    def test_pairs_add_up_after_each_is_checked(self):
+        pairs = [((1, 2), 1), ((0, 1), 1), ((1, 2), 2)]
+        assert Sequence.from_counts(C3_2, pairs) == Sequence.from_counts(C3_2, {(1, 2): 3, (0, 1): 1})
+        with pytest.raises(sequences.SequenceError):
+            Sequence.from_counts(C3_2, [((1, 2), -1), ((1, 2), 2)])
+
     def test_sum_and_cross_number(self):
         S = parse_sequence(C6, "2^3; 3")
         assert S.sum() == (3,)
@@ -214,11 +220,18 @@ class TestParsing:
         [
             (1.5, r"^multiplicity must be an integer, got 1\.5$"),
             (-2, r"^negative multiplicity -2 for \(1, 2\)$"),
+            (True, r"^multiplicity must be an integer, got True$"),
         ],
     )
     def test_json_bad_multiplicity(self, mult, message):
         data = [{"coords": [2, 0], "mult": 1}, {"coords": [1, 2], "mult": mult}]
         with pytest.raises(sequences.SequenceError, match=message):
+            sequence_from_json(C3_2, data)
+
+    def test_json_multiplicities_are_checked_before_they_add_up(self):
+        # -1 and 2 copies of one element were once read as one copy
+        data = [{"coords": [1, 2], "mult": -1}, {"coords": [1, 2], "mult": 2}]
+        with pytest.raises(sequences.SequenceError, match=r"^negative multiplicity -1 for"):
             sequence_from_json(C3_2, data)
 
     def test_bad_multiplicity(self):
