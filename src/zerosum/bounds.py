@@ -18,7 +18,6 @@ step takes both from its rule, so no certificate can relabel them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, isqrt
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence as Seq, Tuple
@@ -250,18 +249,16 @@ def _extension_m(n: int, D_ext: int, D_G: int) -> int:
     return max((D_ext // n) * n // 2, (D_G // n) * n)
 
 
-@lru_cache(maxsize=256)
-def _labelled_group(label) -> Group:
-    """The group a step's group input names. Memoised: a verifier
-    evaluates the theorem rules of every certificate of a group, and
-    parsing the label each time cost 8-16 us per step."""
-    _require(isinstance(label, str), "group must be a label")
-    return parse_group(label)
+def _input_group(i) -> Group:
+    """The group a step's group input names; parse_group hands out the
+    one shared instance, which keeps its profile."""
+    _require(isinstance(i["group"], str), "group must be a label")
+    return parse_group(i["group"])
 
 
 def _rank_two(i) -> Tuple[int, int]:
     """The invariant factors (m, n) of the labelled group, which must have rank 2."""
-    G = _labelled_group(i["group"])
+    G = _input_group(i)
     _require(G.rank == 2, "the rule needs a group of rank 2")
     return G.invariant_factors
 
@@ -423,7 +420,7 @@ def _sle_equals_davenport(i):
 def _olson(i):
     """D(G) = D*(G) for a p-group (Olson, J. Number Theory 1, 1969, part I)
     and for rank <= 2 (part II, same volume; van Emde Boas 1969)."""
-    G = _labelled_group(i["group"])
+    G = _input_group(i)
     _require(olson_applies(G), "the rule needs a p-group or a group of rank at most 2")
     return profile(G).d_star
 

@@ -7,9 +7,9 @@ topped by a guard bit, so that "atom A fits in counts C" is one
 subtraction and one mask test. While the DFS grows a zero-sum-free
 prefix, the sums of its nonempty subsequences are an int bitset over
 ``enumerate_elements`` positions, translated by a new element through
-the masked rotates of ``groups.translation``; ``_table`` keeps, per
-group, each element's bit, its negative's bit and both rotates. Element
-tuples appear only at the API boundary.
+the masked rotates of ``groups.translation``; ``groups.slot_rows`` keeps,
+on each group, each element's bit, its negative's bit and both rotates.
+Element tuples appear only at the API boundary.
 
 The DFS prunes on reachable sums: a prefix grows only if the copies it
 has left of its last slot, with the slots after it at S's full counts,
@@ -30,8 +30,9 @@ decomposition is visited once. It returns the reachable part counts as
 a bitmask: ``length_set`` lists its bits, ``max_length`` and
 ``max_disjoint_zero_sums`` take its highest.
 
-The masks are kept in one bounded FIFO memo for the process, ``_MASKS``,
-keyed on (S, atom cap, discard), with the nodes the full search spent;
+The masks are kept in one bounded FIFO memo for the process, ``_MASKS``
+(an insertion-ordered dict of at most ``MASKS_LIMIT`` entries), keyed on
+(S, atom cap, discard), with the nodes the full search spent;
 nodes are counted with or without a budget. A hit whose budget is below
 that count raises the ``BudgetExhausted`` the search would have raised,
 so budgets act as without the memo. A search that runs out stores
@@ -42,16 +43,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .groups import (
     Element,
     Group,
     add,  # not called here; perfbench/tracer.py counts group additions through it
-    element_index,
-    neg,
-    translation,
+    slot_rows,
 )
 from .sequences import (
     Sequence,
@@ -103,25 +101,6 @@ class _Budget:
         return BudgetExhausted(spent, self.search)
 
 
-class _Memo:
-    """Mapping with FIFO eviction; lookups stay value-correct."""
-
-    def __init__(self, limit: int):
-        self.data: "OrderedDict" = OrderedDict()
-        self.limit = limit
-
-    def get(self, key):
-        return self.data.get(key)
-
-    def put(self, key, value) -> None:
-        if key in self.data:
-            self.data[key] = value
-            return
-        if len(self.data) >= self.limit:
-            self.data.popitem(last=False)
-        self.data[key] = value
-
-
 # ---------------------------------------------------------------------------
 # Minimality
 
@@ -139,32 +118,6 @@ def is_minimal_zero_sum(S: Sequence) -> bool:
 
 # ---------------------------------------------------------------------------
 # The packed-count kernel
-
-
-class _Table(dict):
-    """The slots of one group, filled as elements are first asked for:
-    e -> (bit of e, bit of -e, rotates that translate by e, rotates that
-    translate by -e)."""
-
-    __slots__ = ("group",)
-
-    def __init__(self, G: Group):
-        super().__init__()
-        self.group = G
-
-    def __missing__(self, e: Element) -> tuple:
-        G = self.group
-        m = neg(G, e)
-        row = self[e] = (
-            1 << element_index(G, e),
-            1 << element_index(G, m),
-            translation(G, e),
-            translation(G, m),
-        )
-        return row
-
-
-_table = lru_cache(maxsize=64)(_Table)
 
 
 class _Kernel:
@@ -205,8 +158,8 @@ class _Kernel:
         unit = [1 << j * w for j in range(k)]
         self.guards = sum(unit) << (w - 1)
         self.counts = sum(m * u for m, u in zip(left, unit))
-        table = _table(S.group)
-        bit, minus, moves, back = zip(*map(table.__getitem__, support)) if k else ((),) * 4
+        rows = slot_rows(S.group)
+        bit, minus, moves, back = zip(*map(rows.__getitem__, support)) if k else ((),) * 4
         # reach[j][c]: the negatives of the sums of the nonempty
         # sub-multisets of slots j..k-1 with at most c copies of slot j
         reach: List[List[int]] = [[]] * k
@@ -315,8 +268,10 @@ def atoms_through(
 # The one search: reachable numbers of disjoint atoms
 
 
-# (S, atom_cap, discard) -> (length mask, nodes of the full search)
-_MASKS = _Memo(1 << 10)
+# (S, atom_cap, discard) -> (length mask, nodes of the full search), oldest
+# first: past MASKS_LIMIT entries the oldest is evicted
+MASKS_LIMIT = 1 << 10
+_MASKS: "OrderedDict[tuple, Tuple[int, int]]" = OrderedDict()
 
 
 def _lengths(
@@ -373,7 +328,9 @@ def _lengths(
 
     lengths = search(kernel.counts)
     del search  # a recursive closure is a reference cycle; free it now
-    _MASKS.put(key, (lengths, spent))
+    if len(_MASKS) >= MASKS_LIMIT:
+        _MASKS.popitem(last=False)
+    _MASKS[key] = (lengths, spent)
     return lengths
 
 
@@ -412,6 +369,16 @@ class LengthSet:
         if list(self.lengths) != sorted(set(self.lengths)):
             raise ValueError("lengths must be strictly sorted and unique")
 
+    @classmethod
+    def _of_mask(cls, mask: int) -> "LengthSet":
+        """The set bits of mask: listed in order, so already strictly
+        sorted, and built without the check."""
+        out = object.__new__(cls)
+        object.__setattr__(
+            out, "lengths", tuple(n for n in range(mask.bit_length()) if mask >> n & 1)
+        )
+        return out
+
     @property
     def min(self) -> int:
         return self.lengths[0]
@@ -448,7 +415,7 @@ def length_set(
         raise SequenceError(
             "no factorization within atom length cap %r" % (atom_cap,)
         )
-    return LengthSet(tuple(n for n in range(mask.bit_length()) if mask >> n & 1))
+    return LengthSet._of_mask(mask)
 
 
 @dataclass(frozen=True)

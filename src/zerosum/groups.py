@@ -5,13 +5,27 @@ n_1 | n_2 | ... | n_r, each n_i >= 2. The empty factor list is the
 trivial group. Elements are plain tuples of residues, one per factor, in
 the same order; operations take the group as explicit context and
 validate lengths, so elements stay compact inside large searches.
+
+``make_group`` (and so ``parse_group``) hands out one shared ``Group`` per
+invariant-factor tuple, from a weak-valued table that keeps no group
+alive; the table also holds each shared group under its label, so
+parsing a label ``format_group`` wrote is one lookup. A group keeps
+what is derived from it in its instance dict, computed on first use:
+its hash, its label (``format_group``), its ``profile``, the coordinate
+tuples ``validate_element`` has accepted, and its ``slot_rows``; the
+verifier keeps its step properties there too. Kept data never enters
+equality, repr or pickling, so a group built directly with
+``Group(...)`` behaves as the shared one, only without the sharing.
+``translation`` keeps a bounded cache of its own: the rotates of an
+element of C_2^15 hold a 4 KB mask per coordinate.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence as Seq
 
@@ -73,6 +87,46 @@ class Group:
             return "Group(trivial)"
         return "Group(%s)" % "|".join(str(n) for n in self.invariant_factors)
 
+    # Derived data, computed once and kept in the instance dict (see the
+    # module docstring); __getstate__ leaves it out of pickles and copies.
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"invariant_factors": self.invariant_factors}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.invariant_factors,))  # the dataclass hash
+
+    @cached_property
+    def _label(self) -> str:
+        parts = []
+        for n, run in itertools.groupby(self.invariant_factors):
+            count = len(list(run))
+            parts.append(str(n) if count == 1 else "%d^%d" % (n, count))
+        return ",".join(parts)
+
+    @cached_property
+    def _profile(self) -> "GroupProfile":
+        factors = self.invariant_factors
+        return GroupProfile(
+            order=self.order,
+            exponent=self.exponent,
+            rank=self.rank,
+            d_star=sum(n - 1 for n in factors) + 1,
+            minus_factors=factors[:-1],
+        )
+
+    @cached_property
+    def _checked(self) -> set:
+        return set()
+
+    @cached_property
+    def _slot_rows(self) -> "_SlotRows":
+        return _SlotRows(self)
+
 
 @dataclass(frozen=True)
 class GroupProfile:
@@ -97,13 +151,19 @@ def _factorize(n: int) -> dict:
     return out
 
 
+# the one shared Group under its invariant factors and under its label;
+# weak-valued, so it keeps no group alive
+_GROUPS: "weakref.WeakValueDictionary[object, Group]" = weakref.WeakValueDictionary()
+
+
 def make_group(factors: Seq) -> Group:
     """Canonicalize an arbitrary cyclic decomposition.
 
     Accepts any list of integers >= 2 (in any order, e.g. [2,3] or
     [4,2,8]) and returns the group in invariant-factor form via
     elementary-divisor merging: per prime, the largest prime powers are
-    multiplied into the largest invariant factor, and so on down.
+    multiplied into the largest invariant factor, and so on down. Every
+    call for one group returns the same instance.
     """
     clean = []
     for n in factors:
@@ -111,9 +171,19 @@ def make_group(factors: Seq) -> Group:
             raise GroupError("group factors must be integers, got %r" % (n,))
         if n < 2:
             raise GroupError("group factors must be >= 2, got %d" % n)
-        clean.append(n)
-    if not clean:
-        return Group(())
+        clean.append(int(n))
+    invariant = tuple(clean)
+    if any(b % a for a, b in zip(invariant, invariant[1:])):
+        invariant = _invariant_factors(clean)
+    G = _GROUPS.get(invariant)
+    if G is None:
+        G = Group(invariant)
+        _GROUPS[invariant] = _GROUPS[G._label] = G
+    return G
+
+
+def _invariant_factors(clean: list) -> tuple:
+    """The invariant factors of a nonempty list of integers >= 2."""
     per_prime: dict = {}
     for n in clean:
         for p, e in _factorize(n).items():
@@ -129,8 +199,7 @@ def make_group(factors: Seq) -> Group:
     for i in range(depth):
         n_i = prod(p ** per_prime[p][i] for p in per_prime)
         descending.append(n_i)
-    invariant = tuple(reversed(descending))
-    return Group(invariant)
+    return tuple(reversed(descending))
 
 
 def parse_group(text: str) -> Group:
@@ -141,6 +210,11 @@ def parse_group(text: str) -> Group:
     items is ignored. The empty string denotes the trivial group.
     Errors report the character position of the offending token.
     """
+    if not isinstance(text, str):
+        raise GroupError("a group spec must be a string, got %r" % (text,))
+    G = _GROUPS.get(text)  # the label of a shared group
+    if G is not None:
+        return G
     if text.strip() == "":
         return make_group([])
     factors = []
@@ -179,33 +253,15 @@ def parse_group(text: str) -> Group:
 
 
 def format_group(G: Group) -> str:
-    """Inverse of parse_group: run-length encoded factor list ("2^5", "2,4")."""
-    parts = []
-    factors = G.invariant_factors
-    i = 0
-    while i < len(factors):
-        j = i
-        while j < len(factors) and factors[j] == factors[i]:
-            j += 1
-        count = j - i
-        parts.append(str(factors[i]) if count == 1 else "%d^%d" % (factors[i], count))
-        i = j
-    return ",".join(parts)
+    """Inverse of parse_group: run-length encoded factor list ("2^5", "2,4");
+    kept on the group."""
+    return G._label
 
 
-@lru_cache(maxsize=256)
 def profile(G: Group) -> GroupProfile:
     """Order, exponent, rank, D* and the factors below the exponent; kept
-    per group, and frozen, so every caller may share one."""
-    d_star = sum(n - 1 for n in G.invariant_factors) + 1
-    minus = G.invariant_factors[:-1] if G.rank >= 1 else ()
-    return GroupProfile(
-        order=G.order,
-        exponent=G.exponent,
-        rank=G.rank,
-        d_star=d_star,
-        minus_factors=minus,
-    )
+    on the group, and frozen, so every caller may share one."""
+    return G._profile
 
 
 def _check_element(G: Group, a: Element) -> None:
@@ -300,10 +356,52 @@ def translation(G: Group, a: Element) -> tuple:
 
 
 def validate_element(G: Group, coords: Seq) -> Element:
-    """Check ranges and return the canonical tuple form."""
+    """Check ranges and return the canonical tuple form.
+
+    A tuple of exact ints that the group has accepted before passes on a
+    set lookup. The type test comes first: (True, 0) and (1.0, 0) equal
+    (1, 0), and ([1], 0) cannot be hashed, so each is refused below.
+    """
     a = tuple(coords)
+    for x in a:
+        if type(x) is not int:
+            break
+    else:
+        if a in G._checked:
+            return a
     _check_element(G, a)
     for x, n in zip(a, G.invariant_factors):
         if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n):
             raise GroupError("coordinate %r out of range [0, %d)" % (x, n))
+    G._checked.add(a)
     return a
+
+
+class _SlotRows(dict):
+    """The slot rows of one group, filled as elements are first asked for:
+    e -> (bit of e, bit of -e, rotates that translate by e, rotates that
+    translate by -e). Bits and rotates act on int bitsets over
+    enumerate_elements positions (see translation)."""
+
+    __slots__ = ("group",)
+
+    def __init__(self, G: Group):
+        super().__init__()
+        self.group = G
+
+    def __missing__(self, e: Element) -> tuple:
+        G = self.group
+        m = neg(G, e)
+        row = self[e] = (
+            1 << element_index(G, e),
+            1 << element_index(G, m),
+            translation(G, e),
+            translation(G, m),
+        )
+        return row
+
+
+def slot_rows(G: Group) -> "_SlotRows":
+    """The slot rows of G, kept on the group: the atom DFS of
+    factorizations reads each support element's row from it."""
+    return G._slot_rows

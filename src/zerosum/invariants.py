@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, wraps
 from itertools import groupby
 from math import gcd
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import gf2
 from .gf2 import SearchError  # raised by the search; importable from here
@@ -314,7 +315,10 @@ class Certificate:
     def from_json(cls, data: dict) -> "Certificate":
         from .groups import parse_group
 
-        G = parse_group(data["group"])
+        label = data["group"]
+        if not isinstance(label, str):
+            raise CertificateError("group must be a label, not %r" % (label,))
+        G = parse_group(label)
         value = None
         interval = None
         if "value" in data:
@@ -338,6 +342,10 @@ class Certificate:
         for i, step in enumerate(chain):
             if not isinstance(step, dict):
                 raise CertificateError("upper_chain[%d] must be an object, not %r" % (i, step))
+            if not isinstance(step.get("rule", ""), str):
+                raise CertificateError(
+                    "upper_chain[%d] rule must be a string, not %r" % (i, step["rule"])
+                )
         return cls(
             constant=data["constant"],
             group=G,
@@ -470,19 +478,26 @@ def _check_witness(
     return problems
 
 
-def _group_properties(G: Group) -> Dict[str, object]:
+def _group_properties(G: Group) -> Mapping[str, object]:
     """What a step input of each of these names must equal on G. p is the
-    exponent when G is C_p^r with p prime, and None otherwise."""
+    exponent when G is C_p^r with p prime, and None otherwise. Built once
+    and kept, read-only, in G's instance dict, beside the data groups
+    keeps there."""
+    try:
+        return G.__dict__["_properties"]
+    except KeyError:
+        pass
     prof = profile(G)
     elementary = len(set(G.invariant_factors)) == 1 and is_prime(prof.exponent)
-    return {
+    kept = G.__dict__["_properties"] = MappingProxyType({
         "r": prof.rank,
         "p": prof.exponent if elementary else None,
         "group": format_group(G),
         "exponent": prof.exponent,
         "order": prof.order,
         "d_star": prof.d_star,
-    }
+    })
+    return kept
 
 
 def _check_chain(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:

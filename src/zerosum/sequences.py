@@ -54,6 +54,10 @@ class Sequence:
     element coordinates, every multiplicity >= 1.
     """
 
+    # the sum and the hash are kept, once computed, in slots that equality,
+    # repr and pickling never see; slots, since a dict costs more than a hash
+    __slots__ = ("group", "items", "_sum", "_hash")
+
     group: Group
     items: tuple
 
@@ -118,22 +122,34 @@ class Sequence:
         return any(e == z for e, _ in self.items)
 
     def sum(self) -> Element:
-        # computed once per instance and kept outside the fields, so
-        # equality, hashing, repr and pickling never see it
         try:
-            return self.__dict__["_sum"]
-        except KeyError:
+            return self._sum
+        except AttributeError:
             pass
         # the elements were validated when the sequence was built
         items = self.items
-        total = self.__dict__["_sum"] = tuple(
+        total = tuple(
             sum(e[i] * m for e, m in items) % n
             for i, n in enumerate(self.group.invariant_factors)
         )
+        object.__setattr__(self, "_sum", total)
         return total
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash((self.group, self.items))  # the dataclass hash
+        object.__setattr__(self, "_hash", h)
+        return h
 
     def __getstate__(self) -> dict:
         return {"group": self.group, "items": self.items}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     def cross_number(self) -> Fraction:
         total = Fraction(0)

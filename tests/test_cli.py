@@ -733,6 +733,25 @@ class TestVerify:
         assert "malformed certificate" in err and "Traceback" not in err
         assert "must be an object" in err
 
+    @pytest.mark.parametrize("field,value", [("group", 5), ("group", [2, 2]), ("rule", 5)],
+                             ids=["group-int", "group-list", "rule-int"])
+    def test_field_of_another_type_is_malformed(self, capsys, tmp_path, field, value):
+        # D_2(C_2^4) with its group or a step's rule retyped and its digest
+        # dropped: each once died in an AttributeError traceback
+        def retype(data):
+            del data["digest"]
+            if field == "group":
+                data["group"] = value
+            else:
+                data["upper_chain"][0]["rule"] = value
+
+        path = self.make_cert_file(capsys, tmp_path, tamper=retype)
+        code, out, err = run_cli(capsys, "verify", "--cert", path)
+        assert code == 1
+        assert out == ""
+        assert "malformed certificate" in err and "Traceback" not in err
+        assert "must be a " in err
+
     @pytest.mark.parametrize("split", [False, True], ids=["bool", "negative"])
     def test_witness_multiplicity_is_checked(self, capsys, tmp_path, split):
         # one copy of a witness element as "mult": true, or as -1 and 2

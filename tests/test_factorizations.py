@@ -4,6 +4,7 @@ import contextlib
 import functools
 import itertools
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -13,8 +14,11 @@ from zerosum.groups import (
     element_at,
     element_index,
     enumerate_elements,
+    format_group,
     make_group,
     neg,
+    parse_group,
+    slot_rows,
     zero,
 )
 from zerosum.factorizations import (
@@ -249,14 +253,14 @@ def memo_asks():
 
     def ask(cold, query, *args, **kwargs):
         if cold:
-            fz._MASKS.data.clear()
+            fz._MASKS.clear()
         else:
             with contextlib.suppress(ValueError):
                 query(*args, **kwargs)
         try:
             return query(*args, **kwargs)
         finally:
-            assert len(fz._MASKS.data) <= fz._MASKS.limit
+            assert len(fz._MASKS) <= fz.MASKS_LIMIT
 
     return [functools.partial(ask, cold) for cold in (True, False)]
 
@@ -317,13 +321,14 @@ class TestAgainstOracles:
     def test_memo_evicts_within_its_limit(self, monkeypatch):
         # a memo far smaller than the inputs keeps evicting; every answer,
         # evicted or kept, still matches the oracle
-        monkeypatch.setattr(fz, "_MASKS", fz._Memo(4))
+        monkeypatch.setattr(fz, "MASKS_LIMIT", 4)
+        monkeypatch.setattr(fz, "_MASKS", OrderedDict())
         rng = random.Random(6013)
         inputs = [random_sequence(G, rng, 6) for G in self.GROUPS for _ in range(6)]
         for S in inputs + inputs[::-1]:
             assert max_disjoint_zero_sums(S) == oracle_max_disjoint(S), S
-            assert len(fz._MASKS.data) <= 4
-        assert len(fz._MASKS.data) == 4
+            assert len(fz._MASKS) <= 4
+        assert len(fz._MASKS) == 4
 
     # Orders pinned from the per-function recursions this search replaced.
     PINNED_ORDER = [
@@ -357,7 +362,8 @@ class TestAgainstOracles:
 
 
 class TestTable:
-    """Each element's slot row, against groups.add and groups.neg."""
+    """Each element's slot row, kept on its group, against groups.add and
+    groups.neg."""
 
     @staticmethod
     def moved(u, moves):
@@ -368,7 +374,7 @@ class TestTable:
     @pytest.mark.parametrize("G", QUERY_GROUPS + (make_group([2] * 6),), ids=repr)
     def test_rows_match_group_arithmetic(self, G):
         elements = list(enumerate_elements(G))
-        table = fz._table(G)
+        table = slot_rows(G)
         for e in elements:
             bit, minus, moves, back = table[e]
             assert bit == 1 << element_index(G, e)
@@ -377,7 +383,8 @@ class TestTable:
                 u = 1 << element_index(G, x)
                 assert self.moved(u, moves) == 1 << element_index(G, add(G, x, e))
                 assert self.moved(u, back) == 1 << element_index(G, add(G, x, neg(G, e)))
-        assert fz._table(G) is table
+        assert slot_rows(G) is table
+        assert slot_rows(parse_group(format_group(G))) is table  # the shared group's
 
 
 class TestPrunedKernel:
@@ -475,9 +482,9 @@ class TestPrunedKernel:
         # without its memo.
         kernel = search = 0
         for S in self.pool(2814, 20, 10):
-            fz._MASKS.data.clear()
+            fz._MASKS.clear()
             max_disjoint_zero_sums(S)
-            (_, nodes), = fz._MASKS.data.values()
+            (_, nodes), = fz._MASKS.values()
             kernel += kernel_nodes(S)
             search += nodes - kernel_nodes(S)
         assert (kernel, search) == (9_290, 2_720)
@@ -495,7 +502,7 @@ class TestKernelBudgets:
 
     @staticmethod
     def run_cold(query, S, budget):
-        fz._MASKS.data.clear()
+        fz._MASKS.clear()
         return query(S, budget=budget)
 
     @pytest.mark.parametrize("S", SEQUENCES, ids=format_sequence)
@@ -782,7 +789,7 @@ class TestLengthMemoBudgets:
 
     @pytest.fixture
     def warm(self):
-        fz._MASKS.data.clear()
+        fz._MASKS.clear()
         S = full_squarefree(C2_4)
         assert max_length(S) == 5
         return S
@@ -809,7 +816,7 @@ class TestLengthMemoBudgets:
         assert query(warm, budget=nodes) == query(warm)  # the recorded count suffices
         colds = []
         for b in budgets:
-            fz._MASKS.data.clear()
+            fz._MASKS.clear()
             colds.append(self.outcome(query, warm, b))
         assert hits == colds
         message = "%s: budget exhausted after %d nodes" % (query.__name__, nodes - 1)
@@ -819,10 +826,10 @@ class TestLengthMemoBudgets:
         # 5 runs out while the atoms are listed, nodes - 1 in the search
         _, nodes = fz._MASKS.get((warm, None, False))
         for budget in (5, nodes - 1):
-            fz._MASKS.data.clear()
+            fz._MASKS.clear()
             with pytest.raises(BudgetExhausted):
                 max_length(warm, budget=budget)
-            assert not fz._MASKS.data
+            assert not fz._MASKS
 
 
 class TestEnumerateFactorizations:

@@ -1,10 +1,15 @@
+import copy
 import dataclasses
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerosum import groups
 from zerosum.groups import (
     Group,
     GroupError,
@@ -14,11 +19,14 @@ from zerosum.groups import (
     element_index,
     element_order,
     enumerate_elements,
+    format_group,
     make_group,
     neg,
     parse_group,
     profile,
     scale,
+    slot_rows,
+    validate_element,
     zero,
 )
 
@@ -103,6 +111,103 @@ class TestParseGroup:
             parse_group("2,,2")
         with pytest.raises(GroupParseError):
             parse_group("1")
+
+
+class TestInterning:
+    """make_group hands out one Group per invariant-factor tuple."""
+
+    def test_one_instance_per_group(self):
+        assert make_group([4, 2]) is make_group([2, 4]) is parse_group("2,4")
+        assert parse_group(" 4 ,2") is parse_group("2,4") is parse_group(format_group(Group((2, 4))))
+        assert make_group([2, 3]) is make_group([6]) is parse_group("6")
+        assert parse_group("2^3") is make_group((2, 2, 2))
+
+    def test_type_checks_run_before_the_table(self):
+        make_group([2, 3])
+        with pytest.raises(GroupError, match="^group factors must be integers, got 2.0$"):
+            make_group([2.0, 3])
+        with pytest.raises(GroupError, match="^group factors must be integers, got True$"):
+            make_group([True, 2])
+
+    @pytest.mark.parametrize("spec", [5, [2, 2], None], ids=["int", "list", "none"])
+    def test_non_string_spec_is_refused(self, spec):
+        # a list once reached str.strip and died with an AttributeError
+        with pytest.raises(GroupError, match="^a group spec must be a string, got "):
+            parse_group(spec)
+
+    def test_table_keeps_no_group_alive(self):
+        G = make_group([997, 997])
+        hash(G), format_group(G), profile(G), validate_element(G, (1, 2))
+        gone = weakref.ref(G)
+        del G
+        gc.collect()
+        assert gone() is None
+        assert (997, 997) not in groups._GROUPS and "997^2" not in groups._GROUPS
+
+    def test_a_directly_built_group_behaves_as_the_shared_one(self):
+        shared = make_group([2, 4])
+        direct = Group((2, 4))
+        assert direct is not shared
+        assert direct == shared
+        assert hash(direct) == hash(shared) == hash(((2, 4),))
+        assert repr(direct) == repr(shared) == "Group(2|4)"
+        assert format_group(direct) == "2,4"
+        assert profile(direct) == profile(shared)
+
+
+class TestKeptData:
+    """A group's kept data stays out of equality, repr and pickling."""
+
+    @staticmethod
+    def filled():
+        G = make_group([2, 4])
+        hash(G), format_group(G), profile(G)
+        validate_element(G, (1, 0))
+        slot_rows(G)[(1, 0)]
+        assert {"_hash", "_label", "_profile", "_checked", "_slot_rows"} <= set(vars(G))
+        return G
+
+    @pytest.mark.parametrize("clone", [
+        lambda G: pickle.loads(pickle.dumps(G)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip_carries_no_kept_key(self, clone):
+        G = self.filled()
+        twin = clone(G)
+        assert vars(twin) == {"invariant_factors": (2, 4)}
+        assert twin == G and hash(twin) == hash(G) and repr(twin) == repr(G)
+
+    def test_kept_data_is_not_a_field(self):
+        G = self.filled()
+        assert [f.name for f in dataclasses.fields(G)] == ["invariant_factors"]
+        assert dataclasses.asdict(G) == {"invariant_factors": (2, 4)}
+        assert G == Group((2, 4))
+
+    def test_hash_is_the_dataclass_hash(self):
+        for factors in [(), (2,), (2, 4), (3, 3, 3)]:
+            assert hash(make_group(factors)) == hash((factors,))
+
+
+class TestValidatedElements:
+    """A tuple the group accepted before passes on a set lookup; what the
+    parent refused is refused still, with its message."""
+
+    @pytest.mark.parametrize("coords,message", [
+        ((True, 0), "coordinate True out of range [0, 2)"),
+        ((1.0, 0), "coordinate 1.0 out of range [0, 2)"),
+        ((1, 9), "coordinate 9 out of range [0, 4)"),
+        ((1,), "element (1,) has 1 coordinates, group has rank 2"),
+        (([1], 0), "coordinate [1] out of range [0, 2)"),
+    ], ids=["bool", "float", "range", "rank", "unhashable"])
+    def test_refused_after_an_equal_tuple_was_accepted(self, coords, message):
+        G = make_group([2, 4])
+        assert validate_element(G, (1, 0)) == (1, 0)
+        assert validate_element(G, [1, 0]) == (1, 0)
+        with pytest.raises(GroupError) as err:
+            validate_element(G, coords)
+        assert str(err.value) == message
+        assert all(type(x) is int for a in G._checked for x in a)
 
 
 class TestProfile:

@@ -29,7 +29,7 @@ from zerosum.bounds import (
     s_le_from_extension,
 )
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
-from zerosum.groups import add, element_index, enumerate_elements, make_group, profile
+from zerosum.groups import Group, add, element_index, enumerate_elements, make_group, profile
 from zerosum.invariants import (
     Certificate,
     CertificateError,
@@ -984,6 +984,46 @@ class TestCertificateSerialization:
             Certificate.from_json(data)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("group", 5, "group must be a label, not 5"),
+        ("group", [2, 2], "group must be a label, not [2, 2]"),
+        ("rule", 5, "upper_chain[0] rule must be a string, not 5"),
+    ], ids=["group-int", "group-list", "rule-int"])
+    def test_field_of_another_type_is_refused_from_json(self, field, value, message):
+        # D_2(C_2^4), digest dropped, with one field retyped: each once died
+        # in an AttributeError (parse_group's strip, the step's startswith)
+        data = json.loads(json.dumps(davenport_k(C24, 2).to_json()))
+        del data["digest"]
+        if field == "group":
+            data["group"] = value
+        else:
+            data["upper_chain"][0]["rule"] = value
+        with pytest.raises(CertificateError) as err:
+            Certificate.from_json(data)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("factors,build", [
+        ((2, 4), lambda G: davenport_k(G, 2)),
+        ((2, 2, 6), lambda G: davenport_k(G, 2)),
+        ((3, 3), lambda G: eta(G)),
+    ], ids=["D_2(2,4)", "D_2(2^2,6)", "eta(3^2)"])
+    def test_a_directly_built_group_gives_the_same_json(self, factors, build):
+        # Group(...) skips the shared instance and so every kept datum: the
+        # certificate built on it must not differ by a byte
+        memos = (davenport, s_le, davenport_k, invariants._generic_rows, invariants._orbit_map)
+        for fn in memos:
+            fn.cache_clear()
+        shared = json.dumps(build(make_group(factors)).to_json(), sort_keys=True)
+        for fn in memos:
+            fn.cache_clear()
+        direct = Group(factors)
+        cert = build(direct)
+        assert cert.group is direct
+        assert json.dumps(cert.to_json(), sort_keys=True) == shared
+        assert_verifies(cert)
+        for fn in memos:
+            fn.cache_clear()
+
     def test_to_json_shares_no_witness_check_with_the_certificate(self):
         # an edit to the JSON of a memoised certificate once reached every
         # later caller: its coset-quarter rule then lost its functional
@@ -1780,6 +1820,18 @@ class TestChainBoundToGroup:
         assert invariants._group_properties(C32)["p"] == 3
         assert invariants._group_properties(make_group((4, 4)))["p"] is None
         assert invariants._group_properties(make_group((2, 4)))["p"] is None
+
+    def test_kept_properties_are_read_only(self):
+        # kept on the group, so an edit would reach every later verification
+        props = invariants._group_properties(C32)
+        assert invariants._group_properties(make_group((3, 3))) is props
+        with pytest.raises(TypeError):
+            props["p"] = 5
+        with pytest.raises(TypeError):
+            del props["r"]
+        assert dict(props) == {
+            "r": 2, "p": 3, "group": "3^2", "exponent": 3, "order": 9, "d_star": 5,
+        }
 
 
 def _assert_verifies_from_json(cert):

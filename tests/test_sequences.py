@@ -1,5 +1,7 @@
 """Tests for the sequence multiset layer and its structural predicates."""
 
+import copy
+import dataclasses
 import itertools
 import pickle
 import random
@@ -179,6 +181,17 @@ class TestConstruction:
         assert S == T and T == S
         back = pickle.loads(pickle.dumps(S))
         assert back == S and back.sum() == (1, 3)
+
+    def test_kept_hash_is_the_dataclass_hash_and_stays_out_of_copies(self):
+        S = parse_sequence(C3_C6, "0,4; 1,3^2; 2,5")
+        assert hash(S) == hash((S.group, S.items)) == hash(S)
+        S.sum()
+        for twin in (pickle.loads(pickle.dumps(S)), copy.copy(S), copy.deepcopy(S)):
+            assert twin == S and repr(twin) == repr(S)
+            assert not hasattr(twin, "_sum") and not hasattr(twin, "_hash")
+            assert hash(twin) == hash(S) and twin.sum() == S.sum()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            S.items = ()
 
     def test_divide_and_times(self):
         S = parse_sequence(C2_3, "1,0,0^2; 0,1,0")
