@@ -327,8 +327,10 @@ class SmallRankEngine:
 # candidate is either inside the span of the chosen prefix (id < 2^rank)
 # or exactly the next fresh basis vector 2^rank. Any subset can be
 # mapped by a linear automorphism to one of these tuples, so the family
-# covers all GL(r,2) orbits; it is a covering, not a transversal, which
-# is all the sweeps and the short-zero-sum search need.
+# meets every GL(r,2) orbit, most of them many times: a covering, not a
+# transversal. The sweeps read ORBIT_TABLE instead. No library code calls
+# it: the tests check ORBIT_TABLE against it, and perfbench's tracer
+# wraps it by name.
 
 
 def canonical_zero_sum_subsets(r: int, size: int) -> List[Tuple[int, ...]]:
@@ -470,7 +472,9 @@ class SweepRecord:
 
     A record with zero failures proves: every zero-sum squarefree 0-free
     subset of C_2^r of size (2^r - 1 - complement_size) splits into at
-    least `pieces` disjoint circuits.
+    least `pieces` disjoint circuits. `instances` counts the sets swept,
+    one per GL(r, 2) orbit of zero-sum complement_size-sets: the size of
+    the ORBIT_TABLE cell, which the verifier holds a sweep step to.
     """
 
     r: int
@@ -501,20 +505,96 @@ class SweepRecord:
 RANK5_SWEEP_PIECES = {3: 9, 4: 9, 5: 8, 6: 8, 7: 8, 8: 7, 9: 7, 10: 6, 11: 6}
 
 
-def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
-    """Try to split the complement of every covering instance into `pieces`.
+# One zero-sum set of C_2^r per GL(r, 2) orbit of zero-sum c-sets, for
+# every (r, c) run_sweep is asked for: r = 3 and 4 at each c the tests
+# sweep, and r = 5 at each c of RANK5_SWEEP_PIECES. Each set is its
+# orbit's canonical form, the least sorted image of the set over the
+# ordered bases of its span. A cell with no set has no zero-sum c-set.
+# The tests prove each cell a transversal: its sets are zero-sum c-sets
+# with distinct canonical forms, and their orbit sizes |GL(r, 2)| /
+# |Stab| add up to the number of zero-sum c-sets.
+ORBIT_TABLE: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {
+    (3, 0): ((),),
+    (3, 1): (),
+    (3, 2): (),
+    (3, 3): ((1, 2, 3),),
+    (3, 4): ((1, 2, 4, 7),),
+    (4, 0): ((),),
+    (4, 1): (),
+    (4, 2): (),
+    (4, 3): ((1, 2, 3),),
+    (4, 4): ((1, 2, 4, 7),),
+    (4, 5): ((1, 2, 4, 8, 15),),
+    (4, 6): ((1, 2, 3, 4, 8, 12),),
+    (4, 7): ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 8, 9)),
+    (4, 8): ((1, 2, 3, 4, 5, 6, 8, 15), (1, 2, 4, 7, 8, 11, 13, 14)),
+    (4, 9): ((1, 2, 3, 4, 5, 8, 10, 12, 15),),
+    (4, 10): ((1, 2, 3, 4, 5, 6, 8, 9, 10, 12),),
+    (4, 11): ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),),
+    (4, 12): ((1, 2, 3, 4, 5, 6, 8, 9, 10, 13, 14, 15),),
+    (5, 3): ((1, 2, 3),),
+    (5, 4): ((1, 2, 4, 7),),
+    (5, 5): ((1, 2, 4, 8, 15),),
+    (5, 6): ((1, 2, 3, 4, 8, 12), (1, 2, 4, 8, 16, 31)),
+    (5, 7): ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 8, 9), (1, 2, 3, 4, 8, 16, 28)),
+    (5, 8): (
+        (1, 2, 3, 4, 5, 6, 8, 15),
+        (1, 2, 3, 4, 5, 8, 16, 25),
+        (1, 2, 4, 7, 8, 11, 13, 14),
+        (1, 2, 4, 7, 8, 11, 16, 19),
+    ),
+    (5, 9): (
+        (1, 2, 3, 4, 5, 6, 8, 16, 31),
+        (1, 2, 3, 4, 5, 8, 10, 12, 15),
+        (1, 2, 3, 4, 5, 8, 10, 16, 19),
+        (1, 2, 3, 4, 5, 8, 14, 16, 23),
+        (1, 2, 4, 7, 8, 11, 13, 16, 30),
+    ),
+    (5, 10): (
+        (1, 2, 3, 4, 5, 6, 7, 8, 16, 24),
+        (1, 2, 3, 4, 5, 6, 8, 9, 10, 12),
+        (1, 2, 3, 4, 5, 6, 8, 9, 16, 22),
+        (1, 2, 3, 4, 5, 8, 9, 14, 16, 30),
+        (1, 2, 3, 4, 5, 8, 10, 12, 16, 31),
+        (1, 2, 3, 4, 8, 12, 16, 21, 26, 31),
+        (1, 2, 4, 7, 8, 11, 16, 21, 25, 31),
+    ),
+    (5, 11): (
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17),
+        (1, 2, 3, 4, 5, 6, 8, 9, 10, 16, 28),
+        (1, 2, 3, 4, 5, 6, 8, 9, 14, 16, 24),
+        (1, 2, 3, 4, 5, 8, 9, 14, 15, 16, 17),
+        (1, 2, 3, 4, 5, 8, 9, 16, 17, 30, 31),
+        (1, 2, 3, 4, 5, 8, 9, 16, 18, 28, 30),
+        (1, 2, 3, 4, 5, 8, 9, 16, 22, 26, 28),
+        (1, 2, 3, 4, 5, 8, 10, 16, 20, 24, 31),
+    ),
+}
 
-    The instances are canonical_zero_sum_subsets(r, complement_size),
-    which meet every GL(r, 2) orbit; failures counts the complements
-    with no partition into exactly `pieces` circuits. The search uses
-    the kept universe table and its refuted set, so a residual refuted
-    by one instance, or by an earlier sweep of the same rank, is not
-    searched again. The record is the same as with a fresh set; only
-    the work to reach it shrinks.
+
+def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
+    """Try to split the complement of every set of ORBIT_TABLE[r, c] into
+    `pieces` circuits, with c = complement_size.
+
+    Complementing maps zero-sum sets to zero-sum sets (the nonzero ids of
+    C_2^r, r >= 2, sum to 0) and commutes with GL(r, 2), which keeps
+    circuit partitions; so one complement per orbit of zero-sum c-sets
+    stands for every zero-sum set of 2^r - 1 - c ids. failures counts the
+    complements with no partition into exactly `pieces` circuits. The
+    search uses the kept universe table and its refuted set, so a residual
+    refuted by one instance, or by an earlier sweep of the same rank, is
+    not searched again. The record is the same as with a fresh set; only
+    the work to reach it shrinks. Raises ValueError when the table has no
+    cell for (r, c).
     """
     started = time.monotonic()
+    instances = ORBIT_TABLE.get((r, complement_size))
+    if instances is None:
+        raise ValueError(
+            "no orbit table for zero-sum %d-sets of C_2^%d" % (complement_size, r)
+        )
     table = universe_table(r)
-    instances = canonical_zero_sum_subsets(r, complement_size)
     failures = 0
     for inst in instances:
         if table.partition(table.mask ^ ids_to_mask(inst), pieces) is None:

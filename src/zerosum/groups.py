@@ -12,12 +12,11 @@ alive; the table also holds each shared group under its label, so
 parsing a label ``format_group`` wrote is one lookup. A group keeps
 what is derived from it in its instance dict, computed on first use:
 its hash, its label (``format_group``), its ``profile``, the coordinate
-tuples ``validate_element`` has accepted, and its ``slot_rows``; the
-verifier keeps its step properties there too. Kept data never enters
-equality, repr or pickling, so a group built directly with
-``Group(...)`` behaves as the shared one, only without the sharing.
-``translation`` keeps a bounded cache of its own: the rotates of an
-element of C_2^15 hold a 4 KB mask per coordinate.
+tuples ``validate_element`` has accepted, the masked rotates of
+``translation`` and its ``slot_rows``; the verifier keeps its step
+properties there too. Kept data never enters equality, repr or
+pickling, so a group built directly with ``Group(...)`` behaves as the
+shared one, only without the sharing.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Iterator, Sequence as Seq
 
@@ -122,6 +121,10 @@ class Group:
     @cached_property
     def _checked(self) -> set:
         return set()
+
+    @cached_property
+    def _rotates(self) -> dict:
+        return {}
 
     @cached_property
     def _slot_rows(self) -> "_SlotRows":
@@ -329,7 +332,6 @@ def element_at(G: Group, idx: int) -> Element:
     return tuple(reversed(coords))
 
 
-@lru_cache(maxsize=1024)
 def translation(G: Group, a: Element) -> tuple:
     """Masked rotates that translate a set of elements by a.
 
@@ -339,20 +341,31 @@ def translation(G: Group, a: Element) -> tuple:
     one masked rotate (low, high, up, down), applied as
     t -> (t & low) << up | (t & high) >> down. The result holds one rotate
     per nonzero coordinate of a; applying them in turn translates by a.
+    The group keeps each rotate under its (i, y), so the elements that
+    share a coordinate share its masks: those of C_2^15 are 4 KB each.
     """
     _check_element(G, a)
+    rotates = G._rotates
+    out = []
+    for i, y in enumerate(a):
+        if y:
+            rotate = rotates.get((i, y))
+            if rotate is None:
+                rotate = rotates[i, y] = _rotate(G, i, y)
+            out.append(rotate)
+    return tuple(out)
+
+
+def _rotate(G: Group, i: int, y: int) -> tuple:
+    """The masked rotate that adds y to coordinate i (see translation)."""
     n = G.order
     full = (1 << n) - 1
-    out = []
-    stride = n
-    for y, m in zip(a, G.invariant_factors):
-        stride //= m
-        if y:
-            period = m * stride
-            # the lowest (m - y)*s bits of each period of m*s positions
-            low = ((1 << (m - y) * stride) - 1) * (full // ((1 << period) - 1))
-            out.append((low, full ^ low, y * stride, (m - y) * stride))
-    return tuple(out)
+    m = G.invariant_factors[i]
+    stride = n // prod(G.invariant_factors[: i + 1])
+    period = m * stride
+    # the lowest (m - y)*s bits of each period of m*s positions
+    low = ((1 << (m - y) * stride) - 1) * (full // ((1 << period) - 1))
+    return (low, full ^ low, y * stride, (m - y) * stride)
 
 
 def validate_element(G: Group, coords: Seq) -> Element:

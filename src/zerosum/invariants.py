@@ -346,6 +346,16 @@ class Certificate:
                 raise CertificateError(
                     "upper_chain[%d] rule must be a string, not %r" % (i, step["rule"])
                 )
+            inputs = step.get("inputs", {})
+            if not isinstance(inputs, dict):
+                raise CertificateError(
+                    "upper_chain[%d] inputs must be an object, not %r" % (i, inputs)
+                )
+            for name, entry in inputs.items():
+                if not isinstance(entry, dict):
+                    raise CertificateError(
+                        "upper_chain[%d] input %s must be an object, not %r" % (i, name, entry)
+                    )
         return cls(
             constant=data["constant"],
             group=G,
@@ -502,9 +512,10 @@ def _group_properties(G: Group) -> Mapping[str, object]:
 
 def _check_chain(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
     """Re-evaluate every step by its rule; a search step must also match
-    its digest. A step's inputs that name a property of the group must
-    match G's, and an ub.e2g_* rule needs G to be an elementary 2-group,
-    so no step of another group can be spliced in. The theorem rules
+    its digest, and a sweep must count one instance per orbit. A step's
+    inputs that name a property of the group must match G's, and an
+    ub.e2g_* rule needs G to be an elementary 2-group, so no step of
+    another group can be spliced in. The theorem rules
     ub.olson, ub.halter_koch and ub.eta_rank2 read their group off the
     input group, so their preconditions are checked on G."""
     problems: List[str] = []
@@ -527,6 +538,10 @@ def _check_chain(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
                 continue
             if step.digest != expected:
                 problems.append(label + ": digest mismatch")
+            elif step.rule_id == "search.sweep" and expected is not None:
+                # digested, so its inputs are numbers; a sweep with failures
+                # has no digest and is refused by its rule
+                problems.extend(_check_sweep(label, inputs))
         try:
             value = evaluate_rule(step.rule_id, inputs)
         except (BoundError, KeyError, TypeError, ValueError) as err:
@@ -538,6 +553,19 @@ def _check_chain(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
                 % (serialize_value(value), serialize_value(step.value))
             )
     return problems
+
+
+def _check_sweep(label: str, inputs: Dict[str, object]) -> List[str]:
+    """A sweep must have swept one set per GL(r, 2) orbit: as many as its
+    cell of gf2.ORBIT_TABLE holds."""
+    r, c, instances = inputs["r"], inputs["complement_size"], inputs["instances"]
+    orbits = gf2.ORBIT_TABLE.get((r, c))
+    if orbits is None:
+        return [label + ": no orbit table for zero-sum %d-sets of C_2^%d" % (c, r)]
+    if instances != len(orbits):
+        return [label + ": %d instances, not the %d orbits of zero-sum %d-sets of C_2^%d"
+                % (instances, len(orbits), c, r)]
+    return []
 
 
 def _check_caps(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:

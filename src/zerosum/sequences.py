@@ -54,12 +54,19 @@ class Sequence:
     element coordinates, every multiplicity >= 1.
     """
 
-    # the sum and the hash are kept, once computed, in slots that equality,
-    # repr and pickling never see; slots, since a dict costs more than a hash
-    __slots__ = ("group", "items", "_sum", "_hash")
+    # the length, support, sum and hash are kept, once computed, in slots
+    # that equality, repr and pickling never see; slots, since a dict
+    # costs more than a hash. None marks a value not yet computed: most
+    # sequences ask for each once, and testing for None costs less than
+    # the AttributeError of an empty slot
+    __slots__ = ("group", "items", "_length", "_support", "_sum", "_hash")
 
     group: Group
     items: tuple
+
+    def __post_init__(self) -> None:
+        for name in ("_length", "_support", "_sum", "_hash"):
+            object.__setattr__(self, name, None)
 
     @staticmethod
     def from_counts(
@@ -93,11 +100,19 @@ class Sequence:
 
     @property
     def length(self) -> int:
-        return sum(m for _, m in self.items)
+        n = self._length
+        if n is None:
+            n = sum(m for _, m in self.items)
+            object.__setattr__(self, "_length", n)
+        return n
 
     @property
     def support(self) -> tuple:
-        return tuple(e for e, _ in self.items)
+        support = self._support
+        if support is None:
+            support = tuple(e for e, _ in self.items)
+            object.__setattr__(self, "_support", support)
+        return support
 
     def multiplicity(self, e: Element) -> int:
         for el, m in self.items:
@@ -122,26 +137,22 @@ class Sequence:
         return any(e == z for e, _ in self.items)
 
     def sum(self) -> Element:
-        try:
-            return self._sum
-        except AttributeError:
-            pass
-        # the elements were validated when the sequence was built
-        items = self.items
-        total = tuple(
-            sum(e[i] * m for e, m in items) % n
-            for i, n in enumerate(self.group.invariant_factors)
-        )
-        object.__setattr__(self, "_sum", total)
+        total = self._sum
+        if total is None:
+            # the elements were validated when the sequence was built
+            items = self.items
+            total = tuple(
+                sum(e[i] * m for e, m in items) % n
+                for i, n in enumerate(self.group.invariant_factors)
+            )
+            object.__setattr__(self, "_sum", total)
         return total
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            pass
-        h = hash((self.group, self.items))  # the dataclass hash
-        object.__setattr__(self, "_hash", h)
+        h = self._hash
+        if h is None:
+            h = hash((self.group, self.items))  # the dataclass hash
+            object.__setattr__(self, "_hash", h)
         return h
 
     def __getstate__(self) -> dict:
@@ -150,6 +161,7 @@ class Sequence:
     def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def cross_number(self) -> Fraction:
         total = Fraction(0)

@@ -752,6 +752,22 @@ class TestVerify:
         assert "malformed certificate" in err and "Traceback" not in err
         assert "must be a " in err
 
+    @pytest.mark.parametrize("inputs", [[1], ["r"], "r"], ids=["list-int", "list-str", "str"])
+    def test_step_inputs_of_another_type_are_malformed(self, capsys, tmp_path, inputs):
+        # D_2(C_2^4) with its first step's inputs retyped and its digest
+        # dropped: [1] once died in an IndexError traceback, the others
+        # printed raw TypeError text
+        def retype(data):
+            del data["digest"]
+            data["upper_chain"][0]["inputs"] = inputs
+
+        path = self.make_cert_file(capsys, tmp_path, tamper=retype)
+        code, out, err = run_cli(capsys, "verify", "--cert", path)
+        assert code == 1
+        assert out == ""
+        assert "malformed certificate: upper_chain[0] inputs must be an object" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("split", [False, True], ids=["bool", "negative"])
     def test_witness_multiplicity_is_checked(self, capsys, tmp_path, split):
         # one copy of a witness element as "mult": true, or as -1 and 2

@@ -1,5 +1,6 @@
 """Tests for the bitmask engines and code witnesses on elementary 2-groups."""
 
+import functools
 import itertools
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from zerosum import cache, gf2, invariants
 from zerosum.factorizations import max_length
 from zerosum.gf2 import (
+    ORBIT_TABLE,
     RANK5_CORE_MAXL3,
     RANK5_CORE_MAXL4,
     RANK5_CORE_MAXL5,
@@ -373,6 +375,174 @@ class TestCanonicalEnumeration:
             assert max_set_without_short_zero_sums(r, cap) == expected
 
 
+# ---------------------------------------------------------------------------
+# The orbit table, proven a transversal
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_form(ids):
+    """(least image, bases, d) of a tuple of nonzero ids spanning d dimensions.
+
+    The least image is the least sorted image of the set over the ordered
+    bases (b_1, ..., b_d) of its span, where b_i goes to id 2^(i - 1); a
+    GL(r, 2) map moves bases to bases, so the least image is the same on
+    a whole orbit. `bases` counts the ordered bases that reach it, which
+    is |Stab| of the set within GL(span). The least image holds every
+    2^(i - 1), so each b_i lies in the set. The ids below 2^j are the
+    image of span(b_1, ..., b_j), so a partial basis whose new layer of
+    ids is larger, or a prefix of another's, cannot reach the least
+    image: the search keeps only the least layer at each level.
+    """
+    members = frozenset(ids)
+    frontier = [{0: 0}]  # per kept partial basis: its span's vectors -> ids
+    image = ()
+    d = 0
+    while len(image) < len(members):
+        bit = 1 << d
+        best, kept = None, []
+        for coords in frontier:
+            for b in members:
+                if b in coords:
+                    continue
+                layer = sorted(i | bit for v, i in coords.items() if v ^ b in members)
+                layer = tuple(layer) + (1 << 32,)  # a longer layer wins a tie
+                if best is None or layer < best:
+                    best, kept = layer, []
+                if layer == best:
+                    grown = dict(coords)
+                    grown.update((v ^ b, i | bit) for v, i in coords.items())
+                    kept.append(grown)
+        image += best[:-1]
+        frontier = kept
+        d += 1
+    return image, len(frontier), d
+
+
+def gl_order(n):
+    """|GL(n, 2)|."""
+    return functools.reduce(lambda acc, i: acc * ((1 << n) - (1 << i)), range(n), 1)
+
+
+def orbit_size(r, ids):
+    """|GL(r, 2)| / |Stab(ids)|. A map fixing the set fixes its span V of d
+    dimensions, acts on V as one of the `bases` stabilising maps, and
+    sends a basis of a complement of V to any r - d vectors independent
+    modulo V: 2^(d(r - d)) |GL(r - d, 2)| ways."""
+    _, bases, d = canonical_form(ids)
+    return gl_order(r) // (bases * (1 << d * (r - d)) * gl_order(r - d))
+
+
+def zero_sum_count(r, c):
+    """The number of zero-sum c-sets of nonzero ids of C_2^r, by a DP over
+    (set size, XOR value)."""
+    ways = [[0] * (1 << r) for _ in range(c + 1)]
+    ways[0][0] = 1
+    for v in range(1, 1 << r):
+        for size in range(c, 0, -1):
+            row, below = ways[size], ways[size - 1]
+            for x in range(1 << r):
+                row[x ^ v] += below[x]
+    return ways[c][0]
+
+
+def transversal_problems(r, c, sets):
+    """What keeps `sets` from being one zero-sum c-set of C_2^r per GL(r, 2)
+    orbit: a set that is no sorted zero-sum c-set of nonzero ids (check
+    1), two sets with one canonical form (check 2), or orbit sizes that do
+    not add up to the zero-sum c-sets (check 3). Distinct forms put the
+    sets in distinct orbits, and the count says those orbits are all."""
+    problems, forms, total = [], {}, 0
+    for ids in sets:
+        ids = tuple(ids)
+        if (len(ids) != c or list(ids) != sorted(set(ids)) or xor_all(ids)
+                or not all(0 < v < 1 << r for v in ids)):
+            problems.append("%r is not a sorted zero-sum %d-set of nonzero ids" % (ids, c))
+            continue
+        form = canonical_form(ids)[0]
+        if form in forms:
+            problems.append("%r and %r share the canonical form %r" % (forms[form], ids, form))
+        forms[form] = ids
+        total += orbit_size(r, ids)
+    expected = zero_sum_count(r, c)
+    if total != expected:
+        problems.append("orbit sizes add up to %d, not to the %d zero-sum sets" % (total, expected))
+    return problems
+
+
+def random_gl_map(r, rng):
+    """A seeded linear automorphism of C_2^r, as an id -> id function."""
+    while True:
+        images = [rng.randrange(1, 1 << r) for _ in range(r)]
+        if mask_rank(images) == r:
+            break
+    return lambda v: xor_all(images[bit] for bit in range(r) if (v >> bit) & 1)
+
+
+class TestOrbitTable:
+    """gf2.ORBIT_TABLE holds one zero-sum c-set per GL(r, 2) orbit."""
+
+    @pytest.mark.parametrize("r,c", sorted(ORBIT_TABLE))
+    def test_cell_is_a_transversal(self, r, c):
+        assert transversal_problems(r, c, ORBIT_TABLE[r, c]) == []
+
+    def test_cells_are_those_the_sweeps_ask_for(self):
+        # r = 3, 4 at each c of test_sweep_failures_match_brute_force, and
+        # r = 5 at each c of the rank-5 rows
+        cells = {(r, c) for r in (3, 4) for c in range((1 << r) - 3)}
+        assert set(ORBIT_TABLE) == cells | {(5, c) for c in RANK5_SWEEP_PIECES}
+
+    @pytest.mark.parametrize("r,c", sorted(ORBIT_TABLE))
+    def test_each_set_is_its_canonical_form(self, r, c):
+        assert [canonical_form(ids)[0] for ids in ORBIT_TABLE[r, c]] == list(ORBIT_TABLE[r, c])
+
+    def test_canonical_form_is_a_rank3_orbit_invariant(self):
+        # against all 168 maps of GL(3, 2): one form per orbit, and the
+        # bases that reach it are the maps that fix the set
+        maps = gl2_maps(3)
+        for ids in zero_sum_subsets(3):
+            images = [tuple(sorted(m[v] for v in ids)) for m in maps]
+            form, bases, d = canonical_form(ids)
+            assert {canonical_form(image)[0] for image in images} == {form}
+            assert images.count(ids) == bases * (1 << d * (3 - d)) * gl_order(3 - d)
+
+    def test_dropping_any_set_is_caught(self):
+        for (r, c), sets in ORBIT_TABLE.items():
+            for i in range(len(sets)):
+                problems = transversal_problems(r, c, sets[:i] + sets[i + 1:])
+                assert len(problems) == 1 and problems[0].startswith("orbit sizes add up to")
+
+    def test_an_image_of_another_set_is_caught(self):
+        rng = random.Random(34)
+        for (r, c), sets in ORBIT_TABLE.items():
+            for i, j in itertools.permutations(range(len(sets)), 2):
+                g = random_gl_map(r, rng)
+                image = tuple(sorted(g(v) for v in sets[j]))
+                mutant = sets[:i] + (image,) + sets[i + 1:]
+                problems = transversal_problems(r, c, mutant)
+                assert any("share the canonical form" in p for p in problems), (r, c, i, j)
+
+    def test_a_set_of_the_wrong_shape_is_caught(self):
+        for bad in ((1, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 8, 12, 16, 16), (2, 1, 3, 4, 5, 6, 8, 15)):
+            problems = transversal_problems(5, 8, (bad,) + ORBIT_TABLE[5, 8][1:])
+            assert problems[0] == "%r is not a sorted zero-sum 8-set of nonzero ids" % (bad,)
+
+    @pytest.mark.parametrize("r,c", [(r, c) for r, c in sorted(ORBIT_TABLE) if r <= 4 or c <= 8])
+    def test_covering_canonicalises_onto_the_table(self, r, c):
+        forms = {canonical_form(ids)[0] for ids in canonical_zero_sum_subsets(r, c)}
+        assert forms == set(ORBIT_TABLE[r, c])
+
+    def test_run_sweep_reads_only_the_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the covering was enumerated")
+
+        monkeypatch.setattr(gf2, "canonical_zero_sum_subsets", refuse)
+        assert run_sweep(5, 8, RANK5_SWEEP_PIECES[8]).instances == 4
+        with pytest.raises(ValueError, match="no orbit table for zero-sum 14-sets of C_2\\^5"):
+            run_sweep(5, 14, 5)
+        with pytest.raises(ValueError, match="no orbit table for zero-sum 3-sets of C_2\\^6"):
+            run_sweep(6, 3, 2)
+
+
 class TestShortZeroSumFreeSearch:
     def test_rank3_thresholds(self):
         assert max_set_without_short_zero_sums(3, 2)[0] == 7
@@ -655,7 +825,9 @@ class TestSweeps:
         assert all(buckets[6] is None for buckets in by_low)
 
     def test_rank5_sweep_counts_pinned(self):
-        expected = {3: 1, 4: 1, 5: 1, 6: 4, 7: 21, 8: 103, 9: 497, 10: 2082, 11: 7208}
+        # one instance per GL(5, 2) orbit; the covering held 1, 1, 1, 4, 21,
+        # 103, 497, 2,082 and 7,208
+        expected = {3: 1, 4: 1, 5: 1, 6: 2, 7: 3, 8: 4, 9: 5, 10: 7, 11: 9}
         for c, instances in expected.items():
             rec = run_sweep(5, c, RANK5_SWEEP_PIECES[c])
             assert (rec.instances, rec.failures) == (instances, 0), c
@@ -667,11 +839,11 @@ RANK5_CERT_DIGESTS = {
     2: "b0d955efbecb2021",
     3: "f929bd1e1aeb10d2",
     4: "1fc9e5792b2b4a30",
-    5: "0a420aaf8989fcf8",
-    6: "1a19f3c4964f6f98",
-    7: "dfb3769ede0f630b",
-    8: "af273dbca4ce046a",
-    9: "4a13f0677ca24fdc",
+    5: "e8a5d32ba9e87990",
+    6: "cc1c9e05b05f6be8",
+    7: "a9e27fb771219c7d",
+    8: "2d96c706037a5953",
+    9: "68473e688fe3116f",
     10: "85ac662a163eb81c",
 }
 

@@ -26,6 +26,7 @@ from zerosum.groups import (
     profile,
     scale,
     slot_rows,
+    translation,
     validate_element,
     zero,
 )
@@ -144,6 +145,26 @@ class TestInterning:
         assert gone() is None
         assert (997, 997) not in groups._GROUPS and "997^2" not in groups._GROUPS
 
+    def test_translation_keeps_no_group_alive(self):
+        # the rotates live on the group, not in a module-level cache keyed on it
+        G = make_group([991, 991])
+        assert len(translation(G, (1, 2))) == 2
+        gone = weakref.ref(G)
+        del G
+        gc.collect()
+        assert gone() is None
+        assert (991, 991) not in groups._GROUPS and "991^2" not in groups._GROUPS
+
+    @pytest.mark.parametrize("factors", [(2, 4), (3, 3), (2, 2, 6)])
+    def test_translation_moves_each_element_by_a(self, factors):
+        G = make_group(factors)
+        for a in enumerate_elements(G):
+            for b in enumerate_elements(G):
+                t = 1 << element_index(G, b)
+                for low, high, up, down in translation(G, a):
+                    t = (t & low) << up | (t & high) >> down
+                assert t == 1 << element_index(G, add(G, a, b)), (a, b)
+
     def test_a_directly_built_group_behaves_as_the_shared_one(self):
         shared = make_group([2, 4])
         direct = Group((2, 4))
@@ -164,7 +185,7 @@ class TestKeptData:
         hash(G), format_group(G), profile(G)
         validate_element(G, (1, 0))
         slot_rows(G)[(1, 0)]
-        assert {"_hash", "_label", "_profile", "_checked", "_slot_rows"} <= set(vars(G))
+        assert {"_hash", "_label", "_profile", "_checked", "_rotates", "_slot_rows"} <= set(vars(G))
         return G
 
     @pytest.mark.parametrize("clone", [

@@ -984,6 +984,22 @@ class TestCertificateSerialization:
             Certificate.from_json(data)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("inputs,message", [
+        ([1], "upper_chain[0] inputs must be an object, not [1]"),
+        (["r"], "upper_chain[0] inputs must be an object, not ['r']"),
+        ("r", "upper_chain[0] inputs must be an object, not 'r'"),
+        ({"r": 4}, "upper_chain[0] input r must be an object, not 4"),
+    ], ids=["list-int", "list-str", "str", "entry-int"])
+    def test_step_inputs_of_another_type_are_refused_from_json(self, inputs, message):
+        # D_2(C_2^4), digest dropped, with its first step's inputs retyped:
+        # [1] once died in an IndexError, the others in a TypeError
+        data = davenport_k(C24, 2).to_json()
+        del data["digest"]
+        data["upper_chain"][0]["inputs"] = inputs
+        with pytest.raises(CertificateError) as err:
+            Certificate.from_json(data)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("field,value,message", [
         ("group", 5, "group must be a label, not 5"),
         ("group", [2, 2], "group must be a label, not [2, 2]"),
@@ -1555,6 +1571,26 @@ class TestRank5Caps:
         chain = davenport_k(C25, 3).upper_chain
         assert invariants._check_caps(C33, chain) == [
             "chain[5] ub.squarefree_caps: caps are only derived on C_2^r"
+        ]
+
+    def test_sweep_of_another_size_is_refused(self):
+        # row 8's c = 8 sweep claiming the covering's 103 instances, under a
+        # digest recomputed for them, so that no other check objects
+        def edit(data):
+            step = data["upper_chain"][15]
+            step["inputs"]["instances"]["value"] = 103
+            step["digest"] = invariants._expected_digest(BoundReport.from_json(step))
+
+        assert _verify_edited(davenport_k(C25, 8), edit) == (
+            "chain[15] search.sweep: 103 instances, not the 4 orbits of zero-sum "
+            "8-sets of C_2^5",
+        )
+
+    def test_sweep_without_an_orbit_table_is_refused(self):
+        step = invariants._search_step("search.sweep", "", r=5, complement_size=14,
+                                       pieces=5, instances=12, failures=0)
+        assert invariants._check_chain(C25, (step,)) == [
+            "chain[0] search.sweep: no orbit table for zero-sum 14-sets of C_2^5"
         ]
 
     def test_lowered_rank_four_cap_is_rejected(self):

@@ -24,7 +24,6 @@ MEMO_STORES = {
     "factorizations._MASKS",  # length masks of the factorization search, FIFO
     "gf2._UNIVERSE",  # one circuit table per rank, with its refuted set
     "groups._GROUPS",  # the shared Group per invariant-factor tuple, weak-valued
-    "groups.translation",  # masked rotates per (group, element), LRU
     "invariants._engine",  # the C_2^r row pipeline per rank
     "invariants._generic_rows",  # generic D_k rows per (group, budget)
     "invariants._orbit_map",  # orbit flags per (group, generators, depth)

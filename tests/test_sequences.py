@@ -184,12 +184,19 @@ class TestConstruction:
 
     def test_kept_hash_is_the_dataclass_hash_and_stays_out_of_copies(self):
         S = parse_sequence(C3_C6, "0,4; 1,3^2; 2,5")
+        T = parse_sequence(C3_C6, "0,4; 1,3^2; 2,5")
+        before = (pickle.dumps(S), repr(S))
         assert hash(S) == hash((S.group, S.items)) == hash(S)
         S.sum()
+        assert S.length == 4 and S.support == ((0, 4), (1, 3), (2, 5))
+        assert S.support is S.support
+        assert (pickle.dumps(S), repr(S)) == before and S == T and T == S
+        kept = ("_length", "_support", "_sum", "_hash")
         for twin in (pickle.loads(pickle.dumps(S)), copy.copy(S), copy.deepcopy(S)):
             assert twin == S and repr(twin) == repr(S)
-            assert not hasattr(twin, "_sum") and not hasattr(twin, "_hash")
+            assert [getattr(twin, name) for name in kept] == [None] * 4
             assert hash(twin) == hash(S) and twin.sum() == S.sum()
+            assert (twin.length, twin.support) == (S.length, S.support)
         with pytest.raises(dataclasses.FrozenInstanceError):
             S.items = ()
 
