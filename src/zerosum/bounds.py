@@ -31,7 +31,7 @@ from .arith import (
     parse_value,
     serialize_value,
 )
-from .groups import Group, format_group, parse_group, profile
+from .groups import Group, factorize, format_group, parse_group, profile
 
 
 class BoundError(ValueError):
@@ -536,13 +536,7 @@ def _e2g_kd(i):
 
 def olson_applies(G: Group) -> bool:
     """Whether ub.olson holds on G: G is a p-group or has rank <= 2."""
-    if G.rank <= 2:
-        return True
-    order = G.order
-    p = next(f for f in range(2, order + 1) if order % f == 0)
-    while order % p == 0:
-        order //= p
-    return order == 1
+    return G.rank <= 2 or len(factorize(G.order)) == 1
 
 
 def olson_upper(G: Group) -> BoundReport:
@@ -631,16 +625,14 @@ def step_ub(
     )
 
 
-def s_le_from_extension(
-    n: int, D_ext: int, D_G: int, ext_prov: str = SUPPLIED, d_prov: str = SUPPLIED
-) -> BoundReport:
+def s_le_from_extension(n: int, D_ext: int, D_G: int) -> BoundReport:
     """Short-block threshold bounded through a cyclic extension."""
     return report(
         "ub.extension",
         [
             ("n", n, SUPPLIED),
-            ("D_ext", D_ext, ext_prov),
-            ("D_G", D_G, d_prov),
+            ("D_ext", D_ext, SUPPLIED),
+            ("D_G", D_G, SUPPLIED),
             ("m", _extension_m(n, D_ext, D_G), COMPUTED),
         ],
         note="bounds the threshold for blocks of length at most m",
@@ -659,8 +651,6 @@ def inductive_ub(
     ell: Optional[int] = None,
     D_quot: Optional[int] = None,
     s_quot: Optional[ExtInt] = None,
-    sub_prov: str = SUPPLIED,
-    quot_prov: str = SUPPLIED,
 ) -> BoundReport:
     """Push blocks through a coordinate-aligned summand.
 
@@ -668,15 +658,15 @@ def inductive_ub(
     (ell, D_quot, s_quot) triple to close with the one-long-block form.
     """
     if quotient_dk is not None:
-        pairs = [("sub_dk", sub_dk, sub_prov), ("quotient_dk", quotient_dk, quot_prov)]
+        pairs = [("sub_dk", sub_dk, SUPPLIED), ("quotient_dk", quotient_dk, SUPPLIED)]
     elif ell is None or D_quot is None or s_quot is None:
         raise BoundError("supply quotient_dk or the (ell, D_quot, s_quot) triple")
     else:
         pairs = [
-            ("sub_dk", sub_dk, sub_prov),
+            ("sub_dk", sub_dk, SUPPLIED),
             ("ell", ell, SUPPLIED),
-            ("D_quot", D_quot, quot_prov),
-            ("s_quot", s_quot, quot_prov),
+            ("D_quot", D_quot, SUPPLIED),
+            ("s_quot", s_quot, SUPPLIED),
         ]
     return report("ub.inductive", pairs)
 
@@ -724,9 +714,9 @@ def kd_upper(
 # Calculators: lower bounds
 
 
-def lower_direct_sum(dk1: int, dk2: int, prov1: str = SUPPLIED, prov2: str = SUPPLIED) -> BoundReport:
+def lower_direct_sum(dk1: int, dk2: int) -> BoundReport:
     """Concatenate extremal sequences of two summands."""
-    return report("lb.direct_sum", [("dk1", dk1, prov1), ("dk2", dk2, prov2)])
+    return report("lb.direct_sum", [("dk1", dk1, SUPPLIED), ("dk2", dk2, SUPPLIED)])
 
 
 def lower_dstar(G: Group, k: int) -> BoundReport:
@@ -768,9 +758,9 @@ def elb_lower(G: Group, s: int, t: int, k: int) -> BoundReport:
     )
 
 
-def step_append_lower(dk: int, dk_prov: str = SUPPLIED) -> BoundReport:
+def step_append_lower(dk: int) -> BoundReport:
     """Append an element and its inverse to any extremal sequence."""
-    return report("lb.step_append", [("dk", dk, dk_prov)])
+    return report("lb.step_append", [("dk", dk, SUPPLIED)])
 
 
 # ---------------------------------------------------------------------------
@@ -805,13 +795,11 @@ def e2g_s2m_upper(r: int, m: int) -> BoundReport:
     )
 
 
-def e2g_split_upper(
-    s: int, sub_dk: int, rest_value: int, sub_prov: str = SUPPLIED, rest_prov: str = SUPPLIED
-) -> BoundReport:
+def e2g_split_upper(s: int, sub_dk: int, rest_value: int) -> BoundReport:
     """Split off s coordinates and recurse on the rest."""
     return report(
         "ub.e2g_split",
-        [("s", s, SUPPLIED), ("sub_dk", sub_dk, sub_prov), ("rest", rest_value, rest_prov)],
+        [("s", s, SUPPLIED), ("sub_dk", sub_dk, SUPPLIED), ("rest", rest_value, SUPPLIED)],
     )
 
 
@@ -826,14 +814,12 @@ def e2g_kd_upper(r: int) -> BoundReport:
     return report("ub.e2g_kd", [("r", r, SUPPLIED)])
 
 
-def e2g_bounds(r: int, k: int, split_inputs=None) -> List[BoundReport]:
+def e2g_bounds(r: int, k: int) -> List[BoundReport]:
     """All elementary-2-group special bounds that apply to (r, k)."""
     out: List[BoundReport] = []
     if k == E2G_D2_K:
         out.append(e2g_d2_upper(r))
     out.append(e2g_s2m_upper(r, 2))
-    if split_inputs is not None:
-        out.append(e2g_split_upper(*split_inputs))
     lo, hi = e2g_d0_bounds(r)
     out.extend([lo, hi])
     out.append(e2g_kd_upper(r))
@@ -891,7 +877,7 @@ def best_recursion(
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+    return factorize(n) == {n: 1}
 
 
 def dk_upper_bounds(

@@ -95,7 +95,6 @@ def load_sweep(r: int, complement_size: int, pieces: int) -> "SweepRecord | None
             pieces=int(data["pieces"]),
             instances=int(data["instances"]),
             failures=int(data["failures"]),
-            elapsed_ms=int(data["elapsed_ms"]),
         )
     except (KeyError, TypeError, ValueError):
         return None
@@ -116,7 +115,6 @@ def store_sweep(rec: SweepRecord) -> None:
             "pieces": rec.pieces,
             "instances": rec.instances,
             "failures": rec.failures,
-            "elapsed_ms": rec.elapsed_ms,
             "digest": rec.digest,
         },
     )

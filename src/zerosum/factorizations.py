@@ -247,17 +247,11 @@ def minimal_divisors(
         yield Sequence(S.group, kernel.items(atom))
 
 
-def atoms_through(
-    S: Sequence,
-    g: Element,
-    max_len: Optional[int] = None,
-    budget: Optional[_Budget] = None,
-) -> Iterator[Tuple[Element, ...]]:
+def atoms_through(S: Sequence, g: Element) -> Iterator[Tuple[Element, ...]]:
     """Minimal zero-sum divisors of S containing g, as element tuples."""
     if g not in S.support:
         return
-    b = _Budget(None, "atoms_through") if budget is None else budget
-    kernel = _Kernel(S, max_len, b)
+    kernel = _Kernel(S, None, _Budget(None, "atoms_through"))
     shift = S.support.index(g) * kernel.width
     for atom in kernel.atoms:
         if atom >> shift & ((1 << kernel.width) - 1):

@@ -14,24 +14,14 @@ invariants' generic search covers the one threshold they leave open.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .bounds import evaluate_rule
-from .groups import format_group, make_group
 
 
 class SearchError(RuntimeError):
     """A requested exhaustive search exceeded its feasibility guard."""
-
-
-def budget_exhausted(group: str, cap: int, zero_sum_free: bool, nodes: int) -> SearchError:
-    """The error of a search on `group` that ran out of its budget of `nodes`."""
-    return SearchError(
-        "%s search (cap %d) on %s exhausted its budget after %d nodes"
-        % ("zero-sum-free" if zero_sum_free else "short-zero-sum", cap, group, nodes)
-    )
 
 
 def reduce_mod_basis(v: int, basis: List[int]) -> int:
@@ -60,12 +50,10 @@ def xor_all(ids) -> int:
 # Circuit enumeration
 
 
-def circuits(r: int, max_len: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """All circuits of C_2^r of length <= max_len (all when None), as
-    ascending id tuples in lexicographic order."""
+def circuits(r: int) -> List[Tuple[int, ...]]:
+    """All circuits of C_2^r, as ascending id tuples in lexicographic order."""
     table, ids = universe_table(r), range(1, 1 << r)
-    top = r + 1 if max_len is None else min(max_len, r + 1)
-    masks = [m for v in ids for size in range(3, top + 1) for m in table.bucket(v, size)]
+    masks = [m for v in ids for size in range(3, r + 2) for m in table.bucket(v, size)]
     return sorted(tuple(v for v in ids if (m >> (v - 1)) & 1) for m in masks)
 
 
@@ -146,9 +134,7 @@ class CircuitTable:
         dfs(0, 1, [0, v], 1 | 1 << v, v, 1 << (v - 1))
         return out
 
-    def partition(
-        self, avail: int, pieces: int, fail: Optional[Set[Tuple[int, int]]] = None
-    ) -> Optional[List[int]]:
+    def partition(self, avail: int, pieces: int) -> Optional[List[int]]:
         """Split the subset mask `avail` into exactly `pieces` circuits.
 
         Returns the circuit masks, or None when no such partition exists.
@@ -157,17 +143,15 @@ class CircuitTable:
         other holds at least 3. That bound only shrinks down the search
         tree, so only the buckets a question can use are ever filled.
 
-        Pinning the lowest remaining id keeps the search exact. `fail`
-        is a set of residuals (avail, pieces) known to have no partition;
-        the search skips them and adds the ones it refutes. Those answers
-        depend only on the table, so one set may serve every question
-        asked of the table, for as long as the table lives: when None,
-        it is self.refuted. The set only prunes subtrees that fail: it
-        never turns a failure into a success, and the first partition
-        found is the same with or without it.
+        Pinning the lowest remaining id keeps the search exact. The
+        search skips the residuals (avail, pieces) of self.refuted and
+        adds the ones it refutes. Those answers depend only on the table,
+        so the set serves every question asked of the table, for as long
+        as the table lives. It only prunes subtrees that fail: it never
+        turns a failure into a success, and the first partition found is
+        the same with or without it.
         """
-        if fail is None:
-            fail = self.refuted
+        fail = self.refuted
         by_low = self.by_low
         top = self.r + 1
 
@@ -361,9 +345,7 @@ def max_independent_size(r: int) -> Tuple[int, Tuple[int, ...]]:
     return max_set_without_short_zero_sums(r, r + 1)
 
 
-def max_set_without_short_zero_sums(
-    r: int, length_cap: int, budget: Optional[int] = None
-) -> Tuple[int, Tuple[int, ...]]:
+def max_set_without_short_zero_sums(r: int, length_cap: int) -> Tuple[int, Tuple[int, ...]]:
     """Largest subset with no zero-sum subset of size <= length_cap.
 
     No library code calls it: the tests check D and s_le of C_2^r
@@ -376,23 +358,15 @@ def max_set_without_short_zero_sums(
     canonical_zero_sum_subsets. sums_by_size[j] holds the XORs of all
     j-element subsets of the chosen prefix; candidate x closes a
     (j+1)-term zero-sum iff x appears in sums_by_size[j].
-
-    Each DFS call is a node; past `budget` nodes (None: no limit) the
-    search raises SearchError, as the generic search does.
     """
-    cap, length_cap = length_cap, min(length_cap, r + 1)
+    length_cap = min(length_cap, r + 1)
     n_total = (1 << r) - 1
     best = [0]
     best_set: List[Tuple[int, ...]] = [()]
-    nodes = 0
 
     def dfs(
         chosen: List[int], last: int, rank: int, sums_by_size: List[FrozenSet[int]]
     ) -> None:
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise budget_exhausted(format_group(make_group((2,) * r)), cap, cap > n_total, budget)
         if len(chosen) > best[0]:
             best[0] = len(chosen)
             best_set[0] = tuple(chosen)
@@ -482,7 +456,6 @@ class SweepRecord:
     pieces: int
     instances: int
     failures: int
-    elapsed_ms: int
 
     @property
     def digest(self) -> str:
@@ -494,10 +467,6 @@ class SweepRecord:
             self.failures,
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    @property
-    def set_size(self) -> int:
-        return (1 << self.r) - 1 - self.complement_size
 
 
 # minimal sweep targets proving the rank-5 size caps; complement size ->
@@ -588,7 +557,6 @@ def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
     the work to reach it shrinks. Raises ValueError when the table has no
     cell for (r, c).
     """
-    started = time.monotonic()
     instances = ORBIT_TABLE.get((r, complement_size))
     if instances is None:
         raise ValueError(
@@ -599,14 +567,12 @@ def run_sweep(r: int, complement_size: int, pieces: int) -> SweepRecord:
     for inst in instances:
         if table.partition(table.mask ^ ids_to_mask(inst), pieces) is None:
             failures += 1
-    elapsed = int((time.monotonic() - started) * 1000)
     return SweepRecord(
         r=r,
         complement_size=complement_size,
         pieces=pieces,
         instances=len(instances),
         failures=failures,
-        elapsed_ms=elapsed,
     )
 
 

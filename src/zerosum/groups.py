@@ -140,8 +140,9 @@ class GroupProfile:
     minus_factors: tuple
 
 
-def _factorize(n: int) -> dict:
-    """Prime factorization by trial division; inputs are desk scale."""
+def factorize(n: int) -> dict:
+    """The prime factorization of n as {prime: exponent}, by trial
+    division; empty for n < 2. Inputs are desk scale."""
     out: dict = {}
     d = 2
     while d * d <= n:
@@ -189,7 +190,7 @@ def _invariant_factors(clean: list) -> tuple:
     """The invariant factors of a nonempty list of integers >= 2."""
     per_prime: dict = {}
     for n in clean:
-        for p, e in _factorize(n).items():
+        for p, e in factorize(n).items():
             per_prime.setdefault(p, []).append(e)
     depth = max(len(v) for v in per_prime.values())
     for p in per_prime:

@@ -169,7 +169,6 @@ def _expected_digest(step: BoundReport) -> Optional[str]:
             pieces=inp["pieces"],
             instances=inp["instances"],
             failures=inp["failures"],
-            elapsed_ms=0,
         )
         return None if rec.failures else rec.digest
     if step.rule_id == "search.zsf":
@@ -211,6 +210,16 @@ def _copy_check(check: Optional[dict]) -> Optional[dict]:
     if check is None:
         return None
     return {key: dict(val) if isinstance(val, dict) else val for key, val in check.items()}
+
+
+def _plain_input(value) -> bool:
+    """Whether a step input read from JSON is an int (not a bool), a
+    string ("inf" among them) or a list of these. A search digest formats
+    its inputs with %d and a sweep's are compared by equality, so 4.0 or
+    true would pass both as 4 or 1."""
+    if isinstance(value, (list, tuple)):  # to_json leaves inner tuples as they are
+        return all(_plain_input(item) for item in value)
+    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def _witness_lower(constant: str, witness: Sequence) -> int:
@@ -304,11 +313,9 @@ class Certificate:
     def digest(self) -> str:
         return _digest16(json.dumps(self.payload_json(), sort_keys=True))
 
-    def to_json(self, elapsed_ms: Optional[int] = None) -> dict:
+    def to_json(self) -> dict:
         out = self.payload_json()
         out["digest"] = _digest16(json.dumps(out, sort_keys=True))  # as digest() does
-        if elapsed_ms is not None:
-            out["elapsed_ms"] = elapsed_ms
         return out
 
     @classmethod
@@ -355,6 +362,11 @@ class Certificate:
                 if not isinstance(entry, dict):
                     raise CertificateError(
                         "upper_chain[%d] input %s must be an object, not %r" % (i, name, entry)
+                    )
+                if "value" in entry and not _plain_input(entry["value"]):
+                    raise CertificateError(
+                        "upper_chain[%d] input %s must be an int, a string or a list of"
+                        " these, not %r" % (i, name, entry["value"])
                     )
         return cls(
             constant=data["constant"],
@@ -936,7 +948,11 @@ def _generic_search(G: Group, cap: int, budget: Optional[int]) -> Tuple[int, Tup
         nonlocal nodes, best_len, best_seq
         nodes += 1
         if nodes > limit:
-            raise gf2.budget_exhausted(format_group(G), cap, zero_sum_free, limit)
+            kind = "zero-sum-free" if zero_sum_free else "short-zero-sum"
+            raise SearchError(
+                "%s search (cap %d) on %s exhausted its budget after %d nodes"
+                % (kind, cap, format_group(G), limit)
+            )
         depth = len(seq)
         if depth > best_len:
             best_len = depth

@@ -1,12 +1,13 @@
 """Suite-wide fixtures."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from zerosum import cache, invariants
 from zerosum.groups import make_group
-from zerosum.invariants import davenport_k, s_le
+from zerosum.invariants import davenport_k, eta, s_le
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -44,3 +45,56 @@ def forged(request):
     """A library certificate given a claim under a witness rule that does
     not bound its constant, and the one problem the verifier reports."""
     return request.param()
+
+
+def _retyped_input(build, i, name, value):
+    def edit(data):
+        step = data["upper_chain"][i]
+        assert step["rule"].startswith("search.")
+        step["inputs"][name]["value"] = value
+
+    message = "upper_chain[%d] input %s must be an int, a string or a list of these, not %r"
+    return build, edit, message % (i, name, value)
+
+
+def _row8_c25():
+    return davenport_k(make_group((2,) * 5), 8)
+
+
+def _eta_c33():
+    return eta(make_group((3, 3, 3)))
+
+
+def _c24_dk2():
+    return davenport_k(make_group((2,) * 4), 2)
+
+
+MALFORMED = {
+    # a search step's numbers retyped: a digest formats them with %d and a
+    # sweep's are compared by equality, so each of these once verified.
+    # Row 8 of C_2^5 holds its c = 3 sweep at chain[11], its c = 8 sweep
+    # at chain[15]; eta(C_3^3) holds its search.sle step at chain[0]
+    "sweep8-instances-float": _retyped_input(_row8_c25, 15, "instances", 4.0),
+    "sweep3-instances-bool": _retyped_input(_row8_c25, 11, "instances", True),
+    "sweep3-pieces-float": _retyped_input(_row8_c25, 11, "pieces", 9.0),
+    "sle-max_free-float": _retyped_input(_eta_c33, 0, "max_free", 16.0),
+    "sle-cap-float": _retyped_input(_eta_c33, 0, "cap", 3.0),
+    "unknown-constant": (
+        _c24_dk2, lambda data: data.update(constant="zeta"), "unknown constant 'zeta'"
+    ),
+    "no-value-or-interval": (
+        _c24_dk2, lambda data: data.pop("value"), "certificate carries neither value nor interval"
+    ),
+}
+
+
+@pytest.fixture(params=list(MALFORMED), ids=list(MALFORMED))
+def malformed(request):
+    """The JSON of a library certificate, its digest dropped, with one
+    field edited so that Certificate.from_json must refuse it, and the
+    message it refuses it with."""
+    build, edit, message = MALFORMED[request.param]
+    data = json.loads(json.dumps(build().to_json()))
+    del data["digest"]
+    edit(data)
+    return data, message

@@ -49,8 +49,7 @@ class TestRecords:
 
 class TestSweeps:
     def rec(self):
-        return SweepRecord(r=5, complement_size=3, pieces=9,
-                           instances=4960, failures=0, elapsed_ms=1234)
+        return SweepRecord(r=5, complement_size=3, pieces=9, instances=4960, failures=0)
 
     def test_round_trip(self, tmp_cache):
         rec = self.rec()

@@ -699,6 +699,15 @@ class TestVerify:
         assert code == 1
         assert json.loads(out) == {"ok": False, "problems": [problem]}
 
+    def test_malformed_json_is_refused(self, capsys, tmp_path, malformed):
+        data, message = malformed
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--cert", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "Error: malformed certificate: " + message
+
     @pytest.mark.parametrize("end", ["13", 13.0, 13.7, True], ids=["str", "float", "fraction", "bool"])
     def test_interval_end_of_another_type_is_malformed(self, capsys, tmp_path, end):
         # D_3(C_2^5) = [13, 14] with its lower end retyped and its digest

@@ -85,7 +85,7 @@ class TestCircuits:
         assert sorted(circuits(4)) == oracle_circuits(4)
 
     def test_no_duplicates_rank5_length_capped(self):
-        got = circuits(5, max_len=4)
+        got = [c for c in circuits(5) if len(c) <= 4]
         assert len(got) == len(set(got))
         assert all(is_circuit(c) and len(c) <= 4 for c in got)
 
@@ -171,9 +171,10 @@ class EagerCutTable:
         ]
         self.top = max_len
         self.mask = mask_of(ids)
+        self.refuted = set()
 
-    def partition(self, avail, pieces, fail):
-        by_low, top = self.by_low, self.top
+    def partition(self, avail, pieces):
+        by_low, top, fail = self.by_low, self.top, self.refuted
 
         def solve(avail, n, pieces):
             if pieces == 0:
@@ -703,7 +704,7 @@ class TestSweeps:
         rec = run_sweep(4, 3, 4)
         assert rec.failures == 0
         assert rec.instances == 1
-        assert rec.set_size == 12
+        assert (1 << rec.r) - 1 - rec.complement_size == 12
 
     def test_rank5_smallest_sweep(self):
         rec = run_sweep(5, 3, RANK5_SWEEP_PIECES[3])
@@ -756,16 +757,16 @@ class TestSweeps:
                 ids = rng.sample(range(1, 32), rng.randrange(8, 28))
                 if xor_all(ids) and xor_all(ids) not in ids:
                     sets.append(ids + [xor_all(ids)])
-        table = universe_table(r)
-        fail = set()
+        shared, fresh = (CircuitTable(range(1, 1 << r), r) for _ in range(2))
         outcomes = set()
         for ids in sets:
             for pieces in range(1, len(ids) // 3 + 1):
-                got = table.partition(mask_of(ids), pieces, fail)
-                assert got == table.partition(mask_of(ids), pieces, set()), (ids, pieces)
+                got = shared.partition(mask_of(ids), pieces)
+                fresh.refuted.clear()
+                assert got == fresh.partition(mask_of(ids), pieces), (ids, pieces)
                 outcomes.add(got is None)
         assert outcomes == {True, False}
-        assert bool(fail) == (r == 5)
+        assert bool(shared.refuted) == (r == 5)
 
     def test_kept_refutations_leave_records_unchanged(self, monkeypatch):
         # the universe table keeps every residual a sweep refutes, so a
@@ -787,7 +788,8 @@ class TestSweeps:
         # a sample of them still has no partition when asked afresh
         table = CircuitTable(range(1, 32), 5)
         for avail, pieces in random.Random(25).sample(sorted(kept), 200):
-            assert table.partition(avail, pieces, set()) is None, (avail, pieces)
+            table.refuted.clear()
+            assert table.partition(avail, pieces) is None, (avail, pieces)
 
     @pytest.mark.parametrize("c", range(3, 9))
     def test_lazy_table_searches_as_eager_cut_table(self, c):
@@ -801,12 +803,11 @@ class TestSweeps:
         ]
         runs = []
         for table in tables:
-            fail = set()
             parts = [
-                table.partition(table.mask ^ mask_of(inst), pieces, fail)
+                table.partition(table.mask ^ mask_of(inst), pieces)
                 for inst in canonical_zero_sum_subsets(5, c)
             ]
-            runs.append((parts, fail))
+            runs.append((parts, table.refuted))
         assert runs[0] == runs[1]
         assert len(runs[0][1]) == len(runs[1][1])
         assert None not in runs[1][0]
@@ -900,7 +901,7 @@ class TestRank5Certificates:
         invariants._engine.cache_clear()
         davenport_k.cache_clear()
         cache.store_sweep(
-            SweepRecord(r=5, complement_size=3, pieces=9, instances=7, failures=0, elapsed_ms=0)
+            SweepRecord(r=5, complement_size=3, pieces=9, instances=7, failures=0)
         )
         cert = davenport_k(make_group((2,) * 5), 10)
         assert cert.digest() == RANK5_CERT_DIGESTS[10]

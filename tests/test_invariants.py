@@ -7,7 +7,7 @@ import json
 import sys
 from dataclasses import replace
 from itertools import combinations, combinations_with_replacement, permutations
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,7 @@ from zerosum.bounds import (
     e2g_s2m_upper,
     e2g_sphere_upper,
     elb_lower,
+    is_prime,
     lower_dstar,
     olson_applies,
     remark_ub,
@@ -1063,6 +1064,12 @@ class TestCertificateSerialization:
             assert "exhaustive" not in cert.to_json()
             assert not hasattr(cert, "exhaustive")
 
+    def test_malformed_json_is_refused(self, malformed):
+        data, message = malformed
+        with pytest.raises(CertificateError) as err:
+            Certificate.from_json(data)
+        assert str(err.value) == message
+
     def test_certify_raises_on_broken_certificate(self):
         cert = davenport_k(C23, 2)
         bad = Certificate.from_json({**cert.to_json(), "value": 99})
@@ -1217,6 +1224,18 @@ class TestWitnessRules:
         assert verify_certificate(cert).ok
         result = verify_certificate(cert, budget=1)
         assert result.problems == ("witness: verification budget exhausted",)
+
+    def test_max_disjoint_refuses_a_core_of_more_blocks(self):
+        # row 3 of C_2^5 with 13 distinct ids that split into four disjoint
+        # circuits: 1 2 3, 4 8 12, 5 16 21 and 6 9 17 30
+        cert = davenport_k(C25, 3)
+        assert cert.witness_check["rule"] == "max-disjoint"
+        ids = (1, 2, 3, 4, 8, 12, 5, 16, 21, 6, 9, 17, 30)
+        forged = replace(cert, witness=invariants._ids_to_sequence(C25, ids))
+        assert forged.witness.length == cert.lower == 13
+        assert verify_certificate(forged).problems == (
+            "witness: core splits into more than 3 disjoint blocks",
+        )
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_row_witness_fails_one_block_lower(self, r):
@@ -1956,6 +1975,27 @@ def abelian_groups(max_order):
 
     grow([], 1)
     return sorted(out)
+
+
+def test_trial_division_answers_as_before():
+    # olson_applies and is_prime factor through groups.factorize; each
+    # once ran its own loop, kept here as the reference
+    def old_olson_applies(G):
+        if G.rank <= 2:
+            return True
+        order = G.order
+        p = next(f for f in range(2, order + 1) if order % f == 0)
+        while order % p == 0:
+            order //= p
+        return order == 1
+
+    def old_is_prime(n):
+        return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+    assert [is_prime(n) for n in range(-2, 1025)] == [old_is_prime(n) for n in range(-2, 1025)]
+    groups = [make_group(f) for f in abelian_groups(1024)]
+    assert len(groups) == 2171
+    assert [olson_applies(G) for G in groups] == [old_olson_applies(G) for G in groups]
 
 
 THEOREM_GROUPS = [f for f in abelian_groups(32) if olson_applies(make_group(f))]
