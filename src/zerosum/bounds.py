@@ -115,7 +115,8 @@ class BoundReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "BoundReport":
-        """The step data records. Raises ValueError when a step of a known
+        """The step data records. Raises ValueError, naming the field, when
+        a field is missing or of another type, or when a step of a known
         rule is labelled with another direction or constant than its rule's."""
 
         def revive(raw):
@@ -125,9 +126,28 @@ class BoundReport:
                 return INFINITE
             return raw
 
+        if not isinstance(data, dict):
+            raise ValueError("must be an object, not %r" % (data,))
+        for key in ("rule", "direction", "value"):
+            if key not in data:
+                raise ValueError("has no %s" % key)
+        if not isinstance(data["rule"], str):
+            raise ValueError("rule must be a string, not %r" % (data["rule"],))
+        recorded = data.get("inputs", {})
+        if not isinstance(recorded, dict):
+            raise ValueError("inputs must be an object, not %r" % (recorded,))
         inputs = []
-        for name in sorted(data.get("inputs", {})):
-            entry = data["inputs"][name]
+        for name in sorted(recorded):
+            entry = recorded[name]
+            if not isinstance(entry, dict):
+                raise ValueError("input %s must be an object, not %r" % (name, entry))
+            if "value" not in entry:
+                raise ValueError("input %s has no value" % name)
+            if not _plain_input(entry["value"]):
+                raise ValueError(
+                    "input %s must be an int, a string or a list of these, not %r"
+                    % (name, entry["value"])
+                )
             inputs.append(
                 (name, InputValue(revive(entry["value"]), entry.get("provenance", SUPPLIED)))
             )
@@ -145,6 +165,16 @@ class BoundReport:
                 "step %s is labelled %s %s, not its rule's %s %s" % (step.rule_id, *labels, *ruled)
             )
         return step
+
+
+def _plain_input(value) -> bool:
+    """Whether a step input read from JSON is an int (not a bool), a
+    string ("inf" among them) or a list of these. A search digest formats
+    its inputs with %d and a sweep's are compared by equality, so 4.0 or
+    true would pass both as 4 or 1."""
+    if isinstance(value, (list, tuple)):  # to_json leaves inner tuples as they are
+        return all(_plain_input(item) for item in value)
+    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +472,35 @@ def _eta_rank2(i):
     return 2 * m + n - 2
 
 
+# The largest cap of AG(r, 3), a set of points with no three on a line:
+# Pellegrino (Boll. Un. Mat. Ital. 3, 1970) for r = 4, Edel, Ferret,
+# Landjev and Storme (J. Combin. Theory Ser. A 99, 2002) for r = 5 and
+# Potechin (Des. Codes Cryptogr. 46, 2008) for r = 6
+C3_MAX_CAPS = {3: 9, 4: 20, 5: 45, 6: 112}
+
+
+@_rule("ub.eta_c3", "s_le")
+def _eta_c3(i):
+    """eta(C_3^r) = 2g - 1 for 3 <= r <= 6, g the largest cap of AG(r, 3),
+    the threshold at cap 3.
+
+    Three distinct points of C_3^r lie on a line iff they sum to 0, and a
+    line through 0 is {0, a, -a}. So S has no zero-sum of length <= 3 iff
+    0 is not in S, no element occurs three times, and supp(S) + 0 holds no
+    line: a cap of size |supp(S)| + 1. Then |S| <= 2(g - 1), and each
+    nonzero point of a g-cap through 0, taken twice, meets it. Edel,
+    Elsholtz, Geroldinger, Kubertin and Rackham (Quart. J. Math. 58, 2007)
+    and the Gao-Geroldinger survey (Expo. Math. 24, 2006) state the same
+    fact for zero-sums of length exactly 3, as s(C_3^r) = 2g(C_3^r) - 1.
+    Their g(C_3^r) is the Harborth constant, one more than the largest
+    cap; the g here is the largest cap itself.
+    """
+    G = _input_group(i)
+    _require(eta_c3_applies(G), "the rule needs C_3^r with 3 <= r <= 6")
+    _require(i["cap"] == 3, "cap must be the exponent 3")
+    return 2 * C3_MAX_CAPS[G.rank] - 1
+
+
 # Search records
 
 
@@ -552,6 +611,16 @@ def halter_koch_upper(G: Group, k: int) -> BoundReport:
 def eta_rank2_upper(G: Group, cap: int) -> BoundReport:
     """eta(G) = 2m + n - 2 on G = C_m + C_n with m | n, at cap n."""
     return report("ub.eta_rank2", [("group", format_group(G), COMPUTED), ("cap", cap, SUPPLIED)])
+
+
+def eta_c3_applies(G: Group) -> bool:
+    """Whether ub.eta_c3 holds on G: G is C_3^r with 3 <= r <= 6."""
+    return G.invariant_factors == (3,) * G.rank and G.rank in C3_MAX_CAPS
+
+
+def eta_c3_upper(G: Group, cap: int) -> BoundReport:
+    """eta(C_3^r) = 2g - 1 from the largest cap g of AG(r, 3), at cap 3."""
+    return report("ub.eta_c3", [("group", format_group(G), COMPUTED), ("cap", cap, SUPPLIED)])
 
 
 def k_times_d(k: int, D: int, d_prov: str = SUPPLIED) -> BoundReport:

@@ -1,9 +1,9 @@
 """Explicit extremal sequences, bijections, and factorizations.
 
-Three deterministic builders: the pair-pattern sequence behind the
+Four deterministic builders: the pair-pattern sequence behind the
 enriched lower bound, a fixed-point-free-style doubling bijection on
-elementary 2-groups, and the longest factorization of the full
-squarefree sequence over C_2^r.
+elementary 2-groups, the longest factorization of the full squarefree
+sequence over C_2^r, and the doubled cap that meets eta(C_3^r).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Tuple
 
-from .bounds import BoundError, elb_lower
+from .bounds import BoundError, elb_lower, eta_c3_applies
 from .factorizations import Factorization
 from .groups import Group, add, make_group, zero
 from .sequences import Sequence
@@ -149,3 +149,57 @@ def _maxfull_atoms(r: int) -> List[List[Element]]:
     for tail_atom in _maxfull_atoms(r - 2):
         atoms.append([(0, 0) + g for g in tail_atom])
     return atoms
+
+
+# Caps of AG(r, 3) through 0: no three distinct points sum to 0, which is
+# no three on a line. The 9-cap is 0 and the support of the lex-least
+# longest sequence over C_3^3 without zero-sums of length <= 3; the
+# 20-cap, of the largest size in AG(4, 3), is one a seeded random greedy
+# found.
+C3_CAP_3: Tuple[Element, ...] = (
+    (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0),
+    (1, 0, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2),
+)
+
+C3_CAP_4: Tuple[Element, ...] = (
+    (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 2, 1), (0, 1, 2, 1),
+    (0, 2, 1, 0), (1, 0, 0, 0), (1, 0, 0, 2), (1, 0, 1, 2), (1, 0, 2, 0),
+    (1, 1, 2, 0), (1, 2, 1, 2), (2, 1, 0, 1), (2, 1, 0, 2), (2, 1, 1, 0),
+    (2, 1, 1, 2), (2, 2, 0, 1), (2, 2, 0, 2), (2, 2, 2, 0), (2, 2, 2, 1),
+)
+
+
+# c3_cap(r) is the product of these caps
+_C3_CAP_FACTORS = {
+    3: (C3_CAP_3,),
+    4: (C3_CAP_4,),
+    5: (((0,), (1,)), C3_CAP_4),
+    6: (C3_CAP_3, C3_CAP_3),
+}
+
+
+def c3_cap(r: int) -> Tuple[Element, ...]:
+    """A cap of AG(r, 3) through 0, for 3 <= r <= 6: the stored 9- and
+    20-caps, {0, e_1} x the 20-cap (40 points) for r = 5, and the 9-cap
+    x the 9-cap (81 points) for r = 6.
+
+    A product of caps is a cap: three distinct points (a_i, b_i) summing
+    to 0 have a_1 + a_2 + a_3 = 0 and b_1 + b_2 + b_3 = 0. In a cap three
+    points summing to 0 are one point taken thrice, as x + x + y = 0
+    forces y = x over C_3; so the a_i agree, the b_i agree, and the three
+    points are one.
+    """
+    if r not in _C3_CAP_FACTORS:
+        raise BoundError("stored caps cover 3 <= r <= 6")
+    points: List[Element] = [()]
+    for factor in _C3_CAP_FACTORS[r]:
+        points = [p + q for p in points for q in factor]
+    return tuple(points)
+
+
+def c3_cap_witness(G: Group) -> Sequence:
+    """Each nonzero point of c3_cap(r) taken twice, over G = C_3^r: a
+    sequence with no zero-sum of length <= 3, of length 2(|cap| - 1)."""
+    if not eta_c3_applies(G):
+        raise BoundError("the cap witness needs C_3^r with 3 <= r <= 6")
+    return Sequence.from_counts(G, {p: 2 for p in c3_cap(G.rank) if any(p)})

@@ -45,6 +45,8 @@ from .bounds import (
     e2g_sphere_upper,
     elb_lower,
     elb_settings,
+    eta_c3_applies,
+    eta_c3_upper,
     eta_rank2_upper,
     evaluate_rule,
     halter_koch_upper,
@@ -58,7 +60,7 @@ from .bounds import (
     step_ub,
     ub_recursion,
 )
-from .constructions import elb_witness
+from .constructions import c3_cap_witness, elb_witness
 # max_length and minimal_divisors are unused here but stay importable from
 # this module: perfbench/tracer.py wraps them in this namespace by name
 from .factorizations import (
@@ -100,8 +102,9 @@ DEFAULT_VERIFY_BUDGET = 4_000_000
 # _generic_search tests prefixes up to this length for orbit minimality.
 # On C_3^3 deeper tests cost more in orbit BFS than they save in nodes,
 # even with the orbit flags shared by every search on a group: at depth 4
-# the four searches behind davenport_k(C_3^3, 2) drop from 6,992 to 4,390
-# nodes but take 0.10-0.17 s against 0.03-0.05 s from cold (2 vCPUs).
+# the two searches behind davenport_k(C_3^3, 2), at caps 4 and 5, drop
+# from 1,802 to 822 nodes but take 0.07 s against 0.011 s from cold
+# (2 vCPUs).
 # The four C_6^2 searches behind davenport_k(C_6^2, 2) gain at depth 4
 # (187,429 -> 89,063 nodes, 0.76-0.84 s -> 0.58-0.59 s)
 ORBIT_PRUNE_DEPTH = 3
@@ -210,16 +213,6 @@ def _copy_check(check: Optional[dict]) -> Optional[dict]:
     if check is None:
         return None
     return {key: dict(val) if isinstance(val, dict) else val for key, val in check.items()}
-
-
-def _plain_input(value) -> bool:
-    """Whether a step input read from JSON is an int (not a bool), a
-    string ("inf" among them) or a list of these. A search digest formats
-    its inputs with %d and a sweep's are compared by equality, so 4.0 or
-    true would pass both as 4 or 1."""
-    if isinstance(value, (list, tuple)):  # to_json leaves inner tuples as they are
-        return all(_plain_input(item) for item in value)
-    return isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def _witness_lower(constant: str, witness: Sequence) -> int:
@@ -331,7 +324,13 @@ class Certificate:
         if "value" in data:
             value = parse_value(data["value"])
         elif "interval" in data:
-            interval = (data["interval"]["lo"], data["interval"]["hi"])
+            ends = data["interval"]
+            if not isinstance(ends, dict):
+                raise CertificateError("interval must be an object, not %r" % (ends,))
+            for end in ("lo", "hi"):
+                if end not in ends:
+                    raise CertificateError("interval has no %s" % end)
+            interval = (ends["lo"], ends["hi"])
         else:
             raise CertificateError("certificate carries neither value nor interval")
         witness = None
@@ -345,29 +344,12 @@ class Certificate:
                 raise CertificateError(
                     "witness_check params must be an object, not %r" % (check["params"],)
                 )
-        chain = data.get("upper_chain", [])
-        for i, step in enumerate(chain):
-            if not isinstance(step, dict):
-                raise CertificateError("upper_chain[%d] must be an object, not %r" % (i, step))
-            if not isinstance(step.get("rule", ""), str):
-                raise CertificateError(
-                    "upper_chain[%d] rule must be a string, not %r" % (i, step["rule"])
-                )
-            inputs = step.get("inputs", {})
-            if not isinstance(inputs, dict):
-                raise CertificateError(
-                    "upper_chain[%d] inputs must be an object, not %r" % (i, inputs)
-                )
-            for name, entry in inputs.items():
-                if not isinstance(entry, dict):
-                    raise CertificateError(
-                        "upper_chain[%d] input %s must be an object, not %r" % (i, name, entry)
-                    )
-                if "value" in entry and not _plain_input(entry["value"]):
-                    raise CertificateError(
-                        "upper_chain[%d] input %s must be an int, a string or a list of"
-                        " these, not %r" % (i, name, entry["value"])
-                    )
+        chain = []
+        for i, step in enumerate(data.get("upper_chain", [])):
+            try:
+                chain.append(BoundReport.from_json(step))
+            except ValueError as err:
+                raise CertificateError("upper_chain[%d] %s" % (i, err)) from None
         return cls(
             constant=data["constant"],
             group=G,
@@ -376,7 +358,7 @@ class Certificate:
             interval=interval,
             witness=witness,
             witness_check=_copy_check(check),
-            upper_chain=tuple(BoundReport.from_json(step) for step in chain),
+            upper_chain=tuple(chain),
             notes=tuple(data.get("notes", ())),
             stored_digest=data.get("digest"),
         )
@@ -527,8 +509,8 @@ def _check_chain(G: Group, steps: Tuple[BoundReport, ...]) -> List[str]:
     its digest, and a sweep must count one instance per orbit. A step's
     inputs that name a property of the group must match G's, and an
     ub.e2g_* rule needs G to be an elementary 2-group, so no step of
-    another group can be spliced in. The theorem rules
-    ub.olson, ub.halter_koch and ub.eta_rank2 read their group off the
+    another group can be spliced in. The theorem rules ub.olson,
+    ub.halter_koch, ub.eta_rank2 and ub.eta_c3 read their group off the
     input group, so their preconditions are checked on G."""
     problems: List[str] = []
     properties = _group_properties(G)
@@ -777,8 +759,8 @@ def _orbit_map(G: Group, generate, depth: int) -> Tuple[List[List[int]], bytearr
     e_i + 1 lies in 1..|G|. A prefix's byte is 0 until _flag_orbit fills
     its orbit, then 1 if it is the orbit's least sorted image and 2 if
     not. An orbit does not depend on the cap, so every search on G shares
-    the flags: the four C_3^3 searches behind davenport_k(C_3^3, 2) fill
-    3,172 of them in 6 orbits, in any order. They are keyed on the
+    the flags: the two C_3^3 searches behind davenport_k(C_3^3, 2) fill
+    3,172 of them in 6 orbits, in either order. They are keyed on the
     generating function as well as on G, so they only serve searches
     under the generators they were filled from. One byte per slot, with
     no object per prefix, keeps a group's flags at (|G| + 1)^depth bytes
@@ -805,9 +787,9 @@ def _flag_orbit(generators: List[List[int]], prefix: List[int], n: int, flags: b
     length 2 or 3 is sorted by compare-swaps, with the length chosen per
     BFS level, not per image; length 1 (a few orbits per group) and
     lengths past 3 (ORBIT_PRUNE_DEPTH raised, as some tests do) go
-    through sorted(). On C_3^3 this takes the BFS of the four searches
-    behind davenport_k(C_3^3, 2), 12,688 images, from 0.013-0.024 s with
-    a sorted tuple per image to 0.004-0.007 s (2 vCPUs).
+    through sorted(). On C_3^3 this takes the BFS of the two searches
+    behind davenport_k(C_3^3, 2), 12,688 images, from 0.013 s with a
+    sorted tuple per image to 0.003 s (2 vCPUs).
     """
     m = n + 1
     orbit = {_slot(prefix, n)}
@@ -1075,7 +1057,10 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
     (s_le(C_2^6, 4) takes 53,389 nodes). On C_m + C_n with m | n the
     case k = n is ub.eta_rank2, met by f^(n-1) e^(m-1) (e+f)^(m-1) with e
     and f the unit vectors: a zero-sum f^a e^b (e+f)^c has n | a + c and
-    m | b + c, so a + c = n and then b >= 1.
+    m | b + c, so a + c = n and then b >= 1. On C_3^r with 3 <= r <= 6 the
+    case k = 3 is ub.eta_c3, met by a cap of AG(r, 3) through 0 with each
+    nonzero point doubled; it is exact for r <= 4 and a bracket past that.
+    Every other case is the search, which spends the budget.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -1112,6 +1097,8 @@ def s_le(G: Group, k: int, budget: Optional[int] = None) -> Certificate:
         m, n = G.invariant_factors
         witness = Sequence.from_counts(G, {(0, 1): n - 1, (1, 0): m - 1, (1, 1): m - 1})
         return threshold([eta_rank2_upper(G, k)], witness)
+    elif eta_c3_applies(G) and k == 3:
+        return threshold([eta_c3_upper(G, k)], c3_cap_witness(G))
     size, witness = _short_free(G, k, budget)
     step = _search_step("search.sle", "exhaustive maximum without zero-sums of length <= cap",
                         group=format_group(G), cap=k, max_free=size)

@@ -7,7 +7,7 @@ import pytest
 
 from zerosum import cache, invariants
 from zerosum.groups import make_group
-from zerosum.invariants import davenport_k, eta, s_le
+from zerosum.invariants import davenport_k, s_le
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -61,30 +61,59 @@ def _row8_c25():
     return davenport_k(make_group((2,) * 5), 8)
 
 
-def _eta_c33():
-    return eta(make_group((3, 3, 3)))
+def _sle4_c33():
+    return s_le(make_group((3, 3, 3)), 4)
 
 
 def _c24_dk2():
     return davenport_k(make_group((2,) * 4), 2)
 
 
+def _dropped(build, path, message):
+    """A case that deletes the key at the end of path in the JSON of build()."""
+
+    def edit(data):
+        *parents, key = path
+        for part in parents:
+            data = data[part]
+        del data[key]
+
+    return build, edit, message
+
+
+def _row3_c25():
+    return davenport_k(make_group((2,) * 5), 3)
+
+
 MALFORMED = {
     # a search step's numbers retyped: a digest formats them with %d and a
     # sweep's are compared by equality, so each of these once verified.
     # Row 8 of C_2^5 holds its c = 3 sweep at chain[11], its c = 8 sweep
-    # at chain[15]; eta(C_3^3) holds its search.sle step at chain[0]
+    # at chain[15]; s_le(C_3^3, 4) holds its search.sle step at chain[0]
     "sweep8-instances-float": _retyped_input(_row8_c25, 15, "instances", 4.0),
     "sweep3-instances-bool": _retyped_input(_row8_c25, 11, "instances", True),
     "sweep3-pieces-float": _retyped_input(_row8_c25, 11, "pieces", 9.0),
-    "sle-max_free-float": _retyped_input(_eta_c33, 0, "max_free", 16.0),
-    "sle-cap-float": _retyped_input(_eta_c33, 0, "cap", 3.0),
+    "sle-max_free-float": _retyped_input(_sle4_c33, 0, "max_free", 9.0),
+    "sle-cap-float": _retyped_input(_sle4_c33, 0, "cap", 4.0),
     "unknown-constant": (
         _c24_dk2, lambda data: data.update(constant="zeta"), "unknown constant 'zeta'"
     ),
     "no-value-or-interval": (
         _c24_dk2, lambda data: data.pop("value"), "certificate carries neither value nor interval"
     ),
+    # a key deleted: each was once read with no check, and refused as a bare
+    # KeyError naming neither the step nor the input. D_2(C_2^4) holds
+    # ub.e2g_d, with the one input r, at chain[0]; D_3(C_2^5) is [13, 14]
+    "step-no-value": _dropped(_c24_dk2, ("upper_chain", 0, "value"), "upper_chain[0] has no value"),
+    "step-no-direction": _dropped(
+        _c24_dk2, ("upper_chain", 0, "direction"), "upper_chain[0] has no direction"
+    ),
+    "step-no-rule": _dropped(_c24_dk2, ("upper_chain", 0, "rule"), "upper_chain[0] has no rule"),
+    "input-no-value": _dropped(
+        _c24_dk2, ("upper_chain", 0, "inputs", "r", "value"), "upper_chain[0] input r has no value"
+    ),
+    "interval-no-lo": _dropped(_row3_c25, ("interval", "lo"), "interval has no lo"),
+    "interval-no-hi": _dropped(_row3_c25, ("interval", "hi"), "interval has no hi"),
 }
 
 

@@ -27,6 +27,7 @@ from zerosum.bounds import (
     e2g_sphere_upper,
     e2g_split_upper,
     elb_lower,
+    eta_c3_upper,
     eta_rank2_upper,
     evaluate_rule,
     halter_koch_upper,
@@ -387,6 +388,7 @@ class TestEvaluateRule:
             olson_upper(C33),
             halter_koch_upper(C32, 3),
             eta_rank2_upper(make_group((2, 4)), 4),
+            eta_c3_upper(C33, 3),
         ]
         # rules whose steps s_le, davenport and the rank-5 rows build
         row5 = {step.rule_id: step for step in davenport_k(C25, 5).upper_chain}
@@ -446,6 +448,13 @@ class TestEvaluateRule:
         ("ub.halter_koch", {"group": "3^2", "k": 0}),
         ("ub.eta_rank2", {"group": "3,6", "cap": 7}),
         ("ub.eta_rank2", {"group": "6", "cap": 6}),
+        # ub.eta_c3 holds on C_3^r for 3 <= r <= 6, at cap 3 only
+        ("ub.eta_c3", {"group": "3^2", "cap": 3}),
+        ("ub.eta_c3", {"group": "3^7", "cap": 3}),
+        ("ub.eta_c3", {"group": "9^3", "cap": 9}),
+        ("ub.eta_c3", {"group": "3^2,9", "cap": 9}),
+        ("ub.eta_c3", {"group": "3^4", "cap": 4}),
+        ("ub.eta_c3", {"group": "3^4", "cap": 2}),
     ]
 
     @pytest.mark.parametrize("rule_id,inputs", VIOLATIONS)
@@ -463,6 +472,7 @@ class TestEvaluateRule:
         assert evaluate_rule("ub.olson", {"group": "2^2,4"}) == 6
         assert evaluate_rule("ub.halter_koch", {"group": "3^2", "k": 2}) == 8
         assert evaluate_rule("ub.eta_rank2", {"group": "3,6", "cap": 6}) == 10
+        assert evaluate_rule("ub.eta_c3", {"group": "3^4", "cap": 3}) == 39
         assert evaluate_rule("ub.e2g_s2m", {"r": 5, "m": 2, "root": 8}) == 9
         assert evaluate_rule("ub.e2g_sphere", {"r": 5, "cap": 2}) == 32
 

@@ -1,9 +1,13 @@
 """Tests for the explicit witness constructions."""
 
+from itertools import combinations
+
 import pytest
 
 from zerosum.bounds import BoundError, elb_lower
 from zerosum.constructions import (
+    c3_cap,
+    c3_cap_witness,
     elb_witness,
     maxfull_factorization,
     paige_bijection,
@@ -154,3 +158,19 @@ class TestMaxfullFactorization:
     def test_small_rank_rejected(self):
         with pytest.raises(BoundError):
             maxfull_factorization(1)
+
+
+class TestC3Caps:
+    @pytest.mark.parametrize("r,size", [(3, 9), (4, 20), (5, 40), (6, 81)])
+    def test_every_triple_is_off_a_line(self, r, size):
+        # three distinct points of AG(r, 3) lie on a line iff they sum to 0
+        cap = c3_cap(r)
+        assert len(set(cap)) == len(cap) == size
+        assert (0,) * r in cap
+        for a, b, c in combinations(cap, 3):
+            assert any((x + y + z) % 3 for x, y, z in zip(a, b, c)), (a, b, c)
+
+    @pytest.mark.parametrize("factors", [(3, 3), (3,) * 7, (3, 3, 9)])
+    def test_other_groups_rejected(self, factors):
+        with pytest.raises(BoundError):
+            c3_cap_witness(make_group(factors))

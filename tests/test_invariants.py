@@ -30,7 +30,7 @@ from zerosum.bounds import (
     s_le_from_extension,
 )
 from zerosum.factorizations import max_disjoint_zero_sums, max_length
-from zerosum.groups import Group, add, element_index, enumerate_elements, make_group, profile
+from zerosum.groups import Group, add, element_index, enumerate_elements, make_group, neg, profile
 from zerosum.invariants import (
     Certificate,
     CertificateError,
@@ -474,7 +474,7 @@ GENERIC_CERT_DIGESTS = {
     (3, 6): {"D": "8c46db1b4d2450d5", 6: "ee9ce575e4a1f1fd", 7: "1eda319852b0fb13"},
     (2, 2, 4): {"D": "34eaa637413362e2", 4: "7986c35d7a1aa030", 5: "87c54df66bd394eb"},
     (2, 8): {"D": "a3cff21d195b4b2b", 8: "1b36e3f49c62874b"},
-    (3, 3, 3): {"D": "661f267c3d15cddd", 3: "c55e55e742056098", 4: "72f516b82aa05197",
+    (3, 3, 3): {"D": "661f267c3d15cddd", 3: "f8e7b5d2de7ee886", 4: "72f516b82aa05197",
                 5: "a7ca1c979ae62c3c"},
 }
 
@@ -625,7 +625,7 @@ class TestGenericSearch:
         assert davenport_k(C33, 2).digest() == "8351c9cc98ff8baf"
 
     def test_eta_rank_three_of_threes_digest_pinned(self):
-        assert eta(C33).digest() == "2e45808c0386f803"
+        assert eta(C33).digest() == "189c2f87284be9ae"
 
     def test_dk_six_six_digest_pinned(self):
         cert = davenport_k(make_group((6, 6)), 2)
@@ -747,11 +747,11 @@ class TestGenericSearch:
             assert _generic_search(G, cap, None)[:2] == (longest, least), cap
 
     def test_budget_exhaustion_names_the_search(self):
-        # not enough for s_le(3) (4,080 nodes); D is ub.olson's
+        # not enough for s_le(4) (1,413 nodes); D is ub.olson's
         with pytest.raises(SearchError) as excinfo:
-            s_le(C33, 3, 2_000)
+            s_le(C33, 4, 1_000)
         assert str(excinfo.value) == (
-            "short-zero-sum search (cap 3) on 3^3 exhausted its budget after 2000 nodes"
+            "short-zero-sum search (cap 4) on 3^3 exhausted its budget after 1000 nodes"
         )
 
     def test_budget_bounds_the_elementary_two_search(self):
@@ -1514,14 +1514,14 @@ class TestLowerStepsNeverClose:
             "ub.olson": (up, "D"), "search.zsf": (up, "D"), "ub.e2g_d": (up, "D"),
             "ub.extension": (up, "s_le"), "sle.trivial_group": (up, "s_le"),
             "sle.infinite": (up, "s_le"), "sle.equals_davenport": (up, "s_le"),
-            "ub.eta_rank2": (up, "s_le"), "search.sle": (up, "s_le"),
+            "ub.eta_rank2": (up, "s_le"), "ub.eta_c3": (up, "s_le"), "search.sle": (up, "s_le"),
             "ub.e2g_s2m": (up, "s_le"), "ub.e2g_sphere": (up, "s_le"),
             "search.sweep": (up, "split"),
             "lb.e2g_d0": (low, "D_0"), "ub.e2g_d0": (up, "D_0"),
             "ub.kd": (up, "k_D"), "ub.e2g_kd": (up, "k_D"),
             "ub.delta": (up, "delta"),
         }
-        assert len(expected) == 31
+        assert len(expected) == 32
         steps = [BoundReport(rule, 0, ()) for rule in RULES]
         assert {step.rule_id: (step.direction, step.constant) for step in steps} == expected
 
@@ -1733,7 +1733,7 @@ class TestTamperedFields:
         (lambda: davenport_k(C25, 3), _setting(k=4), _unbound(5, "ub.squarefree_caps", 4)),
         (lambda: davenport_k(make_group((2,) * 6), 8), _setting(k=9),
          _unbound(2, "ub.step", 9)),
-        (lambda: s_le(C33, 3), _setting(k=2), _unbound(0, "search.sle", 2)),
+        (lambda: s_le(C33, 4), _setting(k=3), _unbound(0, "search.sle", 3)),
         (lambda: s_le(C24, 4), _setting(k=3), _unbound(0, "ub.e2g_sphere", 3)),
         (lambda: davenport_k(C33, 3), _step_input(2, "D", 0),
          "chain[2] ub.recursion: re-evaluation failed (D and every ell must be positive)"),
@@ -2101,6 +2101,53 @@ class TestTheoremRules:
         )
         assert _problems_in_memory_and_from_json(cert) == (
             "chain[0] ub.olson: input group = '3^2' is not the group's '3^3'",
+        )
+
+
+C3_ETA = {3: (17, 17), 4: (39, 39), 5: (79, 89), 6: (161, 223)}
+
+
+class TestEtaOfThrees:
+    """eta(C_3^r), 3 <= r <= 6, from ub.eta_c3 and a doubled cap, against
+    the search it replaces at r = 3 and forged witnesses and steps."""
+
+    def test_rule_is_the_short_search(self):
+        cert = eta(C33)
+        assert [s.rule_id for s in cert.upper_chain] == ["ub.eta_c3"]
+        size, seq, _nodes = _generic_search(C33, 3, None)
+        assert size + 1 == cert.value == 17
+        # the doubled 9-cap is the search's lex-least witness
+        assert cert.witness == Sequence.from_elements(C33, seq)
+
+    def test_eta_needs_no_search(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("searched %r" % (args[1:],))
+
+        monkeypatch.setattr(invariants, "_generic_search", refused)
+        invariants.s_le.cache_clear()
+        for r, ends in C3_ETA.items():
+            cert = eta(make_group((3,) * r))
+            assert (cert.lower, cert.upper) == ends, r
+            assert [s.rule_id for s in cert.upper_chain] == ["ub.eta_c3"]
+            _assert_verifies_from_json(cert)
+
+    @pytest.mark.parametrize("edit", ["line", "triple"])
+    def test_forged_witness_is_refused(self, edit):
+        # eta(C_3^5) is [79, 89]; one more term claims 80
+        G = make_group((3,) * 5)
+        cert = eta(G)
+        elements = cert.witness.as_list()
+        a, b = cert.witness.support[:2]
+        elements.append(neg(G, add(G, a, b)) if edit == "line" else a)
+        cert = replace(cert, interval=(80, 89), witness=Sequence.from_elements(G, elements))
+        assert _problems_in_memory_and_from_json(cert) == (
+            "witness: sequence contains a zero-sum of length at most 3",
+        )
+
+    def test_edited_step_value_is_refused(self):
+        assert _verify_edited(eta(make_group((3,) * 4)), _step_field(0, "value", 40)) == (
+            "chain[0] ub.eta_c3: re-evaluates to 39, not 40",
+            "final chain value 40 differs from claimed upper 39",
         )
 
 
